@@ -25,9 +25,12 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .relations import QFamily
 
 DEFAULT_PHIS: Dict[int, Tuple[float, ...]] = {
     2: (0.7, -0.7),
@@ -116,13 +119,11 @@ def _record(suite: str, name: str, residual: float, tol: float,
         "residual": float(residual),
         "tolerance": tol,
         "passed": bool(residual < tol),
-        "seconds": round(time.time() - t0, 3),
+        "seconds": round(time.perf_counter() - t0, 3),
     }
 
 
-def _suite_anchors(cfg: RunConfig) -> List[dict]:
-    from .transfer import build_Q
-    tw = cfg.twist()
+def _suite_anchors(cfg: RunConfig, qf: QFamily) -> List[dict]:
     out = []
     dim = cfg.n ** cfg.length
     eye = np.eye(dim)
@@ -131,15 +132,15 @@ def _suite_anchors(cfg: RunConfig) -> List[dict]:
                          ("full-set member is z^L",
                           tuple(range(1, cfg.n + 1)),
                           lambda z: z ** cfg.length * eye)]:
-        t0 = time.time()
-        q = build_Q(cfg.n, cfg.length, I, tw)
+        t0 = time.perf_counter()
+        q = qf.q(I)
         r = max(float(np.max(np.abs(q.at(z).to_dense() - ref(z))))
                 for z in (0.83, -0.27))
         out.append(_record("anchors", name, r, cfg.tolerance("anchors"), t0))
     return out
 
 
-def _suite_rll(cfg: RunConfig) -> List[dict]:
+def _suite_rll(cfg: RunConfig, qf: QFamily) -> List[dict]:
     from .glrep import fundamental_rep, trivial_rep, verma_rep
     from .lax import canonical_lax, eval_lax, partonic_lax, rll_residual
     rng = np.random.default_rng(cfg.seed)
@@ -160,32 +161,32 @@ def _suite_rll(cfg: RunConfig) -> List[dict]:
                       canonical_lax(cfg.n, (1, 2), trivial_rep((1, 2)))))
     out = []
     for name, L in cases:
-        t0 = time.time()
+        t0 = time.perf_counter()
         r = max(rll_residual(L, z1, z2, n_max=cfg.n_max) for z1, z2 in pairs)
         out.append(_record("rll", name, r, cfg.tolerance("rll"), t0))
     return out
 
 
-def _suite_factorization(cfg: RunConfig) -> List[dict]:
+def _suite_factorization(cfg: RunConfig, qf: QFamily) -> List[dict]:
     from .fusion import factorize_partons
     rng = np.random.default_rng(cfg.seed + 1)
     wt = tuple(complex(rng.normal(), rng.normal()) for _ in range(cfg.n))
     fac = factorize_partons(cfg.n, wt)
     out = []
     for z in (0.31, -0.74 + 0.2j):
-        t0 = time.time()
+        t0 = time.perf_counter()
         r = fac.residual(z, n_max=cfg.n_max, buffer=cfg.buffer)
         out.append(_record("factorization", "ordered product at z=%s" % z, r,
                            cfg.tolerance("factorization"), t0))
     from .glrep import gl_relation_residual
-    t0 = time.time()
+    t0 = time.perf_counter()
     out.append(_record("factorization", "triangular-core algebra relations",
                        gl_relation_residual(fac.generator_rep()),
                        cfg.tolerance("factorization"), t0))
     return out
 
 
-def _suite_fusion(cfg: RunConfig) -> List[dict]:
+def _suite_fusion(cfg: RunConfig, qf: QFamily) -> List[dict]:
     from .fusion import fuse
     from .glrep import gl_relation_residual, scalar_rep, verma_rep
     out = []
@@ -194,103 +195,96 @@ def _suite_fusion(cfg: RunConfig) -> List[dict]:
         specs.append(((1,), (2, 3), scalar_rep(1, 0.23),
                       verma_rep((0.4, -0.2), labels=(2, 3), tag="v"), 0.6))
     for I, J, r1, r2, lam in specs:
-        t0 = time.time()
+        t0 = time.perf_counter()
         res = fuse(cfg.n, I, J, r1, r2, lam)
         r = max(res.residual(z, n_max=cfg.n_max, buffer=cfg.buffer)
                 for z in (0.37, -0.58))
         out.append(_record("fusion", "blocks %s + %s" % (I, J), r,
                            cfg.tolerance("fusion"), t0))
-        t0 = time.time()
+        t0 = time.perf_counter()
         out.append(_record("fusion", "merged algebra relations %s+%s" % (I, J),
                            gl_relation_residual(res.fused_rep),
                            cfg.tolerance("fusion"), t0))
     return out
 
 
-def _suite_hirota(cfg: RunConfig) -> List[dict]:
-    from .relations import QFamily, enumerate_hasse, hirota_residual
+def _suite_hirota(cfg: RunConfig, qf: QFamily) -> List[dict]:
+    from .relations import enumerate_hasse, hirota_residual
     tw = cfg.twist()
-    qf = QFamily(cfg.n, cfg.length, tw)
     out = []
     for I, a, b in enumerate_hasse(cfg.n).quadrilaterals:
-        t0 = time.time()
+        t0 = time.perf_counter()
         r = hirota_residual(cfg.n, cfg.length, I, a, b, tw, family=qf)
         out.append(_record("hirota", "quadrilateral I=%s a=%d b=%d" % (I, a, b),
                            r, cfg.tolerance("hirota"), t0))
     return out
 
 
-def _suite_determinant(cfg: RunConfig) -> List[dict]:
-    from .relations import (QFamily, q_determinant_residual,
-                            t_determinant_residual)
+def _suite_determinant(cfg: RunConfig, qf: QFamily) -> List[dict]:
+    from .relations import q_determinant_residual, t_determinant_residual
     tw = cfg.twist()
-    qf = QFamily(cfg.n, cfg.length, tw)
     out = []
     for I in itertools.combinations(range(1, cfg.n + 1), 2):
-        t0 = time.time()
+        t0 = time.perf_counter()
         r = q_determinant_residual(cfg.n, cfg.length, I, tw, family=qf)
         out.append(_record("determinant", "pair form I=%s" % (I,), r,
                            cfg.tolerance("determinant"), t0))
-    t0 = time.time()
+    t0 = time.perf_counter()
     out.append(_record("determinant", "defining transfer form",
                        t_determinant_residual(cfg.n, cfg.length, tw, family=qf),
                        cfg.tolerance("determinant"), t0))
     return out
 
 
-def _suite_plucker(cfg: RunConfig) -> List[dict]:
-    from .relations import QFamily, plucker_residual
+def _suite_plucker(cfg: RunConfig, qf: QFamily) -> List[dict]:
+    from .relations import plucker_residual
     tw = cfg.twist()
-    qf = QFamily(cfg.n, cfg.length, tw)
     chain = tuple(range(1, cfg.n + 1))
     rng = np.random.default_rng(cfg.seed + 2)
     out = []
     for k in range(2, cfg.n + 1):
         pts = tuple(np.round(rng.uniform(-0.8, 0.8, size=k + 1), 3))
-        t0 = time.time()
+        t0 = time.perf_counter()
         r = plucker_residual(cfg.n, cfg.length, chain, k, pts, tw, family=qf)
         out.append(_record("plucker", "exchange relation k=%d" % k, r,
                            cfg.tolerance("plucker"), t0))
     return out
 
 
-def _suite_commuting(cfg: RunConfig) -> List[dict]:
-    from .relations import QFamily, enumerate_hasse
+def _suite_commuting(cfg: RunConfig, qf: QFamily) -> List[dict]:
+    from .relations import enumerate_hasse
     from .spectral import build_hamiltonian
     from .tensor import comm_norm
-    from .transfer import build_T_box
-    tw = cfg.twist()
-    qf = QFamily(cfg.n, cfg.length, tw)
-    ops = [("hamiltonian", build_hamiltonian(cfg.n, cfg.length, tw))]
-    ops.append(("defining transfer", build_T_box(cfg.n, cfg.length, tw).at(0.29)))
+    ops = [("hamiltonian", build_hamiltonian(cfg.n, cfg.length, cfg.twist()))]
+    ops.append(("defining transfer", qf.t_box().at(0.29)))
     for I in enumerate_hasse(cfg.n).nodes:
         if 0 < len(I) < cfg.n:
             ops.append(("member %s" % (I,), qf.q(I).at(0.37)))
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = max(comm_norm(x, y)
                 for i, (_, x) in enumerate(ops) for _, y in ops[i + 1:])
     return [_record("commuting", "max pairwise commutator (%d ops)" % len(ops),
                     worst, cfg.tolerance("commuting"), t0)]
 
 
-def _suite_bgg(cfg: RunConfig) -> List[dict]:
+def _suite_bgg(cfg: RunConfig, qf: QFamily) -> List[dict]:
     from .transfer import bgg_eigen_check
     tw = cfg.twist()
     weight = (1.0,) + (0.0,) * (cfg.n - 1)
     length = min(cfg.length, 2) or 1
-    t0 = time.time()
+    t0 = time.perf_counter()
     r = bgg_eigen_check(cfg.n, length, weight, tw)
     return [_record("bgg", "signed resolution, weight %s, L=%d"
                     % (weight, length), r, cfg.tolerance("bgg"), t0)]
 
 
-def _suite_trace(cfg: RunConfig) -> List[dict]:
+def _suite_trace(cfg: RunConfig, qf: QFamily) -> List[dict]:
     from .oscillator import (NormalOrderedOp as Op, extrapolated_trace,
                              weighted_trace)
     rng = np.random.default_rng(cfg.seed + 3)
     modes = [("m", 1, 2), ("m", 2, 1), ("m", 1, 3)]
     qs = {m: cmath.exp(1j * a) for m, a in zip(modes, (0.9, -1.4, 0.55))}
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(50):
         x = Op.scalar(complex(rng.normal(), rng.normal()))
@@ -302,7 +296,8 @@ def _suite_trace(cfg: RunConfig) -> List[dict]:
                     worst, cfg.tolerance("trace"), t0)]
 
 
-SUITE_RUNNERS: Dict[str, Callable[[RunConfig], List[dict]]] = {
+#: each runner takes the configuration and the run's shared family cache
+SUITE_RUNNERS: Dict[str, Callable[[RunConfig, QFamily], List[dict]]] = {
     "anchors": _suite_anchors,
     "rll": _suite_rll,
     "factorization": _suite_factorization,
@@ -317,9 +312,12 @@ SUITE_RUNNERS: Dict[str, Callable[[RunConfig], List[dict]]] = {
 
 
 def run_verify(cfg: RunConfig) -> dict:
+    from .relations import QFamily
+    # one family per run: every suite reads the same lazily built members
+    qf = QFamily(cfg.n, cfg.length, cfg.twist())
     records = []
     for suite in cfg.suites:
-        records.extend(SUITE_RUNNERS[suite](cfg))
+        records.extend(SUITE_RUNNERS[suite](cfg, qf))
     return {
         "command": "verify",
         "config": _config_dict(cfg),
@@ -349,7 +347,7 @@ def run_spectrum(cfg: RunConfig) -> dict:
     from .spectral import SpectralAnalysis
     if cfg.length < 1:
         raise ConfigError("spectrum needs L >= 1")
-    sa = SpectralAnalysis(cfg.n, cfg.length, cfg.twist(), seed=cfg.seed + 5)
+    sa = SpectralAnalysis(cfg.n, cfg.length, cfg.twist())
     rows = []
     for r in sa.all_records():
         rows.append({
@@ -367,7 +365,7 @@ def run_bethe(cfg: RunConfig) -> dict:
     from .spectral import SpectralAnalysis, solve_bethe_newton
     if cfg.length < 1:
         raise ConfigError("bethe needs L >= 1")
-    sa = SpectralAnalysis(cfg.n, cfg.length, cfg.twist(), seed=cfg.seed + 5)
+    sa = SpectralAnalysis(cfg.n, cfg.length, cfg.twist())
     sigmas = [sa.q_polys[I].sigma for I in sa.sets]
     states = []
     for r in sa.all_records():

@@ -165,33 +165,32 @@ def _accumulate_product(k1: TermKey, k2: TermKey, coeff: complex,
     """Normal-order the product of two monomials and accumulate into ``out``.
 
     Per shared mode, ``B^{k} B†^{j} = sum_i i! C(k,i) C(j,i) B†^{j-i} B^{k-i}``.
+    The resulting monomials are expanded mode by mode in ascending mode order;
+    a mode with nothing to contract has the single alternative of weight 1.
     """
+    if not k1 or not k2:
+        key = k1 or k2
+        out[key] = out.get(key, 0.0) + coeff
+        return
     d1 = {m: (j, k) for m, j, k in k1}
     d2 = {m: (j, k) for m, j, k in k2}
-    modes = sorted(set(d1) | set(d2))
-    # per-mode alternatives: list of ((j, k), weight)
-    options: List[List[Tuple[Tuple[int, int], float]]] = []
-    for m in modes:
+    partial: List[Tuple[TermKey, float]] = [((), 1.0)]
+    for m in sorted(set(d1) | set(d2)):
         j1, a1 = d1.get(m, (0, 0))
         j2, a2 = d2.get(m, (0, 0))
+        contract = min(a1, j2)
+        if not contract:
+            part = ((m, j1 + j2, a1 + a2),)
+            partial = [(key + part, w) for key, w in partial]
+            continue
         alts = []
-        for i in range(min(a1, j2) + 1):
-            w = math.comb(a1, i) * math.comb(j2, i) * math.factorial(i)
-            alts.append(((j1 + j2 - i, a1 + a2 - i), float(w)))
-        options.append(alts)
-
-    def walk(idx: int, acc: List[Tuple[Mode, int, int]], w: float) -> None:
-        if idx == len(modes):
-            key = tuple((m, j, k) for m, j, k in acc if j or k)
-            out[key] = out.get(key, 0.0) + coeff * w
-            return
-        m = modes[idx]
-        for (j, k), wi in options[idx]:
-            acc.append((m, j, k))
-            walk(idx + 1, acc, w * wi)
-            acc.pop()
-
-    walk(0, [], 1.0)
+        for i in range(contract + 1):
+            j, k = j1 + j2 - i, a1 + a2 - i
+            wi = float(math.comb(a1, i) * math.comb(j2, i) * math.factorial(i))
+            alts.append((((m, j, k),) if j or k else (), wi))
+        partial = [(key + part, w * wi) for key, w in partial for part, wi in alts]
+    for key, w in partial:
+        out[key] = out.get(key, 0.0) + coeff * w
 
 
 # -- closed-form weighted traces ---------------------------------------------
@@ -209,14 +208,16 @@ def _mode_factor(j: int, k: int, q: complex, plain: bool) -> complex:
 
 
 def weighted_trace(x: NormalOrderedOp, q: Mapping[Mode, complex],
-                   plain_modes: FrozenSet[Mode] | frozenset = frozenset()) -> complex:
+                   plain_modes: Sequence[Mode] = ()) -> complex:
     """Exact trace of ``x`` against per-mode weights ``q_m^{N_m}``.
 
     Modes in ``plain_modes`` use the plain (un-normalized) geometric trace and
     contribute their partition factor ``1/(1-q)`` even when absent from a
     monomial; all other weighted modes use the normalized ratio rule, under
-    which an absent mode contributes 1.  A mode appearing in ``x`` without a
-    weight would be an untwisted (divergent) trace and raises ``ValueError``.
+    which an absent mode contributes 1.  The partition factors are multiplied
+    in the order of ``plain_modes``, so pass an ordered sequence for a result
+    that does not depend on the hash seed.  A mode appearing in ``x`` without
+    a weight would be an untwisted (divergent) trace and raises ``ValueError``.
     """
     for m in plain_modes:
         if m not in q:
@@ -243,7 +244,7 @@ def weighted_trace(x: NormalOrderedOp, q: Mapping[Mode, complex],
 
 def normalized_trace(x: NormalOrderedOp, q: Mapping[Mode, complex]) -> complex:
     """Normalized trace with every mode weighted by the ratio rule."""
-    return weighted_trace(x, q, frozenset())
+    return weighted_trace(x, q)
 
 
 # -- truncated, damped numeric traces (independent cross-check path) ---------
@@ -530,13 +531,20 @@ class CarrierOp:
             return NotImplemented
         if self.d != other.d:
             raise ValueError("carrier dimension mismatch")
+        # only products of two non-empty entries are formed; an entry with no
+        # contributing product keeps the shared zero of the fresh result
         out = CarrierOp(self.d)
         for i in range(self.d):
+            row = [(k, a) for k, a in enumerate(self.mat[i]) if a.terms]
             for j in range(self.d):
-                acc = NormalOrderedOp.zero()
-                for k in range(self.d):
-                    acc = acc + self.mat[i][k] * other.mat[k][j]
-                out.mat[i][j] = acc
+                acc = None
+                for k, a in row:
+                    b = other.mat[k][j]
+                    if b.terms:
+                        p = a * b
+                        acc = p if acc is None else acc + p
+                if acc is not None:
+                    out.mat[i][j] = acc
         return out
 
     def __rmul__(self, other):
@@ -546,6 +554,11 @@ class CarrierOp:
 
     def is_zero(self, tol: float = COEFF_TOL) -> bool:
         return all(self.mat[i][j].is_zero(tol) for i in range(self.d) for j in range(self.d))
+
+    def is_identity(self) -> bool:
+        """Exactly the identity: unit scalars on the diagonal, nothing else."""
+        return all(self.mat[i][j].terms == ({(): 1.0} if i == j else {})
+                   for i in range(self.d) for j in range(self.d))
 
     def max_coeff(self) -> float:
         return max(self.mat[i][j].max_coeff() for i in range(self.d) for j in range(self.d))
@@ -559,7 +572,7 @@ class CarrierOp:
 
     def weighted_trace(self, carrier_weights: Sequence[complex],
                        q: Mapping[Mode, complex],
-                       plain_modes: FrozenSet[Mode] | frozenset = frozenset()) -> complex:
+                       plain_modes: Sequence[Mode] = ()) -> complex:
         """Trace against diag(carrier_weights) ⊗ per-mode occupation weights."""
         if len(carrier_weights) != self.d:
             raise ValueError("carrier weight length mismatch")

@@ -93,17 +93,24 @@ def enumerate_hasse(n: int) -> HasseDiagram:
 
 
 class QFamily:
-    """Cache of trivial-carrier family members for one chain and twist."""
+    """Cache of the trivial-carrier family members and the defining-carrier
+    transfer operator for one chain and twist; each is built on first use."""
 
     def __init__(self, n: int, length: int, twist: TwistConfig):
         self.n, self.length, self.twist = n, length, twist
         self._cache: Dict[IndexSet, OperatorPolynomial] = {}
+        self._t_box: Optional[OperatorPolynomial] = None
 
     def q(self, index_set: Sequence[int]) -> OperatorPolynomial:
         I = tuple(sorted(index_set))
         if I not in self._cache:
             self._cache[I] = build_Q(self.n, self.length, I, self.twist)
         return self._cache[I]
+
+    def t_box(self) -> OperatorPolynomial:
+        if self._t_box is None:
+            self._t_box = build_T_box(self.n, self.length, self.twist)
+        return self._t_box
 
 
 def _z_samples(length: int) -> List[float]:
@@ -183,7 +190,7 @@ def t_determinant_residual(n: int, length: int, twist: TwistConfig,
                            z_values: Sequence[float] | None = None) -> float:
     """Residual of the determinant form of the defining-carrier transfer op."""
     qf = family or QFamily(n, length, twist)
-    tbox = build_T_box(n, length, twist)
+    tbox = qf.t_box()
     weight = [1.0] + [0.0] * (n - 1)
     shifts = [weight[j - 1] + (n - 2 * j + 1) / 2 for j in range(1, n + 1)]
     full = tuple(range(1, n + 1))

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensor import QuantumOperator, basis_states, occupation, state_index
+from .tensor import QuantumOperator, basis_states, sector_states, state_index
 from .transfer import OperatorPolynomial, TwistConfig, build_Q, build_T_box
 
 ROOT_COLLISION_TOL = 1e-9
@@ -31,7 +31,8 @@ ROOT_COLLISION_TOL = 1e-9
 def build_hamiltonian(n: int, length: int, twist: TwistConfig) -> QuantumOperator:
     """Exchange Hamiltonian ``2 sum_l (1 - P_{l,l+1})`` with twisted wrap.
 
-    The wrap bond uses ``e_ab^{(L+1)} = e^{i(phi_a - phi_b)} e_ab^{(1)}``.
+    With ``e_ab = |a><b|``, the wrap bond uses
+    ``e_ab^{(L+1)} = e^{i(phi_b - phi_a)} e_ab^{(1)}``.
     """
     dim = n ** length
     data: Dict[Tuple[int, int], complex] = {}
@@ -57,14 +58,11 @@ def build_hamiltonian(n: int, length: int, twist: TwistConfig) -> QuantumOperato
 
 def sector_labels(n: int, length: int) -> List[Tuple[int, ...]]:
     """All letter-count vectors with total ``length``."""
-    out = sorted({occupation(s, n) for s in basis_states(n, length)})
-    return out
+    return sorted(sector_states(n, length))
 
 
 def sector_indices(n: int, length: int, m: Sequence[int]) -> List[int]:
-    m = tuple(m)
-    return [state_index(s, n) for s in basis_states(n, length)
-            if occupation(s, n) == m]
+    return [state_index(s, n) for s in sector_states(n, length).get(tuple(m), ())]
 
 
 def sector_block(op: QuantumOperator, idx: Sequence[int]) -> np.ndarray:
@@ -240,7 +238,7 @@ class SpectralAnalysis:
     """Joint diagnosis of one chain along one ascending chain of index sets."""
 
     def __init__(self, n: int, length: int, twist: TwistConfig,
-                 path: Sequence[int] | None = None, seed: int = 5):
+                 path: Sequence[int] | None = None):
         self.n, self.length, self.twist = n, length, twist
         self.path = tuple(path) if path is not None else tuple(range(1, n + 1))
         if sorted(self.path) != list(range(1, n + 1)):
@@ -249,19 +247,17 @@ class SpectralAnalysis:
         self.q_polys = {I: build_Q(n, length, I, twist) for I in self.sets}
         self.tbox = build_T_box(n, length, twist)
         self.H = build_hamiltonian(n, length, twist)
+        # the operators diagonalized together, evaluated once for all sectors
+        self.probes = [self.H] + [self.q_polys[I].at(z) for I in self.sets[1:-1]
+                                  for z in (0.37, -0.81)] + [self.tbox.at(0.29)]
 
     def sector_records(self, m: Sequence[int], seed: int = 5
                        ) -> List[EigenstateRecord]:
         m = tuple(m)
         idx = sector_indices(self.n, self.length, m)
-        hblock = sector_block(self.H, idx)
-        blocks = [hblock]
-        for I in self.sets[1:-1]:
-            for z in (0.37, -0.81):
-                blocks.append(sector_block(self.q_polys[I].at(z), idx))
-        blocks.append(sector_block(self.tbox.at(0.29), idx))
+        blocks = [sector_block(op, idx) for op in self.probes]
         v = simultaneous_eigenbasis(blocks, seed=seed)
-        energies = eigenvalues_in_basis(hblock, v)
+        energies = eigenvalues_in_basis(blocks[0], v)
         level_polys = []
         for i, I in enumerate(self.sets):
             deg = sum(m[a - 1] for a in I)

@@ -10,7 +10,7 @@ are enumerated in base ``n`` with site 1 as the most significant digit.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -179,6 +179,14 @@ def occupation(state: Sequence[int], n: int) -> Tuple[int, ...]:
     for letter in state:
         counts[letter] += 1
     return tuple(counts)
+
+
+def sector_states(n: int, length: int) -> Dict[Tuple[int, ...], List[Tuple[int, ...]]]:
+    """Configurations grouped by letter-count vector, in basis order per group."""
+    out: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+    for s in basis_states(n, length):
+        out.setdefault(occupation(s, n), []).append(s)
+    return out
 
 
 def comm_norm(a: QuantumOperator, b: QuantumOperator) -> float:

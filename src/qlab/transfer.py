@@ -6,26 +6,34 @@ basis of the auxiliary carrier) times the site-ordered product of one Lax
 matrix per site.  The gl-carrier trace runs over a finite-dimensional or
 highest-weight (oscillator-realized) module; the oscillator traces use the
 exact per-mode closed form, under which only number-balanced monomials
-survive.  Each family member is stored as a polynomial in the spectral
-parameter with sparse quantum-space coefficients, together with a symbolic
-exponential prefactor ``exp(i z sigma)``.
+survive.
+
+Each family member is built exactly, in one z-graded pass: the spectral
+parameter is carried as a formal variable through the Lax product, every
+power of ``z`` keeps its own carrier-operator coefficient, and each
+coefficient is traced in closed form.  Only pairs of configurations inside
+one letter-count sector are expanded; the others vanish because every
+surviving monomial must balance creators and annihilators per mode.  The
+result is a polynomial in the spectral parameter with sparse quantum-space
+coefficients, together with a symbolic exponential prefactor
+``exp(i z sigma)``.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .glrep import GlRep, diagonal_weight_data, fundamental_rep, rho_weight, \
     trivial_rep, verma_rep
-from .lax import LaxMatrix, ModeFn, canonical_lax, eval_lax
+from .lax import LaxMatrix, ModeFn, canonical_lax
 from .oscillator import CarrierOp, FockSpace, Mode, NormalOrderedOp
-from .tensor import QuantumOperator, basis_states, occupation, state_index
+from .tensor import QuantumOperator, basis_states, occupation, sector_states, \
+    state_index
 
 #: relative tolerance below which a twist-weight is considered degenerate
 DEGENERACY_TOL = 1e-9
@@ -77,7 +85,7 @@ class TwistOperatorD:
     rep: GlRep
     carrier_weights: Tuple[complex, ...]
     q: Dict[Mode, complex]
-    plain_modes: FrozenSet[Mode]
+    plain_modes: Tuple[Mode, ...]
 
     def weighted_trace(self, op: CarrierOp) -> complex:
         return op.weighted_trace(list(self.carrier_weights), self.q, self.plain_modes)
@@ -131,7 +139,7 @@ def build_twist_D(n: int, index_set: Sequence[int], rep: GlRep,
     if rep.d == 1:
         const, coeffs = diagonal_weight_data(rep, phis)
         carrier = (cmath.exp(1j * const),)
-        plain = frozenset(coeffs)
+        plain = tuple(sorted(coeffs))
         for m, c in coeffs.items():
             pair = (m[1], m[2]) if len(m) == 3 else m
             q[m] = _check_weight(cmath.exp(1j * c), pair)
@@ -151,40 +159,8 @@ def build_twist_D(n: int, index_set: Sequence[int], rep: GlRep,
         for d in diag:
             if not (d - NormalOrderedOp.scalar(d.scalar_part())).is_zero():
                 raise ValueError("carrier diagonal generators are not scalar")
-        plain = frozenset()
+        plain = ()
     return TwistOperatorD(n, I, rep, carrier, q, plain)
-
-
-# -- monodromy traces at a point ----------------------------------------------
-
-
-def transfer_at(n: int, length: int, lax: LaxMatrix, D: TwistOperatorD,
-                z: complex, sector_filter: bool = True) -> QuantumOperator:
-    """Auxiliary trace of the twisted monodromy at one spectral point.
-
-    The quantum-space entry for configurations (i_1..i_L), (j_1..j_L) is the
-    twisted trace of the site-ordered product of Lax entries.  With
-    ``sector_filter`` only letter-count-conserving entries are computed; the
-    others vanish because every surviving monomial must balance creators and
-    annihilators per mode (validated against the unfiltered path in tests).
-    """
-    blocks = lax.at(z)
-    dim = n ** length
-    data: Dict[Tuple[int, int], complex] = {}
-    for istr in basis_states(n, length):
-        for jstr in basis_states(n, length):
-            if sector_filter and occupation(istr, n) != occupation(jstr, n):
-                continue
-            op: Optional[CarrierOp] = None
-            for i, j in zip(istr, jstr):
-                f = blocks[i][j]
-                op = f if op is None else op * f
-            if op is None:
-                op = CarrierOp.identity(lax.d)
-            val = D.weighted_trace(op)
-            if val != 0.0:
-                data[(state_index(istr, n), state_index(jstr, n))] = val
-    return QuantumOperator(dim, data)
 
 
 # -- operator-valued polynomials ----------------------------------------------
@@ -202,12 +178,13 @@ class OperatorPolynomial:
         return len(self.coeffs) - 1
 
     def poly_at(self, z: complex) -> QuantumOperator:
-        out = QuantumOperator.zero(self.dim)
+        data: Dict[Tuple[int, int], complex] = {}
         zk = 1.0 + 0.0j
         for c in self.coeffs:
-            out = out + c * zk
+            for key, v in c.data.items():
+                data[key] = data.get(key, 0.0) + v * zk
             zk *= z
-        return out
+        return QuantumOperator(self.dim, data)
 
     def at(self, z: complex) -> QuantumOperator:
         return self.poly_at(z) * cmath.exp(1j * z * self.sigma)
@@ -222,31 +199,58 @@ class OperatorPolynomial:
             [self.coeffs[k] * float(k) for k in range(1, len(self.coeffs))])
 
 
-def fit_operator_polynomial(dim: int, sigma: complex, degree: int,
-                            eval_fn: Callable[[complex], QuantumOperator]
-                            ) -> OperatorPolynomial:
-    """Recover polynomial coefficients from degree+1 Chebyshev-point samples."""
-    pts = [math.cos(math.pi * (2 * j + 1) / (2 * (degree + 1)))
-           for j in range(degree + 1)]
-    samples = [eval_fn(z) for z in pts]
-    V = np.vander(np.array(pts, dtype=complex), degree + 1, increasing=True)
-    Vinv = np.linalg.inv(V)
-    keys = sorted({k for s in samples for k in s.data})
-    coeffs = [QuantumOperator.zero(dim) for _ in range(degree + 1)]
-    for key in keys:
-        vals = np.array([s.data.get(key, 0.0) for s in samples])
-        sol = Vinv @ vals
-        for k, v in enumerate(sol):
-            if abs(v) > 1e-12:
-                coeffs[k].data[key] = coeffs[k].data.get(key, 0.0) + v
-    return OperatorPolynomial(dim, sigma, coeffs)
-
-
 # -- the Q / T / X families ----------------------------------------------------
 
 
+def _graded_entries(lax: LaxMatrix
+                    ) -> List[List[List[Tuple[int, Optional[CarrierOp]]]]]:
+    """Each Lax entry ``z c0 + c1`` as its non-zero ``(power of z, coefficient)``
+    parts; a coefficient equal to the carrier identity is given as ``None``."""
+    return [[[(k, None if c.is_identity() else c)
+              for k, c in ((0, lax.c1[i][j]), (1, lax.c0[i][j])) if not c.is_zero()]
+             for j in range(lax.n)] for i in range(lax.n)]
+
+
+def _traced_monodromy(n: int, length: int, lax: LaxMatrix,
+                      D: TwistOperatorD) -> List[QuantumOperator]:
+    """Exact ``z^k`` coefficients of the twisted monodromy trace, k = 0..length.
+
+    The quantum-space entry for configurations (i_1..i_L), (j_1..j_L) is the
+    twisted trace of the site-ordered product of the entries ``L_{i_s j_s}``.
+    The product is kept as a list of carrier-operator coefficients indexed by
+    the power of ``z``; a site multiplies each by ``c1`` (same power) and
+    ``c0`` (next power), skipping parts that are zero and products with the
+    identity.  Only pairs inside one letter-count sector are expanded.
+    """
+    entries = _graded_entries(lax)
+    ident = CarrierOp.identity(lax.d)
+    data: List[Dict[Tuple[int, int], complex]] = [{} for _ in range(length + 1)]
+    for states in sector_states(n, length).values():
+        for istr in states:
+            row = state_index(istr, n)
+            for jstr in states:
+                first = entries[istr[0]][jstr[0]] if length else [(0, None)]
+                graded = {k: ident if c is None else c for k, c in first}
+                for i, j in zip(istr[1:], jstr[1:]):
+                    if not graded:
+                        break
+                    nxt: Dict[int, CarrierOp] = {}
+                    for k, p in graded.items():
+                        for shift, c in entries[i][j]:
+                            term = p if c is None else p * c
+                            key = k + shift
+                            nxt[key] = term if key not in nxt else nxt[key] + term
+                    graded = nxt
+                col = state_index(jstr, n)
+                for k, p in graded.items():
+                    val = D.weighted_trace(p)
+                    if val != 0.0:
+                        data[k][(row, col)] = val
+    return [QuantumOperator(n ** length, d) for d in data]
+
+
 def build_X(n: int, length: int, index_set: Sequence[int], rep: GlRep,
-            twist: TwistConfig, degree: int | None = None) -> OperatorPolynomial:
+            twist: TwistConfig) -> OperatorPolynomial:
     """General hybrid transfer operator for a carrier on an index set."""
     I = tuple(sorted(index_set))
     if not I:
@@ -255,10 +259,8 @@ def build_X(n: int, length: int, index_set: Sequence[int], rep: GlRep,
     lax = canonical_lax(n, I, rep)
     D = build_twist_D(n, I, rep, twist)
     sigma = sum(twist.phi(a) for a in I)
-    deg = length if degree is None else degree
-    return fit_operator_polynomial(
-        n ** length, sigma, deg,
-        lambda z: transfer_at(n, length, lax, D, z))
+    return OperatorPolynomial(n ** length, sigma,
+                              _traced_monodromy(n, length, lax, D))
 
 
 def build_Q(n: int, length: int, index_set: Sequence[int],
@@ -308,14 +310,26 @@ def _signed_weights(weight: Sequence[complex]) -> List[Tuple[int, Tuple[complex,
     return out
 
 
+def _signed_members(n: int, length: int, weight: Sequence[complex],
+                    twist: TwistConfig) -> List[Tuple[int, OperatorPolynomial]]:
+    """The highest-weight transfer operators of the alternating sum, with signs."""
+    return [(sign, build_T_plus(n, length, w, twist))
+            for sign, w in _signed_weights(weight)]
+
+
+def _alternating_sum_at(members: Sequence[Tuple[int, OperatorPolynomial]],
+                        dim: int, z: complex) -> QuantumOperator:
+    out = QuantumOperator.zero(dim)
+    for sign, t in members:
+        out = out + t.at(z) * float(sign)
+    return out
+
+
 def alternating_sum_T(n: int, length: int, weight: Sequence[complex],
                       twist: TwistConfig, z: complex) -> QuantumOperator:
     """Signed sum of highest-weight transfer operators at one spectral point."""
-    out = QuantumOperator.zero(n ** length)
-    for sign, w in _signed_weights(weight):
-        t = build_T_plus(n, length, w, twist)
-        out = out + t.at(z) * float(sign)
-    return out
+    return _alternating_sum_at(_signed_members(n, length, weight, twist),
+                               n ** length, z)
 
 
 def bgg_eigen_check(n: int, length: int, weight: Sequence[complex],
@@ -327,17 +341,19 @@ def bgg_eigen_check(n: int, length: int, weight: Sequence[complex],
 
     The default geometric schedule keeps the interpolation error of the
     damping-analytic entries far below the 1e-6 target; a short 3-point
-    schedule leaves a residual around 3e-5.
+    schedule leaves a residual around 3e-5.  Every member is built once and
+    evaluated at each of the ``z_samples``.
     """
     if etas is None:
         etas = [0.2 / 2 ** j for j in range(6)]
+    t_box = build_T_box(n, length, twist)
+    damped = [_signed_members(n, length, weight, twist.damped(eta))
+              for eta in etas]
     worst = 0.0
     for z in z_samples:
-        t_ref = build_T_box(n, length, twist).at(z).to_dense()
-        vals = []
-        for eta in etas:
-            vals.append(alternating_sum_T(n, length, weight,
-                                          twist.damped(eta), z).to_dense())
+        t_ref = t_box.at(z).to_dense()
+        vals = [_alternating_sum_at(members, n ** length, z).to_dense()
+                for members in damped]
         xs = sorted(etas, reverse=True)
         t = list(vals)
         for level in range(1, len(t)):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qlab
 from qlab.cli import ConfigError, RunConfig, main, run_hasse
 
 
@@ -146,3 +151,18 @@ def test_reports_are_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_residuals_do_not_depend_on_hash_seed():
+    # the highest-weight traces multiply per-mode partition factors; their
+    # order must not follow the hash order of the mode labels
+    src = str(Path(qlab.__file__).resolve().parents[1])
+    residuals = []
+    for hash_seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "qlab.cli", "verify", "--n", "3", "--L", "2",
+             "--suite", "bgg"], env=env, stdout=subprocess.PIPE, check=True, text=True)
+        residuals.append([r["residual"].hex() for r in json.loads(out.stdout)["records"]])
+    assert residuals[0] == residuals[1]

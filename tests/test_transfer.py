@@ -1,21 +1,59 @@
 import cmath
-import math
+import itertools
 
 import numpy as np
 import pytest
 
 from qlab.glrep import fundamental_rep, trivial_rep, verma_rep
 from qlab.lax import canonical_lax
-from qlab.oscillator import NormalOrderedOp as Op, extrapolated_trace, weighted_trace
+from qlab.oscillator import CarrierOp, NormalOrderedOp as Op, extrapolated_trace, \
+    weighted_trace
 from qlab.tensor import comm_norm
 from qlab.transfer import (
     OperatorPolynomial, TwistConfig, alternating_sum_T, bgg_eigen_check,
     build_Q, build_T_box, build_T_plus, build_X, build_X_plus, build_twist_D,
-    fit_operator_polynomial, number_operator, transfer_at,
+    number_operator,
 )
 
 TW2 = TwistConfig((0.7, -0.7))
 TW3 = TwistConfig((0.7, -0.4, -0.3))
+TW4 = TwistConfig((0.9, 0.4, -0.5, -0.8))
+TWISTS = {2: TW2, 3: TW3, 4: TW4}
+
+
+def brute_force_member(n, length, index_set, rep, twist, z):
+    """Dense family member at one point: every pair of configurations (no
+    sector filter), the Lax entries evaluated at ``z`` and multiplied site by
+    site, then traced against the twist."""
+    dim = n ** length
+    if not index_set:
+        return np.eye(dim, dtype=complex)
+    lax = canonical_lax(n, index_set, rep)
+    D = build_twist_D(n, index_set, rep, twist)
+    blocks = lax.at(z)
+    states = list(itertools.product(range(n), repeat=length))
+    out = np.zeros((dim, dim), dtype=complex)
+    for row, istr in enumerate(states):
+        for col, jstr in enumerate(states):
+            op = CarrierOp.identity(lax.d)
+            for i, j in zip(istr, jstr):
+                op = op * blocks[i][j]
+            out[row, col] = D.weighted_trace(op)
+    sigma = sum(twist.phi(a) for a in index_set)
+    return out * cmath.exp(1j * z * sigma)
+
+
+def member_case(n, carrier):
+    """Index set and carrier of one member kind at ``n`` letters."""
+    full = tuple(range(1, n + 1))
+    if carrier == "empty":
+        return (), trivial_rep(())
+    if carrier == "trivial":
+        I = (1,) if n == 2 else (1, 2)
+        return I, trivial_rep(I)
+    if carrier == "defining":
+        return full, fundamental_rep(full)
+    return (1, 2), verma_rep((0.4, -0.1), labels=(1, 2), tag="v")
 
 
 # -- twist configuration ---------------------------------------------------------
@@ -109,12 +147,27 @@ def test_degree_equals_chain_length():
 # -- monodromy entry expansion ---------------------------------------------------
 
 def test_sector_filter_matches_direct_expansion():
+    # the build expands only pairs inside one letter-count sector; the
+    # unfiltered expansion must vanish outside the sectors and agree inside
     rep = trivial_rep((1,))
-    lax = canonical_lax(2, (1,), rep)
-    D = build_twist_D(2, (1,), rep, TW2)
-    a = transfer_at(2, 2, lax, D, 0.41, sector_filter=True)
-    b = transfer_at(2, 2, lax, D, 0.41, sector_filter=False)
-    assert (a - b).norm() < 1e-14
+    ref = brute_force_member(2, 2, (1,), rep, TW2, 0.41)
+    sector = np.array([[sum(s) == sum(t) for t in itertools.product(range(2), repeat=2)]
+                       for s in itertools.product(range(2), repeat=2)])
+    assert np.max(np.abs(ref[~sector])) < 1e-14
+    a = build_X(2, 2, (1,), rep, TW2).at(0.41).to_dense()
+    assert np.max(np.abs(a - ref)) < 1e-14
+
+
+@pytest.mark.parametrize("carrier", ["empty", "trivial", "defining", "highest-weight"])
+@pytest.mark.parametrize("n,L", [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4),
+                                 (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_exact_build_matches_brute_force(n, L, carrier):
+    I, rep = member_case(n, carrier)
+    poly = build_X(n, L, I, rep, TWISTS[n])
+    for z in (0.37, -0.81 + 0.2j):
+        ref = brute_force_member(n, L, I, rep, TWISTS[n], z)
+        diff = np.max(np.abs(poly.at(z).to_dense() - ref))
+        assert diff <= 1e-13 * np.max(np.abs(ref))
 
 
 # -- commuting family and conservation -------------------------------------------
@@ -184,17 +237,14 @@ def test_x_plus_commutes_with_q():
 # -- polynomial plumbing ---------------------------------------------------------
 
 def test_fit_recovers_known_polynomial():
-    from qlab.tensor import QuantumOperator
-    c0 = QuantumOperator(2, {(0, 0): 2.0, (1, 0): -0.5})
-    c2 = QuantumOperator(2, {(1, 1): 1.0 + 1.0j})
-    def f(z):
-        return c0 + c2 * (z * z)
-    poly = fit_operator_polynomial(2, 0.25, 2, f)
-    assert (poly.coeffs[0] - c0).norm() < 1e-12
-    assert poly.coeffs[1].norm() < 1e-12
-    assert (poly.coeffs[2] - c2).norm() < 1e-12
-    z = 0.63
-    assert (poly.at(z) - f(z) * cmath.exp(1j * z * 0.25)).norm() < 1e-12
+    # the built coefficients are the exact polynomial: of degree L, and equal
+    # to the direct expansion also far outside the unit interval
+    rep = verma_rep((0.4, -0.1), labels=(1, 2), tag="v")
+    poly = build_X(3, 2, (1, 2), rep, TW3)
+    assert poly.degree == 2
+    for z in (2.5, -3.0 + 1.0j, 0.63):
+        ref = brute_force_member(3, 2, (1, 2), rep, TW3, z)
+        assert np.max(np.abs(poly.at(z).to_dense() - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_polynomial_derivative():
