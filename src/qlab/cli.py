@@ -27,7 +27,23 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
+
+def _apply_thread_cap() -> None:
+    """Let ``QLAB_THREADS`` set every BLAS thread count.
+
+    The BLAS libraries read these variables once, when numpy loads them, so
+    this runs before numpy is first imported.
+    """
+    cap = os.environ.get("QLAB_THREADS")
+    if cap:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            os.environ[var] = cap
+
+
+_apply_thread_cap()
+
+import numpy as np  # noqa: E402
 
 if TYPE_CHECKING:
     from .relations import QFamily
@@ -76,6 +92,13 @@ class RunConfig:
             raise ConfigError("n must be between 2 and 4")
         if not 0 <= self.length <= 5:
             raise ConfigError("L must be between 0 and 5")
+        from .oscillator import FockTruncation
+        try:
+            FockTruncation(self.n_max, self.buffer)
+        except ValueError as exc:
+            raise ConfigError("buffer must satisfy 0 <= buffer < nmax "
+                              "(got buffer=%d, nmax=%d)"
+                              % (self.buffer, self.n_max)) from exc
         if self.fmt not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
         for s in self.suites:
@@ -98,14 +121,6 @@ class RunConfig:
     def twist(self):
         from .transfer import TwistConfig
         return TwistConfig(self.phis)
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("QLAB_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 # -- verification suites -----------------------------------------------------------
@@ -162,7 +177,7 @@ def _suite_rll(cfg: RunConfig, qf: QFamily) -> List[dict]:
     out = []
     for name, L in cases:
         t0 = time.perf_counter()
-        r = max(rll_residual(L, z1, z2, n_max=cfg.n_max) for z1, z2 in pairs)
+        r = rll_residual(L, pairs, n_max=cfg.n_max)
         out.append(_record("rll", name, r, cfg.tolerance("rll"), t0))
     return out
 
@@ -531,7 +546,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    _apply_thread_cap()
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:

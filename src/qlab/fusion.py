@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .glrep import GlRep, fuse_generators, scalar_rep, shifted_weights, verma_rep
+from .glrep import GlRep, fuse_generators, scalar_rep, shifted_weights
 from .lax import LaxMatrix, ModeFn, canonical_lax, partonic_lax
 from .oscillator import (
     CarrierOp, FockSpace, Mode, NormalOrderedOp, fock_matrix, nilpotent_exp,
@@ -352,12 +352,6 @@ def iterated_parton_fusion(n: int, index_set: Sequence[int],
     L_fused = canonical_lax(n, I, rep, parton_mode) if p > 1 else \
         partonic_lax(n, I[0])
     return IteratedFusion(n, I, tuple(weight), steps, rep, L_fused, gamma, lam_last)
-
-
-def fused_verma(weight: Sequence[complex], labels: Sequence[int] | None = None,
-                tag: str = "v") -> GlRep:
-    """Highest-weight realization built by the same merge map fusion uses."""
-    return verma_rep(weight, labels, tag)
 
 
 # -- triangular-decomposition factorization route -----------------------------------

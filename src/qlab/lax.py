@@ -12,15 +12,18 @@ are provided:
   oscillator pairs.
 
 :func:`rll_residual` checks the defining exchange relation against the
-rational R-matrix ``R(z) = z + P`` on a truncated Fock space, restricted to
-the buffered columns on which truncation is exact.
+rational R-matrix ``R(z) = z + P`` on a truncated Fock space, at a list of
+spectral pairs ``(z1, z2)``.  Since ``L(z) = z c0 + c1``, the Fock matrices
+of ``c0`` and ``c1`` are built once per Lax matrix and combined linearly at
+each point; the residual is formed only on the buffered columns, on which
+truncation is exact.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -176,48 +179,54 @@ def _fock_space_for(L: LaxMatrix, n_max: int,
 
 
 def _buffered_cols(space: FockSpace, d: int, n_quantum: int, buffer: int) -> np.ndarray:
-    fidx = space.buffered_indices(buffer)
-    block = np.array([c * space.dim + i for c in range(d) for i in fidx], dtype=int)
-    w = d * space.dim
-    return np.concatenate([block + k * w for k in range(n_quantum)])
+    block = (np.arange(d)[:, None] * space.dim + space.buffered_indices(buffer)).ravel()
+    return (np.arange(n_quantum)[:, None] * (d * space.dim) + block).ravel()
 
 
-def rll_residual(L: LaxMatrix, z1: complex, z2: complex,
+def rll_residual(L: LaxMatrix, pairs: Sequence[Tuple[complex, complex]],
                  n_max: int = 8, buffer: int | None = None) -> float:
-    """Max-entry magnitude of ``R(z1-z2) L¹(z1) L²(z2) - L²(z2) L¹(z1) R(z1-z2)``.
+    """Largest max-entry magnitude of ``R(z1-z2) L¹(z1) L²(z2) - L²(z2) L¹(z1) R(z1-z2)``
+    over the spectral pairs ``(z1, z2)`` in ``pairs``.
 
     Superscripts mark which ℂⁿ factor the matrix acts on; the residual is
-    evaluated on the truncated Fock carrier and restricted to columns whose
+    evaluated on the truncated Fock carrier and only on the columns whose
     total excitation leaves room for the expression's creation degree, where
-    truncation is exact.
+    truncation is exact.  ``L(z) = z c0 + c1`` is linear, so each coefficient
+    is put on the Fock space and into both layouts ``L¹``, ``L²`` once, and
+    each point costs one scaled sum ``z A + B``.
     """
     n = L.n
     if buffer is None:
         buffer = min(2 * max(1, L.max_creation_degree()) + 1, n_max - 1)
     space = _fock_space_for(L, n_max)
-    w1 = [[m for m in row] for row in L.entry_blocks(z1, space)]
-    w2 = [[m for m in row] for row in L.entry_blocks(z2, space)]
     wdim = L.d * space.dim
-    zero = sp.csr_matrix((wdim, wdim), dtype=complex)
+    size = n * n * wdim
+    shift = np.arange(n)[:, None]
 
-    def assemble(blocks: Dict[Tuple[int, int], sp.csr_matrix]) -> sp.csr_matrix:
-        grid = [[blocks.get((r, c), None) for c in range(n * n)] for r in range(n * n)]
-        for r in range(n * n):
-            if all(g is None for g in grid[r]):
-                grid[r][r] = zero
-        return sp.csr_matrix(sp.bmat(grid, format="csr"))
+    def layouts(coeff: List[List[CarrierOp]]) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
+        """``L¹ = coeff ⊗ 1`` and ``L² = 1 ⊗ coeff`` on ℂⁿ ⊗ ℂⁿ ⊗ carrier ⊗ Fock."""
+        w = sp.bmat([[e.to_matrix(space) for e in row] for row in coeff], format="coo")
+        (a, f), (b, g) = divmod(w.row, wdim), divmod(w.col, wdim)
+        data = np.tile(w.data, n)
+        m1 = sp.csr_matrix((data, (((a * n + shift) * wdim + f).ravel(),
+                                   ((b * n + shift) * wdim + g).ravel())), shape=(size, size))
+        m2 = sp.csr_matrix((data, ((w.row + shift * n * wdim).ravel(),
+                                   (w.col + shift * n * wdim).ravel())), shape=(size, size))
+        return m1, m2
 
-    m1 = assemble({(i * n + k, j * n + k): w1[i][j]
-                   for i in range(n) for j in range(n) for k in range(n)})
-    m2 = assemble({(i * n + k, i * n + l): w2[k][l]
-                   for i in range(n) for k in range(n) for l in range(n)})
-    r = rmatrix(n, z1 - z2)
-    rbig = sp.kron(sp.csr_matrix(r.to_dense()), sp.identity(wdim, format="csr"),
-                   format="csr")
-    res = rbig @ m1 @ m2 - m2 @ m1 @ rbig
+    a1, a2 = layouts(L.c0)
+    b1, b2 = layouts(L.c1)
     cols = _buffered_cols(space, L.d, n * n, buffer)
-    sub = res.tocsc()[:, cols]
-    return float(np.max(np.abs(sub.toarray()))) if sub.nnz else 0.0
+    eye = sp.identity(wdim, format="csr")
+    worst = 0.0
+    for z1, z2 in pairs:
+        m1 = z1 * a1 + b1
+        m2 = z2 * a2 + b2
+        rbig = sp.kron(sp.csr_matrix(rmatrix(n, z1 - z2).to_dense()), eye, format="csr")
+        res = rbig @ (m1 @ m2[:, cols]) - m2 @ (m1 @ rbig[:, cols])
+        if res.nnz:
+            worst = max(worst, float(np.max(np.abs(res.data))))
+    return worst
 
 
 # -- GL(n) frame transformations --------------------------------------------------

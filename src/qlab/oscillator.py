@@ -363,86 +363,100 @@ class FockTruncation:
 
 
 class FockSpace:
-    """Occupation-number basis over a fixed mode list, capped in total excitation."""
+    """Occupation-number basis over a fixed mode list, capped in total excitation.
+
+    States are enumerated lexicographically with the first mode slowest.  Each
+    state is also a row of the ``(dim, k)`` array ``occ`` and a mixed-radix
+    code ``occ @ radix`` in base ``n_max + 1`` with the first mode most
+    significant; the enumeration order makes ``codes`` ascend, so the index of
+    a state is ``searchsorted(codes, code)``.
+    """
 
     def __init__(self, modes: Sequence[Mode], n_max: int):
         self.modes: Tuple[Mode, ...] = tuple(sorted(set(modes)))
         if len(self.modes) != len(modes):
             raise ValueError("duplicate modes in Fock space")
         self.n_max = int(n_max)
-        self.states: List[Tuple[int, ...]] = list(self._enumerate(len(self.modes), self.n_max))
-        self.index: Dict[Tuple[int, ...], int] = {s: i for i, s in enumerate(self.states)}
-        self.dim = len(self.states)
+        k = len(self.modes)
+        if (self.n_max + 1) ** k > np.iinfo(np.int64).max:
+            raise ValueError("Fock space too wide for int64 state codes")
+        # grow the basis one mode at a time: each state is followed by its
+        # extensions with 0, 1, ... quanta in the new mode, which keeps the
+        # lexicographic order
+        occ = np.zeros((1, 0), dtype=np.int64)
+        total = np.zeros(1, dtype=np.int64)
+        for _ in range(k):
+            counts = np.maximum(self.n_max - total + 1, 0)
+            parent = np.repeat(np.arange(total.size), counts)
+            digit = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            occ = np.column_stack([occ[parent], digit])
+            total = total[parent] + digit
+        self.occ, self.total = occ, total
+        self.dim = total.size
         self._mode_pos = {m: i for i, m in enumerate(self.modes)}
+        self.radix = (self.n_max + 1) ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        self.codes = occ @ self.radix
 
-    @staticmethod
-    def _enumerate(k: int, cap: int):
-        if k == 0:
-            yield ()
-            return
-        for head in range(cap + 1):
-            for tail in FockSpace._enumerate(k - 1, cap - head):
-                yield (head,) + tail
+    @property
+    def states(self) -> List[Tuple[int, ...]]:
+        """The basis as occupation tuples, in index order (built on each access)."""
+        return list(map(tuple, self.occ.tolist()))
 
-    def buffered_indices(self, buffer: int) -> List[int]:
-        """Indices of states guaranteed exact under products of degree <= buffer."""
-        cap = self.n_max - buffer
-        return [i for i, s in enumerate(self.states) if sum(s) <= cap]
+    def buffered_indices(self, buffer: int) -> np.ndarray:
+        """Indices of states guaranteed exact under products of degree <= buffer.
+
+        Raises ``ValueError`` unless ``0 <= buffer < n_max``: a larger buffer
+        leaves at most the vacuum, over which a residual checks next to
+        nothing, and a negative one guarantees nothing.
+        """
+        FockTruncation(self.n_max, buffer)
+        return np.flatnonzero(self.total <= self.n_max - buffer)
 
     def occupation_weights(self, q: Mapping[Mode, complex]) -> np.ndarray:
         """Diagonal of ``prod_m q_m^{N_m}`` over the basis (weight 1 for missing modes)."""
-        out = np.ones(self.dim, dtype=complex)
-        for m, qm in q.items():
-            if m not in self._mode_pos:
-                continue
-            p = self._mode_pos[m]
-            for i, s in enumerate(self.states):
-                out[i] *= qm ** s[p]
-        return out
+        w = np.array([q.get(m, 1.0) for m in self.modes], dtype=complex)
+        return np.prod(w ** self.occ, axis=1)
 
 
 def fock_matrix(x: NormalOrderedOp, space: FockSpace, rep: str = "+") -> sp.csr_matrix:
     """Matrix of ``x`` on the truncated basis; amplitudes leaving the cap are dropped.
 
     ``rep="-"`` materializes the second representation via the algebra
-    automorphism.
+    automorphism.  Each term acts on every state at once: the columns it
+    keeps are those with enough quanta to annihilate and room under the cap
+    for the net excitation it adds, and its rows are found from the shifted
+    state codes.
     """
     if rep == "-":
         x = automorphism_image(x)
     elif rep != "+":
         raise ValueError("rep must be '+' or '-'")
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[complex] = []
+    rows = [np.zeros(0, dtype=np.int64)]
+    cols = [np.zeros(0, dtype=np.int64)]
+    vals = [np.zeros(0, dtype=complex)]
     pos = space._mode_pos
     for key, c in x.terms.items():
-        acting = [(pos[m], j, k) for m, j, k in key if m in pos]
-        if len(acting) != len(key):
-            missing = [m for m, _, _ in key if m not in pos]
+        missing = [m for m, _, _ in key if m not in pos]
+        if missing:
             raise ValueError(f"operator acts on modes outside the space: {missing}")
-        for col, state in enumerate(space.states):
-            amp = c
-            new = list(state)
-            ok = True
-            for p, j, k in acting:
-                m = new[p]
-                if m < k:
-                    ok = False
-                    break
-                # B^k then B†^j in the |k+1> = B†|k> convention
-                for i in range(k):
-                    amp *= (m - i)
-                new[p] = m - k + j
-            if not ok:
-                continue
-            tnew = tuple(new)
-            row = space.index.get(tnew)
-            if row is None:
-                continue  # truncated away
-            rows.append(row)
-            cols.append(col)
-            vals.append(amp)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(space.dim, space.dim), dtype=complex)
+        keep = space.total + sum(j - k for _, j, k in key) <= space.n_max
+        for m, _, k in key:
+            keep &= space.occ[:, pos[m]] >= k
+        col = np.flatnonzero(keep)
+        code = space.codes[col]
+        amp = np.full(col.size, c, dtype=complex)
+        for m, j, k in key:
+            occ = space.occ[col, pos[m]]
+            # B^k then B†^j in the |k+1> = B†|k> convention; one factor at a
+            # time, so the rounding matches the per-state reference loop
+            for i in range(k):
+                amp *= occ - i
+            code = code + (j - k) * space.radix[pos[m]]
+        rows.append(np.searchsorted(space.codes, code))
+        cols.append(col)
+        vals.append(amp)
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(space.dim, space.dim), dtype=complex)
 
 
 def nilpotent_exp(x: NormalOrderedOp, space: FockSpace) -> sp.csr_matrix:
@@ -581,6 +595,8 @@ class CarrierOp:
 
     def to_matrix(self, space: FockSpace) -> sp.csr_matrix:
         """Dense carrier index (slow-running) ⊗ Fock basis (fast-running)."""
+        if self.d == 1:
+            return fock_matrix(self.mat[0][0], space)
         blocks = [[fock_matrix(self.mat[i][j], space) for j in range(self.d)]
                   for i in range(self.d)]
         return sp.csr_matrix(sp.bmat(blocks, format="csr"))

@@ -65,8 +65,7 @@ def test_criterion_02_rll():
         cases.append(canonical_lax(n, (1,), verma_rep((0.3,), labels=(1,),
                                                       tag="v")))
         for L in cases:
-            for z1, z2 in pairs:
-                worst = max(worst, rll_residual(L, z1, z2, n_max=8))
+            worst = max(worst, rll_residual(L, pairs, n_max=8))
     _report(2, "exchange relation (all factors)", worst, 1e-12)
 
 

@@ -62,6 +62,16 @@ def test_bad_flag_values_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("buffer", ["5", "3"])
+def test_buffer_must_leave_room_under_nmax(buffer, capsys):
+    # with buffer >= nmax at most the vacuum is buffered, so the carrier
+    # residuals would compare next to nothing and pass
+    code = main(["verify", "--n", "2", "--suite", "fusion,factorization",
+                 "--nmax", "3", "--buffer", buffer])
+    assert code == 2
+    assert "0 <= buffer < nmax" in capsys.readouterr().err
+
+
 def test_hirota_suite_record_count(capsys):
     assert main(["verify", "--n", "3", "--L", "1", "--suite", "hirota"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -166,3 +176,20 @@ def test_residuals_do_not_depend_on_hash_seed():
              "--suite", "bgg"], env=env, stdout=subprocess.PIPE, check=True, text=True)
         residuals.append([r["residual"].hex() for r in json.loads(out.stdout)["records"]])
     assert residuals[0] == residuals[1]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the thread count from /proc")
+def test_qlab_threads_caps_blas_threads():
+    src = str(Path(qlab.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(QLAB_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import qlab.cli, numpy as np\n"
+            "a = np.random.default_rng(0).random((300, 300))\n"
+            "a @ a\n"
+            "print([l for l in open('/proc/self/status') if l.startswith('Threads:')][0])")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         stdout=subprocess.PIPE, check=True, text=True).stdout
+    assert out.split() == ["Threads:", "1"]

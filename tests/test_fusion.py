@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import qlab.fusion as fu
 from qlab.fusion import (
     FusionResult, IteratedFusion, PartonFactorization,
-    block_residual, build_S1, build_S2, factorize_partons, fuse, fused_verma,
+    block_residual, build_S1, build_S2, factorize_partons, fuse,
     iterated_parton_fusion, lax_to_nm, nm_identity, nm_inv_unipotent,
     nm_matmul, nm_max_coeff, nm_sub, nm_to_sparse, parton_mode,
     parton_triangular_factors,
@@ -217,8 +217,8 @@ def test_iterated_parton_fusion(n, I, wt):
     assert itf.offset == wt[-1]
 
 
-def test_fused_verma_alias():
-    rep = fused_verma((0.3, -0.1, 0.8))
+def test_verma_rep_default_labels_carry_weight():
+    rep = verma_rep((0.3, -0.1, 0.8))
     assert gl_relation_residual(rep) < 1e-12
     assert rep.weight == {1: 0.3, 2: -0.1, 3: 0.8}
 

@@ -44,12 +44,12 @@ def test_eval_rank2_verma_matches_spin_form():
 
 def test_eval_fundamental_rll_exact():
     L = eval_lax(fundamental_rep((1, 2, 3)))
-    assert rll_residual(L, 0.3, -0.7, n_max=4) < 1e-12
+    assert rll_residual(L, [(0.3, -0.7)], n_max=4) < 1e-12
 
 
 def test_eval_verma_rll():
     L = eval_lax(verma_rep((0.8 + 0.3j, -0.4)))
-    assert rll_residual(L, 0.45, -0.8 + 0.25j, n_max=8) < 1e-12
+    assert rll_residual(L, [(0.45, -0.8 + 0.25j)], n_max=8) < 1e-12
 
 
 def test_eval_central_shift_equals_spectral_shift():
@@ -103,12 +103,12 @@ def test_partonic_layout_n3_middle_index():
 
 def test_partonic_rll():
     L = partonic_lax(2, 1)
-    assert rll_residual(L, 0.2, 1.1, n_max=10, buffer=3) < 1e-12
+    assert rll_residual(L, [(0.2, 1.1)], n_max=10, buffer=3) < 1e-12
 
 
 def test_partonic_rll_n3():
     L = partonic_lax(3, 2)
-    assert rll_residual(L, -0.3 + 0.2j, 0.9, n_max=8, buffer=3) < 1e-12
+    assert rll_residual(L, [(-0.3 + 0.2j, 0.9)], n_max=8, buffer=3) < 1e-12
 
 
 # -- canonical form for general index sets ----------------------------------------
@@ -131,19 +131,19 @@ def test_canonical_reduces_to_eval_and_partonic():
 def test_canonical_rll_two_index_verma():
     rep = verma_rep((0.9, -0.35), labels=(1, 2), tag="v")
     L = canonical_lax(3, (1, 2), rep)
-    assert rll_residual(L, 0.4, -0.55, n_max=8) < 1e-12
+    assert rll_residual(L, [(0.4, -0.55)], n_max=8) < 1e-12
 
 
 def test_canonical_rll_fundamental_carrier():
     rep = fundamental_rep((1, 3))
     L = canonical_lax(3, (1, 3), rep)
-    assert rll_residual(L, 0.25, 0.8, n_max=8) < 1e-12
+    assert rll_residual(L, [(0.25, 0.8)], n_max=8) < 1e-12
 
 
 def test_rll_negative_control():
     L = partonic_lax(2, 1).copy()
     L.c1[0][1] = L.c1[0][1].scale(-1.0)  # flip the creator's sign
-    assert rll_residual(L, 0.2, 1.1, n_max=10, buffer=3) > 0.1
+    assert rll_residual(L, [(0.2, 1.1)], n_max=10, buffer=3) > 0.1
 
 
 def test_leading_coeff_rank_counts_index_set():
@@ -213,7 +213,7 @@ def test_gl_transform_block_conjugation_preserves_form():
         for key in T.c1[2][a].mat[0][0].terms:
             assert len(key) == 1 and key[0][1] == 0 and key[0][2] == 1
     # the transformed matrix still solves the exchange relation
-    assert rll_residual(T, 0.3, -0.4, n_max=7) < 1e-12
+    assert rll_residual(T, [(0.3, -0.4)], n_max=7) < 1e-12
 
 
 def test_gl_transform_rank_invariance():
@@ -237,4 +237,4 @@ def test_gl_transform_disjoint_operator_frame_allowed():
     g = [[Op.scalar(1.0), -Op.annihilator(("q", 2, 1))],
          [Op.zero(), Op.scalar(1.0)]]
     T = gl_transform(L, np.eye(2), g)
-    assert rll_residual(T, 0.15, -0.95, n_max=8, buffer=3) < 1e-12
+    assert rll_residual(T, [(0.15, -0.95)], n_max=8, buffer=3) < 1e-12

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from qlab.oscillator import (
@@ -198,9 +199,24 @@ def test_fock_matrix_is_multiplicative_on_buffer():
     assert np.allclose(prod[:, idx], mxy.toarray()[:, idx], atol=1e-12)
 
 
+def _capped_states(k, cap):
+    """Recursive lexicographic enumeration, first mode slowest."""
+    if k == 0:
+        yield ()
+        return
+    for head in range(cap + 1):
+        for tail in _capped_states(k - 1, cap - head):
+            yield (head,) + tail
+
+
 def test_total_excitation_basis_size():
     space = FockSpace([M1, M2], 4)
     assert space.dim == math.comb(4 + 2, 2)
+    for k, cap in [(0, 3), (1, 0), (1, 4), (3, 0), (3, 5), (5, 3)]:
+        space = FockSpace([("m", 0, a) for a in range(k)], cap)
+        assert space.states == list(_capped_states(k, cap))
+        assert space.dim == math.comb(k + cap, k)
+        assert np.all(np.diff(space.codes) > 0)
 
 
 def test_automorphism_on_h():
@@ -246,6 +262,73 @@ def test_nilpotent_exp_rejects_lowering_terms():
 def test_fock_truncation_guard():
     with pytest.raises(ValueError):
         FockTruncation(4, 4)
+    space = FockSpace([M1, M2], 3)
+    for buffer in (-1, 3, 5):
+        with pytest.raises(ValueError):
+            space.buffered_indices(buffer)
+    assert list(space.buffered_indices(2)) == [0, 1, 4]  # (0,0), (0,1), (1,0)
+
+
+def _fock_matrix_reference(x, space, rep="+"):
+    """Per-state loop: apply each term to each basis state in turn."""
+    if rep == "-":
+        x = automorphism_image(x)
+    index = {s: i for i, s in enumerate(space.states)}
+    pos = {m: p for p, m in enumerate(space.modes)}
+    rows, cols, vals = [], [], []
+    for key, c in x.terms.items():
+        for col, state in enumerate(space.states):
+            amp = c
+            new = list(state)
+            ok = True
+            for m, j, k in key:
+                occ = new[pos[m]]
+                if occ < k:
+                    ok = False
+                    break
+                for i in range(k):
+                    amp *= (occ - i)
+                new[pos[m]] = occ - k + j
+            row = index.get(tuple(new)) if ok else None
+            if row is not None:
+                rows.append(row)
+                cols.append(col)
+                vals.append(amp)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(space.dim, space.dim), dtype=complex)
+
+
+def _random_op(rng, modes, n_terms, max_power):
+    terms = {}
+    for _ in range(n_terms):
+        size = int(rng.integers(1, min(3, len(modes)) + 1))
+        chosen = sorted(rng.choice(len(modes), size=size, replace=False))
+        key = tuple((modes[p], int(rng.integers(0, max_power + 1)),
+                     int(rng.integers(0, max_power + 1))) for p in chosen)
+        terms[key] = complex(rng.normal(), rng.normal())
+    return Op(terms)
+
+
+@pytest.mark.parametrize("n_modes,n_max", [(1, 3), (3, 6), (6, 8)])
+@pytest.mark.parametrize("rep", ["+", "-"])
+def test_fock_matrix_matches_per_state_reference(n_modes, n_max, rep):
+    rng = np.random.default_rng(100 * n_modes + n_max)
+    modes = [("m", 0, a) for a in range(n_modes)]
+    space = FockSpace(modes, n_max)
+    # powers up to n_max + 1 give terms that leave the cap and terms that
+    # annihilate more quanta than a state holds
+    ops = [_random_op(rng, modes, 8, min(n_max + 1, 4)) for _ in range(4)]
+    ops += [Op.zero(), Op.scalar(0.7 - 0.2j),
+            Op.scalar(0.3) + _random_op(rng, modes, 3, n_max + 1)]
+    for x in ops:
+        got, want = fock_matrix(x, space, rep), _fock_matrix_reference(x, space, rep)
+        assert got.indptr.tobytes() == want.indptr.tobytes()
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_fock_matrix_rejects_modes_outside_space():
+    with pytest.raises(ValueError):
+        fock_matrix(bd(M2) + b(M1), FockSpace([M1], 3))
 
 
 # -- carrier-valued matrices ------------------------------------------------------
