@@ -76,13 +76,14 @@ def dot_action_orbit(weight: Sequence[complex]) -> List[Tuple[int, Tuple[complex
     v = [weight[i] + rho[i] for i in range(n)]
     out = []
     for perm in itertools.permutations(range(n)):
-        sign = _parity(perm)
+        sign = permutation_sign(perm)
         w = tuple(v[perm[i]] - rho[i] for i in range(n))
         out.append((sign, w))
     return out
 
 
-def _parity(perm: Sequence[int]) -> int:
+def permutation_sign(perm: Sequence[int]) -> int:
+    """Parity ``+1`` or ``-1`` of a permutation of ``0 .. len(perm)-1``."""
     sign = 1
     seen = [False] * len(perm)
     for i in range(len(perm)):

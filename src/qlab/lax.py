@@ -70,15 +70,6 @@ class LaxMatrix:
                 out |= e.modes()
         return tuple(sorted(out))
 
-    def entry_blocks(self, z: complex, space: FockSpace) -> List[List[sp.csr_matrix]]:
-        """Each quantum entry as a sparse matrix on carrier ⊗ Fock."""
-        ent = self.at(z)
-        return [[ent[i][j].to_matrix(space) for j in range(self.n)] for i in range(self.n)]
-
-    def to_matrix(self, z: complex, space: FockSpace) -> sp.csr_matrix:
-        """Full matrix on ℂⁿ ⊗ carrier ⊗ Fock (quantum index slow-running)."""
-        return sp.csr_matrix(sp.bmat(self.entry_blocks(z, space), format="csr"))
-
     def max_creation_degree(self) -> int:
         out = 0
         for row in self.c0 + self.c1:

@@ -257,6 +257,11 @@ def damped_numeric_trace(x: NormalOrderedOp, q: Mapping[Mode, complex],
     This is the convergent-series route: for ``|q e^{-eta}| < 1`` it tends to
     the closed-form :func:`normalized_trace` as ``eta -> 0+`` and
     ``n_max -> infinity``.  It shares no code with the closed form.
+
+    Each mode's weights ``(q e^{-eta})^m``, ``m = 0 .. n_max``, are formed as
+    ``exp(m log(q e^{-eta}))`` with the complex log of the one scalar weight
+    taken once; numpy's complex power would take it again for every ``m``.
+    A zero weight gives weight 1 at ``m = 0`` and 0 elsewhere.
     """
     damped = {m: qm * math.exp(-eta) for m, qm in q.items()}
     for m, qm in damped.items():
@@ -270,7 +275,7 @@ def damped_numeric_trace(x: NormalOrderedOp, q: Mapping[Mode, complex],
             if j != k:
                 f = 0.0
                 break
-            w = damped[mode] ** occ
+            w = _geometric_weights(damped[mode], occ)
             # <m| (B†)^k B^k |m> = m (m-1) ... (m-k+1)
             diag = np.ones_like(occ)
             for i in range(k):
@@ -278,6 +283,14 @@ def damped_numeric_trace(x: NormalOrderedOp, q: Mapping[Mode, complex],
             f *= np.sum(w * diag) / np.sum(w)
         total += f
     return total
+
+
+def _geometric_weights(qm: complex, occ: np.ndarray) -> np.ndarray:
+    """``qm ** occ`` for occupations ``occ``, from one complex log of ``qm``."""
+    if qm == 0:
+        return (occ == 0).astype(float)
+    w = occ * np.log(complex(qm))
+    return np.exp(w, out=w)
 
 
 def _rational_extrapolate(xs: Sequence[float], ys: Sequence[complex],

@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .glrep import permutation_sign
 from .tensor import QuantumOperator
 from .transfer import (OperatorPolynomial, TwistConfig, build_Q, build_T_box,
                        build_X_plus)
@@ -152,17 +153,24 @@ def hirota_residual(n: int, length: int, index_set: Sequence[int], a: int,
 
 
 def _operator_det(entries: List[List[QuantumOperator]]) -> QuantumOperator:
-    """Determinant of a matrix of pairwise-commuting operators."""
+    """Determinant of a matrix of pairwise-commuting operators.
+
+    The signed products ``entries[0][s0] @ entries[1][s1] @ ...`` are summed
+    over permutations ``s`` in lexicographic order.  A depth-first walk forms
+    each left-associated prefix product once and shares it among the
+    permutations that extend it.
+    """
     p = len(entries)
-    dim = entries[0][0].dim
-    out = QuantumOperator.zero(dim)
-    for sig in itertools.permutations(range(p)):
-        inv = sum(1 for i in range(p) for j in range(i + 1, p)
-                  if sig[i] > sig[j])
-        term = QuantumOperator.identity(dim)
-        for i in range(p):
-            term = term @ entries[i][sig[i]]
-        out = out + term * ((-1) ** inv)
+    out = QuantumOperator.zero(entries[0][0].dim)
+    stack = [((col,), entries[0][col]) for col in reversed(range(p))]
+    while stack:
+        sig, prefix = stack.pop()
+        row = len(sig)
+        if row == p:
+            out = out + prefix * permutation_sign(sig)
+            continue
+        stack.extend((sig + (col,), prefix @ entries[row][col])
+                     for col in reversed(range(p)) if col not in sig)
     return out
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .tensor import QuantumOperator, basis_states, sector_states, state_index
-from .transfer import OperatorPolynomial, TwistConfig, build_Q, build_T_box
+from .transfer import TwistConfig, build_Q, build_T_box
 
 ROOT_COLLISION_TOL = 1e-9
 
@@ -65,9 +65,35 @@ def sector_indices(n: int, length: int, m: Sequence[int]) -> List[int]:
     return [state_index(s, n) for s in sector_states(n, length).get(tuple(m), ())]
 
 
+def sector_blocks(op: QuantumOperator, sectors: Sequence[Sequence[int]]
+                  ) -> List[np.ndarray]:
+    """The diagonal blocks ``op[idx, idx]``, one per index list in ``sectors``.
+
+    The blocks are read from the operator's stored entries in one pass, with
+    no dense copy of the whole operator; entries outside the blocks are
+    ignored.  The index lists must be disjoint.
+    """
+    sizes = np.array([len(idx) for idx in sectors], dtype=np.int64)
+    label = np.full(op.dim, -1, dtype=np.int64)
+    pos = np.zeros(op.dim, dtype=np.int64)
+    for s, idx in enumerate(sectors):
+        label[idx] = s
+        pos[idx] = np.arange(len(idx))
+    # the blocks are row-major views into one buffer, block s at offset[s]
+    offset = np.concatenate(([0], np.cumsum(sizes ** 2)))
+    flat = np.zeros(offset[-1], dtype=complex)
+    if op.data:
+        rows, cols = np.array(list(op.data), dtype=np.int64).T
+        vals = np.fromiter(op.data.values(), dtype=complex, count=len(op.data))
+        keep = (label[rows] >= 0) & (label[rows] == label[cols])
+        rows, cols, s = rows[keep], cols[keep], label[rows[keep]]
+        flat[offset[s] + pos[rows] * sizes[s] + pos[cols]] = vals[keep]
+    return [flat[offset[s]:offset[s + 1]].reshape(size, size)
+            for s, size in enumerate(sizes)]
+
+
 def sector_block(op: QuantumOperator, idx: Sequence[int]) -> np.ndarray:
-    dense = op.to_dense()
-    return dense[np.ix_(idx, idx)]
+    return sector_blocks(op, [idx])[0]
 
 
 def sector_project(op: QuantumOperator, n: int, length: int,
@@ -119,23 +145,28 @@ def eigenvalues_in_basis(block: np.ndarray, v: np.ndarray) -> np.ndarray:
 # -- eigenvalue polynomials and roots --------------------------------------------
 
 
-def extract_q_polynomials(qpoly: OperatorPolynomial, idx: Sequence[int],
-                          v: np.ndarray, expected_degree: int,
+def extract_q_polynomials_loose(blocks: Sequence[np.ndarray], v: np.ndarray
+                                ) -> List[np.ndarray]:
+    """Eigenvalue polynomials (one per joint eigenstate) of an operator
+    polynomial, from the sector blocks of its coefficients, lowest power first,
+    and the sector's joint eigenbasis ``v``; no degree or monic constraint."""
+    vinv = np.linalg.inv(v)
+    coeff_eigs = [np.diag(vinv @ block @ v) for block in blocks]
+    return [np.array([ce[s] for ce in coeff_eigs]) for s in range(v.shape[0])]
+
+
+def extract_q_polynomials(blocks: Sequence[np.ndarray], v: np.ndarray,
+                          expected_degree: int,
                           fit_tol: float = 1e-8) -> List[np.ndarray]:
     """Monic eigenvalue polynomials (one per joint eigenstate) of a family member.
 
-    Returns coefficient arrays ``[c_0, ..., c_deg]`` after stripping the
-    exponential prefactor; checks that coefficients above the expected degree
-    vanish and that the leading coefficient is 1.
+    Takes the arguments of :func:`extract_q_polynomials_loose`.  Returns
+    coefficient arrays ``[c_0, ..., c_deg]`` after stripping the exponential
+    prefactor; checks that coefficients above the expected degree vanish and
+    that the leading coefficient is 1.
     """
-    vinv = np.linalg.inv(v)
     per_state = []
-    coeff_eigs = []
-    for c in qpoly.coeffs:
-        block = c.to_dense()[np.ix_(idx, idx)]
-        coeff_eigs.append(np.diag(vinv @ block @ v))
-    for s in range(len(idx)):
-        cs = np.array([ce[s] for ce in coeff_eigs])
+    for cs in extract_q_polynomials_loose(blocks, v):
         if np.max(np.abs(cs[expected_degree + 1:]), initial=0.0) > fit_tol:
             raise ValueError("eigenvalue polynomial exceeds the sector degree")
         cs = cs[:expected_degree + 1]
@@ -247,25 +278,37 @@ class SpectralAnalysis:
         self.q_polys = {I: build_Q(n, length, I, twist) for I in self.sets}
         self.tbox = build_T_box(n, length, twist)
         self.H = build_hamiltonian(n, length, twist)
-        # the operators diagonalized together, evaluated once for all sectors
-        self.probes = [self.H] + [self.q_polys[I].at(z) for I in self.sets[1:-1]
-                                  for z in (0.37, -0.81)] + [self.tbox.at(0.29)]
+        # every operator is read once, into its blocks on all sectors; the
+        # probes are the operators diagonalized together
+        labels = sector_labels(n, length)
+        sectors = [sector_indices(n, length, m) for m in labels]
+
+        def blocks(op: QuantumOperator) -> Dict[Tuple[int, ...], np.ndarray]:
+            return dict(zip(labels, sector_blocks(op, sectors)))
+
+        probes = [self.H] + [self.q_polys[I].at(z) for I in self.sets[1:-1]
+                             for z in (0.37, -0.81)] + [self.tbox.at(0.29)]
+        self._probe_blocks = [blocks(op) for op in probes]
+        self._q_blocks = {I: [blocks(c) for c in self.q_polys[I].coeffs]
+                          for I in self.sets}
+        self._tbox_blocks = [blocks(c) for c in self.tbox.coeffs[:length + 1]]
 
     def sector_records(self, m: Sequence[int], seed: int = 5
                        ) -> List[EigenstateRecord]:
         m = tuple(m)
-        idx = sector_indices(self.n, self.length, m)
-        blocks = [sector_block(op, idx) for op in self.probes]
+        blocks = [b[m] for b in self._probe_blocks]
         v = simultaneous_eigenbasis(blocks, seed=seed)
         energies = eigenvalues_in_basis(blocks[0], v)
         level_polys = []
         for i, I in enumerate(self.sets):
             deg = sum(m[a - 1] for a in I)
-            level_polys.append(extract_q_polynomials(self.q_polys[I], idx, v, deg))
-        tbox_polys = extract_q_polynomials_loose(self.tbox, idx, v, self.length)
+            level_polys.append(extract_q_polynomials(
+                [b[m] for b in self._q_blocks[I]], v, deg))
+        tbox_polys = extract_q_polynomials_loose(
+            [b[m] for b in self._tbox_blocks], v)
         sigmas = [self.q_polys[I].sigma for I in self.sets]
         out = []
-        for s in range(len(idx)):
+        for s in range(len(blocks[0])):
             roots = [poly_roots(level_polys[i][s]) for i in range(len(self.sets))]
             bres = bethe_residuals(roots, sigmas, self.length)
             out.append(EigenstateRecord(
@@ -283,17 +326,6 @@ class SpectralAnalysis:
     def spectrum(self) -> np.ndarray:
         return np.sort_complex(np.array(
             [r.energy_direct for r in self.all_records()]))
-
-
-def extract_q_polynomials_loose(poly: OperatorPolynomial, idx: Sequence[int],
-                                v: np.ndarray, degree: int) -> List[np.ndarray]:
-    """Eigenvalue polynomials without the monic/degree constraints."""
-    vinv = np.linalg.inv(v)
-    coeff_eigs = []
-    for c in poly.coeffs[:degree + 1]:
-        block = c.to_dense()[np.ix_(idx, idx)]
-        coeff_eigs.append(np.diag(vinv @ block @ v))
-    return [np.array([ce[s] for ce in coeff_eigs]) for s in range(len(idx))]
 
 
 # -- iterative refinement of root systems -------------------------------------------

@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .glrep import GlRep, diagonal_weight_data, fundamental_rep, rho_weight, \
-    trivial_rep, verma_rep
+from .glrep import GlRep, diagonal_weight_data, dot_action_orbit, \
+    fundamental_rep, trivial_rep, verma_rep
 from .lax import LaxMatrix, ModeFn, canonical_lax
 from .oscillator import CarrierOp, FockSpace, Mode, NormalOrderedOp
 from .tensor import QuantumOperator, basis_states, occupation, sector_states, \
@@ -295,26 +295,11 @@ def build_T_plus(n: int, length: int, weight: Sequence[complex],
 # -- alternating highest-weight resolution of the finite-carrier transfer op ---
 
 
-def _signed_weights(weight: Sequence[complex]) -> List[Tuple[int, Tuple[complex, ...]]]:
-    """All (sign, shifted-permuted weight) pairs of the alternating sum."""
-    import itertools
-    p = len(weight)
-    rho = rho_weight(p)
-    lamrho = [weight[i] + rho[i] for i in range(p)]
-    out = []
-    for perm in itertools.permutations(range(p)):
-        inv = sum(1 for i in range(p) for j in range(i + 1, p)
-                  if perm[i] > perm[j])
-        shifted = tuple(lamrho[perm[i]] - rho[i] for i in range(p))
-        out.append((-1 if inv % 2 else 1, shifted))
-    return out
-
-
 def _signed_members(n: int, length: int, weight: Sequence[complex],
                     twist: TwistConfig) -> List[Tuple[int, OperatorPolynomial]]:
     """The highest-weight transfer operators of the alternating sum, with signs."""
     return [(sign, build_T_plus(n, length, w, twist))
-            for sign, w in _signed_weights(weight)]
+            for sign, w in dot_action_orbit(weight)]
 
 
 def _alternating_sum_at(members: Sequence[Tuple[int, OperatorPolynomial]],

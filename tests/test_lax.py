@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qlab.glrep import fundamental_rep, trivial_rep, verma_rep
 from qlab.lax import (
@@ -22,7 +23,8 @@ def test_eval_fundamental_is_shift_plus_permutation():
     L = eval_lax(fundamental_rep(range(1, n + 1)))
     space = FockSpace([], 4)
     z = 0.37 - 0.2j
-    dense = L.to_matrix(z, space).toarray()
+    blocks = [[e.to_matrix(space) for e in row] for row in L.at(z)]
+    dense = sp.bmat(blocks, format="csr").toarray()
     expect = z * np.eye(n * n) + permutation_op(n).to_dense()
     assert np.allclose(dense, expect)
 

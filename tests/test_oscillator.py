@@ -161,6 +161,69 @@ def test_extrapolated_trace_unit_modulus():
     assert abs(extrapolated_trace(x, {M1: q}) - exact) < 1e-6
 
 
+def _damped_trace_reference(x, q, n_max, eta):
+    """The damped trace with weights from numpy's complex power ``q ** occ``."""
+    damped = {m: qm * math.exp(-eta) for m, qm in q.items()}
+    occ = np.arange(n_max + 1, dtype=float)
+    total = 0.0 + 0.0j
+    for key, c in x.terms.items():
+        f = complex(c)
+        for mode, j, k in key:
+            if j != k:
+                f = 0.0
+                break
+            w = damped[mode] ** occ
+            diag = np.ones_like(occ)
+            for i in range(k):
+                diag *= np.maximum(occ - i, 0.0)
+            f *= np.sum(w * diag) / np.sum(w)
+        total += f
+    return total
+
+
+ETAS = [0.2 / 2 ** j for j in range(6)]  # extrapolated_trace's default schedule
+
+
+def _depth(eta):
+    return int((40 + 14 * 12) / eta)  # 33,280 at the smallest eta
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_damped_trace_matches_power_reference(k):
+    m3 = ("m", 1, 3)
+    q = {M1: 0.6 - 0.3j, M2: 0.3 + 0.4j, m3: -0.5 + 0.2j}
+    x = (Op.scalar(0.3 + 0.2j) + (0.7 - 0.1j) * bd(M1) ** k * b(M1) ** k
+         + (-0.2 + 0.9j) * bd(M2) ** k * b(M2) ** k * bd(m3) ** (4 - k) * b(m3) ** (4 - k)
+         + bd(m3) * b(M2))
+    for eta in ETAS:
+        ref = _damped_trace_reference(x, q, _depth(eta), eta)
+        assert abs(damped_numeric_trace(x, q, _depth(eta), eta) - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("phase", [0.9, -1.4, 0.55])
+def test_damped_trace_unit_modulus_matches_power_reference(k, phase):
+    # at |q| = 1 the summed terms m^k |q e^{-eta}|^m reach ~1e9 times the
+    # trace (k = 4, eta = 0.00625), so the two weight formulas are compared
+    # on that scale: sum |w_m| d_m / |sum w_m|
+    q = {M1: np.exp(1j * phase)}
+    x = bd() ** k * b() ** k
+    for eta in ETAS:
+        occ = np.arange(_depth(eta) + 1, dtype=float)
+        w = np.abs(np.exp(1j * phase - eta) ** occ)
+        d = np.prod([occ - i for i in range(k)], axis=0) if k else np.ones_like(occ)
+        scale = np.sum(w * d) / abs(np.sum(np.exp(1j * phase - eta) ** occ))
+        ref = _damped_trace_reference(x, q, _depth(eta), eta)
+        assert abs(damped_numeric_trace(x, q, _depth(eta), eta) - ref) <= 1e-13 * scale
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("zero", [0.0, 0j])
+def test_damped_trace_zero_weight(zero):
+    assert damped_numeric_trace(Op.number(M1), {M1: zero}, 50, 0.1) == 0.0
+    assert damped_numeric_trace(Op.scalar(2.0), {M1: zero}, 50, 0.1) == 2.0
+
+
 # -- Fock matrices ---------------------------------------------------------------
 
 def test_creator_subdiagonal_unit_entries():

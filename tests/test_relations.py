@@ -1,11 +1,13 @@
 import cmath
+import itertools
 
 import numpy as np
 import pytest
 
+from qlab.tensor import QuantumOperator
 from qlab.transfer import TwistConfig, build_Q
 from qlab.relations import (
-    QFamily, delta_pair, delta_set, enumerate_hasse, hirota_residual,
+    QFamily, _operator_det, delta_pair, delta_set, enumerate_hasse, hirota_residual,
     plucker_residual, q_determinant_residual, t_determinant_residual,
     x_merge_residual, x_product_form_residual,
 )
@@ -78,6 +80,32 @@ def test_zero_length_chain_collapses_exactly():
 
 
 # -- determinant forms ------------------------------------------------------------
+
+def _naive_det(entries):
+    p = len(entries)
+    dim = entries[0][0].dim
+    out = QuantumOperator.zero(dim)
+    for sig in itertools.permutations(range(p)):
+        inv = sum(1 for i in range(p) for j in range(i + 1, p) if sig[i] > sig[j])
+        term = QuantumOperator.identity(dim)
+        for i in range(p):
+            term = term @ entries[i][sig[i]]
+        out = out + term * ((-1) ** inv)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_operator_det_matches_naive_permutation_sum(p):
+    rng = np.random.default_rng(p)
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    a[rng.random((6, 6)) < 0.5] = 0.0
+    powers = [np.eye(6), a, a @ a]
+    # polynomials in one matrix commute with each other
+    entries = [[QuantumOperator.from_dense(sum(
+        complex(*rng.normal(size=2)) * m for m in powers)) for _ in range(p)]
+        for _ in range(p)]
+    assert _operator_det(entries).data == _naive_det(entries).data
+
 
 @pytest.mark.parametrize("I", [(1, 2), (1, 3), (2, 3)])
 @pytest.mark.parametrize("L", [1, 2, 3])

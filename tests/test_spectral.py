@@ -93,10 +93,11 @@ def test_extract_q_polynomials_enforces_degree_and_monicity():
     idx = sector_indices(2, 2, (1, 1))
     hb = sector_block(build_hamiltonian(2, 2, TW2), idx)
     v = simultaneous_eigenbasis([hb, sector_block(q1.at(0.37), idx)])
-    polys = extract_q_polynomials(q1, idx, v, expected_degree=1)
+    blocks = [sector_block(c, idx) for c in q1.coeffs]
+    polys = extract_q_polynomials(blocks, v, expected_degree=1)
     assert all(abs(p[-1] - 1.0) < 1e-10 for p in polys)
     with pytest.raises(ValueError, match="degree"):
-        extract_q_polynomials(q1, idx, v, expected_degree=0)
+        extract_q_polynomials(blocks, v, expected_degree=0)
 
 
 def test_poly_roots_matches_numpy_factoring():
