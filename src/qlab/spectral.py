@@ -191,6 +191,19 @@ def _q_value(sigma: complex, roots: np.ndarray, z: complex) -> complex:
     return cmath.exp(1j * z * sigma) * complex(np.prod(z - roots))
 
 
+def _root_ratio(level_roots: Sequence[np.ndarray],
+                level_sigmas: Sequence[complex], i: int, z: complex) -> complex:
+    """Nested root-equation ratio at level ``i`` and ``z``, -1 at a root; the
+    same-level ratio uses the FULL function, so a root contributes (+1)/(-1)."""
+    below = _q_value(level_sigmas[i - 1], level_roots[i - 1], z - 0.5) \
+        / _q_value(level_sigmas[i - 1], level_roots[i - 1], z + 0.5)
+    same = _q_value(level_sigmas[i], level_roots[i], z + 1.0) \
+        / _q_value(level_sigmas[i], level_roots[i], z - 1.0)
+    above = _q_value(level_sigmas[i + 1], level_roots[i + 1], z - 0.5) \
+        / _q_value(level_sigmas[i + 1], level_roots[i + 1], z + 0.5)
+    return below * same * above
+
+
 def bethe_residuals(level_roots: Sequence[np.ndarray],
                     level_sigmas: Sequence[complex], length: int
                     ) -> List[np.ndarray]:
@@ -208,18 +221,8 @@ def bethe_residuals(level_roots: Sequence[np.ndarray],
             dists = np.abs(cur[:, None] - cur[None, :]) + np.eye(len(cur))
             if np.min(dists) < ROOT_COLLISION_TOL:
                 raise ValueError("coinciding roots within one level")
-        res = np.zeros(len(cur))
-        for l, z in enumerate(cur):
-            # the same-level ratio uses the FULL function: the root itself
-            # contributes the factor (+1)/(-1) at the shifted arguments
-            below = _q_value(level_sigmas[i - 1], level_roots[i - 1], z - 0.5) \
-                / _q_value(level_sigmas[i - 1], level_roots[i - 1], z + 0.5)
-            same = _q_value(level_sigmas[i], cur, z + 1.0) \
-                / _q_value(level_sigmas[i], cur, z - 1.0)
-            above = _q_value(level_sigmas[i + 1], level_roots[i + 1], z - 0.5) \
-                / _q_value(level_sigmas[i + 1], level_roots[i + 1], z + 0.5)
-            res[l] = abs(below * same * above + 1.0)
-        out.append(res)
+        out.append(np.array([abs(_root_ratio(level_roots, level_sigmas, i, z) + 1.0)
+                             for z in cur], dtype=float))
     return out
 
 
@@ -334,18 +337,8 @@ class SpectralAnalysis:
 def _residual_vector(level_roots: List[np.ndarray],
                      level_sigmas: Sequence[complex]) -> np.ndarray:
     """Signed residuals (ratio + 1) flattened over interior levels and roots."""
-    vals = []
-    n_levels = len(level_roots)
-    for i in range(1, n_levels - 1):
-        cur = level_roots[i]
-        for l, z in enumerate(cur):
-            below = _q_value(level_sigmas[i - 1], level_roots[i - 1], z - 0.5) \
-                / _q_value(level_sigmas[i - 1], level_roots[i - 1], z + 0.5)
-            same = _q_value(level_sigmas[i], cur, z + 1.0) \
-                / _q_value(level_sigmas[i], cur, z - 1.0)
-            above = _q_value(level_sigmas[i + 1], level_roots[i + 1], z - 0.5) \
-                / _q_value(level_sigmas[i + 1], level_roots[i + 1], z + 0.5)
-            vals.append(below * same * above + 1.0)
+    vals = [_root_ratio(level_roots, level_sigmas, i, z) + 1.0
+            for i in range(1, len(level_roots) - 1) for z in level_roots[i]]
     return np.array(vals, dtype=complex)
 
 

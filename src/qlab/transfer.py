@@ -9,14 +9,16 @@ exact per-mode closed form, under which only number-balanced monomials
 survive.
 
 Each family member is built exactly, in one z-graded pass: the spectral
-parameter is carried as a formal variable through the Lax product, every
-power of ``z`` keeps its own carrier-operator coefficient, and each
-coefficient is traced in closed form.  Only pairs of configurations inside
-one letter-count sector are expanded; the others vanish because every
-surviving monomial must balance creators and annihilators per mode.  The
-result is a polynomial in the spectral parameter with sparse quantum-space
-coefficients, together with a symbolic exponential prefactor
-``exp(i z sigma)``.
+parameter is carried as a formal variable through the Lax product, every power
+of ``z`` keeps its own carrier-operator coefficient, and each coefficient is
+traced in closed form.  Only pairs of configurations inside one letter-count
+sector are expanded; the others vanish because every surviving monomial must
+balance creators and annihilators per mode.  Every member commutes with the
+twisted cyclic shift, so only one pair per orbit of simultaneous rotation is
+expanded: entry ``(rot s, rot t)``, with ``rot`` moving site L to site 1, is
+entry ``(s, t)`` times ``e^{i(phi_{t_L} - phi_{s_L})}``.  The result is a
+polynomial in the spectral parameter with sparse quantum-space coefficients,
+together with a symbolic exponential prefactor ``exp(i z sigma)``.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from .glrep import GlRep, diagonal_weight_data, dot_action_orbit, \
     fundamental_rep, trivial_rep, verma_rep
 from .lax import LaxMatrix, ModeFn, canonical_lax
 from .oscillator import CarrierOp, FockSpace, Mode, NormalOrderedOp
-from .tensor import QuantumOperator, basis_states, occupation, sector_states, \
-    state_index
+from .tensor import QuantumOperator, sector_states, state_index
 
 #: relative tolerance below which a twist-weight is considered degenerate
 DEGENERACY_TOL = 1e-9
@@ -211,8 +212,8 @@ def _graded_entries(lax: LaxMatrix
              for j in range(lax.n)] for i in range(lax.n)]
 
 
-def _traced_monodromy(n: int, length: int, lax: LaxMatrix,
-                      D: TwistOperatorD) -> List[QuantumOperator]:
+def _traced_monodromy(n: int, length: int, lax: LaxMatrix, D: TwistOperatorD,
+                      twist: TwistConfig) -> List[QuantumOperator]:
     """Exact ``z^k`` coefficients of the twisted monodromy trace, k = 0..length.
 
     The quantum-space entry for configurations (i_1..i_L), (j_1..j_L) is the
@@ -220,32 +221,50 @@ def _traced_monodromy(n: int, length: int, lax: LaxMatrix,
     The product is kept as a list of carrier-operator coefficients indexed by
     the power of ``z``; a site multiplies each by ``c1`` (same power) and
     ``c0`` (next power), skipping parts that are zero and products with the
-    identity.  Only pairs inside one letter-count sector are expanded.
+    identity.  Only pairs inside one letter-count sector are expanded, and of
+    those one per orbit of simultaneous cyclic rotation: the trace is cyclic
+    and ``D L_{st} = e^{i(phi_t - phi_s)} L_{st} D``, so rotating site L
+    (letters s, t) to site 1 multiplies every coefficient by
+    ``e^{i(phi_t - phi_s)}``; an orbit closes early for periodic pairs.
     """
     entries = _graded_entries(lax)
     ident = CarrierOp.identity(lax.d)
+    # phase gained when the last-site letters (s, t) rotate to site 1
+    step = [[cmath.exp(1j * (t - s)) for t in twist.phis] for s in twist.phis]
+    top = n ** max(length - 1, 0)
     data: List[Dict[Tuple[int, int], complex]] = [{} for _ in range(length + 1)]
+    # coefficients of orbit members met later; entries are stored in basis
+    # order, so downstream sums run in the same order as a full expansion
+    pending: Dict[Tuple[int, int], List[Tuple[int, complex]]] = {}
     for states in sector_states(n, length).values():
         for istr in states:
             row = state_index(istr, n)
             for jstr in states:
-                first = entries[istr[0]][jstr[0]] if length else [(0, None)]
-                graded = {k: ident if c is None else c for k, c in first}
-                for i, j in zip(istr[1:], jstr[1:]):
-                    if not graded:
-                        break
-                    nxt: Dict[int, CarrierOp] = {}
-                    for k, p in graded.items():
-                        for shift, c in entries[i][j]:
-                            term = p if c is None else p * c
-                            key = k + shift
-                            nxt[key] = term if key not in nxt else nxt[key] + term
-                    graded = nxt
                 col = state_index(jstr, n)
-                for k, p in graded.items():
-                    val = D.weighted_trace(p)
-                    if val != 0.0:
-                        data[k][(row, col)] = val
+                traced = pending.pop((row, col), None)
+                if traced is None:
+                    first = entries[istr[0]][jstr[0]] if length else [(0, None)]
+                    graded = {k: ident if c is None else c for k, c in first}
+                    for i, j in zip(istr[1:], jstr[1:]):
+                        if not graded:
+                            break
+                        nxt: Dict[int, CarrierOp] = {}
+                        for k, p in graded.items():
+                            for shift, c in entries[i][j]:
+                                term = p if c is None else p * c
+                                key = k + shift
+                                nxt[key] = term if key not in nxt else nxt[key] + term
+                        graded = nxt
+                    traced = [(k, D.weighted_trace(p)) for k, p in graded.items()]
+                    r, c, phase = row, col, 1.0
+                    while True:
+                        phase *= step[r % n][c % n]
+                        r, c = (r % n) * top + r // n, (c % n) * top + c // n
+                        if (r, c) == (row, col):
+                            break
+                        pending[(r, c)] = [(k, phase * val) for k, val in traced]
+                for k, val in traced:
+                    data[k][(row, col)] = val
     return [QuantumOperator(n ** length, d) for d in data]
 
 
@@ -260,7 +279,7 @@ def build_X(n: int, length: int, index_set: Sequence[int], rep: GlRep,
     D = build_twist_D(n, I, rep, twist)
     sigma = sum(twist.phi(a) for a in I)
     return OperatorPolynomial(n ** length, sigma,
-                              _traced_monodromy(n, length, lax, D))
+                              _traced_monodromy(n, length, lax, D, twist))
 
 
 def build_Q(n: int, length: int, index_set: Sequence[int],
@@ -348,15 +367,3 @@ def bgg_eigen_check(n: int, length: int, weight: Sequence[complex],
         diff = np.max(np.abs(t[0] - t_ref)) if t_ref.size else 0.0
         worst = max(worst, float(diff))
     return worst
-
-
-# -- conserved occupation numbers ----------------------------------------------
-
-
-def number_operator(n: int, length: int, a: int) -> QuantumOperator:
-    """Total count of letter ``a`` across the chain."""
-    dim = n ** length
-    data = {}
-    for s in basis_states(n, length):
-        data[(state_index(s, n), state_index(s, n))] = float(occupation(s, n)[a - 1])
-    return QuantumOperator(dim, data)

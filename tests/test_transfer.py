@@ -12,7 +12,6 @@ from qlab.tensor import comm_norm
 from qlab.transfer import (
     OperatorPolynomial, TwistConfig, alternating_sum_T, bgg_eigen_check,
     build_Q, build_T_box, build_T_plus, build_X, build_X_plus, build_twist_D,
-    number_operator,
 )
 
 TW2 = TwistConfig((0.7, -0.7))
@@ -170,6 +169,58 @@ def test_exact_build_matches_brute_force(n, L, carrier):
         assert diff <= 1e-13 * np.max(np.abs(ref))
 
 
+def short_orbit_pairs(n, length):
+    """Index pairs whose simultaneous cyclic rotation closes before ``length``
+    steps, such as (1,2,1,2)/(2,1,2,1) or (a,a,a)/(a,a,a)."""
+    states = list(itertools.product(range(n), repeat=length))
+    return [(row, col) for row, s in enumerate(states) for col, t in enumerate(states)
+            if any(s[k:] + s[:k] == s and t[k:] + t[:k] == t for k in range(1, length))]
+
+
+@pytest.mark.parametrize("carrier", ["empty", "trivial", "defining", "highest-weight"])
+@pytest.mark.parametrize("n,L,twist", [(2, 4, TW2), (3, 3, TW3), (2, 1, TW2), (3, 1, TW3),
+                                       (2, 4, TW2.damped(0.15))])
+def test_short_orbits_match_brute_force(n, L, twist, carrier):
+    # the build expands one pair per rotation orbit; orbits of periodic pairs
+    # close early and must still be written once, with the right phase
+    I, rep = member_case(n, carrier)
+    poly = build_X(n, L, I, rep, twist)
+    short = tuple(np.array(short_orbit_pairs(n, L)).reshape(-1, 2).T)
+    for z in (0.37, -0.81 + 0.2j):
+        ref = brute_force_member(n, L, I, rep, twist, z)
+        got = poly.at(z).to_dense()
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+        if L > 1:
+            assert np.max(np.abs(ref[short])) > 0.1
+            assert np.max(np.abs(got[short] - ref[short])) <= 1e-13 * scale
+
+
+def twisted_shift(n, length, twist):
+    """``|s> -> e^{-i phi_{s_L}} |s_L s_1 .. s_{L-1}>``: site L moved to site 1."""
+    states = list(itertools.product(range(n), repeat=length))
+    index = {s: k for k, s in enumerate(states)}
+    U = np.zeros((n ** length, n ** length), dtype=complex)
+    for col, s in enumerate(states):
+        U[index[s[-1:] + s[:-1]], col] = cmath.exp(-1j * twist.phi(s[-1] + 1))
+    return U
+
+
+@pytest.mark.parametrize("n,L", [(3, 3), (2, 4)])
+def test_family_commutes_with_twisted_shift(n, L):
+    tw = TWISTS[n]
+    members = [build_Q(n, L, I, tw) for r in range(n + 1)
+               for I in itertools.combinations(range(1, n + 1), r)]
+    members += [build_T_box(n, L, tw),
+                build_X_plus(n, L, (1, 2), (0.4, -0.1), tw),
+                build_T_plus(n, L, (1.0,) + (0.0,) * (n - 1), tw)]
+    U = twisted_shift(n, L, tw)
+    for member in members:
+        for c in member.coeffs:
+            m = c.to_dense()
+            assert np.max(np.abs(U @ m - m @ U)) <= 1e-13 * np.max(np.abs(m))
+
+
 # -- commuting family and conservation -------------------------------------------
 
 def test_family_members_commute_pairwise():
@@ -182,10 +233,14 @@ def test_family_members_commute_pairwise():
 
 
 def test_family_conserves_letter_counts():
+    q = build_Q(3, 2, (1, 3), TW3).at(0.3).to_dense()
+    t = build_T_box(3, 2, TW3).at(0.3).to_dense()
+    states = list(itertools.product(range(3), repeat=2))
     for a in (1, 2, 3):
-        N = number_operator(3, 2, a)
-        assert comm_norm(build_Q(3, 2, (1, 3), TW3).at(0.3), N) < 1e-12
-        assert comm_norm(build_T_box(3, 2, TW3).at(0.3), N) < 1e-12
+        # total count of letter a across the chain, diagonal in the basis
+        N = np.diag([float(s.count(a - 1)) for s in states])
+        assert np.max(np.abs(q @ N - N @ q)) < 1e-12
+        assert np.max(np.abs(t @ N - N @ t)) < 1e-12
 
 
 def test_sector_eigenvalue_degree():
