@@ -16,21 +16,27 @@ any highest-weight carrier into a z-shifted product of partonic matrices.  An
 independent route to the same factorization goes through a triangular
 decomposition of each partonic factor
 (:func:`parton_triangular_factors` / :class:`PartonFactorization`).
+
+Each identity is checked on a truncated Fock space with ``scipy.sparse``
+matrices, imported by the functions that build them; the right side of
+every ``S · core · S⁻¹`` identity is formed once, by :func:`conjugated`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .glrep import GlRep, fuse_generators, scalar_rep, shifted_weights
 from .lax import LaxMatrix, ModeFn, canonical_lax, partonic_lax
 from .oscillator import (
     CarrierOp, FockSpace, Mode, NormalOrderedOp, fock_matrix, nilpotent_exp,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 NMatrix = List[List[NormalOrderedOp]]
 
@@ -94,6 +100,7 @@ def nm_modes(a: NMatrix) -> set:
 
 
 def nm_to_sparse(a: NMatrix, space: FockSpace) -> sp.csr_matrix:
+    import scipy.sparse as sp
     blocks = [[fock_matrix(e, space) for e in row] for row in a]
     return sp.csr_matrix(sp.bmat(blocks, format="csr"))
 
@@ -112,6 +119,14 @@ def block_residual(lhs: sp.spmatrix, rhs: sp.spmatrix, space: FockSpace,
                           for k in range(n_quantum)])
     diff = (lhs - rhs).tocsr()[idx][:, idx]
     return float(np.max(np.abs(diff.toarray()))) if diff.nnz else 0.0
+
+
+def conjugated(core: sp.spmatrix, s: sp.spmatrix, s_inv: sp.spmatrix,
+               n: int) -> sp.csr_matrix:
+    """``(1ₙ ⊗ S) · core · (1ₙ ⊗ S⁻¹)``, the right side of every ``S·core·S⁻¹`` identity."""
+    import scipy.sparse as sp
+    eye = sp.identity(n, format="csr")
+    return sp.csr_matrix(sp.kron(eye, s) @ core @ sp.kron(eye, s_inv))
 
 
 # -- similarity transforms ---------------------------------------------------------
@@ -184,25 +199,24 @@ class FusionResult:
         return FockSpace(self.all_modes(), n_max)
 
     def s_matrix(self, space: FockSpace) -> sp.csr_matrix:
-        s = nilpotent_exp(self.s1_exp, space) @ nilpotent_exp(self.s2_exp, space) \
-            if not self.s2_exp.is_zero() else nilpotent_exp(self.s1_exp, space)
-        return sp.csr_matrix(s)
+        s1m = nilpotent_exp(self.s1_exp, space)
+        if self.s2_exp.is_zero():
+            return s1m
+        return s1m @ nilpotent_exp(self.s2_exp, space)
 
     def s_inverse(self, space: FockSpace) -> sp.csr_matrix:
         s1m = nilpotent_exp(NormalOrderedOp.zero() - self.s1_exp, space)
         if self.s2_exp.is_zero():
             return s1m
         s2m = nilpotent_exp(NormalOrderedOp.zero() - self.s2_exp, space)
-        return sp.csr_matrix(s2m @ s1m)
+        return s2m @ s1m
 
     def residual(self, z: complex, n_max: int = 8, buffer: int = 4) -> float:
         space = self.space(n_max)
         lhs = nm_to_sparse(nm_matmul(lax_to_nm(self.L1, z + self.z1),
                                      lax_to_nm(self.L2, z + self.z2)), space)
         core = nm_to_sparse(nm_matmul(lax_to_nm(self.L_fused, z), self.G), space)
-        sbig = sp.kron(sp.identity(self.n, format="csr"), self.s_matrix(space))
-        sinv = sp.kron(sp.identity(self.n, format="csr"), self.s_inverse(space))
-        rhs = sbig @ core @ sinv
+        rhs = conjugated(core, self.s_matrix(space), self.s_inverse(space), self.n)
         return block_residual(lhs, rhs, space, self.n, buffer)
 
     def g_commutation_residual(self) -> float:
@@ -293,12 +307,14 @@ class IteratedFusion:
         return FockSpace(self.all_modes(), n_max)
 
     def s_matrix(self, space: FockSpace) -> sp.csr_matrix:
+        import scipy.sparse as sp
         out = sp.identity(space.dim, dtype=complex, format="csr")
         for st in self.steps:            # innermost (last fused) first
             out = out @ st.s_matrix(space)
         return sp.csr_matrix(out)
 
     def s_inverse(self, space: FockSpace) -> sp.csr_matrix:
+        import scipy.sparse as sp
         out = sp.identity(space.dim, dtype=complex, format="csr")
         for st in reversed(self.steps):
             out = out @ st.s_inverse(space)
@@ -310,14 +326,12 @@ class IteratedFusion:
         for a, s in zip(self.index_set, shifts):
             m = nm_to_sparse(lax_to_nm(partonic_lax(self.n, a), z + s), space)
             prod = m if prod is None else prod @ m
-        return sp.csr_matrix(prod)
+        return prod
 
     def rhs_matrix(self, z: complex, space: FockSpace) -> sp.csr_matrix:
         core = nm_to_sparse(
             nm_matmul(lax_to_nm(self.L_fused, z + self.offset), self.gamma), space)
-        sbig = sp.kron(sp.identity(self.n, format="csr"), self.s_matrix(space))
-        sinv = sp.kron(sp.identity(self.n, format="csr"), self.s_inverse(space))
-        return sp.csr_matrix(sbig @ core @ sinv)
+        return conjugated(core, self.s_matrix(space), self.s_inverse(space), self.n)
 
     def residual(self, z: complex, n_max: int = 8, buffer: int = 4) -> float:
         space = self.space(n_max)
@@ -464,6 +478,7 @@ class PartonFactorization:
         return FockSpace(self.all_modes(), n_max)
 
     def s_matrix(self, space: FockSpace) -> sp.csr_matrix:
+        import scipy.sparse as sp
         out = sp.identity(space.dim, dtype=complex, format="csr")
         for a in range(self.n, 0, -1):
             e = self.s_exponent(a)
@@ -472,6 +487,7 @@ class PartonFactorization:
         return sp.csr_matrix(out)
 
     def s_inverse(self, space: FockSpace) -> sp.csr_matrix:
+        import scipy.sparse as sp
         out = sp.identity(space.dim, dtype=complex, format="csr")
         for a in range(1, self.n + 1):
             e = self.s_exponent(a)
@@ -485,13 +501,11 @@ class PartonFactorization:
             m = nm_to_sparse(lax_to_nm(partonic_lax(self.n, a),
                                        z + self.shifts[a - 1]), space)
             prod = m if prod is None else prod @ m
-        return sp.csr_matrix(prod)
+        return prod
 
     def rhs_matrix(self, z: complex, space: FockSpace) -> sp.csr_matrix:
         core = nm_to_sparse(nm_matmul(self.lplus(z), self.u_last), space)
-        sbig = sp.kron(sp.identity(self.n, format="csr"), self.s_matrix(space))
-        sinv = sp.kron(sp.identity(self.n, format="csr"), self.s_inverse(space))
-        return sp.csr_matrix(sbig @ core @ sinv)
+        return conjugated(core, self.s_matrix(space), self.s_inverse(space), self.n)
 
     def residual(self, z: complex, n_max: int = 8, buffer: int = 4) -> float:
         space = self.space(n_max)

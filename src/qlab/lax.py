@@ -16,21 +16,24 @@ rational R-matrix ``R(z) = z + P`` on a truncated Fock space, at a list of
 spectral pairs ``(z1, z2)``.  Since ``L(z) = z c0 + c1``, the Fock matrices
 of ``c0`` and ``c1`` are built once per Lax matrix and combined linearly at
 each point; the residual is formed only on the buffered columns, on which
-truncation is exact.
+truncation is exact.  It is the only function here that needs scipy, and it
+imports ``scipy.sparse`` itself.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .glrep import GlRep, trivial_rep
 from .oscillator import CarrierOp, FockSpace, Mode, NormalOrderedOp
 from .tensor import QuantumOperator, permutation_op
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 ModeFn = Callable[[int, int], Mode]
 
@@ -186,6 +189,7 @@ def rll_residual(L: LaxMatrix, pairs: Sequence[Tuple[complex, complex]],
     is put on the Fock space and into both layouts ``L¹``, ``L²`` once, and
     each point costs one scaled sum ``z A + B``.
     """
+    import scipy.sparse as sp
     n = L.n
     if buffer is None:
         buffer = min(2 * max(1, L.max_creation_degree()) + 1, n_max - 1)

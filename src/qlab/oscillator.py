@@ -17,16 +17,23 @@ weight ``q != 1``:
 
 The number-basis convention is non-unitary: ``|k+1> = B†|k>``, so ``B†`` has
 matrix entry ``(k+1, k) = 1`` and ``B`` has entry ``(k-1, k) = k``.
+
+The truncated Fock matrices (:func:`fock_matrix`, :func:`nilpotent_exp`,
+:meth:`CarrierOp.to_matrix`) are ``scipy.sparse`` matrices.  They serve only
+the carrier cross-checks, so scipy is imported inside those functions and a
+process that never builds one never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 Mode = Tuple  # hashable, mutually sortable labels
 # a term key: ((mode, n_create, n_annihilate), ...) sorted by mode
@@ -324,6 +331,11 @@ def extrapolated_trace(x: NormalOrderedOp, q: Mapping[Mode, complex],
     damping used.  Each per-mode factor of the damped trace is a rational
     function of ``e^{-eta}``, so Bulirsch-Stoer rational extrapolation
     converges much faster here than polynomial (Neville) extrapolation.
+
+    The default schedule is accurate only for low powers on unit-modulus
+    weights.  For ``(B†)^k B^k`` at ``q = e^{-1.4i}`` the error is 4e-11 at
+    k=1, 1.3e-8 at k=2, 6.3e-6 at k=3 and 6.7e-4 at k=4; the ``trace`` suite
+    of the CLI therefore draws ``k <= 2`` only.
     """
     if etas is None:
         etas = [0.2 / 2 ** j for j in range(6)]
@@ -444,6 +456,7 @@ def fock_matrix(x: NormalOrderedOp, space: FockSpace, rep: str = "+") -> sp.csr_
         x = automorphism_image(x)
     elif rep != "+":
         raise ValueError("rep must be '+' or '-'")
+    import scipy.sparse as sp
     rows = [np.zeros(0, dtype=np.int64)]
     cols = [np.zeros(0, dtype=np.int64)]
     vals = [np.zeros(0, dtype=complex)]
@@ -480,6 +493,7 @@ def nilpotent_exp(x: NormalOrderedOp, space: FockSpace) -> sp.csr_matrix:
     """
     if x.min_excitation_shift() < 1:
         raise ValueError("exponent must strictly raise total excitation")
+    import scipy.sparse as sp
     a = fock_matrix(x, space)
     out = sp.identity(space.dim, dtype=complex, format="csr")
     power = sp.identity(space.dim, dtype=complex, format="csr")
@@ -610,6 +624,7 @@ class CarrierOp:
         """Dense carrier index (slow-running) ⊗ Fock basis (fast-running)."""
         if self.d == 1:
             return fock_matrix(self.mat[0][0], space)
+        import scipy.sparse as sp
         blocks = [[fock_matrix(self.mat[i][j], space) for j in range(self.d)]
                   for i in range(self.d)]
         return sp.csr_matrix(sp.bmat(blocks, format="csr"))

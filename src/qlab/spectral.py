@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -348,8 +349,10 @@ def solve_bethe_newton(level_roots: List[np.ndarray],
                        ) -> Tuple[List[np.ndarray], float, int]:
     """Newton refinement of the interior-level roots (outer levels held fixed).
 
-    Returns (refined roots, final max |residual|, iterations used).  The
-    Jacobian is numerical; a singular Jacobian raises.
+    Returns (refined roots, their max |residual|, iterations used).  The
+    roots are the iterate with the smallest max |residual|, the start
+    included: near a singular Jacobian the steps can carry a converged start
+    far away.  The Jacobian is numerical; a singular Jacobian raises.
     """
     interior = [np.array(r, dtype=complex) for r in level_roots[1:-1]]
     shapes = [len(r) for r in interior]
@@ -367,11 +370,18 @@ def solve_bethe_newton(level_roots: List[np.ndarray],
     def full(rs):
         return [level_roots[0]] + list(rs) + [level_roots[-1]]
 
+    def residual(x):
+        f = _residual_vector(full(unpack(x)), level_sigmas)
+        return f, (float(np.max(np.abs(f))) if f.size else 0.0)
+
     x = pack(interior)
+    best_x, best_res = x, math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        f = _residual_vector(full(unpack(x)), level_sigmas)
-        if f.size == 0 or np.max(np.abs(f)) < tol:
+        f, res = residual(x)
+        if res <= best_res:
+            best_x, best_res = x, res
+        if res < tol:
             break
         h = 1e-7
         J = np.zeros((len(f), len(x)), dtype=complex)
@@ -384,6 +394,8 @@ def solve_bethe_newton(level_roots: List[np.ndarray],
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("singular Jacobian in root refinement") from exc
         x = x - dx
-    f = _residual_vector(full(unpack(x)), level_sigmas)
-    res = float(np.max(np.abs(f))) if f.size else 0.0
-    return full(unpack(x)), res, it
+    else:
+        _, res = residual(x)
+        if res <= best_res:
+            best_x, best_res = x, res
+    return full(unpack(best_x)), best_res, it

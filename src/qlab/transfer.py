@@ -19,22 +19,28 @@ expanded: entry ``(rot s, rot t)``, with ``rot`` moving site L to site 1, is
 entry ``(s, t)`` times ``e^{i(phi_{t_L} - phi_{s_L})}``.  The result is a
 polynomial in the spectral parameter with sparse quantum-space coefficients,
 together with a symbolic exponential prefactor ``exp(i z sigma)``.
+
+The builds use no Fock matrices.  Only the explicit twist matrix
+(:meth:`TwistOperatorD.matrix` and its conjugation check) does, and it
+imports ``scipy.sparse`` itself.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .glrep import GlRep, diagonal_weight_data, dot_action_orbit, \
     fundamental_rep, trivial_rep, verma_rep
 from .lax import LaxMatrix, ModeFn, canonical_lax
 from .oscillator import CarrierOp, FockSpace, Mode, NormalOrderedOp
 from .tensor import QuantumOperator, sector_states, state_index
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: relative tolerance below which a twist-weight is considered degenerate
 DEGENERACY_TOL = 1e-9
@@ -93,6 +99,7 @@ class TwistOperatorD:
 
     def matrix(self, space: FockSpace) -> sp.csr_matrix:
         """Explicit diagonal matrix on carrier ⊗ truncated Fock basis."""
+        import scipy.sparse as sp
         fock_diag = space.occupation_weights(self.q)
         diag = np.concatenate([w * fock_diag for w in self.carrier_weights])
         return sp.diags(diag).tocsr()
@@ -100,6 +107,7 @@ class TwistOperatorD:
     def conjugation_residual(self, L: LaxMatrix, twist: TwistConfig, z: complex,
                              n_max: int = 6) -> float:
         """Max deviation of D L_ab D^-1 - e^{i(phi_b - phi_a)} L_ab."""
+        import scipy.sparse as sp
         space = FockSpace(sorted(set(L.modes()) | set(self.q)), n_max)
         d = self.matrix(space)
         dinv = sp.diags(1.0 / d.diagonal()).tocsr()

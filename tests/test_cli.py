@@ -1,3 +1,4 @@
+import cmath
 import json
 import os
 import subprocess
@@ -193,3 +194,50 @@ def test_qlab_threads_caps_blas_threads():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          stdout=subprocess.PIPE, check=True, text=True).stdout
     assert out.split() == ["Threads:", "1"]
+
+
+def test_scipy_loaded_only_by_carrier_suites():
+    """Only the Fock-matrix suites import scipy; every other command runs without it."""
+    src = str(Path(qlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import contextlib, io, sys\n"
+        "import qlab.cli, qlab.fusion, qlab.glrep, qlab.lax, qlab.oscillator\n"
+        "import qlab.relations, qlab.spectral, qlab.tensor, qlab.transfer\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        return qlab.cli.main(list(argv))\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "for argv in (('spectrum', '--n', '2', '--L', '2'),\n"
+        "             ('bethe', '--n', '2', '--L', '2'),\n"
+        "             ('verify', '--n', '2', '--L', '2', '--suite',\n"
+        "              'anchors,hirota,determinant,plucker,commuting,bgg,trace'),\n"
+        "             ('hasse', '--n', '3')):\n"
+        "    assert run(*argv) == 0, argv\n"
+        "    assert 'scipy' not in sys.modules, argv\n"
+        "assert run('verify', '--n', '2', '--suite', 'rll') == 0\n"
+        "assert 'scipy.sparse' in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_trace_suite_domain_is_load_bearing():
+    """The suite's power range keeps the damped extrapolation under the gate.
+
+    Every power it draws passes on every suite weight; one power more fails
+    on at least one of them, so widening the range would fail the suite.
+    """
+    from qlab.cli import DEFAULT_TOLS, TRACE_MAX_POWER, TRACE_WEIGHTS
+    from qlab.oscillator import NormalOrderedOp as Op, extrapolated_trace, weighted_trace
+    assert TRACE_MAX_POWER == 2
+
+    def error(mode, angle, k):
+        q = {mode: cmath.exp(1j * angle)}
+        x = Op.creator(mode) ** k * Op.annihilator(mode) ** k
+        return abs(weighted_trace(x, q) - extrapolated_trace(x, q))
+
+    gate = DEFAULT_TOLS["trace"]
+    for mode, angle in TRACE_WEIGHTS:
+        for k in range(TRACE_MAX_POWER + 1):
+            assert error(mode, angle, k) < gate
+    above = max(error(mode, angle, TRACE_MAX_POWER + 1) for mode, angle in TRACE_WEIGHTS)
+    assert above > 5 * gate  # 6.3e-6, at angle -1.4

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import qlab.fusion as fu
 from qlab.fusion import (
     FusionResult, IteratedFusion, PartonFactorization,
-    block_residual, build_S1, build_S2, factorize_partons, fuse,
+    block_residual, build_S1, build_S2, conjugated, factorize_partons, fuse,
     iterated_parton_fusion, lax_to_nm, nm_identity, nm_inv_unipotent,
     nm_matmul, nm_max_coeff, nm_sub, nm_to_sparse, parton_mode,
     parton_triangular_factors,
@@ -178,12 +177,9 @@ def test_fuse_associativity_three_factors():
     A3 = nm_to_sparse(lax_to_nm(lax3, w - 1.0), space)
     triple = A1 @ A2 @ A3
 
-    eye = sp.identity(n, format="csr")
-
     def sandwich(fr, core_z):
         core = nm_to_sparse(nm_matmul(lax_to_nm(fr.L_fused, core_z), fr.G), space)
-        return sp.kron(eye, fr.s_matrix(space)) @ core @ \
-            sp.kron(eye, fr.s_inverse(space))
+        return conjugated(core, fr.s_matrix(space), fr.s_inverse(space), n)
 
     # left grouping: fuse (1,2) first; its G matrix stays between the factors,
     # so the chain is verified step by step
@@ -195,9 +191,9 @@ def test_fuse_associativity_three_factors():
     # right grouping: the nested transforms compose into a single sandwich
     core_b = nm_to_sparse(nm_matmul(lax_to_nm(outer_b.L_fused, w),
                                     nm_matmul(outer_b.G, inner_b.G)), space)
-    S = sp.kron(eye, inner_b.s_matrix(space) @ outer_b.s_matrix(space))
-    Si = sp.kron(eye, outer_b.s_inverse(space) @ inner_b.s_inverse(space))
-    assert block_residual(triple, S @ core_b @ Si, space, n, 4) < 1e-12
+    S = inner_b.s_matrix(space) @ outer_b.s_matrix(space)
+    Si = outer_b.s_inverse(space) @ inner_b.s_inverse(space)
+    assert block_residual(triple, conjugated(core_b, S, Si, n), space, n, 4) < 1e-12
 
 
 # -- iterated single-index fusion --------------------------------------------------
@@ -263,14 +259,12 @@ def test_u1_inverse_is_exact():
 def test_similarity_absorbs_half_the_ladder_content(n, wt):
     pf = factorize_partons(n, wt)
     space = pf.space(8)
-    eye = sp.identity(n, format="csr")
-    S = sp.kron(eye, pf.s_matrix(space))
-    Si = sp.kron(eye, pf.s_inverse(space))
+    S, Si = pf.s_matrix(space), pf.s_inverse(space)
     u1 = nm_to_sparse(pf.u1, space)
     ulast = nm_to_sparse(pf.u_last, space)
     u1i = nm_to_sparse(nm_inv_unipotent(pf.u1), space)
-    assert block_residual(S @ u1 @ Si, u1, space, n, 4) < 1e-12
-    assert block_residual(S @ ulast @ Si, u1i @ ulast, space, n, 4) < 1e-12
+    assert block_residual(conjugated(u1, S, Si, n), u1, space, n, 4) < 1e-12
+    assert block_residual(conjugated(ulast, S, Si, n), u1i @ ulast, space, n, 4) < 1e-12
 
 
 def test_n2_factorization_closed_form_transform():

@@ -183,3 +183,31 @@ def test_newton_recovers_perturbed_roots():
     assert res < 1e-12
     assert np.max(np.abs(np.sort_complex(refined[1])
                          - np.sort_complex(r.level_roots[1]))) < 1e-9
+
+
+def test_newton_keeps_best_iterate():
+    """A converged start whose Newton steps diverge is returned as it was.
+
+    The roots are those of state 56 of sector (1,1,2,1) in the default-twist
+    n=4, L=5 chain: one level sits near +-1/2, the numerical Jacobian is
+    nearly singular, and the steps grow the residual tenfold each from
+    4.9e-12 after the first step to 0.41 after the fortieth.
+    """
+    levels = [
+        np.zeros(0, dtype=complex),
+        np.array([1.249000902703301e-16 - 0.44531845201327735j]),
+        np.array([4.440892098500626e-16 - 1.9692648224868914j,
+                  -2.0816681711721685e-17 + 0.33987578402552987j]),
+        np.array([-8.881784197001252e-16 - 5.622685232064032j,
+                  0.49990550779394743 + 0.1924296357545033j,
+                  -0.49990550779394666 + 0.19242963575450206j,
+                  -7.853203465634013e-16 + 0.035899218832280075j]),
+        np.zeros(5, dtype=complex),
+    ]
+    sigmas = [0.0, 0.9, 1.3, 0.8, 0.0]
+    start = max(np.max(r) for r in bethe_residuals(levels, sigmas, 5))
+    assert 1e-12 < start < 1e-11
+    refined, res, iterations = solve_bethe_newton(levels, sigmas)
+    assert iterations == 40
+    assert res <= start
+    assert res == max(np.max(r) for r in bethe_residuals(refined, sigmas, 5))
