@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensor import QuantumOperator, basis_states, sector_states, state_index
+from .tensor import QuantumOperator, _accumulate, basis_states, sector_states, state_index
 from .transfer import TwistConfig, build_Q, build_T_box
 
 ROOT_COLLISION_TOL = 1e-9
@@ -33,28 +33,27 @@ def build_hamiltonian(n: int, length: int, twist: TwistConfig) -> QuantumOperato
     """Exchange Hamiltonian ``2 sum_l (1 - P_{l,l+1})`` with twisted wrap.
 
     With ``e_ab = |a><b|``, the wrap bond uses
-    ``e_ab^{(L+1)} = e^{i(phi_b - phi_a)} e_ab^{(1)}``.
+    ``e_ab^{(L+1)} = e^{i(phi_b - phi_a)} e_ab^{(1)}``.  The diagonal ``2L``
+    comes first; then, per state in basis order and per bond, the exchange
+    term ``-2 phase`` lands on (exchanged state, state).
     """
     dim = n ** length
-    data: Dict[Tuple[int, int], complex] = {}
-    for i in range(dim):
-        data[(i, i)] = 2.0 * length
-    for s in basis_states(n, length):
-        si = state_index(s, n)
-        for l in range(length):
-            lp = (l + 1) % length
-            # exchange letters at sites l, l+1 (0-based); the twisted wrap
-            # multiplies by the phase of the moved letters
-            t = list(s)
-            t[l], t[lp] = t[lp], t[l]
-            ti = state_index(t, n)
-            phase = 1.0 + 0.0j
-            if lp == 0:
-                a, b = s[l] + 1, s[lp] + 1
-                phase = cmath.exp(1j * (twist.phi(b) - twist.phi(a)))
-            key = (ti, si)
-            data[key] = data.get(key, 0.0) - 2.0 * phase
-    return QuantumOperator(dim, data)
+    states = np.array(list(basis_states(n, length)), dtype=np.int64).reshape(dim, length)
+    place = n ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    index = states @ place
+    # exchanging the letters at sites l, l+1 (0-based, l+1 mod L) of a state
+    exchanged = index[:, None] + ((np.roll(states, -1, axis=1) - states)
+                                  * (place - np.roll(place, -1)))
+    # the wrap bond multiplies by the phase of the moved letters
+    terms = np.full((dim, length), -(2.0 * (1.0 + 0.0j)))
+    wrap = np.array([[-(2.0 * cmath.exp(1j * (twist.phi(b + 1) - twist.phi(a + 1))))
+                      for b in range(n)] for a in range(n)])
+    if length:
+        terms[:, -1] = wrap[states[:, -1], states[:, 0]]
+    keys = np.concatenate((np.arange(dim, dtype=np.int64) * (dim + 1),
+                           (exchanged * dim + index[:, None]).ravel()))
+    return _accumulate(dim, keys, np.concatenate((np.full(dim, 2.0 * length + 0.0j),
+                                                  terms.ravel())))
 
 
 def sector_labels(n: int, length: int) -> List[Tuple[int, ...]]:
@@ -83,33 +82,12 @@ def sector_blocks(op: QuantumOperator, sectors: Sequence[Sequence[int]]
     # the blocks are row-major views into one buffer, block s at offset[s]
     offset = np.concatenate(([0], np.cumsum(sizes ** 2)))
     flat = np.zeros(offset[-1], dtype=complex)
-    if op.data:
-        rows, cols = np.array(list(op.data), dtype=np.int64).T
-        vals = np.fromiter(op.data.values(), dtype=complex, count=len(op.data))
-        keep = (label[rows] >= 0) & (label[rows] == label[cols])
-        rows, cols, s = rows[keep], cols[keep], label[rows[keep]]
-        flat[offset[s] + pos[rows] * sizes[s] + pos[cols]] = vals[keep]
+    rows, cols = np.divmod(op.keys, op.dim)
+    keep = (label[rows] >= 0) & (label[rows] == label[cols])
+    rows, cols, s = rows[keep], cols[keep], label[rows[keep]]
+    flat[offset[s] + pos[rows] * sizes[s] + pos[cols]] = op.vals[keep]
     return [flat[offset[s]:offset[s + 1]].reshape(size, size)
             for s, size in enumerate(sizes)]
-
-
-def sector_block(op: QuantumOperator, idx: Sequence[int]) -> np.ndarray:
-    return sector_blocks(op, [idx])[0]
-
-
-def sector_project(op: QuantumOperator, n: int, length: int,
-                   m: Sequence[int], check: bool = True) -> np.ndarray:
-    """Restriction of a letter-count-conserving operator to one sector."""
-    idx = sector_indices(n, length, m)
-    if check:
-        dense = op.to_dense()
-        comp = [i for i in range(op.dim) if i not in idx]
-        if comp and idx:
-            leak = max(np.max(np.abs(dense[np.ix_(idx, comp)])),
-                       np.max(np.abs(dense[np.ix_(comp, idx)])))
-            if leak > 1e-10:
-                raise ValueError("operator does not preserve the sector")
-    return sector_block(op, idx)
 
 
 # -- simultaneous diagonalization ------------------------------------------------

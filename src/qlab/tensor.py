@@ -1,16 +1,26 @@
 """Sparse linear-algebra substrate for small spin chains.
 
-Operators on ``(C^n)^{tensor L}`` are stored as dictionaries mapping
-``(row, col)`` index pairs to complex amplitudes.  Chain dimensions at desk
-scale stay below a few hundred, so the emphasis is on exactness and
-deterministic iteration order rather than speed.  Basis states of the chain
-are enumerated in base ``n`` with site 1 as the most significant digit.
+An operator on ``(C^n)^{tensor L}`` is stored as two flat arrays in insertion
+order: int64 keys ``row * dim + col`` and complex128 amplitudes.  Each
+operation is a numpy pass that makes the floating-point operations of a loop
+over a ``(row, col) -> value`` dict, in the same order: ``a @ b`` walks the
+entries ``(r, k)`` of ``a`` in stored order and, for each, row ``k`` of ``b``
+in stored order; ``a + b`` adds ``b``'s entries, in its order, to ``a``'s in
+place (``a - b`` is ``a + b * (-1.0)``); ``OperatorPolynomial.poly_at`` adds
+``c_k z^k`` coefficient after coefficient.  Terms on one key are added in that
+sequence starting from ``0.0``, and a new key is stored where first touched.
+Products round as CPython 3.11's complex product (``re = ar*br - ai*bi``,
+``im = ar*bi + ai*br``, no fused multiply-add; a real scalar has imaginary
+part ``0.0``).  Entries of modulus at most ``DROP_TOL`` are dropped.  So two
+equal operators stored in a different order give results that differ at
+rounding level.  Basis states of the chain are enumerated in base ``n`` with
+site 1 as the most significant digit.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,100 +29,103 @@ DROP_TOL = 1e-14
 
 
 class QuantumOperator:
-    """A complex matrix stored as a sparse ``(row, col) -> value`` map."""
+    """A complex ``dim x dim`` matrix: entry keys ``row * dim + col`` (int64)
+    and amplitudes ``vals`` (complex128) in insertion order, which is the order
+    in which products and sums add terms (module docstring)."""
 
-    __slots__ = ("dim", "data")
+    __slots__ = ("dim", "keys", "vals")
 
     def __init__(self, dim: int, data: Dict[Tuple[int, int], complex] | None = None):
         self.dim = int(dim)
-        cleaned: Dict[Tuple[int, int], complex] = {}
-        if data:
-            for (r, c), v in data.items():
-                v = complex(v)
-                if abs(v) > DROP_TOL:
-                    if not (0 <= r < self.dim and 0 <= c < self.dim):
-                        raise IndexError(f"entry {(r, c)} outside dimension {self.dim}")
-                    cleaned[(r, c)] = v
-        self.data = cleaned
+        keys: List[int] = []
+        vals: List[complex] = []
+        for (r, c), v in (data or {}).items():
+            v = complex(v)
+            if abs(v) > DROP_TOL:
+                if not (0 <= r < self.dim and 0 <= c < self.dim):
+                    raise IndexError(f"entry {(r, c)} outside dimension {self.dim}")
+                keys.append(r * self.dim + c)
+                vals.append(v)
+        self.keys = np.array(keys, dtype=np.int64)
+        self.vals = np.array(vals, dtype=complex)
+
+    @classmethod
+    def _from_arrays(cls, dim: int, keys: np.ndarray, vals: np.ndarray
+                     ) -> "QuantumOperator":
+        """The entries ``keys``, ``vals`` whose modulus exceeds ``DROP_TOL``."""
+        keep = np.hypot(vals.real, vals.imag) > DROP_TOL
+        op = cls.__new__(cls)
+        op.dim, op.keys, op.vals = dim, keys[keep], vals[keep]
+        return op
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def identity(cls, dim: int) -> "QuantumOperator":
-        return cls(dim, {(i, i): 1.0 for i in range(dim)})
+        return cls._from_arrays(dim, np.arange(dim, dtype=np.int64) * (dim + 1),
+                                np.ones(dim, dtype=complex))
 
     @classmethod
     def zero(cls, dim: int) -> "QuantumOperator":
-        return cls(dim, {})
-
-    @classmethod
-    def matrix_unit(cls, dim: int, row: int, col: int) -> "QuantumOperator":
-        """The matrix ``e_{row,col}`` with a single unit entry."""
-        return cls(dim, {(row, col): 1.0})
+        return cls(dim)
 
     @classmethod
     def from_dense(cls, mat: np.ndarray) -> "QuantumOperator":
         mat = np.asarray(mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("expected a square matrix")
-        data = {}
-        for r, c in zip(*np.nonzero(np.abs(mat) > DROP_TOL)):
-            data[(int(r), int(c))] = complex(mat[r, c])
-        return cls(mat.shape[0], data)
+        keys = np.flatnonzero(np.abs(mat) > DROP_TOL)
+        return cls._from_arrays(mat.shape[0], keys,
+                                mat.reshape(-1)[keys].astype(complex))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "QuantumOperator") -> "QuantumOperator":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        data = dict(self.data)
-        for k, v in other.data.items():
-            data[k] = data.get(k, 0.0) + v
-        return QuantumOperator(self.dim, data)
+        return _accumulate(self.dim, np.concatenate((self.keys, other.keys)),
+                           np.concatenate((self.vals, other.vals)),
+                           assigned=len(self.keys))
 
     def __sub__(self, other: "QuantumOperator") -> "QuantumOperator":
         return self + (other * (-1.0))
 
     def __mul__(self, scalar: complex) -> "QuantumOperator":
-        return QuantumOperator(self.dim, {k: v * scalar for k, v in self.data.items()})
+        return QuantumOperator._from_arrays(self.dim, self.keys,
+                                            _product(self.vals, complex(scalar)))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "QuantumOperator") -> "QuantumOperator":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        # group right factor by row for the contraction
-        by_row: Dict[int, list] = {}
-        for (r, c), v in other.data.items():
-            by_row.setdefault(r, []).append((c, v))
-        data: Dict[Tuple[int, int], complex] = {}
-        for (r, k), a in self.data.items():
-            for c, b in by_row.get(k, ()):
-                key = (r, c)
-                data[key] = data.get(key, 0.0) + a * b
-        return QuantumOperator(self.dim, data)
-
-    def dagger(self) -> "QuantumOperator":
-        return QuantumOperator(self.dim, {(c, r): np.conj(v) for (r, c), v in self.data.items()})
+        dim = self.dim
+        # the right factor's entries grouped by row, stored order within a row
+        rows, cols = np.divmod(other.keys, dim)
+        by_row = np.argsort(rows, kind="stable")
+        counts = np.bincount(rows, minlength=dim)
+        row_start = np.cumsum(counts) - counts
+        # one term per (left entry, entry of the right factor's row k)
+        left_rows, k = np.divmod(self.keys, dim)
+        width = counts[k]
+        left = np.repeat(np.arange(len(self.keys)), width)
+        offset = np.repeat(row_start[k] - (np.cumsum(width) - width), width)
+        right = by_row[offset + np.arange(len(left))]
+        return _accumulate(dim, left_rows[left] * dim + cols[right],
+                           _product(self.vals[left], other.vals[right]))
 
     # -- queries -----------------------------------------------------------
 
-    def entries(self) -> Iterator[Tuple[Tuple[int, int], complex]]:
-        """Deterministic (sorted) iteration over the stored entries."""
-        for key in sorted(self.data):
-            yield key, self.data[key]
-
     def norm(self) -> float:
         """Largest entry modulus (max norm)."""
-        if not self.data:
+        if not len(self.vals):
             return 0.0
-        return max(abs(v) for v in self.data.values())
+        return float(np.hypot(self.vals.real, self.vals.imag).max())
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for (r, c), v in self.data.items():
-            out[r, c] = v
-        return out
+        out = np.zeros(self.dim * self.dim, dtype=complex)
+        out[self.keys] = self.vals
+        return out.reshape(self.dim, self.dim)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuantumOperator):
@@ -120,44 +133,44 @@ class QuantumOperator:
         return self.dim == other.dim and (self - other).norm() <= DROP_TOL
 
     def __repr__(self) -> str:
-        return f"QuantumOperator(dim={self.dim}, nnz={len(self.data)})"
+        return f"QuantumOperator(dim={self.dim}, nnz={len(self.keys)})"
 
 
-# -- tensor products and chain embeddings ----------------------------------
-
-
-def kron(a: QuantumOperator, b: QuantumOperator) -> QuantumOperator:
-    """Kronecker product; the left factor carries the most significant index."""
-    data: Dict[Tuple[int, int], complex] = {}
-    for (ra, ca), va in a.data.items():
-        for (rb, cb), vb in b.data.items():
-            data[(ra * b.dim + rb, ca * b.dim + cb)] = va * vb
-    return QuantumOperator(a.dim * b.dim, data)
-
-
-def kron_all(factors: Sequence[QuantumOperator]) -> QuantumOperator:
-    out = factors[0]
-    for f in factors[1:]:
-        out = kron(out, f)
+def _product(a: np.ndarray, b) -> np.ndarray:
+    """``a * b`` elementwise, rounded as CPython rounds a complex product."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
     return out
 
 
-def site_operator(local: QuantumOperator, site: int, length: int) -> QuantumOperator:
-    """Embed a single-site operator at ``site`` (1-based) into an ``length``-site chain."""
-    if not 1 <= site <= length:
-        raise ValueError("site index out of range")
-    n = local.dim
-    eye = QuantumOperator.identity(n)
-    return kron_all([local if s == site else eye for s in range(1, length + 1)])
+def _accumulate(dim: int, keys: np.ndarray, terms: np.ndarray,
+                assigned: int = 0) -> QuantumOperator:
+    """The operator whose entry at each key is the sum of the ``terms`` there.
+
+    Terms are added in array order, and each key is stored where it is first
+    touched.  A sum starts from ``0.0`` (``d.get(key, 0.0) + v``), or from
+    ``-0.0`` where the key's first term is among the first ``assigned``: that
+    takes the term unchanged, signed zeros included (``d[key] = v``).
+    """
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    out = np.zeros(len(order), dtype=complex)
+    out[first[order] < assigned] = complex(-0.0, -0.0)
+    np.add.at(out, slot[inverse], terms)
+    return QuantumOperator._from_arrays(dim, uniq[order], out)
+
+
+# -- chain embeddings -----------------------------------------------------
 
 
 def permutation_op(n: int) -> QuantumOperator:
     """The exchange operator ``P`` on ``C^n (x) C^n``: ``P (x (x) y) = y (x) x``."""
-    data = {}
-    for i in range(n):
-        for j in range(n):
-            data[(i * n + j, j * n + i)] = 1.0
-    return QuantumOperator(n * n, data)
+    idx = np.arange(n * n, dtype=np.int64)
+    return QuantumOperator._from_arrays(
+        n * n, idx * (n * n) + (idx % n) * n + idx // n, np.ones(n * n, dtype=complex))
 
 
 def basis_states(n: int, length: int) -> Iterator[Tuple[int, ...]]:

@@ -37,7 +37,8 @@ from .glrep import GlRep, diagonal_weight_data, dot_action_orbit, \
     fundamental_rep, trivial_rep, verma_rep
 from .lax import LaxMatrix, ModeFn, canonical_lax
 from .oscillator import CarrierOp, FockSpace, Mode, NormalOrderedOp
-from .tensor import QuantumOperator, sector_states, state_index
+from .tensor import QuantumOperator, _accumulate, _product, sector_states, \
+    state_index
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -187,13 +188,14 @@ class OperatorPolynomial:
         return len(self.coeffs) - 1
 
     def poly_at(self, z: complex) -> QuantumOperator:
-        data: Dict[Tuple[int, int], complex] = {}
+        """``sum_k c_k z^k``, summed coefficient after coefficient (see ``qlab.tensor``)."""
+        terms = []
         zk = 1.0 + 0.0j
         for c in self.coeffs:
-            for key, v in c.data.items():
-                data[key] = data.get(key, 0.0) + v * zk
+            terms.append(_product(c.vals, zk))
             zk *= z
-        return QuantumOperator(self.dim, data)
+        return _accumulate(self.dim, np.concatenate([c.keys for c in self.coeffs]),
+                           np.concatenate(terms))
 
     def at(self, z: complex) -> QuantumOperator:
         return self.poly_at(z) * cmath.exp(1j * z * self.sigma)
@@ -239,8 +241,9 @@ def _traced_monodromy(n: int, length: int, lax: LaxMatrix, D: TwistOperatorD,
     ident = CarrierOp.identity(lax.d)
     # phase gained when the last-site letters (s, t) rotate to site 1
     step = [[cmath.exp(1j * (t - s)) for t in twist.phis] for s in twist.phis]
-    top = n ** max(length - 1, 0)
-    data: List[Dict[Tuple[int, int], complex]] = [{} for _ in range(length + 1)]
+    dim, top = n ** length, n ** max(length - 1, 0)
+    keys: List[List[int]] = [[] for _ in range(length + 1)]
+    vals: List[List[complex]] = [[] for _ in range(length + 1)]
     # coefficients of orbit members met later; entries are stored in basis
     # order, so downstream sums run in the same order as a full expansion
     pending: Dict[Tuple[int, int], List[Tuple[int, complex]]] = {}
@@ -272,8 +275,11 @@ def _traced_monodromy(n: int, length: int, lax: LaxMatrix, D: TwistOperatorD,
                             break
                         pending[(r, c)] = [(k, phase * val) for k, val in traced]
                 for k, val in traced:
-                    data[k][(row, col)] = val
-    return [QuantumOperator(n ** length, d) for d in data]
+                    keys[k].append(row * dim + col)
+                    vals[k].append(val)
+    return [QuantumOperator._from_arrays(dim, np.array(kk, dtype=np.int64),
+                                         np.array(vv, dtype=complex))
+            for kk, vv in zip(keys, vals)]
 
 
 def build_X(n: int, length: int, index_set: Sequence[int], rep: GlRep,

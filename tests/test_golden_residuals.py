@@ -1,0 +1,31 @@
+"""Every residual of four reference ``verify`` runs, pinned to the last bit.
+
+``golden_residuals.json`` holds, as ``float.hex``, each record's residual for
+the relation suites at (n, L) = (4,3) seed 1, (3,3) seed 0 and (2,5) seed 1,
+and the ``bgg,trace`` suites at (3,2), all at the default twist.  The values
+were produced by the dictionary-based operator substrate; the array-based one
+performs the same floating-point operations in the same order, so they must
+not move at all.
+
+A change that reorders a summation (for example dense BLAS sector blocks,
+ROADMAP item 2) moves these residuals at rounding level.  Such a change must
+regenerate the file on purpose and record in CHANGES.md which residuals moved
+and by how much.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from qlab.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_residuals.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"][1:]))
+def test_residuals_are_bitwise_unchanged(case, capsys):
+    main(case["argv"])
+    records = json.loads(capsys.readouterr().out)["records"]
+    got = [[r["name"], float(r["residual"]).hex()] for r in records]
+    assert got == case["residuals"]

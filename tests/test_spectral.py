@@ -1,14 +1,15 @@
 import cmath
+import itertools
 
 import numpy as np
 import pytest
 
-from qlab.tensor import QuantumOperator, comm_norm
+from qlab.tensor import QuantumOperator, comm_norm, state_index
 from qlab.transfer import TwistConfig, build_Q, build_T_box
 from qlab.spectral import (
     SpectralAnalysis, bethe_residuals, build_hamiltonian, energy_from_roots,
-    energy_from_tbox_poly, extract_q_polynomials, poly_roots, sector_block,
-    sector_indices, sector_labels, sector_project, simultaneous_eigenbasis,
+    energy_from_tbox_poly, extract_q_polynomials, poly_roots, sector_blocks,
+    sector_indices, sector_labels, simultaneous_eigenbasis,
     solve_bethe_newton,
 )
 
@@ -43,6 +44,35 @@ def test_hamiltonian_commutes_with_family():
     assert comm_norm(H3, build_T_box(3, 2, TW3).at(-0.6)) < 1e-12
 
 
+def dict_hamiltonian(n, length, twist):
+    """The exchange loop over a ``(row, col) -> value`` dict that
+    ``build_hamiltonian`` replaced; its arithmetic must be reproduced exactly."""
+    data = {(i, i): 2.0 * length for i in range(n ** length)}
+    for s in itertools.product(range(n), repeat=length):
+        si = state_index(s, n)
+        for l in range(length):
+            lp = (l + 1) % length
+            t = list(s)
+            t[l], t[lp] = t[lp], t[l]
+            phase = 1.0 + 0.0j
+            if lp == 0:
+                phase = cmath.exp(1j * (twist.phi(s[lp] + 1) - twist.phi(s[l] + 1)))
+            key = (state_index(t, n), si)
+            data[key] = data.get(key, 0.0) - 2.0 * phase
+    return {k: complex(v) for k, v in data.items() if abs(v) > 1e-14}
+
+
+@pytest.mark.parametrize("n,length,twist", [
+    (2, 1, TW2), (2, 3, TW2), (3, 2, TW3), (3, 3, TwistConfig((0.5, 0.3, -0.8))),
+    (4, 2, TwistConfig((0.9, 0.4, -0.5, -0.8)))])
+def test_hamiltonian_matches_dict_loop_bitwise(n, length, twist):
+    H = build_hamiltonian(n, length, twist)
+    ref = dict_hamiltonian(n, length, twist)
+    assert [divmod(k, H.dim) for k in H.keys.tolist()] == list(ref)
+    assert H.vals.view(np.int64).tolist() == \
+        np.array(list(ref.values()), dtype=complex).view(np.int64).tolist()
+
+
 def test_single_site_hamiltonian_vanishes():
     # the wrap bond coincides with the only local bond and cancels it
     assert build_hamiltonian(2, 1, TW2).norm() == 0.0
@@ -59,10 +89,15 @@ def test_sector_labels_and_dimensions():
         == [1, 1, 1, 2, 2, 2]
 
 
-def test_sector_project_rejects_leaky_operator():
-    flip = QuantumOperator(4, {(1, 0): 1.0})  # couples sectors (2,0) and (1,1)
-    with pytest.raises(ValueError, match="sector"):
-        sector_project(flip, 2, 2, (1, 1))
+def test_sector_blocks_ignore_entries_between_sectors():
+    # (1, 0) couples sectors (2,0) and (1,1); only the diagonal blocks are read
+    op = QuantumOperator(4, {(1, 0): 1.0, (1, 2): 2.0, (2, 1): 3.0j, (3, 3): 4.0})
+    sectors = [sector_indices(2, 2, m) for m in sector_labels(2, 2)]
+    blocks = sector_blocks(op, sectors)
+    dense = op.to_dense()
+    for idx, block in zip(sectors, blocks):
+        assert np.array_equal(block, dense[np.ix_(idx, idx)])
+    assert np.array_equal(blocks[1], [[0.0, 2.0], [3.0j, 0.0]])
 
 
 # -- simultaneous diagonalization -------------------------------------------------
@@ -91,9 +126,9 @@ def test_simultaneous_eigenbasis_rejects_noncommuting():
 def test_extract_q_polynomials_enforces_degree_and_monicity():
     q1 = build_Q(2, 2, (1,), TW2)
     idx = sector_indices(2, 2, (1, 1))
-    hb = sector_block(build_hamiltonian(2, 2, TW2), idx)
-    v = simultaneous_eigenbasis([hb, sector_block(q1.at(0.37), idx)])
-    blocks = [sector_block(c, idx) for c in q1.coeffs]
+    hb = sector_blocks(build_hamiltonian(2, 2, TW2), [idx])[0]
+    v = simultaneous_eigenbasis([hb, sector_blocks(q1.at(0.37), [idx])[0]])
+    blocks = [sector_blocks(c, [idx])[0] for c in q1.coeffs]
     polys = extract_q_polynomials(blocks, v, expected_degree=1)
     assert all(abs(p[-1] - 1.0) < 1e-10 for p in polys)
     with pytest.raises(ValueError, match="degree"):

@@ -1,20 +1,29 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from qlab.spectral import sector_blocks
 from qlab.tensor import (
-    QuantumOperator, kron, kron_all, permutation_op, site_operator,
-    basis_states, state_index, occupation, comm_norm,
+    DROP_TOL, QuantumOperator, permutation_op, basis_states, state_index,
+    occupation, comm_norm,
 )
+from qlab.transfer import OperatorPolynomial
 
 
 def random_op(dim, rng):
     return QuantumOperator.from_dense(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
 
 
+def unit(dim, row, col):
+    return QuantumOperator(dim, {(row, col): 1.0})
+
+
 def test_identity_and_matrix_unit():
     eye = QuantumOperator.identity(3)
     assert np.allclose(eye.to_dense(), np.eye(3))
-    e01 = QuantumOperator.matrix_unit(2, 0, 1)
+    e01 = unit(2, 0, 1)
     dense = np.zeros((2, 2))
     dense[0, 1] = 1
     assert np.allclose(e01.to_dense(), dense)
@@ -26,17 +35,11 @@ def test_matmul_agrees_with_dense():
     assert np.allclose((a @ b).to_dense(), a.to_dense() @ b.to_dense())
 
 
-def test_add_scale_dagger():
+def test_add_and_scale():
     rng = np.random.default_rng(1)
     a, b = random_op(4, rng), random_op(4, rng)
     assert np.allclose((a + 2.5 * b).to_dense(), a.to_dense() + 2.5 * b.to_dense())
-    assert np.allclose(a.dagger().to_dense(), a.to_dense().conj().T)
-
-
-def test_kron_matches_numpy():
-    rng = np.random.default_rng(2)
-    a, b = random_op(2, rng), random_op(3, rng)
-    assert np.allclose(kron(a, b).to_dense(), np.kron(a.to_dense(), b.to_dense()))
+    assert np.allclose((a - b * 1j).to_dense(), a.to_dense() - 1j * b.to_dense())
 
 
 def test_permutation_op_swaps_factors():
@@ -53,17 +56,20 @@ def test_permutation_as_sum_of_matrix_units():
     acc = QuantumOperator.zero(n * n)
     for a in range(n):
         for b in range(n):
-            acc = acc + kron(QuantumOperator.matrix_unit(n, a, b),
-                             QuantumOperator.matrix_unit(n, b, a))
+            acc = acc + QuantumOperator.from_dense(
+                np.kron(unit(n, a, b).to_dense(), unit(n, b, a).to_dense()))
     assert (acc - permutation_op(n)).norm() < 1e-14
 
 
 def test_site_operator_embedding():
+    # a diagonal operator acting on site 2 only, built from the base-n index,
+    # is the Kronecker product with site 1 as the most significant factor
     n, L = 2, 3
-    sz = QuantumOperator.from_dense(np.diag([1.0, -1.0]))
-    full = site_operator(sz, 2, L).to_dense()
-    expect = np.kron(np.eye(2), np.kron(np.diag([1.0, -1.0]), np.eye(2)))
-    assert np.allclose(full, expect)
+    sz = [1.0, -1.0]
+    full = QuantumOperator(n ** L, {(state_index(s, n), state_index(s, n)): sz[s[1]]
+                                    for s in basis_states(n, L)}).to_dense()
+    expect = np.kron(np.eye(2), np.kron(np.diag(sz), np.eye(2)))
+    assert np.array_equal(full, expect)
 
 
 def test_state_index_base_n_site1_most_significant():
@@ -81,10 +87,193 @@ def test_comm_norm_zero_for_commuting():
     d1 = QuantumOperator.from_dense(np.diag([1.0, 2.0, 3.0]))
     d2 = QuantumOperator.from_dense(np.diag([5.0, -1.0, 0.5]))
     assert comm_norm(d1, d2) == 0.0
-    off = QuantumOperator.matrix_unit(3, 0, 1)
+    off = unit(3, 0, 1)
     assert comm_norm(d1, off) > 0.5
 
 
 def test_drop_tolerance():
     op = QuantumOperator(2, {(0, 0): 1e-16, (1, 1): 1.0})
-    assert (0, 0) not in op.data and (1, 1) in op.data
+    assert op.keys.tolist() == [3] and op.vals.tolist() == [1.0]
+
+
+def test_dict_constructor_validates_entries():
+    with pytest.raises(IndexError):
+        QuantumOperator(2, {(0, 2): 1.0})
+    # a dropped entry is not checked, and values are coerced with complex()
+    op = QuantumOperator(2, {(5, 5): 0.0, (1, 0): np.float32(0.5), (0, 1): 3})
+    assert op.keys.tolist() == [2, 1] and op.vals.tolist() == [0.5 + 0j, 3 + 0j]
+
+
+# -- bitwise agreement with the dictionary implementation ------------------------
+#
+# ``DictOperator`` is the dictionary-based substrate the array storage replaced:
+# a ``(row, col) -> complex`` map in insertion order, with CPython's complex
+# arithmetic.  The array operations must reproduce it bit for bit, key order
+# and signed zeros included.
+
+class DictOperator:
+    def __init__(self, dim, data=None):
+        self.dim = dim
+        self.data = {}
+        for (r, c), v in (data or {}).items():
+            v = complex(v)
+            if abs(v) > DROP_TOL:
+                self.data[(r, c)] = v
+
+    def __add__(self, other):
+        data = dict(self.data)
+        for k, v in other.data.items():
+            data[k] = data.get(k, 0.0) + v
+        return DictOperator(self.dim, data)
+
+    def __sub__(self, other):
+        return self + (other * (-1.0))
+
+    def __mul__(self, scalar):
+        return DictOperator(self.dim, {k: v * scalar for k, v in self.data.items()})
+
+    def __matmul__(self, other):
+        by_row = {}
+        for (r, c), v in other.data.items():
+            by_row.setdefault(r, []).append((c, v))
+        data = {}
+        for (r, k), a in self.data.items():
+            for c, b in by_row.get(k, ()):
+                key = (r, c)
+                data[key] = data.get(key, 0.0) + a * b
+        return DictOperator(self.dim, data)
+
+    def norm(self):
+        return max((abs(v) for v in self.data.values()), default=0.0)
+
+    def to_dense(self):
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for (r, c), v in self.data.items():
+            out[r, c] = v
+        return out
+
+
+def dict_poly_at(coeffs, z):
+    data = {}
+    zk = 1.0 + 0.0j
+    for c in coeffs:
+        for key, v in c.data.items():
+            data[key] = data.get(key, 0.0) + v * zk
+        zk *= z
+    return DictOperator(coeffs[0].dim, data)
+
+
+def bits(a):
+    return np.asarray(a, dtype=complex).view(np.int64).tolist()
+
+
+def assert_bitwise(op, ref):
+    assert op.dim == ref.dim
+    assert [divmod(k, op.dim) for k in op.keys.tolist()] == list(ref.data)
+    assert bits(op.vals) == bits(list(ref.data.values()))
+
+
+def both(dim, data):
+    return QuantumOperator(dim, data), DictOperator(dim, data)
+
+
+_NEAR_TOL = [DROP_TOL, np.nextafter(DROP_TOL, 1.0), np.nextafter(DROP_TOL, 0.0)]
+
+#: real and imaginary parts: signed zeros, units, values at and next to the
+#: drop tolerance, and generic values of modulus 1e-20 .. 1e20
+components = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5] + _NEAR_TOL + [-t for t in _NEAR_TOL]),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-20, 19)),
+)
+amplitudes = st.builds(complex, components, components)
+
+
+@st.composite
+def operator_pairs(draw, count=2):
+    """``count`` operators on one dimension, as (array operator, dict reference).
+
+    Each operator's entries are inserted in a random order.  Values come from a
+    small shared pool, each with a random sign, so that sums and products meet
+    exact cancellations."""
+    dim = draw(st.integers(1, 5))
+    pool = draw(st.lists(amplitudes, min_size=1, max_size=4))
+    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    out = []
+    for _ in range(count):
+        keys = draw(st.lists(cells, unique=True, max_size=dim * dim))
+        data = {k: draw(st.sampled_from(pool)) * draw(st.sampled_from([1, -1]))
+                for k in keys}
+        out.append(both(dim, data))
+    return out
+
+
+# a pure-imaginary entry with a -0.0 real part met by a disjoint entry,
+# and products whose only term has a -0.0 imaginary part
+_SIGNED_ZEROS = [both(2, {(0, 0): complex(-0.0, 2.0)}),
+                 both(2, {(0, 1): complex(-1.0, -0.0), (0, 0): complex(3.0, -0.0)})]
+
+
+@settings(max_examples=300, deadline=None)
+@given(operator_pairs())
+@example(_SIGNED_ZEROS)
+def test_arithmetic_matches_dict_reference(ops):
+    (a, ra), (b, rb) = ops
+    assert_bitwise(a @ b, ra @ rb)
+    assert_bitwise(b @ a, rb @ ra)
+    assert_bitwise(a + b, ra + rb)
+    assert_bitwise(b + a, rb + ra)
+    assert_bitwise(a - b, ra - rb)
+    assert_bitwise(a @ b - b @ a, ra @ rb - rb @ ra)
+    assert a.norm().hex() == float(ra.norm()).hex()
+    assert bits(a.to_dense()) == bits(ra.to_dense())
+
+
+@settings(max_examples=200, deadline=None)
+@given(operator_pairs(count=1),
+       st.one_of(st.integers(-3, 3), components, amplitudes))
+@example(_SIGNED_ZEROS[1:], -1.0)
+@example(_SIGNED_ZEROS[:1], 2)
+def test_scalar_multiple_matches_dict_reference(ops, scalar):
+    (a, ra), = ops
+    assert_bitwise(a * scalar, ra * scalar)
+    assert_bitwise(scalar * a, ra * scalar)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: operator_pairs(count=k)),
+       st.one_of(components, amplitudes))
+@example(_SIGNED_ZEROS[1:], 1.0)
+def test_poly_at_matches_dict_reference(ops, z):
+    coeffs = [op for op, _ in ops]
+    poly = OperatorPolynomial(coeffs[0].dim, 0.0, coeffs)
+    assert_bitwise(poly.poly_at(z), dict_poly_at([ref for _, ref in ops], z))
+
+
+@settings(max_examples=100, deadline=None)
+@given(operator_pairs(count=1), st.randoms(use_true_random=False))
+def test_sector_blocks_match_dense_reference(ops, rnd):
+    (a, ra), = ops
+    # a random partition of the basis into index lists
+    idx = list(range(a.dim))
+    rnd.shuffle(idx)
+    cuts = sorted(rnd.sample(range(1, a.dim), rnd.randint(0, a.dim - 1)))
+    sectors = [idx[i:j] for i, j in zip([0] + cuts, cuts + [a.dim])]
+    dense = ra.to_dense()
+    for block, sector in zip(sector_blocks(a, sectors), sectors):
+        assert bits(block) == bits(dense[np.ix_(sector, sector)])
+
+
+def test_signed_zero_conventions():
+    """The three rules behind the reference agreement, on single entries."""
+    pure = QuantumOperator(1, {(0, 0): complex(-0.0, 1.0)})
+    other = QuantumOperator(2, {(1, 1): complex(-0.0, 1.0)})
+    # an entry only in the left operand of + keeps its -0.0 real part ...
+    left = QuantumOperator(2, {(0, 0): complex(-0.0, 1.0)}) + QuantumOperator.zero(2)
+    assert math.copysign(1.0, left.vals[0].real) == -1.0
+    # ... one only in the right operand is 0.0 + v, which clears it
+    right = QuantumOperator.zero(2) + other
+    assert math.copysign(1.0, right.vals[0].real) == 1.0
+    # the product's only term has imaginary part (-0.0)(1) + (1)(-0.0) = -0.0,
+    # and its sum starts from 0.0 (0.0 + v), so the result carries +0.0
+    prod = (pure @ pure).vals[0]
+    assert prod.real == -1.0 and math.copysign(1.0, prod.imag) == 1.0

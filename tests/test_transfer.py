@@ -247,10 +247,10 @@ def test_sector_eigenvalue_degree():
     # on the (m1, m2) sector the single-index polynomial has degree m1
     q1 = build_Q(2, 2, (1,), TW2)
     # state |22> (index 3) lies in sector (0,2): constant eigenvalue
-    assert abs(q1.coeffs[1].data.get((3, 3), 0.0)) < 1e-12
-    assert abs(q1.coeffs[0].data.get((3, 3), 0.0) - 1.0) < 1e-10
+    assert abs(q1.coeffs[1].to_dense()[3, 3]) < 1e-12
+    assert abs(q1.coeffs[0].to_dense()[3, 3] - 1.0) < 1e-10
     # state |11> (index 0) lies in sector (2,0): monic degree-2 eigenvalue
-    assert abs(q1.coeffs[2].data.get((0, 0), 0.0) - 1.0) < 1e-10
+    assert abs(q1.coeffs[2].to_dense()[0, 0] - 1.0) < 1e-10
 
 
 # -- hybrid operators with highest-weight carriers --------------------------------
@@ -309,7 +309,7 @@ def test_polynomial_derivative():
     dp = poly.derivative()
     z = 0.7
     expect = 2.0 + 6.0 * z
-    assert abs(dp.poly_at(z).data[(0, 0)] - expect) < 1e-13
+    assert abs(dp.poly_at(z).to_dense()[0, 0] - expect) < 1e-13
 
 
 # -- trace-method consistency ------------------------------------------------------
