@@ -17,116 +17,94 @@ independent route to the same factorization goes through a triangular
 decomposition of each partonic factor
 (:func:`parton_triangular_factors` / :class:`PartonFactorization`).
 
-Each identity is checked on a truncated Fock space with ``scipy.sparse``
-matrices, imported by the functions that build them; the right side of
-every ``S · core · S⁻¹`` identity is formed once, by :func:`conjugated`.
+Every n×n matrix over the oscillator algebra (Lax values, ``G``, the
+triangular frames) is a :class:`qlab.oscillator.CarrierOp` of size n.  The
+three identities share the form ``Π (left factors at z) = S · core(z) · S⁻¹``:
+each of :class:`FusionResult`, :class:`IteratedFusion` and
+:class:`PartonFactorization` supplies its modes, its ordered ``S`` exponents,
+its left factors and its core, and one function builds ``S`` and ``S⁻¹`` and
+forms the residual on the buffered block of a truncated Fock space, with
+``scipy.sparse`` matrices imported where they are built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import reduce
+from operator import matmul
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .glrep import GlRep, fuse_generators, scalar_rep, shifted_weights
 from .lax import LaxMatrix, ModeFn, canonical_lax, partonic_lax
-from .oscillator import (
-    CarrierOp, FockSpace, Mode, NormalOrderedOp, fock_matrix, nilpotent_exp,
-)
+from .oscillator import CarrierOp, FockSpace, Mode, NormalOrderedOp, nilpotent_exp
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-NMatrix = List[List[NormalOrderedOp]]
+
+# -- n×n matrices over the oscillator algebra and the identity check -------------
 
 
-# -- small matrices over the oscillator algebra -----------------------------------
-
-
-def nm_identity(n: int) -> NMatrix:
-    return [[NormalOrderedOp.scalar(1.0) if i == j else NormalOrderedOp.zero()
-             for j in range(n)] for i in range(n)]
-
-
-def nm_matmul(a: NMatrix, b: NMatrix) -> NMatrix:
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = NormalOrderedOp.zero()
-            for k in range(n):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def nm_sub(a: NMatrix, b: NMatrix) -> NMatrix:
-    n = len(a)
-    return [[a[i][j] - b[i][j] for j in range(n)] for i in range(n)]
-
-
-def nm_max_coeff(a: NMatrix) -> float:
-    return max(e.max_coeff() for row in a for e in row)
-
-
-def nm_inv_unipotent(a: NMatrix) -> NMatrix:
+def inv_unipotent(a: CarrierOp) -> CarrierOp:
     """Inverse of ``I + N`` with nilpotent ``N`` (as an n×n matrix): Σ (−N)^k."""
-    n = len(a)
-    eye = nm_identity(n)
-    nil = nm_sub(a, eye)
+    eye = CarrierOp.identity(a.d)
+    nil = a - eye
     out = eye
     power = eye
-    for _ in range(n):
-        power = nm_matmul(power, nil)
-        power = [[-e for e in row] for row in power]
-        if nm_max_coeff(power) < 1e-15:
+    for _ in range(a.d):
+        power = (power * nil).scale(-1.0)
+        if power.max_coeff() < 1e-15:
             break
-        out = [[out[i][j] + power[i][j] for j in range(n)] for i in range(n)]
+        out = out + power
     else:
-        if nm_max_coeff(nm_matmul(power, nil)) > 1e-15:
+        if (power * nil).max_coeff() > 1e-15:
             raise ValueError("matrix is not unipotent")
     return out
 
 
-def nm_modes(a: NMatrix) -> set:
-    out = set()
-    for row in a:
-        for e in row:
-            out |= e.modes()
-    return out
-
-
-def nm_to_sparse(a: NMatrix, space: FockSpace) -> sp.csr_matrix:
-    import scipy.sparse as sp
-    blocks = [[fock_matrix(e, space) for e in row] for row in a]
-    return sp.csr_matrix(sp.bmat(blocks, format="csr"))
-
-
-def lax_to_nm(L: LaxMatrix, z: complex) -> NMatrix:
+def lax_at(L: LaxMatrix, z: complex) -> CarrierOp:
+    """``L(z)`` as an n×n matrix over the oscillator algebra (carrier of dimension 1)."""
     if L.d != 1:
         raise ValueError("only one-dimensional carriers convert to a plain matrix")
-    return [[e.mat[0][0] for e in row] for row in L.at(z)]
+    return CarrierOp(L.n, [[e.mat[0][0] for e in row] for row in L.at(z)])
 
 
-def block_residual(lhs: sp.spmatrix, rhs: sp.spmatrix, space: FockSpace,
-                   n_quantum: int, buffer: int) -> float:
-    """Max-entry deviation on the sub-block of buffered rows and columns."""
-    fidx = space.buffered_indices(buffer)
-    idx = np.concatenate([np.asarray(fidx, dtype=int) + k * space.dim
-                          for k in range(n_quantum)])
-    diff = (lhs - rhs).tocsr()[idx][:, idx]
-    return float(np.max(np.abs(diff.toarray()))) if diff.nnz else 0.0
+#: one side ``S · F₁ ⋯ F_k · S⁻¹`` of an identity: its factors ``F`` and the
+#: ordered exponents ``e₁, …, e_m`` of ``S = exp(e₁) ⋯ exp(e_m)``
+Side = Tuple[Sequence[CarrierOp], Sequence[NormalOrderedOp]]
 
 
-def conjugated(core: sp.spmatrix, s: sp.spmatrix, s_inv: sp.spmatrix,
-               n: int) -> sp.csr_matrix:
-    """``(1ₙ ⊗ S) · core · (1ₙ ⊗ S⁻¹)``, the right side of every ``S·core·S⁻¹`` identity."""
+def _residual(space: FockSpace, buffer: int, lhs: Side, rhs: Side) -> float:
+    """Max-entry deviation of two :data:`Side` s on the buffered rows and columns.
+
+    ``S⁻¹`` is ``exp(−e_m) ⋯ exp(−e₁)``, and a side without exponents has
+    ``S = 1``.  Each side is formed only on the buffered rows of its first
+    matrix and the buffered columns of its last one, with the products
+    associated left to right, so every kept entry is summed in the same order
+    as in the whole product.
+    """
     import scipy.sparse as sp
-    eye = sp.identity(n, format="csr")
-    return sp.csr_matrix(sp.kron(eye, s) @ core @ sp.kron(eye, s_inv))
+    fidx = space.buffered_indices(buffer)
+
+    def form(side: Side) -> sp.csr_matrix:
+        factors, exponents = side
+        mats = [f.to_matrix(space) for f in factors]
+        exponents = [e for e in exponents if not e.is_zero()]
+        if exponents:
+            s = reduce(matmul, [nilpotent_exp(e, space) for e in exponents])
+            s_inv = reduce(matmul, [nilpotent_exp(-e, space) for e in reversed(exponents)])
+            eye = sp.identity(factors[0].d, format="csr")
+            mats = [sp.kron(eye, s[fidx]), *mats, sp.kron(eye, s_inv[:, fidx])]
+        else:
+            idx = (np.arange(factors[0].d)[:, None] * space.dim + fidx).ravel()
+            mats[0] = mats[0][idx]
+            mats[-1] = mats[-1][:, idx]
+        return reduce(matmul, mats)
+
+    diff = form(lhs) - form(rhs)
+    return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
 
 
 # -- similarity transforms ---------------------------------------------------------
@@ -185,50 +163,40 @@ class FusionResult:
     L2: LaxMatrix
     L_fused: LaxMatrix
     fused_rep: GlRep
-    G: NMatrix
+    G: CarrierOp
     s1_exp: NormalOrderedOp
     s2_exp: NormalOrderedOp
 
     def all_modes(self) -> List[Mode]:
         modes = set(self.L1.modes()) | set(self.L2.modes()) | set(self.L_fused.modes())
-        modes |= set(self.L_fused.rep.modes) | nm_modes(self.G)
+        modes |= set(self.L_fused.rep.modes) | self.G.modes()
         modes |= self.s1_exp.modes() | self.s2_exp.modes()
         return sorted(modes)
 
-    def space(self, n_max: int) -> FockSpace:
-        return FockSpace(self.all_modes(), n_max)
+    def s_exponents(self) -> List[NormalOrderedOp]:
+        return [self.s1_exp, self.s2_exp]
 
-    def s_matrix(self, space: FockSpace) -> sp.csr_matrix:
-        s1m = nilpotent_exp(self.s1_exp, space)
-        if self.s2_exp.is_zero():
-            return s1m
-        return s1m @ nilpotent_exp(self.s2_exp, space)
+    def lhs_factors(self, z: complex) -> List[CarrierOp]:
+        # multiplied in the algebra, so no truncation sits between the factors
+        return [lax_at(self.L1, z + self.z1) * lax_at(self.L2, z + self.z2)]
 
-    def s_inverse(self, space: FockSpace) -> sp.csr_matrix:
-        s1m = nilpotent_exp(NormalOrderedOp.zero() - self.s1_exp, space)
-        if self.s2_exp.is_zero():
-            return s1m
-        s2m = nilpotent_exp(NormalOrderedOp.zero() - self.s2_exp, space)
-        return s2m @ s1m
+    def core(self, z: complex) -> CarrierOp:
+        return lax_at(self.L_fused, z) * self.G
 
     def residual(self, z: complex, n_max: int = 8, buffer: int = 4) -> float:
-        space = self.space(n_max)
-        lhs = nm_to_sparse(nm_matmul(lax_to_nm(self.L1, z + self.z1),
-                                     lax_to_nm(self.L2, z + self.z2)), space)
-        core = nm_to_sparse(nm_matmul(lax_to_nm(self.L_fused, z), self.G), space)
-        rhs = conjugated(core, self.s_matrix(space), self.s_inverse(space), self.n)
-        return block_residual(lhs, rhs, space, self.n, buffer)
+        return _residual(FockSpace(self.all_modes(), n_max), buffer,
+                         (self.lhs_factors(z), ()), ([self.core(z)], self.s_exponents()))
 
     def g_commutation_residual(self) -> float:
         """Entries of G must commute with every entry of the fused Lax matrix."""
         worst = 0.0
         ents = [op for cm in (self.L_fused.c0, self.L_fused.c1)
                 for row in cm for e in row for r in e.mat for op in r]
-        for row in self.G:
+        for row in self.G.mat:
             for g in row:
                 for x in ents:
                     worst = max(worst, g.commutator(x).max_coeff())
-                for row2 in self.G:
+                for row2 in self.G.mat:
                     for g2 in row2:
                         worst = max(worst, g.commutator(g2).max_coeff())
         return worst
@@ -260,10 +228,10 @@ def fuse(n: int, I: Sequence[int], J: Sequence[int], rep1: GlRep, rep2: GlRep,
         return mode1_fn(a, x) if a in I else mode2_fn(a, x)
 
     L_fused = canonical_lax(n, I + J, fused_rep, fused_mode_fn)
-    G = nm_identity(n)
+    G = CarrierOp.identity(n)
     for a in I:
         for bd in J:
-            G[a - 1][bd - 1] = -NormalOrderedOp.annihilator(mode2_fn(bd, a))
+            G.mat[a - 1][bd - 1] = -NormalOrderedOp.annihilator(mode2_fn(bd, a))
     s1 = build_S1(I, J, mode1_fn, mode2_fn)
     s2 = build_S2(n, I, J, mode1_fn, mode2_fn)
     return FusionResult(n, I, J, lam, lam + p2 / 2.0, -p1 / 2.0,
@@ -291,52 +259,32 @@ class IteratedFusion:
     steps: List[FusionResult]
     fused_rep: GlRep
     L_fused: LaxMatrix
-    gamma: NMatrix
+    gamma: CarrierOp
     offset: complex   # spectral offset λ_p of the fused matrix
 
     def all_modes(self) -> List[Mode]:
         modes = set(self.L_fused.modes()) | set(self.fused_rep.modes)
-        modes |= nm_modes(self.gamma)
+        modes |= self.gamma.modes()
         for a in self.index_set:
             for x in range(1, self.n + 1):
                 if x != a:
                     modes.add(parton_mode(a, x))
         return sorted(modes)
 
-    def space(self, n_max: int) -> FockSpace:
-        return FockSpace(self.all_modes(), n_max)
+    def s_exponents(self) -> List[NormalOrderedOp]:
+        # innermost (last fused) step first
+        return [e for st in self.steps for e in st.s_exponents()]
 
-    def s_matrix(self, space: FockSpace) -> sp.csr_matrix:
-        import scipy.sparse as sp
-        out = sp.identity(space.dim, dtype=complex, format="csr")
-        for st in self.steps:            # innermost (last fused) first
-            out = out @ st.s_matrix(space)
-        return sp.csr_matrix(out)
+    def lhs_factors(self, z: complex) -> List[CarrierOp]:
+        return [lax_at(partonic_lax(self.n, a), z + s)
+                for a, s in zip(self.index_set, shifted_weights(self.weight))]
 
-    def s_inverse(self, space: FockSpace) -> sp.csr_matrix:
-        import scipy.sparse as sp
-        out = sp.identity(space.dim, dtype=complex, format="csr")
-        for st in reversed(self.steps):
-            out = out @ st.s_inverse(space)
-        return sp.csr_matrix(out)
-
-    def lhs_matrix(self, z: complex, space: FockSpace) -> sp.csr_matrix:
-        shifts = shifted_weights(self.weight)
-        prod = None
-        for a, s in zip(self.index_set, shifts):
-            m = nm_to_sparse(lax_to_nm(partonic_lax(self.n, a), z + s), space)
-            prod = m if prod is None else prod @ m
-        return prod
-
-    def rhs_matrix(self, z: complex, space: FockSpace) -> sp.csr_matrix:
-        core = nm_to_sparse(
-            nm_matmul(lax_to_nm(self.L_fused, z + self.offset), self.gamma), space)
-        return conjugated(core, self.s_matrix(space), self.s_inverse(space), self.n)
+    def core(self, z: complex) -> CarrierOp:
+        return lax_at(self.L_fused, z + self.offset) * self.gamma
 
     def residual(self, z: complex, n_max: int = 8, buffer: int = 4) -> float:
-        space = self.space(n_max)
-        return block_residual(self.lhs_matrix(z, space), self.rhs_matrix(z, space),
-                              space, self.n, buffer)
+        return _residual(FockSpace(self.all_modes(), n_max), buffer,
+                         (self.lhs_factors(z), ()), ([self.core(z)], self.s_exponents()))
 
 
 def iterated_parton_fusion(n: int, index_set: Sequence[int],
@@ -354,12 +302,12 @@ def iterated_parton_fusion(n: int, index_set: Sequence[int],
     lam_last = weight[p - 1]
     rep = scalar_rep(I[p - 1], 0.0)
     cur = I[p - 1:]
-    gamma = nm_identity(n)
+    gamma = CarrierOp.identity(n)
     steps: List[FusionResult] = []
     for k in range(p - 2, -1, -1):
         fr = fuse(n, (I[k],), cur, scalar_rep(I[k], 0.0), rep,
                   weight[k] - lam_last, mode1_fn=parton_mode, mode2_fn=parton_mode)
-        gamma = nm_matmul(fr.G, gamma)
+        gamma = fr.G * gamma
         steps.append(fr)
         rep = fr.fused_rep
         cur = (I[k],) + cur
@@ -380,28 +328,27 @@ def _an(a: int, b: int) -> NormalOrderedOp:
     return NormalOrderedOp.annihilator(parton_mode(b, a))
 
 
-def parton_triangular_factors(n: int, a: int) -> Tuple[NMatrix, NMatrix]:
+def parton_triangular_factors(n: int, a: int) -> Tuple[CarrierOp, CarrierOp]:
     """The frame pair (U_a, U_{a+1}) in the triangular decomposition of L_a.
 
     ``L_a(z) = U_a⁻¹ · M_a(z) · U_{a+1}`` with ``M_a`` carrying
     ``z − (n−1)/2`` at position ``a`` and coupling entries below it.
     """
-    def u_matrix(k: int) -> NMatrix:
-        f1 = nm_identity(n)
-        for b in range(1, k):
-            for c in range(b + 1, k):
-                f1[b - 1][c - 1] = f1[b - 1][c - 1] + _an(b, c)
-        f2 = nm_identity(n)
-        for b in range(1, k):
-            for c in range(k, n + 1):
-                f2[c - 1][b - 1] = f2[c - 1][b - 1] - _cr(c, b)
-        f3 = nm_identity(n)
-        for b in range(k, n + 1):
-            for c in range(b + 1, n + 1):
-                f3[b - 1][c - 1] = f3[b - 1][c - 1] - _cr(b, c)
-        return nm_matmul(nm_inv_unipotent(f1), nm_matmul(f2, f3))
+    return _u_matrix(n, a), _u_matrix(n, a + 1)
 
-    return u_matrix(a), u_matrix(a + 1)
+
+def _u_matrix(n: int, k: int) -> CarrierOp:
+    f1, f2, f3 = (CarrierOp.identity(n) for _ in range(3))
+    for b in range(1, k):
+        for c in range(b + 1, k):
+            f1.mat[b - 1][c - 1] = f1.mat[b - 1][c - 1] + _an(b, c)
+    for b in range(1, k):
+        for c in range(k, n + 1):
+            f2.mat[c - 1][b - 1] = f2.mat[c - 1][b - 1] - _cr(c, b)
+    for b in range(k, n + 1):
+        for c in range(b + 1, n + 1):
+            f3.mat[b - 1][c - 1] = f3.mat[b - 1][c - 1] - _cr(b, c)
+    return inv_unipotent(f1) * (f2 * f3)
 
 
 def _coupling(n: int, a: int, b: int, dressed: bool) -> NormalOrderedOp:
@@ -435,31 +382,21 @@ class PartonFactorization:
 
     def __post_init__(self):
         self.shifts = shifted_weights(self.weight)
-        self.u1, _ = parton_triangular_factors(self.n, 1)
-        self.u_last = self._u_last()
+        self.u1 = _u_matrix(self.n, 1)
+        self.u_last = _u_matrix(self.n, self.n + 1)
 
-    def _u_last(self) -> NMatrix:
+    def mid_matrix(self, z: complex, dressed: bool) -> CarrierOp:
         n = self.n
-        f1 = nm_identity(n)
-        for b in range(1, n + 1):
-            for c in range(b + 1, n + 1):
-                f1[b - 1][c - 1] = f1[b - 1][c - 1] + _an(b, c)
-        return nm_inv_unipotent(f1)
-
-    def mid_matrix(self, z: complex, dressed: bool) -> NMatrix:
-        n = self.n
-        m = nm_identity(n)
+        m = CarrierOp.identity(n)
         for a in range(1, n + 1):
-            m[a - 1][a - 1] = NormalOrderedOp.scalar(z + self.shifts[a - 1]
-                                                     - (n - 1) / 2.0)
+            m.mat[a - 1][a - 1] = NormalOrderedOp.scalar(z + self.shifts[a - 1]
+                                                         - (n - 1) / 2.0)
             for b in range(1, a):
-                m[a - 1][b - 1] = _coupling(n, a, b, dressed)
+                m.mat[a - 1][b - 1] = _coupling(n, a, b, dressed)
         return m
 
-    def lplus(self, z: complex) -> NMatrix:
-        u1_inv = nm_inv_unipotent(self.u1)
-        return nm_matmul(u1_inv, nm_matmul(self.mid_matrix(z, dressed=False),
-                                           self.u1))
+    def lplus(self, z: complex) -> CarrierOp:
+        return inv_unipotent(self.u1) * (self.mid_matrix(z, dressed=False) * self.u1)
 
     def s_exponent(self, a: int) -> NormalOrderedOp:
         out = NormalOrderedOp.zero()
@@ -474,43 +411,19 @@ class PartonFactorization:
         return sorted(parton_mode(a, x) for a in range(1, self.n + 1)
                       for x in range(1, self.n + 1) if x != a)
 
-    def space(self, n_max: int) -> FockSpace:
-        return FockSpace(self.all_modes(), n_max)
+    def s_exponents(self) -> List[NormalOrderedOp]:
+        return [self.s_exponent(a) for a in range(self.n, 0, -1)]
 
-    def s_matrix(self, space: FockSpace) -> sp.csr_matrix:
-        import scipy.sparse as sp
-        out = sp.identity(space.dim, dtype=complex, format="csr")
-        for a in range(self.n, 0, -1):
-            e = self.s_exponent(a)
-            if not e.is_zero():
-                out = out @ nilpotent_exp(e, space)
-        return sp.csr_matrix(out)
+    def lhs_factors(self, z: complex) -> List[CarrierOp]:
+        return [lax_at(partonic_lax(self.n, a), z + self.shifts[a - 1])
+                for a in range(1, self.n + 1)]
 
-    def s_inverse(self, space: FockSpace) -> sp.csr_matrix:
-        import scipy.sparse as sp
-        out = sp.identity(space.dim, dtype=complex, format="csr")
-        for a in range(1, self.n + 1):
-            e = self.s_exponent(a)
-            if not e.is_zero():
-                out = out @ nilpotent_exp(NormalOrderedOp.zero() - e, space)
-        return sp.csr_matrix(out)
-
-    def lhs_matrix(self, z: complex, space: FockSpace) -> sp.csr_matrix:
-        prod = None
-        for a in range(1, self.n + 1):
-            m = nm_to_sparse(lax_to_nm(partonic_lax(self.n, a),
-                                       z + self.shifts[a - 1]), space)
-            prod = m if prod is None else prod @ m
-        return prod
-
-    def rhs_matrix(self, z: complex, space: FockSpace) -> sp.csr_matrix:
-        core = nm_to_sparse(nm_matmul(self.lplus(z), self.u_last), space)
-        return conjugated(core, self.s_matrix(space), self.s_inverse(space), self.n)
+    def core(self, z: complex) -> CarrierOp:
+        return self.lplus(z) * self.u_last
 
     def residual(self, z: complex, n_max: int = 8, buffer: int = 4) -> float:
-        space = self.space(n_max)
-        return block_residual(self.lhs_matrix(z, space), self.rhs_matrix(z, space),
-                              space, self.n, buffer)
+        return _residual(FockSpace(self.all_modes(), n_max), buffer,
+                         (self.lhs_factors(z), ()), ([self.core(z)], self.s_exponents()))
 
     def generator_rep(self, z_probe: Tuple[complex, complex] = (0.0, 1.0)) -> GlRep:
         """Extract the gl(n) realization carried by L⁺ (entries z δ + J_ji)."""
@@ -521,11 +434,11 @@ class PartonFactorization:
         gens: Dict[Tuple[int, int], CarrierOp] = {}
         for i in range(n):
             for j in range(n):
-                lin = (m1[i][j] - m0[i][j]) * (1.0 / dz)
+                lin = (m1.mat[i][j] - m0.mat[i][j]) * (1.0 / dz)
                 want = NormalOrderedOp.scalar(1.0) if i == j else NormalOrderedOp.zero()
                 if not (lin - want).is_zero(1e-10):
                     raise ValueError("z-coefficient is not the identity")
-                const = m0[i][j] - z_probe[0] * lin
+                const = m0.mat[i][j] - z_probe[0] * lin
                 gens[(j + 1, i + 1)] = CarrierOp.from_scalar_op(const)
         return GlRep(tuple(range(1, n + 1)), 1, gens,
                      {a: self.weight[a - 1] for a in range(1, n + 1)},

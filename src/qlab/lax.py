@@ -227,17 +227,6 @@ def rll_residual(L: LaxMatrix, pairs: Sequence[Tuple[complex, complex]],
 # -- GL(n) frame transformations --------------------------------------------------
 
 
-def _coerce_frame(n: int, F) -> List[List[NormalOrderedOp]]:
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = F[i][j]
-            row.append(e if isinstance(e, NormalOrderedOp) else NormalOrderedOp.scalar(e))
-        out.append(row)
-    return out
-
-
 def gl_transform(L: LaxMatrix, F, G) -> LaxMatrix:
     """Return ``F · L(z) · G`` for frame matrices with commuting entries.
 
@@ -247,7 +236,7 @@ def gl_transform(L: LaxMatrix, F, G) -> LaxMatrix:
     leaves the block normal form, so ``canonical`` is cleared.
     """
     n = L.n
-    Fm, Gm = _coerce_frame(n, F), _coerce_frame(n, G)
+    Fm, Gm = CarrierOp(n, F).mat, CarrierOp(n, G).mat
     frame = [e for mat in (Fm, Gm) for row in mat for e in row]
     lax_entries = [op for cmat in (L.c0, L.c1) for row in cmat
                    for e in row for op_row in e.mat for op in op_row]

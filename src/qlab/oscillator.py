@@ -27,6 +27,7 @@ process that never builds one never loads it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
@@ -162,7 +163,7 @@ class NormalOrderedOp:
 def _coerce(x) -> NormalOrderedOp:
     if isinstance(x, NormalOrderedOp):
         return x
-    if isinstance(x, (int, float, complex)):
+    if isinstance(x, numbers.Number):
         return NormalOrderedOp.scalar(x)
     raise TypeError(f"cannot coerce {type(x)!r} to NormalOrderedOp")
 
@@ -319,6 +320,19 @@ def _rational_extrapolate(xs: Sequence[float], ys: Sequence[complex],
             nxt.append(cur[i + 1] + (diff / den if den != 0 else 0.0))
         prev, cur = cur, nxt
     return cur[0]
+
+
+def _neville_extrapolate(xs: Sequence[float], ys: Sequence):
+    """Polynomial (Neville) extrapolation of samples ``ys`` at ``xs`` to zero.
+
+    The samples may be arrays, which are extrapolated entrywise.
+    """
+    t = list(ys)
+    for level in range(1, len(t)):
+        for i in range(len(t) - level):
+            t[i] = ((0.0 - xs[i + level]) * t[i] + xs[i] * t[i + 1]) \
+                / (xs[i] - xs[i + level])
+    return t[0]
 
 
 def extrapolated_trace(x: NormalOrderedOp, q: Mapping[Mode, complex],

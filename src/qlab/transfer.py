@@ -36,7 +36,8 @@ import numpy as np
 from .glrep import GlRep, diagonal_weight_data, dot_action_orbit, \
     fundamental_rep, trivial_rep, verma_rep
 from .lax import LaxMatrix, ModeFn, canonical_lax
-from .oscillator import CarrierOp, FockSpace, Mode, NormalOrderedOp
+from .oscillator import CarrierOp, FockSpace, Mode, NormalOrderedOp, \
+    _neville_extrapolate
 from .tensor import QuantumOperator, _accumulate, _product, sector_states, \
     state_index
 
@@ -359,11 +360,13 @@ def bgg_eigen_check(n: int, length: int, weight: Sequence[complex],
 
     The default geometric schedule keeps the interpolation error of the
     damping-analytic entries far below the 1e-6 target; a short 3-point
-    schedule leaves a residual around 3e-5.  Every member is built once and
-    evaluated at each of the ``z_samples``.
+    schedule leaves a residual around 3e-5.  The schedule is used in
+    descending order, whatever order it is given in.  Every member is built
+    once and evaluated at each of the ``z_samples``.
     """
     if etas is None:
         etas = [0.2 / 2 ** j for j in range(6)]
+    etas = sorted(etas, reverse=True)
     t_box = build_T_box(n, length, twist)
     damped = [_signed_members(n, length, weight, twist.damped(eta))
               for eta in etas]
@@ -372,12 +375,7 @@ def bgg_eigen_check(n: int, length: int, weight: Sequence[complex],
         t_ref = t_box.at(z).to_dense()
         vals = [_alternating_sum_at(members, n ** length, z).to_dense()
                 for members in damped]
-        xs = sorted(etas, reverse=True)
-        t = list(vals)
-        for level in range(1, len(t)):
-            for i in range(len(t) - level):
-                t[i] = ((0.0 - xs[i + level]) * t[i] + xs[i] * t[i + 1]) \
-                    / (xs[i] - xs[i + level])
-        diff = np.max(np.abs(t[0] - t_ref)) if t_ref.size else 0.0
+        diff = np.max(np.abs(_neville_extrapolate(etas, vals) - t_ref)) \
+            if t_ref.size else 0.0
         worst = max(worst, float(diff))
     return worst

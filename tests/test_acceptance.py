@@ -13,7 +13,7 @@ import pytest
 from qlab.glrep import (fundamental_rep, gl_relation_residual, scalar_rep,
                         trivial_rep, verma_rep)
 from qlab.lax import canonical_lax, eval_lax, partonic_lax, rll_residual
-from qlab.fusion import (FockSpace, block_residual, factorize_partons, fuse,
+from qlab.fusion import (FockSpace, _residual, factorize_partons, fuse,
                          iterated_parton_fusion)
 from qlab.oscillator import (NormalOrderedOp as Op, extrapolated_trace,
                              weighted_trace)
@@ -85,10 +85,10 @@ def test_criterion_03_factorization():
     space = FockSpace(sorted(set(pf.all_modes()) | set(itf.all_modes())), 8)
     z = 0.27
     worst = max(worst,
-                block_residual(pf.rhs_matrix(z, space),
-                               itf.rhs_matrix(z, space), space, n, 4),
-                block_residual(pf.lhs_matrix(z, space),
-                               itf.lhs_matrix(z, space), space, n, 4))
+                _residual(space, 4, ([pf.core(z)], pf.s_exponents()),
+                          ([itf.core(z)], itf.s_exponents())),
+                _residual(space, 4, (pf.lhs_factors(z), ()),
+                          (itf.lhs_factors(z), ())))
     _report(3, "ordered-product factorization", worst, 1e-12)
 
 

@@ -1,20 +1,22 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import qlab.fusion as fu
 from qlab.fusion import (
     FusionResult, IteratedFusion, PartonFactorization,
-    block_residual, build_S1, build_S2, conjugated, factorize_partons, fuse,
-    iterated_parton_fusion, lax_to_nm, nm_identity, nm_inv_unipotent,
-    nm_matmul, nm_max_coeff, nm_sub, nm_to_sparse, parton_mode,
-    parton_triangular_factors,
+    build_S1, build_S2, factorize_partons, fuse, inv_unipotent,
+    iterated_parton_fusion, lax_at, parton_mode, parton_triangular_factors,
 )
 from qlab.glrep import (
     fundamental_rep, gl_relation_residual, highest_weight_residual,
     scalar_rep, verma_rep,
 )
 from qlab.lax import canonical_lax, partonic_lax
-from qlab.oscillator import FockSpace, NormalOrderedOp as Op, fock_matrix, nilpotent_exp
+from qlab.oscillator import CarrierOp, FockSpace, NormalOrderedOp as Op, nilpotent_exp
 
 M1 = lambda a, x: ("1", a, x)
 M2 = lambda a, x: ("2", a, x)
@@ -24,11 +26,8 @@ M2 = lambda a, x: ("2", a, x)
 
 def conj_residual(s_exp, x, y, space, buffer=4):
     """max |S x S^-1 - y| on the buffered sub-block."""
-    s = nilpotent_exp(s_exp, space)
-    si = nilpotent_exp(Op.zero() - s_exp, space)
-    lhs = s @ fock_matrix(x, space) @ si
-    rhs = fock_matrix(y, space)
-    return block_residual(lhs, rhs, space, 1, buffer)
+    return fu._residual(space, buffer, ([CarrierOp(1, [[x]])], [s_exp]),
+                        ([CarrierOp(1, [[y]])], ()))
 
 
 def test_s1_conjugation_rules():
@@ -93,8 +92,8 @@ def test_fuse_rank1_rank1_reproduces_spin_factorization():
     assert (fr.s1_exp - Op.creator(M1(1, 2)) * Op.creator(M2(2, 1))).is_zero()
     assert fr.s2_exp.is_zero()
     # G = [[1, -b2], [0, 1]]
-    assert (fr.G[0][1] + Op.annihilator(M2(2, 1))).is_zero()
-    assert (fr.G[1][0]).is_zero()
+    assert (fr.G.mat[0][1] + Op.annihilator(M2(2, 1))).is_zero()
+    assert (fr.G.mat[1][0]).is_zero()
     # fused weight (2j, 0) = (j, -j) + central shift j
     assert fr.fused_rep.weight == {1: 2 * j, 2: 0.0}
     num = Op.number(M1(1, 2))
@@ -137,14 +136,14 @@ def test_fuse_rejects_bad_input():
 def test_fused_product_linear_coefficient_rank():
     fr = fuse(3, (1,), (2,), scalar_rep(1, 0.0), scalar_rep(2, 0.0), 0.3)
     z0, z1 = 0.0, 1.0
-    m0 = nm_matmul(lax_to_nm(fr.L1, z0 + fr.z1), lax_to_nm(fr.L2, z0 + fr.z2))
-    m1 = nm_matmul(lax_to_nm(fr.L1, z1 + fr.z1), lax_to_nm(fr.L2, z1 + fr.z2))
-    lin = nm_sub(m1, m0)
+    m0 = lax_at(fr.L1, z0 + fr.z1) * lax_at(fr.L2, z0 + fr.z2)
+    m1 = lax_at(fr.L1, z1 + fr.z1) * lax_at(fr.L2, z1 + fr.z2)
+    lin = m1 - m0
     # degree check: the quadratic term must be absent
-    mhalf = nm_matmul(lax_to_nm(fr.L1, 0.5 + fr.z1), lax_to_nm(fr.L2, 0.5 + fr.z2))
-    interp = [[m0[i][j] + 0.5 * lin[i][j] for j in range(3)] for i in range(3)]
-    assert nm_max_coeff(nm_sub(mhalf, interp)) < 1e-12
-    scal = np.array([[lin[i][j].scalar_part() for j in range(3)] for i in range(3)])
+    mhalf = lax_at(fr.L1, 0.5 + fr.z1) * lax_at(fr.L2, 0.5 + fr.z2)
+    interp = m0 + 0.5 * lin
+    assert (mhalf - interp).max_coeff() < 1e-12
+    scal = np.array([[lin.mat[i][j].scalar_part() for j in range(3)] for i in range(3)])
     assert np.linalg.matrix_rank(scal, tol=1e-9) == 2
 
 
@@ -172,28 +171,23 @@ def test_fuse_associativity_three_factors():
     lax1 = canonical_lax(n, (1,), scalar_rep(1, 0.0), M1)
     lax2 = canonical_lax(n, (2,), scalar_rep(2, 0.0), M2)
     lax3 = canonical_lax(n, (3,), scalar_rep(3, 0.0), lambda a, x: ("3", a, x))
-    A1 = nm_to_sparse(lax_to_nm(lax1, w + lam1 + lam2 + 1.0), space)
-    A2 = nm_to_sparse(lax_to_nm(lax2, w + lam2), space)
-    A3 = nm_to_sparse(lax_to_nm(lax3, w - 1.0), space)
-    triple = A1 @ A2 @ A3
+    A1 = lax_at(lax1, w + lam1 + lam2 + 1.0)
+    A2 = lax_at(lax2, w + lam2)
+    A3 = lax_at(lax3, w - 1.0)
 
     def sandwich(fr, core_z):
-        core = nm_to_sparse(nm_matmul(lax_to_nm(fr.L_fused, core_z), fr.G), space)
-        return conjugated(core, fr.s_matrix(space), fr.s_inverse(space), n)
+        return [fr.core(core_z)], fr.s_exponents()
 
     # left grouping: fuse (1,2) first; its G matrix stays between the factors,
     # so the chain is verified step by step
-    L12 = nm_to_sparse(lax_to_nm(inner_a.L_fused, w + lam2 + 0.5), space)
-    assert block_residual(A1 @ A2, sandwich(inner_a, w + lam2 + 0.5),
-                          space, n, 4) < 1e-12
-    assert block_residual(L12 @ A3, sandwich(outer_a, w), space, n, 4) < 1e-12
+    L12 = lax_at(inner_a.L_fused, w + lam2 + 0.5)
+    assert fu._residual(space, 4, ([A1, A2], ()), sandwich(inner_a, w + lam2 + 0.5)) < 1e-12
+    assert fu._residual(space, 4, ([L12, A3], ()), sandwich(outer_a, w)) < 1e-12
 
     # right grouping: the nested transforms compose into a single sandwich
-    core_b = nm_to_sparse(nm_matmul(lax_to_nm(outer_b.L_fused, w),
-                                    nm_matmul(outer_b.G, inner_b.G)), space)
-    S = inner_b.s_matrix(space) @ outer_b.s_matrix(space)
-    Si = outer_b.s_inverse(space) @ inner_b.s_inverse(space)
-    assert block_residual(triple, conjugated(core_b, S, Si, n), space, n, 4) < 1e-12
+    core_b = lax_at(outer_b.L_fused, w) * (outer_b.G * inner_b.G)
+    exps_b = inner_b.s_exponents() + outer_b.s_exponents()
+    assert fu._residual(space, 4, ([A1, A2, A3], ()), ([core_b], exps_b)) < 1e-12
 
 
 # -- iterated single-index fusion --------------------------------------------------
@@ -227,13 +221,13 @@ def test_single_factor_triangular_decomposition(n, wt):
     for a in range(1, n + 1):
         ua, ua_next = parton_triangular_factors(n, a)
         za = 0.37 + pf.shifts[a - 1]
-        lhs = lax_to_nm(partonic_lax(n, a), za)
-        m = nm_identity(n)
-        m[a - 1][a - 1] = Op.scalar(za - (n - 1) / 2.0)
+        lhs = lax_at(partonic_lax(n, a), za)
+        m = CarrierOp.identity(n)
+        m.mat[a - 1][a - 1] = Op.scalar(za - (n - 1) / 2.0)
         for r in range(a + 1, n + 1):
-            m[r - 1][a - 1] = fu._coupling(n, r, a, dressed=True)
-        rhs = nm_matmul(nm_inv_unipotent(ua), nm_matmul(m, ua_next))
-        assert nm_max_coeff(nm_sub(lhs, rhs)) < 1e-13
+            m.mat[r - 1][a - 1] = fu._coupling(n, r, a, dressed=True)
+        rhs = inv_unipotent(ua) * (m * ua_next)
+        assert (lhs - rhs).max_coeff() < 1e-13
 
 
 @pytest.mark.parametrize("n,wt", [(2, (0.6, -0.6)), (3, (0.5, -0.2, 0.9))])
@@ -242,29 +236,26 @@ def test_full_product_triangular_core(n, wt):
     z = 0.23
     lhs = None
     for a in range(1, n + 1):
-        m = lax_to_nm(partonic_lax(n, a), z + pf.shifts[a - 1])
-        lhs = m if lhs is None else nm_matmul(lhs, m)
-    rhs = nm_matmul(nm_inv_unipotent(pf.u1),
-                    nm_matmul(pf.mid_matrix(z, dressed=True), pf.u_last))
-    assert nm_max_coeff(nm_sub(lhs, rhs)) < 1e-13
+        m = lax_at(partonic_lax(n, a), z + pf.shifts[a - 1])
+        lhs = m if lhs is None else lhs * m
+    rhs = inv_unipotent(pf.u1) * (pf.mid_matrix(z, dressed=True) * pf.u_last)
+    assert (lhs - rhs).max_coeff() < 1e-13
 
 
 def test_u1_inverse_is_exact():
     pf = factorize_partons(3, (0.1, 0.2, 0.3))
-    prod = nm_matmul(pf.u1, nm_inv_unipotent(pf.u1))
-    assert nm_max_coeff(nm_sub(prod, nm_identity(3))) < 1e-14
+    prod = pf.u1 * inv_unipotent(pf.u1)
+    assert (prod - CarrierOp.identity(3)).max_coeff() < 1e-14
 
 
 @pytest.mark.parametrize("n,wt", [(2, (0.8, -0.8)), (3, (0.45, -0.15 + 0.2j, 0.7))])
 def test_similarity_absorbs_half_the_ladder_content(n, wt):
     pf = factorize_partons(n, wt)
-    space = pf.space(8)
-    S, Si = pf.s_matrix(space), pf.s_inverse(space)
-    u1 = nm_to_sparse(pf.u1, space)
-    ulast = nm_to_sparse(pf.u_last, space)
-    u1i = nm_to_sparse(nm_inv_unipotent(pf.u1), space)
-    assert block_residual(conjugated(u1, S, Si, n), u1, space, n, 4) < 1e-12
-    assert block_residual(conjugated(ulast, S, Si, n), u1i @ ulast, space, n, 4) < 1e-12
+    space = FockSpace(pf.all_modes(), 8)
+    exps = pf.s_exponents()
+    u1i = inv_unipotent(pf.u1)
+    assert fu._residual(space, 4, ([pf.u1], exps), ([pf.u1], ())) < 1e-12
+    assert fu._residual(space, 4, ([pf.u_last], exps), ([u1i, pf.u_last], ())) < 1e-12
 
 
 def test_n2_factorization_closed_form_transform():
@@ -304,7 +295,27 @@ def test_triangular_route_equals_iterated_route():
     itf = iterated_parton_fusion(n, (1, 2, 3), wt)
     space = FockSpace(sorted(set(pf.all_modes()) | set(itf.all_modes())), 8)
     z = 0.27
-    assert block_residual(pf.rhs_matrix(z, space), itf.rhs_matrix(z, space),
-                          space, n, 4) < 1e-12
-    assert block_residual(pf.lhs_matrix(z, space), itf.lhs_matrix(z, space),
-                          space, n, 4) < 1e-13
+    assert fu._residual(space, 4, ([pf.core(z)], pf.s_exponents()),
+                        ([itf.core(z)], itf.s_exponents())) < 1e-12
+    assert fu._residual(space, 4, (pf.lhs_factors(z), ()),
+                        (itf.lhs_factors(z), ())) < 1e-13
+
+
+def test_buffered_residual_matches_the_whole_product_bitwise():
+    # forming only the buffered rows and columns of each side sums every kept
+    # entry in the order of the whole product
+    n, z, buffer = 3, 0.27, 4
+    pf = factorize_partons(n, (0.45 + 0.3j, -0.15, 0.7))
+    space = FockSpace(pf.all_modes(), 6)
+    lhs = functools.reduce(operator.matmul,
+                           [f.to_matrix(space) for f in pf.lhs_factors(z)])
+    exps = [e for e in pf.s_exponents() if not e.is_zero()]
+    s = functools.reduce(operator.matmul, [nilpotent_exp(e, space) for e in exps])
+    si = functools.reduce(operator.matmul,
+                          [nilpotent_exp(-e, space) for e in reversed(exps)])
+    eye = sp.identity(n, format="csr")
+    rhs = sp.kron(eye, s) @ pf.core(z).to_matrix(space) @ sp.kron(eye, si)
+    idx = (np.arange(n)[:, None] * space.dim + space.buffered_indices(buffer)).ravel()
+    whole = np.max(np.abs((lhs - rhs).tocsr()[idx][:, idx].toarray()))
+    assert whole > 0.0
+    assert pf.residual(z, n_max=6, buffer=buffer) == whole

@@ -195,6 +195,15 @@ def test_gl_transform_identity_frame():
     assert not T.canonical
 
 
+def test_gl_transform_accepts_integer_frame():
+    # numpy integers are numbers too; the frame coerces them like floats
+    L = partonic_lax(2, 1)
+    T = gl_transform(L, np.eye(2, dtype=int), np.eye(2, dtype=np.int64))
+    for i in range(2):
+        for j in range(2):
+            assert (T.c1[i][j] - L.c1[i][j]).is_zero()
+
+
 def test_gl_transform_block_conjugation_preserves_form():
     rep = verma_rep((0.5, -0.2), labels=(1, 2), tag="v")
     L = canonical_lax(3, (1, 2), rep)

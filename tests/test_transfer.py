@@ -277,6 +277,16 @@ def test_bgg_extrapolated_residual(L):
     assert bgg_eigen_check(2, L, (1.0, 0.0), TW2) < 1e-6
 
 
+def test_bgg_residual_does_not_depend_on_schedule_order():
+    # each damped sample stays paired with its own eta, whatever the order
+    etas = [0.2 / 2 ** j for j in range(6)]
+    ref = bgg_eigen_check(3, 2, (1.0, 0.0, 0.0), TW3)
+    assert ref < 1e-10
+    for order in (sorted(etas), [etas[i] for i in (3, 0, 5, 1, 4, 2)]):
+        r = bgg_eigen_check(3, 2, (1.0, 0.0, 0.0), TW3, etas=order)
+        assert abs(r - ref) < 1e-10
+
+
 def test_bgg_three_point_schedule_is_coarser():
     # documents why the default schedule is longer than three points
     r3 = bgg_eigen_check(2, 1, (1.0, 0.0), TW2, etas=(0.2, 0.1, 0.05))
