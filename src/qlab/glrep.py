@@ -227,16 +227,16 @@ def gl_relation_residual(rep: GlRep) -> float:
     """Max coefficient norm of ``[J_ab, J_cd] - delta_bc J_ad + delta_ad J_cb``."""
     worst = 0.0
     L = rep.labels
-    for a in L:
-        for b in L:
-            for c in L:
-                for d in L:
-                    r = rep.gen(a, b) * rep.gen(c, d) - rep.gen(c, d) * rep.gen(a, b)
-                    if b == c:
-                        r = r - rep.gen(a, d)
-                    if a == d:
-                        r = r + rep.gen(c, b)
-                    worst = max(worst, r.max_coeff())
+    # each product serves as the first term of (a,b,c,d) and the second of (c,d,a,b)
+    prod = {(a, b, c, d): rep.gen(a, b) * rep.gen(c, d)
+            for a in L for b in L for c in L for d in L}
+    for (a, b, c, d), p in prod.items():
+        r = p - prod[c, d, a, b]
+        if b == c:
+            r = r - rep.gen(a, d)
+        if a == d:
+            r = r + rep.gen(c, b)
+        worst = max(worst, r.max_coeff())
     return worst
 
 

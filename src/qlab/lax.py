@@ -194,13 +194,15 @@ def rll_residual(L: LaxMatrix, pairs: Sequence[Tuple[complex, complex]],
     if buffer is None:
         buffer = min(2 * max(1, L.max_creation_degree()) + 1, n_max - 1)
     space = _fock_space_for(L, n_max)
-    wdim = L.d * space.dim
+    d = L.d
+    wdim = d * space.dim
     size = n * n * wdim
     shift = np.arange(n)[:, None]
 
     def layouts(coeff: List[List[CarrierOp]]) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
         """``L¹ = coeff ⊗ 1`` and ``L² = 1 ⊗ coeff`` on ℂⁿ ⊗ ℂⁿ ⊗ carrier ⊗ Fock."""
-        w = sp.bmat([[e.to_matrix(space) for e in row] for row in coeff], format="coo")
+        w = CarrierOp(n * d, [[coeff[i][j].mat[x][y] for j in range(n) for y in range(d)]
+                              for i in range(n) for x in range(d)]).to_matrix(space).tocoo()
         (a, f), (b, g) = divmod(w.row, wdim), divmod(w.col, wdim)
         data = np.tile(w.data, n)
         m1 = sp.csr_matrix((data, (((a * n + shift) * wdim + f).ravel(),

@@ -457,7 +457,8 @@ class FockSpace:
         return np.prod(w ** self.occ, axis=1)
 
 
-def fock_matrix(x: NormalOrderedOp, space: FockSpace, rep: str = "+") -> sp.csr_matrix:
+def fock_matrix(x: NormalOrderedOp, space: FockSpace, rep: str = "+",
+                row_cap: int | None = None) -> sp.csr_matrix:
     """Matrix of ``x`` on the truncated basis; amplitudes leaving the cap are dropped.
 
     ``rep="-"`` materializes the second representation via the algebra
@@ -465,12 +466,18 @@ def fock_matrix(x: NormalOrderedOp, space: FockSpace, rep: str = "+") -> sp.csr_
     keeps are those with enough quanta to annihilate and room under the cap
     for the net excitation it adds, and its rows are found from the shifted
     state codes.
+
+    With ``row_cap`` the rows of states with total excitation above
+    ``min(row_cap, n_max)`` are left empty; every other row is stored exactly
+    as without the cap, so a product that reads only those rows is unchanged
+    to the bit.
     """
     if rep == "-":
         x = automorphism_image(x)
     elif rep != "+":
         raise ValueError("rep must be '+' or '-'")
     import scipy.sparse as sp
+    cap = space.n_max if row_cap is None else min(row_cap, space.n_max)
     rows = [np.zeros(0, dtype=np.int64)]
     cols = [np.zeros(0, dtype=np.int64)]
     vals = [np.zeros(0, dtype=complex)]
@@ -479,7 +486,7 @@ def fock_matrix(x: NormalOrderedOp, space: FockSpace, rep: str = "+") -> sp.csr_
         missing = [m for m, _, _ in key if m not in pos]
         if missing:
             raise ValueError(f"operator acts on modes outside the space: {missing}")
-        keep = space.total + sum(j - k for _, j, k in key) <= space.n_max
+        keep = space.total + sum(j - k for _, j, k in key) <= cap
         for m, _, k in key:
             keep &= space.occ[:, pos[m]] >= k
         col = np.flatnonzero(keep)
@@ -499,18 +506,20 @@ def fock_matrix(x: NormalOrderedOp, space: FockSpace, rep: str = "+") -> sp.csr_
                          shape=(space.dim, space.dim), dtype=complex)
 
 
-def nilpotent_exp(x: NormalOrderedOp, space: FockSpace) -> sp.csr_matrix:
+def nilpotent_exp(x: NormalOrderedOp, space: FockSpace, row_cap: int) -> sp.csr_matrix:
     """Exact matrix exponential of an excitation-raising operator on the cap.
 
     Every term of ``x`` must strictly raise total excitation, which makes the
-    truncated matrix nilpotent and the series finite.
+    truncated matrix nilpotent and the series finite.  The series starts from
+    the identity on the states of total excitation at most ``row_cap`` only;
+    as ``x`` raises, those rows read no others and come out as in the whole
+    exponential (``row_cap = space.n_max``).
     """
     if x.min_excitation_shift() < 1:
         raise ValueError("exponent must strictly raise total excitation")
     import scipy.sparse as sp
-    a = fock_matrix(x, space)
-    out = sp.identity(space.dim, dtype=complex, format="csr")
-    power = sp.identity(space.dim, dtype=complex, format="csr")
+    a = fock_matrix(x, space, row_cap=row_cap)
+    out = power = sp.diags((space.total <= row_cap).astype(complex), format="csr")
     k = 1
     while True:
         power = (power @ a) / k
@@ -634,14 +643,30 @@ class CarrierOp:
         return sum(carrier_weights[i] * weighted_trace(self.mat[i][i], q, plain_modes)
                    for i in range(self.d))
 
-    def to_matrix(self, space: FockSpace) -> sp.csr_matrix:
-        """Dense carrier index (slow-running) ⊗ Fock basis (fast-running)."""
+    def to_matrix(self, space: FockSpace, row_cap: int | None = None) -> sp.csr_matrix:
+        """Dense carrier index (slow-running) ⊗ Fock basis (fast-running).
+
+        Block ``(i, j)`` is ``fock_matrix(mat[i][j], space, row_cap=row_cap)``.
+        The non-empty blocks' entries are shifted into place and built into one
+        matrix; blocks never overlap, so every value is its block's own.
+        """
         if self.d == 1:
-            return fock_matrix(self.mat[0][0], space)
+            return fock_matrix(self.mat[0][0], space, row_cap=row_cap)
         import scipy.sparse as sp
-        blocks = [[fock_matrix(self.mat[i][j], space) for j in range(self.d)]
-                  for i in range(self.d)]
-        return sp.csr_matrix(sp.bmat(blocks, format="csr"))
+        dim = space.dim
+        rows = [np.zeros(0, dtype=np.int64)]
+        cols = [np.zeros(0, dtype=np.int64)]
+        vals = [np.zeros(0, dtype=complex)]
+        for i, row in enumerate(self.mat):
+            for j, x in enumerate(row):
+                if x.terms:
+                    m = fock_matrix(x, space, row_cap=row_cap)
+                    rows.append(i * dim + np.repeat(np.arange(dim), np.diff(m.indptr)))
+                    cols.append(j * dim + m.indices)
+                    vals.append(m.data)
+        size = self.d * dim
+        return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(size, size), dtype=complex)
 
     def __repr__(self) -> str:
         return f"CarrierOp(d={self.d})"

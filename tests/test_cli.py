@@ -220,6 +220,27 @@ def test_scipy_loaded_only_by_carrier_suites():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_carrier_suites_at_twelve_modes_stay_under_200_mb():
+    """Fusion and factorization at n=4 and the default ``--nmax 8`` (12 modes).
+
+    Only the Fock rows each identity reads are built; building ``S`` and
+    ``S⁻¹`` on the whole space of 125,970 states peaked at 310 MB.
+    """
+    src = str(Path(qlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import contextlib, io, resource, qlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = qlab.cli.main(['verify', '--n', '4', '--L', '1',\n"
+        "                            '--suite', 'fusion,factorization'])\n"
+        "print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         stdout=subprocess.PIPE, check=True, text=True).stdout
+    status, peak_kb = map(int, out.split())
+    assert status == 0
+    assert peak_kb / 1024 < 200
+
+
 def test_trace_suite_domain_is_load_bearing():
     """The suite's power range keeps the damped extrapolation under the gate.
 

@@ -301,21 +301,33 @@ def test_triangular_route_equals_iterated_route():
                         (itf.lhs_factors(z), ())) < 1e-13
 
 
-def test_buffered_residual_matches_the_whole_product_bitwise():
-    # forming only the buffered rows and columns of each side sums every kept
-    # entry in the order of the whole product
-    n, z, buffer = 3, 0.27, 4
-    pf = factorize_partons(n, (0.45 + 0.3j, -0.15, 0.7))
-    space = FockSpace(pf.all_modes(), 6)
+def _whole_residual(obj, z, n_max, buffer):
+    """The residual from whole Fock matrices, sliced to the buffered block last."""
+    space = FockSpace(obj.all_modes(), n_max)
     lhs = functools.reduce(operator.matmul,
-                           [f.to_matrix(space) for f in pf.lhs_factors(z)])
-    exps = [e for e in pf.s_exponents() if not e.is_zero()]
-    s = functools.reduce(operator.matmul, [nilpotent_exp(e, space) for e in exps])
+                           [f.to_matrix(space) for f in obj.lhs_factors(z)])
+    exps = [e for e in obj.s_exponents() if not e.is_zero()]
+    s = functools.reduce(operator.matmul, [nilpotent_exp(e, space, n_max) for e in exps])
     si = functools.reduce(operator.matmul,
-                          [nilpotent_exp(-e, space) for e in reversed(exps)])
-    eye = sp.identity(n, format="csr")
-    rhs = sp.kron(eye, s) @ pf.core(z).to_matrix(space) @ sp.kron(eye, si)
-    idx = (np.arange(n)[:, None] * space.dim + space.buffered_indices(buffer)).ravel()
-    whole = np.max(np.abs((lhs - rhs).tocsr()[idx][:, idx].toarray()))
-    assert whole > 0.0
-    assert pf.residual(z, n_max=6, buffer=buffer) == whole
+                          [nilpotent_exp(-e, space, n_max) for e in reversed(exps)])
+    eye = sp.identity(obj.n, format="csr")
+    rhs = sp.kron(eye, s) @ obj.core(z).to_matrix(space) @ sp.kron(eye, si)
+    idx = (np.arange(obj.n)[:, None] * space.dim + space.buffered_indices(buffer)).ravel()
+    return np.max(np.abs((lhs - rhs).tocsr()[idx][:, idx].toarray()))
+
+
+def test_buffered_residual_matches_the_whole_product_bitwise():
+    # forming only the buffered rows and columns of each side, from matrices
+    # built only on the Fock rows the product reads, sums every kept entry in
+    # the order of the whole product
+    cases = [
+        (factorize_partons(3, (0.45 + 0.3j, -0.15, 0.7)), 6, 4),
+        (fuse(3, (1,), (2, 3), scalar_rep(1, 0.23),
+              verma_rep((0.4, -0.2), labels=(2, 3), tag="v"), 0.6), 6, 3),
+        (iterated_parton_fusion(4, (1, 2, 3, 4), (0.3 + 0.2j, -0.4, 0.1, 0.25j)), 5, 4),
+    ]
+    z = 0.27
+    for obj, n_max, buffer in cases:
+        whole = _whole_residual(obj, z, n_max, buffer)
+        assert whole > 0.0
+        assert obj.residual(z, n_max=n_max, buffer=buffer) == whole

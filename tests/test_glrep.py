@@ -121,3 +121,38 @@ def test_trivial_rep_is_flat():
     rep = trivial_rep((1, 2))
     assert gl_relation_residual(rep) == 0.0
     assert all(g.is_zero() for g in rep.gens.values())
+
+
+def _relation_residual_reference(rep):
+    """Every product formed afresh, twice per pair of generators."""
+    worst = 0.0
+    L = rep.labels
+    for a in L:
+        for b in L:
+            for c in L:
+                for d in L:
+                    r = rep.gen(a, b) * rep.gen(c, d) - rep.gen(c, d) * rep.gen(a, b)
+                    if b == c:
+                        r = r - rep.gen(a, d)
+                    if a == d:
+                        r = r + rep.gen(c, b)
+                    worst = max(worst, r.max_coeff())
+    return worst
+
+
+def test_relation_residual_forms_each_product_once_bitwise():
+    from qlab.fusion import factorize_partons
+    from qlab.oscillator import CarrierOp
+    reps = [verma_rep((0.3, 1.1 - 0.2j, -2.0, 0.6)), fundamental_rep((1, 2, 3)),
+            factorize_partons(3, (0.45 + 0.3j, -0.15, 0.7)).generator_rep()]
+    # a perturbed realization, so that the residuals are not all exact zeros
+    rep = verma_rep((0.7, -0.35 + 0.1j, 1.2), tag="w")
+    gens = dict(rep.gens)
+    mode = rep.modes[0]
+    gens[(1, 2)] = gens[(1, 2)] + CarrierOp.from_scalar_op(
+        (0.3141 - 0.271j) * Op.creator(mode) * Op.number(mode))
+    gens[(3, 1)] = gens[(3, 1)] + CarrierOp.from_scalar_op(0.577j * Op.number(mode))
+    reps.append(GlRep(rep.labels, rep.d, gens, rep.weight, rep.modes))
+    got = [gl_relation_residual(rep) for rep in reps]
+    assert got == [_relation_residual_reference(rep) for rep in reps]
+    assert got[-1] > 0.0

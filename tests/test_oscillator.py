@@ -302,7 +302,7 @@ def test_second_representation_matrices():
 def test_nilpotent_exp_matches_series():
     space = FockSpace([M1, M2], 5)
     x = bd(M1) * bd(M2) + 0.5 * bd(M1) * bd(M1) * b(M2)
-    e = nilpotent_exp(x, space).toarray()
+    e = nilpotent_exp(x, space, space.n_max).toarray()
     a = fock_matrix(x, space).toarray()
     expect = np.eye(space.dim, dtype=complex)
     p = np.eye(space.dim, dtype=complex)
@@ -311,15 +311,15 @@ def test_nilpotent_exp_matches_series():
         expect += p
     assert np.allclose(e, expect, atol=1e-12)
     # exp(x) exp(-x) = 1 exactly on the truncated space
-    einv = nilpotent_exp(-1.0 * x + 2.0 * x - x + x, space)  # = exp(x) again
-    eneg = nilpotent_exp(Op.zero() - x, space).toarray()
+    einv = nilpotent_exp(-1.0 * x + 2.0 * x - x + x, space, space.n_max)  # = exp(x) again
+    eneg = nilpotent_exp(Op.zero() - x, space, space.n_max).toarray()
     assert np.allclose(e @ eneg, np.eye(space.dim), atol=1e-12)
 
 
 def test_nilpotent_exp_rejects_lowering_terms():
     space = FockSpace([M1], 4)
     with pytest.raises(ValueError):
-        nilpotent_exp(b(), space)
+        nilpotent_exp(b(), space, space.n_max)
 
 
 def test_fock_truncation_guard():
@@ -392,6 +392,101 @@ def test_fock_matrix_matches_per_state_reference(n_modes, n_max, rep):
 def test_fock_matrix_rejects_modes_outside_space():
     with pytest.raises(ValueError):
         fock_matrix(bd(M2) + b(M1), FockSpace([M1], 3))
+
+
+# -- row caps and block assembly ---------------------------------------------------
+
+HMODES = [("h", 0, a) for a in range(3)]
+COEFFS = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
+                            allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _hyp_op(draw, modes, raising=False):
+    """A random operator; each term may bring a twin that hits its matrix entries.
+
+    The twin has one more creator and one more annihilator on one mode, so it
+    moves every state it acts on to the same row as its partner.  With
+    ``raising`` every term strictly raises the total excitation.
+    """
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        key = []
+        for m in modes:
+            j, k = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+            if j or k:
+                key.append([m, j, k])
+        shift = sum(j - k for _, j, k in key)
+        if raising and shift < 1:
+            if not key:
+                key.append([modes[0], 0, 0])
+            key[0][1] += 1 - shift
+        keys = [key]
+        if key and draw(st.booleans()):
+            twin = [list(part) for part in key]
+            twin[0][1] += 1
+            twin[0][2] += 1
+            keys.append(twin)
+        for k in keys:
+            k = tuple(tuple(part) for part in k)
+            terms[k] = terms.get(k, 0.0) + draw(COEFFS)
+    return Op(terms)
+
+
+def _without_rows_above(m, space, cap):
+    """``m`` with the entries of the rows of total excitation above ``cap`` removed."""
+    counts = np.diff(m.indptr)
+    keep = np.repeat(space.total <= cap, counts)
+    counts = np.where(space.total <= cap, counts, 0)
+    return sp.csr_matrix((m.data[keep], m.indices[keep], np.concatenate([[0], np.cumsum(counts)])),
+                         shape=m.shape)
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 3), st.integers(1, 5))
+def test_capped_fock_matrix_is_the_full_matrix_without_the_rows_above_the_cap(data, k, n_max):
+    x = data.draw(_hyp_op(HMODES[:k]))
+    space = FockSpace(HMODES[:k], n_max)
+    full = fock_matrix(x, space)
+    for cap in range(n_max + 1):
+        _assert_bitwise(fock_matrix(x, space, row_cap=cap), _without_rows_above(full, space, cap))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 3), st.integers(1, 5))
+def test_capped_nilpotent_exp_is_the_full_exp_without_the_rows_above_the_cap(data, k, n_max):
+    x = data.draw(_hyp_op(HMODES[:k], raising=True))
+    space = FockSpace(HMODES[:k], n_max)
+    full = nilpotent_exp(x, space, n_max)
+    for cap in range(n_max + 1):
+        _assert_bitwise(nilpotent_exp(x, space, row_cap=cap),
+                        _without_rows_above(full, space, cap))
+
+
+def _bmat_to_matrix(x, space, row_cap):
+    """Block assembly through ``sp.bmat``, one matrix per entry, empty ones included."""
+    if x.d == 1:
+        return fock_matrix(x.mat[0][0], space, row_cap=row_cap)
+    blocks = [[fock_matrix(e, space, row_cap=row_cap) for e in row] for row in x.mat]
+    return sp.csr_matrix(sp.bmat(blocks, format="csr"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(2, 3), st.integers(1, 4))
+def test_carrier_to_matrix_equals_the_bmat_assembly(data, d, k, n_max):
+    modes = HMODES[:k]
+    space = FockSpace(modes, n_max)
+    entry = st.one_of(st.just(Op.zero()), _hyp_op(modes))
+    x = CarrierOp(d, [[data.draw(entry) for _ in range(d)] for _ in range(d)])
+    for cap in (None, *range(n_max + 1)):
+        _assert_bitwise(x.to_matrix(space, row_cap=cap), _bmat_to_matrix(x, space, cap))
 
 
 # -- carrier-valued matrices ------------------------------------------------------
