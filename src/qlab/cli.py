@@ -283,6 +283,7 @@ def _suite_commuting(cfg: RunConfig, qf: QFamily) -> List[dict]:
 
 
 def _suite_bgg(cfg: RunConfig, qf: QFamily) -> List[dict]:
+    """``T_box`` against the signed highest-weight sum at the run's twist, ``L <= 2``."""
     from .transfer import bgg_eigen_check
     tw = cfg.twist()
     weight = (1.0,) + (0.0,) * (cfg.n - 1)

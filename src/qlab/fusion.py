@@ -117,6 +117,12 @@ def _residual(space: FockSpace, buffer: int, lhs: Side, rhs: Side) -> float:
     return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
 
 
+def _identity_residual(self, z: complex, n_max: int = 8, buffer: int = 4) -> float:
+    """``Π lhs_factors(z) − S·core(z)·S⁻¹``, bound as ``residual`` by each class below."""
+    return _residual(FockSpace(self.all_modes(), n_max), buffer,
+                     (self.lhs_factors(z), ()), ([self.core(z)], self.s_exponents()))
+
+
 # -- similarity transforms ---------------------------------------------------------
 
 
@@ -193,9 +199,7 @@ class FusionResult:
     def core(self, z: complex) -> CarrierOp:
         return lax_at(self.L_fused, z) * self.G
 
-    def residual(self, z: complex, n_max: int = 8, buffer: int = 4) -> float:
-        return _residual(FockSpace(self.all_modes(), n_max), buffer,
-                         (self.lhs_factors(z), ()), ([self.core(z)], self.s_exponents()))
+    residual = _identity_residual
 
     def g_commutation_residual(self) -> float:
         """Entries of G must commute with every entry of the fused Lax matrix."""
@@ -292,9 +296,7 @@ class IteratedFusion:
     def core(self, z: complex) -> CarrierOp:
         return lax_at(self.L_fused, z + self.offset) * self.gamma
 
-    def residual(self, z: complex, n_max: int = 8, buffer: int = 4) -> float:
-        return _residual(FockSpace(self.all_modes(), n_max), buffer,
-                         (self.lhs_factors(z), ()), ([self.core(z)], self.s_exponents()))
+    residual = _identity_residual
 
 
 def iterated_parton_fusion(n: int, index_set: Sequence[int],
@@ -431,9 +433,7 @@ class PartonFactorization:
     def core(self, z: complex) -> CarrierOp:
         return self.lplus(z) * self.u_last
 
-    def residual(self, z: complex, n_max: int = 8, buffer: int = 4) -> float:
-        return _residual(FockSpace(self.all_modes(), n_max), buffer,
-                         (self.lhs_factors(z), ()), ([self.core(z)], self.s_exponents()))
+    residual = _identity_residual
 
     def generator_rep(self, z_probe: Tuple[complex, complex] = (0.0, 1.0)) -> GlRep:
         """Extract the gl(n) realization carried by L⁺ (entries z δ + J_ji)."""

@@ -250,11 +250,6 @@ def weighted_trace(x: NormalOrderedOp, q: Mapping[Mode, complex],
     return total
 
 
-def normalized_trace(x: NormalOrderedOp, q: Mapping[Mode, complex]) -> complex:
-    """Normalized trace with every mode weighted by the ratio rule."""
-    return weighted_trace(x, q)
-
-
 # -- truncated, damped numeric traces (independent cross-check path) ---------
 
 
@@ -263,7 +258,7 @@ def damped_numeric_trace(x: NormalOrderedOp, q: Mapping[Mode, complex],
     """Normalized trace by direct truncated summation with weights ``q e^{-eta}``.
 
     This is the convergent-series route: for ``|q e^{-eta}| < 1`` it tends to
-    the closed-form :func:`normalized_trace` as ``eta -> 0+`` and
+    the closed-form :func:`weighted_trace` as ``eta -> 0+`` and
     ``n_max -> infinity``.  It shares no code with the closed form.
 
     Each mode's weights ``(q e^{-eta})^m``, ``m = 0 .. n_max``, are formed as
@@ -320,19 +315,6 @@ def _rational_extrapolate(xs: Sequence[float], ys: Sequence[complex],
             nxt.append(cur[i + 1] + (diff / den if den != 0 else 0.0))
         prev, cur = cur, nxt
     return cur[0]
-
-
-def _neville_extrapolate(xs: Sequence[float], ys: Sequence):
-    """Polynomial (Neville) extrapolation of samples ``ys`` at ``xs`` to zero.
-
-    The samples may be arrays, which are extrapolated entrywise.
-    """
-    t = list(ys)
-    for level in range(1, len(t)):
-        for i in range(len(t) - level):
-            t[i] = ((0.0 - xs[i + level]) * t[i] + xs[i] * t[i + 1]) \
-                / (xs[i] - xs[i + level])
-    return t[0]
 
 
 def extrapolated_trace(x: NormalOrderedOp, q: Mapping[Mode, complex],

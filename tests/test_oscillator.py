@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qlab.oscillator import (
     NormalOrderedOp as Op,
     CarrierOp, FockSpace, FockTruncation,
-    weighted_trace, normalized_trace, damped_numeric_trace, extrapolated_trace,
+    weighted_trace, damped_numeric_trace, extrapolated_trace,
     automorphism_image, fock_matrix, nilpotent_exp,
 )
 
@@ -68,12 +68,12 @@ def test_ordering_is_confluent(word):
 # -- closed-form traces --------------------------------------------------------
 
 def test_trace_of_identity():
-    assert normalized_trace(Op.scalar(1.0), {M1: 0.3}) == 1.0
+    assert weighted_trace(Op.scalar(1.0), {M1: 0.3}) == 1.0
 
 
 def test_trace_number_operator():
     q = 0.37 + 0.2j
-    val = normalized_trace(Op.number(M1), {M1: q})
+    val = weighted_trace(Op.number(M1), {M1: q})
     assert abs(val - q / (1 - q)) < 1e-14
 
 
@@ -81,31 +81,31 @@ def test_trace_monomial_rule():
     q = 0.5
     # (B†)^2 B^2 -> 2! (q/(1-q))^2
     x = bd() * bd() * b() * b()
-    assert abs(normalized_trace(x, {M1: q}) - 2 * (q / (1 - q)) ** 2) < 1e-14
+    assert abs(weighted_trace(x, {M1: q}) - 2 * (q / (1 - q)) ** 2) < 1e-14
 
 
 def test_trace_kills_unbalanced_monomials():
-    assert normalized_trace(bd(), {M1: 0.4}) == 0.0
-    assert normalized_trace(bd() * bd() * b(), {M1: 0.4}) == 0.0
+    assert weighted_trace(bd(), {M1: 0.4}) == 0.0
+    assert weighted_trace(bd() * bd() * b(), {M1: 0.4}) == 0.0
 
 
 def test_trace_multi_mode_factorizes():
     q1, q2 = 0.3, 0.6
     x = Op.number(M1) * Op.number(M2)
     expect = (q1 / (1 - q1)) * (q2 / (1 - q2))
-    assert abs(normalized_trace(x, {M1: q1, M2: q2}) - expect) < 1e-14
+    assert abs(weighted_trace(x, {M1: q1, M2: q2}) - expect) < 1e-14
 
 
 def test_trace_unit_modulus_weight():
     phi = 1.1
     q = np.exp(-1j * phi)
-    val = normalized_trace(Op.number(M1), {M1: q})
+    val = weighted_trace(Op.number(M1), {M1: q})
     assert abs(val - q / (1 - q)) < 1e-14
 
 
 def test_missing_weight_raises():
     with pytest.raises(ValueError):
-        normalized_trace(Op.number(M1), {})
+        weighted_trace(Op.number(M1), {})
 
 
 def test_plain_trace_partition_factor():
@@ -126,13 +126,13 @@ def test_trace_cyclicity_twisted():
     # cycling B† through q^N costs a factor 1/q: ntr{q^N x B†} = (1/q) ntr{q^N B† x}
     q = np.exp(-0.9j)
     x = Op.number(M1) * b()
-    lhs = normalized_trace(x * bd(), {M1: q})
-    rhs = (1.0 / q) * normalized_trace(bd() * x, {M1: q})
+    lhs = weighted_trace(x * bd(), {M1: q})
+    rhs = (1.0 / q) * weighted_trace(bd() * x, {M1: q})
     assert abs(lhs - rhs) < 1e-13
     # and the annihilator costs q
     y = Op.number(M1) * bd()
-    assert abs(normalized_trace(y * b(), {M1: q})
-               - q * normalized_trace(b() * y, {M1: q})) < 1e-13
+    assert abs(weighted_trace(y * b(), {M1: q})
+               - q * weighted_trace(b() * y, {M1: q})) < 1e-13
 
 
 # -- damped truncated trace ----------------------------------------------------
@@ -150,14 +150,14 @@ def test_extrapolated_trace_matches_closed_form():
     q = 0.5
     x = Op.number(M1) * Op.number(M1)  # (B†B)^2
     exact = 2 * (q / (1 - q)) ** 2 + q / (1 - q)
-    assert abs(normalized_trace(x, {M1: q}) - exact) < 1e-14
+    assert abs(weighted_trace(x, {M1: q}) - exact) < 1e-14
     assert abs(extrapolated_trace(x, {M1: q}) - exact) < 1e-6
 
 
 def test_extrapolated_trace_unit_modulus():
     q = np.exp(-1.3j)
     x = bd() * bd() * b() * b()
-    exact = normalized_trace(x, {M1: q})
+    exact = weighted_trace(x, {M1: q})
     assert abs(extrapolated_trace(x, {M1: q}) - exact) < 1e-6
 
 

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qlab import transfer
 from qlab.glrep import fundamental_rep, trivial_rep, verma_rep
 from qlab.lax import canonical_lax
 from qlab.oscillator import CarrierOp, NormalOrderedOp as Op, extrapolated_trace, \
@@ -11,13 +12,16 @@ from qlab.oscillator import CarrierOp, NormalOrderedOp as Op, extrapolated_trace
 from qlab.tensor import comm_norm
 from qlab.transfer import (
     OperatorPolynomial, TwistConfig, alternating_sum_T, bgg_eigen_check,
-    build_Q, build_T_box, build_T_plus, build_X, build_X_plus, build_twist_D,
+    build_Q, build_T_box, build_X, build_X_plus, build_twist_D,
 )
 
 TW2 = TwistConfig((0.7, -0.7))
 TW3 = TwistConfig((0.7, -0.4, -0.3))
 TW4 = TwistConfig((0.9, 0.4, -0.5, -0.8))
 TWISTS = {2: TW2, 3: TW3, 4: TW4}
+# twists whose weights e^{-i(phi_a - phi_b)} are off the unit circle
+TW2_COMPLEX = TwistConfig((0.7 - 0.075j, -0.7 + 0.075j))
+TW3_COMPLEX = TwistConfig((0.7 - 0.15j, -0.4 + 0j, -0.3 + 0.15j))
 
 
 def brute_force_member(n, length, index_set, rep, twist, z):
@@ -60,13 +64,6 @@ def member_case(n, carrier):
 def test_twist_must_sum_to_zero():
     with pytest.raises(ValueError):
         TwistConfig((0.5, 0.1))
-
-
-def test_damped_twist_keeps_zero_sum_and_orders_imaginary_parts():
-    d = TW3.damped(0.1)
-    assert abs(sum(d.phis)) < 1e-12
-    imags = [p.imag for p in d.phis]
-    assert imags == sorted(imags) and imags[0] < imags[-1]
 
 
 def test_degenerate_twist_rejected():
@@ -179,7 +176,7 @@ def short_orbit_pairs(n, length):
 
 @pytest.mark.parametrize("carrier", ["empty", "trivial", "defining", "highest-weight"])
 @pytest.mark.parametrize("n,L,twist", [(2, 4, TW2), (3, 3, TW3), (2, 1, TW2), (3, 1, TW3),
-                                       (2, 4, TW2.damped(0.15))])
+                                       (2, 4, TW2_COMPLEX)])
 def test_short_orbits_match_brute_force(n, L, twist, carrier):
     # the build expands one pair per rotation orbit; orbits of periodic pairs
     # close early and must still be written once, with the right phase
@@ -213,7 +210,7 @@ def test_family_commutes_with_twisted_shift(n, L):
                for I in itertools.combinations(range(1, n + 1), r)]
     members += [build_T_box(n, L, tw),
                 build_X_plus(n, L, (1, 2), (0.4, -0.1), tw),
-                build_T_plus(n, L, (1.0,) + (0.0,) * (n - 1), tw)]
+                build_X_plus(n, L, range(1, n + 1), (1.0,) + (0.0,) * (n - 1), tw)]
     U = twisted_shift(n, L, tw)
     for member in members:
         for c in member.coeffs:
@@ -273,29 +270,31 @@ def test_trivial_weight_alternation_telescopes():
 
 
 @pytest.mark.parametrize("L", [1, 2])
-def test_bgg_extrapolated_residual(L):
-    assert bgg_eigen_check(2, L, (1.0, 0.0), TW2) < 1e-6
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bgg_undamped_residual(n, L):
+    # worst measured: 9.5e-13 at (3,2)
+    assert bgg_eigen_check(n, L, (1.0,) + (0.0,) * (n - 1), TWISTS[n]) < 1e-10
 
 
-def test_bgg_residual_does_not_depend_on_schedule_order():
-    # each damped sample stays paired with its own eta, whatever the order
-    etas = [0.2 / 2 ** j for j in range(6)]
-    ref = bgg_eigen_check(3, 2, (1.0, 0.0, 0.0), TW3)
-    assert ref < 1e-10
-    for order in (sorted(etas), [etas[i] for i in (3, 0, 5, 1, 4, 2)]):
-        r = bgg_eigen_check(3, 2, (1.0, 0.0, 0.0), TW3, etas=order)
-        assert abs(r - ref) < 1e-10
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bgg_detects_a_perturbed_member(n, monkeypatch):
+    # one polynomial coefficient of one signed member, off by 1e-4 relative,
+    # must take the residual over the suite's 1e-6 gate
+    signed_members = transfer._signed_members
 
+    def perturbed(*args):
+        members = signed_members(*args)
+        poly = members[0][1]
+        poly.coeffs[0] = poly.coeffs[0] * (1 + 1e-4)
+        return members
 
-def test_bgg_three_point_schedule_is_coarser():
-    # documents why the default schedule is longer than three points
-    r3 = bgg_eigen_check(2, 1, (1.0, 0.0), TW2, etas=(0.2, 0.1, 0.05))
-    assert 1e-6 < r3 < 1e-3
+    monkeypatch.setattr(transfer, "_signed_members", perturbed)
+    assert bgg_eigen_check(n, 2, (1.0,) + (0.0,) * (n - 1), TWISTS[n]) > 1e-6
 
 
 def test_x_plus_commutes_with_q():
-    xp = build_X_plus(3, 2, (1, 2), (0.4, -0.1), TW3.damped(0.15))
-    q = build_Q(3, 2, (1, 2), TW3.damped(0.15))
+    xp = build_X_plus(3, 2, (1, 2), (0.4, -0.1), TW3_COMPLEX)
+    q = build_Q(3, 2, (1, 2), TW3_COMPLEX)
     assert comm_norm(xp.at(0.3), q.at(-0.7)) < 1e-10
 
 
