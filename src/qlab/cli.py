@@ -21,6 +21,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -46,6 +47,7 @@ _apply_thread_cap()
 import numpy as np  # noqa: E402
 
 if TYPE_CHECKING:
+    from .oscillator import NormalOrderedOp
     from .relations import QFamily
 
 DEFAULT_PHIS: Dict[int, Tuple[float, ...]] = {
@@ -105,15 +107,30 @@ class RunConfig:
             if s not in SUITES:
                 raise ConfigError("unknown suite %r (choose from %s)"
                                   % (s, ", ".join(SUITES)))
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative (got %d)" % self.seed)
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError("tol must be a positive finite number (got %r)"
+                              % self.tol)
         if not self.phis:
             self.phis = DEFAULT_PHIS[self.n]
         if len(self.phis) != self.n:
             raise ConfigError("phi must list %d angles" % self.n)
+        if not all(math.isfinite(p) for p in self.phis):
+            raise ConfigError("phi must be finite angles (got %s)"
+                              % ",".join(map(str, self.phis)))
         total = sum(self.phis)
         if abs(total) > 1e-9:
             print("warning: twist angles sum to %g; renormalizing to zero sum"
                   % total, file=sys.stderr)
             self.phis = tuple(p - total / self.n for p in self.phis)
+        from .transfer import _check_weight
+        for a, b in itertools.combinations(range(self.n), 2):
+            try:
+                _check_weight(cmath.exp(-1j * (self.phis[a] - self.phis[b])),
+                              (a + 1, b + 1))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
     def tolerance(self, suite: str) -> float:
         return self.tol if self.tol is not None else DEFAULT_TOLS[suite]
@@ -300,26 +317,36 @@ TRACE_WEIGHTS = ((("m", 1, 2), 0.9), (("m", 2, 1), -1.4), (("m", 1, 3), 0.55))
 TRACE_MAX_POWER = 2
 
 
+def _trace_draws(seed: int) -> List[NormalOrderedOp]:
+    """The ``trace`` suite's 50 random operators: a complex scalar times
+    ``(B†)^k B^k`` on each mode of ``TRACE_WEIGHTS``, ``k <= TRACE_MAX_POWER``."""
+    from .oscillator import NormalOrderedOp as Op
+    rng = np.random.default_rng(seed + 3)
+    draws = []
+    for _ in range(50):
+        x = Op.scalar(complex(rng.normal(), rng.normal()))
+        for m, _angle in TRACE_WEIGHTS:
+            k = int(rng.integers(0, TRACE_MAX_POWER + 1))
+            x = x * (Op.creator(m) ** k) * (Op.annihilator(m) ** k)
+        draws.append(x)
+    return draws
+
+
 def _suite_trace(cfg: RunConfig, qf: QFamily) -> List[dict]:
     """Closed-form trace against the extrapolated damped trace, on 50 draws.
 
     The suite's domain is per-mode powers ``k <= TRACE_MAX_POWER`` on the
     unit-modulus ``TRACE_WEIGHTS``.  It is not a check of every operator:
-    there, the default schedule of :func:`qlab.oscillator.extrapolated_trace`
+    there, the default schedule of :func:`qlab.oscillator.extrapolated_traces`
     errs by up to 1.3e-8 at k=2 but by 6.3e-6 at k=3, over the 1e-6 gate.
     """
-    from .oscillator import (NormalOrderedOp as Op, extrapolated_trace,
-                             weighted_trace)
-    rng = np.random.default_rng(cfg.seed + 3)
+    from .oscillator import extrapolated_traces, weighted_trace
     qs = {m: cmath.exp(1j * a) for m, a in TRACE_WEIGHTS}
     t0 = time.perf_counter()
+    draws = _trace_draws(cfg.seed)
     worst = 0.0
-    for _ in range(50):
-        x = Op.scalar(complex(rng.normal(), rng.normal()))
-        for m in qs:
-            k = int(rng.integers(0, TRACE_MAX_POWER + 1))
-            x = x * (Op.creator(m) ** k) * (Op.annihilator(m) ** k)
-        worst = max(worst, abs(weighted_trace(x, qs) - extrapolated_trace(x, qs)))
+    for x, numeric in zip(draws, extrapolated_traces(draws, qs)):
+        worst = max(worst, abs(weighted_trace(x, qs) - numeric))
     return [_record("trace", "closed form vs damped extrapolation (50 draws)",
                     worst, cfg.tolerance("trace"), t0)]
 

@@ -29,7 +29,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Sequence,
+                    Set, Tuple)
 
 import numpy as np
 
@@ -260,32 +261,58 @@ def damped_numeric_trace(x: NormalOrderedOp, q: Mapping[Mode, complex],
     This is the convergent-series route: for ``|q e^{-eta}| < 1`` it tends to
     the closed-form :func:`weighted_trace` as ``eta -> 0+`` and
     ``n_max -> infinity``.  It shares no code with the closed form.
+    """
+    return _damped_traces([x], q, [n_max], eta)[0]
 
-    Each mode's weights ``(q e^{-eta})^m``, ``m = 0 .. n_max``, are formed as
-    ``exp(m log(q e^{-eta}))`` with the complex log of the one scalar weight
-    taken once; numpy's complex power would take it again for every ``m``.
-    A zero weight gives weight 1 at ``m = 0`` and 0 elsewhere.
+
+def _damped_traces(xs: Sequence[NormalOrderedOp], q: Mapping[Mode, complex],
+                   depths: Sequence[int], eta: float) -> List[complex]:
+    """:func:`damped_numeric_trace` of each ``xs[i]`` at truncation ``depths[i]``.
+
+    Each factor ``<(B†)^k B^k>`` of a mode at one depth is computed once.  A
+    mode's weights ``(q e^{-eta})^m`` are formed once, up to the deepest
+    truncation that reads them, as ``exp(m log(q e^{-eta}))`` with the complex
+    log of the one scalar weight taken once; a shallower truncation reads a
+    prefix, which is bitwise the short array, since each weight is computed
+    on its own.  One mode's weights are held at a time.  A zero weight gives
+    weight 1 at ``m = 0`` and 0 elsewhere.
     """
     damped = {m: qm * math.exp(-eta) for m, qm in q.items()}
     for m, qm in damped.items():
         if abs(qm) >= 1.0:
             raise ValueError(f"non-convergent weight {qm!r} for mode {m!r}")
-    occ = np.arange(n_max + 1, dtype=float)
-    total = 0.0 + 0.0j
-    for key, c in x.terms.items():
-        f = complex(c)
-        for mode, j, k in key:
-            if j != k:
-                f = 0.0
-                break
-            w = _geometric_weights(damped[mode], occ)
+    # the (power, depth) pairs each mode's factors are read at
+    needed: Dict[Mode, Set[Tuple[int, int]]] = {}
+    for x, n_max in zip(xs, depths):
+        for key in x.terms:
+            for mode, j, k in key:
+                if j != k:
+                    break
+                needed.setdefault(mode, set()).add((k, n_max))
+    factors: Dict[Tuple[Mode, int, int], complex] = {}
+    for mode, pairs in needed.items():
+        occ = np.arange(max(n for _, n in pairs) + 1, dtype=float)
+        weights = _geometric_weights(damped[mode], occ)
+        for k, n_max in pairs:
+            w, o = weights[:n_max + 1], occ[:n_max + 1]
             # <m| (B†)^k B^k |m> = m (m-1) ... (m-k+1)
-            diag = np.ones_like(occ)
+            diag = np.ones_like(o)
             for i in range(k):
-                diag *= np.maximum(occ - i, 0.0)
-            f *= np.sum(w * diag) / np.sum(w)
-        total += f
-    return total
+                diag *= np.maximum(o - i, 0.0)
+            factors[mode, k, n_max] = np.sum(w * diag) / np.sum(w)
+    out = []
+    for x, n_max in zip(xs, depths):
+        total = 0.0 + 0.0j
+        for key, c in x.terms.items():
+            f = complex(c)
+            for mode, j, k in key:
+                if j != k:
+                    f = 0.0
+                    break
+                f *= factors[mode, k, n_max]
+            total += f
+        out.append(total)
+    return out
 
 
 def _geometric_weights(qm: complex, occ: np.ndarray) -> np.ndarray:
@@ -320,13 +347,22 @@ def _rational_extrapolate(xs: Sequence[float], ys: Sequence[complex],
 def extrapolated_trace(x: NormalOrderedOp, q: Mapping[Mode, complex],
                        etas: Sequence[float] | None = None,
                        n_max: int | None = None) -> complex:
-    """Rational extrapolation of the damped numeric trace to eta = 0.
+    """:func:`extrapolated_traces` of the one operator ``x``."""
+    return extrapolated_traces([x], q, etas, n_max)[0]
+
+
+def extrapolated_traces(xs: Sequence[NormalOrderedOp], q: Mapping[Mode, complex],
+                        etas: Sequence[float] | None = None,
+                        n_max: int | None = None) -> List[complex]:
+    """Rational extrapolation of the damped numeric trace to eta = 0, per operator.
 
     The default schedule is geometric, ``0.2 * 2^{-j}``; the truncation depth
     is chosen so the discarded geometric tail is negligible at the smallest
     damping used.  Each per-mode factor of the damped trace is a rational
     function of ``e^{-eta}``, so Bulirsch-Stoer rational extrapolation
     converges much faster here than polynomial (Neville) extrapolation.
+    The operators share each damping's weight arrays (:func:`_damped_traces`),
+    and each result equals that of the operator on its own, bit for bit.
 
     The default schedule is accurate only for low powers on unit-modulus
     weights.  For ``(B†)^k B^k`` at ``q = e^{-1.4i}`` the error is 4e-11 at
@@ -336,12 +372,11 @@ def extrapolated_trace(x: NormalOrderedOp, q: Mapping[Mode, complex],
     if etas is None:
         etas = [0.2 / 2 ** j for j in range(6)]
     etas = sorted(etas, reverse=True)
-    deg = max(x.degree(), 2)
-    vals = []
-    for eta in etas:
-        n = n_max if n_max is not None else int((40 + 14 * deg) / eta)
-        vals.append(damped_numeric_trace(x, q, n, eta))
-    return _rational_extrapolate(list(etas), vals, 0.0)
+    degs = [max(x.degree(), 2) for x in xs]
+    samples = [_damped_traces(
+        xs, q, [n_max if n_max is not None else int((40 + 14 * deg) / eta)
+                for deg in degs], eta) for eta in etas]
+    return [_rational_extrapolate(etas, list(vals), 0.0) for vals in zip(*samples)]
 
 
 # -- automorphism between the two number-basis representations ----------------

@@ -15,17 +15,32 @@ part ``0.0``).  Entries of modulus at most ``DROP_TOL`` are dropped.  So two
 equal operators stored in a different order give results that differ at
 rounding level.  Basis states of the chain are enumerated in base ``n`` with
 site 1 as the most significant digit.
+
+Sums of terms are formed by a scatter that costs O(terms) and sorts nothing
+(:func:`_scatter`): ``np.minimum.at`` records the position of each key's first
+term and ``np.add.at`` adds the terms in array order, both into a module
+workspace of ``dim**2`` slots, which each call resets only at the keys it
+stored.  The workspace takes 24 bytes per slot (an int64 position and a
+complex128 sum), so about 25 MB at ``dim = 1024`` (``n = 4, L = 5``); it is
+sized for the largest dimension used so far and kept.  A product forms its
+terms in chunks of left entries of about ``MATMUL_CHUNK`` terms each and
+scatters every chunk into the same workspace, which bounds its transient
+arrays without changing any sum.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 #: entries with modulus below this are dropped on construction
 DROP_TOL = 1e-14
+#: a largest component at most this far down drops its entry without ``hypot``
+_SURE_DROP = 0.7 * DROP_TOL
+#: products form their terms in chunks of left entries of about this many terms
+MATMUL_CHUNK = 1 << 18
 
 
 class QuantumOperator:
@@ -52,10 +67,27 @@ class QuantumOperator:
     @classmethod
     def _from_arrays(cls, dim: int, keys: np.ndarray, vals: np.ndarray
                      ) -> "QuantumOperator":
-        """The entries ``keys``, ``vals`` whose modulus exceeds ``DROP_TOL``."""
-        keep = np.hypot(vals.real, vals.imag) > DROP_TOL
+        """The entries ``keys``, ``vals`` whose modulus exceeds ``DROP_TOL``.
+
+        The test reads ``m = max(|re|, |im|)`` first.  The modulus lies in
+        ``[m, sqrt(2) m]``, and a faithfully rounded ``hypot`` stays in that
+        bracket, because both ends are at most one rounding from a float on
+        the correct side.  So ``m > DROP_TOL`` keeps an entry and
+        ``m <= 0.7 DROP_TOL`` drops it (``0.7 sqrt(2) < 1``), exactly as
+        ``hypot(re, im) > DROP_TOL`` decides.  ``hypot`` is evaluated only for
+        the entries in between, and for NaN.  When every entry is kept the
+        arrays are stored as given; no operator writes to its arrays.
+        """
+        m = np.maximum(np.abs(vals.real), np.abs(vals.imag))
+        keep = m > DROP_TOL
+        if not keep.all():
+            unsure = np.flatnonzero(~(keep | (m <= _SURE_DROP)))
+            if len(unsure):
+                v = vals[unsure]
+                keep[unsure] = np.hypot(v.real, v.imag) > DROP_TOL
+            keys, vals = keys[keep], vals[keep]
         op = cls.__new__(cls)
-        op.dim, op.keys, op.vals = dim, keys[keep], vals[keep]
+        op.dim, op.keys, op.vals = dim, keys, vals
         return op
 
     # -- constructors ------------------------------------------------------
@@ -105,14 +137,28 @@ class QuantumOperator:
         by_row = np.argsort(rows, kind="stable")
         counts = np.bincount(rows, minlength=dim)
         row_start = np.cumsum(counts) - counts
-        # one term per (left entry, entry of the right factor's row k)
+        # one term per (left entry, entry of the right factor's row k); term t
+        # of left entry i reads the right entry by_row[shift[i] + t]
         left_rows, k = np.divmod(self.keys, dim)
         width = counts[k]
-        left = np.repeat(np.arange(len(self.keys)), width)
-        offset = np.repeat(row_start[k] - (np.cumsum(width) - width), width)
-        right = by_row[offset + np.arange(len(left))]
-        return _accumulate(dim, left_rows[left] * dim + cols[right],
-                           _product(self.vals[left], other.vals[right]))
+        end = np.cumsum(width)
+        shift = row_start[k] - (end - width)
+        # chunks of whole left entries, cut where the term count passes a
+        # multiple of MATMUL_CHUNK; they hold the terms in their full order
+        total = int(end[-1]) if len(end) else 0
+        cuts = [0, *np.searchsorted(end, np.arange(MATMUL_CHUNK, total, MATMUL_CHUNK),
+                                    side="right").tolist(), len(end)]
+
+        def chunks():
+            for lo, hi in zip(cuts, cuts[1:]):
+                base = int(end[lo - 1]) if lo else 0
+                left = np.repeat(np.arange(lo, hi), width[lo:hi])
+                right = by_row[np.repeat(shift[lo:hi], width[lo:hi])
+                               + np.arange(base, base + len(left))]
+                yield (left_rows[left] * dim + cols[right],
+                       _product(self.vals[left], other.vals[right]))
+
+        return _scatter(dim, chunks())
 
     # -- queries -----------------------------------------------------------
 
@@ -153,14 +199,49 @@ def _accumulate(dim: int, keys: np.ndarray, terms: np.ndarray,
     ``-0.0`` where the key's first term is among the first ``assigned``: that
     takes the term unchanged, signed zeros included (``d[key] = v``).
     """
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    slot = np.empty_like(order)
-    slot[order] = np.arange(len(order))
-    out = np.zeros(len(order), dtype=complex)
-    out[first[order] < assigned] = complex(-0.0, -0.0)
-    np.add.at(out, slot[inverse], terms)
-    return QuantumOperator._from_arrays(dim, uniq[order], out)
+    return _scatter(dim, [(keys, terms)], assigned)
+
+
+#: the scatter workspace, indexed by key: the position of the key's first
+#: term, and its running sum; at rest (``_UNSET`` and ``0.0``) between calls
+_UNSET = np.iinfo(np.int64).max
+_first = np.empty(0, dtype=np.int64)
+_sums = np.empty(0, dtype=complex)
+
+
+def _scatter(dim: int, chunks: Iterable[Tuple[np.ndarray, np.ndarray]],
+             assigned: int = 0) -> QuantumOperator:
+    """:func:`_accumulate` of the concatenated ``(keys, terms)`` chunks, in
+    O(terms) through the module workspace (module docstring).  The chunks are
+    not joined, so one chunk's arrays are held at a time; the workspace is
+    shared, so calls must not overlap (the package is single-threaded)."""
+    global _first, _sums
+    if len(_first) < dim * dim:
+        _first = np.full(dim * dim, _UNSET, dtype=np.int64)
+        _sums = np.zeros(dim * dim, dtype=complex)
+    first, sums = _first, _sums
+    stored = []
+    offset = 0
+    try:
+        for keys, terms in chunks:
+            pos = np.arange(offset, offset + len(keys))
+            np.minimum.at(first, keys, pos)
+            new = np.flatnonzero(first[keys] == pos)
+            fresh = keys[new]
+            if offset < assigned:
+                sums[fresh[:np.searchsorted(new, assigned - offset)]] = complex(-0.0, -0.0)
+            np.add.at(sums, keys, terms)
+            stored.append(fresh)
+            offset += len(keys)
+    except BaseException:
+        # the touched slots are unknown: start the next call from a new workspace
+        _first = _sums = np.empty(0)
+        raise
+    keys = np.concatenate(stored) if len(stored) > 1 else stored[0]
+    vals = sums[keys]
+    first[keys] = _UNSET
+    sums[keys] = 0.0
+    return QuantumOperator._from_arrays(dim, keys, vals)
 
 
 # -- chain embeddings -----------------------------------------------------

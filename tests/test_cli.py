@@ -63,6 +63,25 @@ def test_bad_flag_values_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "seed must be non-negative"),
+    (["--phi", "0.3,0.3"], "degenerate twist: phases of letters (1, 2) coincide"),
+    (["--phi", "nan,0"], "phi must be finite angles"),
+    (["--phi", "inf,-inf"], "phi must be finite angles"),
+    (["--tol", "nan"], "tol must be a positive finite number"),
+    (["--tol", "-1"], "tol must be a positive finite number"),
+])
+def test_invalid_inputs_exit_two_with_one_line_error(flags, message, capsys):
+    # each of these once crashed with a traceback (exit 1, which means an
+    # identity failed) or made every record fail
+    assert main(["verify", "--n", "2", "--L", "1", "--suite", "anchors"] + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("buffer", ["5", "3"])
 def test_buffer_must_leave_room_under_nmax(buffer, capsys):
     # with buffer >= nmax at most the vacuum is buffered, so the carrier

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from qlab.oscillator import (
     NormalOrderedOp as Op,
     CarrierOp, FockSpace, FockTruncation,
-    weighted_trace, damped_numeric_trace, extrapolated_trace,
+    weighted_trace, damped_numeric_trace, extrapolated_trace, extrapolated_traces,
     automorphism_image, fock_matrix, nilpotent_exp,
+    _geometric_weights, _rational_extrapolate,
 )
 
 M1 = ("m", 0, 1)
@@ -512,3 +513,78 @@ def test_carrier_to_matrix_blocks():
     assert m.shape == (6, 6)
     assert np.allclose(m[:3, 3:], fock_matrix(bd(), space).toarray())
     assert np.allclose(m[:3, :3], 0) and np.allclose(m[3:, :], 0)
+
+
+# -- batched damped traces ---------------------------------------------------------
+
+def _reference_extrapolated_trace(x, q):
+    """The damped extrapolation of one operator on its own: each damping's
+    weights formed at the operator's own depth (the unbatched implementation)."""
+    etas = sorted(ETAS, reverse=True)
+    n_max = [int((40 + 14 * max(x.degree(), 2)) / eta) for eta in etas]
+    vals = []
+    for eta, n in zip(etas, n_max):
+        damped = {m: qm * math.exp(-eta) for m, qm in q.items()}
+        occ = np.arange(n + 1, dtype=float)
+        total = 0.0 + 0.0j
+        for key, c in x.terms.items():
+            f = complex(c)
+            for mode, j, k in key:
+                if j != k:
+                    f = 0.0
+                    break
+                w = _geometric_weights(damped[mode], occ)
+                diag = np.ones_like(occ)
+                for i in range(k):
+                    diag *= np.maximum(occ - i, 0.0)
+                f *= np.sum(w * diag) / np.sum(w)
+            total += f
+        vals.append(total)
+    return _rational_extrapolate(etas, vals, 0.0)
+
+
+def _hex(z):
+    return (float(z.real).hex(), float(z.imag).hex())
+
+
+def test_batched_traces_equal_each_operator_on_its_own():
+    m3 = ("m", 1, 3)
+    q = {M1: np.exp(0.9j), M2: np.exp(-1.4j), m3: np.exp(0.55j)}
+    xs = [Op.scalar(0.4 - 0.3j),                                 # degree 0
+          Op.scalar(0.0),                                        # no terms
+          Op.number(M1) * (0.2 + 1.1j),                          # degree 2
+          bd(M2) * bd(M2) * b(M2) * b(M2) + Op.scalar(0.5),      # degree 4
+          bd(M1) * b(M2) + bd(m3) * b(m3),                       # unbalanced term
+          (bd(M1) ** 2 * b(M1) ** 2) * (bd(M2) ** 2 * b(M2) ** 2)
+          * (bd(m3) ** 2 * b(m3) ** 2) * (0.3 + 0.1j),           # degree 12
+          Op.number(m3) * Op.number(M2) - Op.scalar(2.0)]
+    ref = [_hex(_reference_extrapolated_trace(x, q)) for x in xs]
+    assert [_hex(v) for v in extrapolated_traces(xs, q)] == ref
+    assert [_hex(extrapolated_trace(x, q)) for x in xs] == ref
+    # and in another order: a batch's results do not depend on its other members
+    assert [_hex(v) for v in extrapolated_traces(xs[::-1], q)] == ref[::-1]
+
+
+def test_batched_traces_on_the_trace_suite_draws():
+    from qlab.cli import TRACE_WEIGHTS, _trace_draws
+    q = {m: np.exp(1j * angle) for m, angle in TRACE_WEIGHTS}
+    xs = _trace_draws(0)
+    assert len(xs) == 50 and {x.degree() for x in xs} >= {0, 12}
+    assert ([_hex(v) for v in extrapolated_traces(xs, q)]
+            == [_hex(_reference_extrapolated_trace(x, q)) for x in xs])
+
+
+@pytest.mark.parametrize("phase", [0.9, -1.4, 0.55])
+@pytest.mark.parametrize("eta", ETAS)
+def test_weight_prefix_is_bitwise_the_short_array(phase, eta):
+    qm = np.exp(1j * phase) * math.exp(-eta)
+    longest = _geometric_weights(qm, np.arange(_depth(eta) + 1, dtype=float))
+    for deg in range(2, 13):
+        n = int((40 + 14 * deg) / eta)
+        short = _geometric_weights(qm, np.arange(n + 1, dtype=float))
+        assert longest[:n + 1].tobytes() == short.tobytes()
+
+
+def test_damped_trace_rejects_non_convergent_weight():
+    with pytest.raises(ValueError, match="non-convergent"):
+        extrapolated_traces([Op.scalar(1.0)], {M1: 1.5})

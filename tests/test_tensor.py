@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qlab import tensor
 from qlab.spectral import sector_blocks
 from qlab.tensor import (
     DROP_TOL, QuantumOperator, permutation_op, basis_states, state_index,
@@ -167,10 +168,17 @@ def bits(a):
     return np.asarray(a, dtype=complex).view(np.int64).tolist()
 
 
+def assert_at_rest():
+    """The scatter workspace holds no position and only ``+0.0`` sums."""
+    assert (tensor._first == tensor._UNSET).all()
+    assert not tensor._sums.view(np.int64).any()
+
+
 def assert_bitwise(op, ref):
     assert op.dim == ref.dim
     assert [divmod(k, op.dim) for k in op.keys.tolist()] == list(ref.data)
     assert bits(op.vals) == bits(list(ref.data.values()))
+    assert_at_rest()
 
 
 def both(dim, data):
@@ -189,18 +197,21 @@ amplitudes = st.builds(complex, components, components)
 
 
 @st.composite
-def operator_pairs(draw, count=2):
+def operator_pairs(draw, count=2, dims=st.integers(1, 40)):
     """``count`` operators on one dimension, as (array operator, dict reference).
 
-    Each operator's entries are inserted in a random order.  Values come from a
-    small shared pool, each with a random sign, so that sums and products meet
-    exact cancellations."""
-    dim = draw(st.integers(1, 5))
+    Each operator's entries are inserted in a random order.  Rows and columns
+    come from a pool of at most six indices, and values from a small shared
+    pool, each with a random sign, so that sums and products meet repeated
+    keys and exact cancellations at every dimension."""
+    dim = draw(dims)
+    index = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=6,
+                          unique=True))
     pool = draw(st.lists(amplitudes, min_size=1, max_size=4))
-    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    cells = st.tuples(st.sampled_from(index), st.sampled_from(index))
     out = []
     for _ in range(count):
-        keys = draw(st.lists(cells, unique=True, max_size=dim * dim))
+        keys = draw(st.lists(cells, unique=True, max_size=len(index) ** 2))
         data = {k: draw(st.sampled_from(pool)) * draw(st.sampled_from([1, -1]))
                 for k in keys}
         out.append(both(dim, data))
@@ -226,6 +237,44 @@ def test_arithmetic_matches_dict_reference(ops):
     assert_bitwise(a @ b - b @ a, ra @ rb - rb @ ra)
     assert a.norm().hex() == float(ra.norm()).hex()
     assert bits(a.to_dense()) == bits(ra.to_dense())
+
+
+def check_arithmetic(ops):
+    (a, ra), (b, rb) = ops
+    assert_bitwise(a @ b, ra @ rb)
+    assert_bitwise(a + b, ra + rb)
+    assert_bitwise(a - b, ra - rb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operator_pairs(dims=st.integers(20, 40)), operator_pairs(dims=st.integers(1, 5)),
+       operator_pairs(dims=st.integers(20, 40)))
+def test_interleaved_dimensions_match_dict_reference(large, small, large_again):
+    for ops in (large, small, large_again, small):
+        check_arithmetic(ops)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operator_pairs(), st.integers(1, 8))
+def test_chunked_product_matches_dict_reference(ops, chunk):
+    # products scatter their terms chunk by chunk into one workspace
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "MATMUL_CHUNK", chunk)
+        check_arithmetic(ops)
+        (a, ra), (b, rb) = ops
+        assert_bitwise(b @ a @ b, rb @ ra @ rb)
+
+
+def test_failed_scatter_leaves_a_usable_workspace():
+    a, ra = both(3, {(0, 1): 1.5, (1, 1): -2.0, (2, 0): 0.25j})
+
+    def chunks():  # a product that runs out of memory after its first chunk
+        yield a.keys, a.vals
+        raise MemoryError
+
+    with pytest.raises(MemoryError):
+        tensor._scatter(3, chunks())
+    assert_bitwise(a @ a + a, ra @ ra + ra)
 
 
 @settings(max_examples=200, deadline=None)
@@ -277,3 +326,32 @@ def test_signed_zero_conventions():
     # and its sum starts from 0.0 (0.0 + v), so the result carries +0.0
     prod = (pure @ pure).vals[0]
     assert prod.real == -1.0 and math.copysign(1.0, prod.imag) == 1.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.6, 1.1), st.floats(0.0, 2 * math.pi),
+       st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0]))
+def test_drop_bracket_matches_complex_modulus(ratio, angle, sre, sim):
+    r = ratio * DROP_TOL
+    v = complex(sre * abs(r * math.cos(angle)), sim * abs(r * math.sin(angle)))
+    op = QuantumOperator._from_arrays(1, np.zeros(1, dtype=np.int64), np.array([v]))
+    assert len(op.keys) == (abs(v) > DROP_TOL)
+
+
+def test_drop_bracket_edges_match_complex_modulus():
+    rng = np.random.default_rng(7)
+    mod = rng.uniform(0.6, 1.1, 20000) * DROP_TOL
+    angle = rng.uniform(0.0, 2 * np.pi, 20000)
+    edges = [DROP_TOL, tensor._SURE_DROP, DROP_TOL / math.sqrt(2.0)]
+    edges = [np.nextafter(e, d) for e in edges for d in (0.0, e, 1.0)]
+    vals = np.concatenate((
+        mod * np.cos(angle) + 1j * mod * np.sin(angle),
+        # one component on an edge, the other zero, equal, or just below it
+        [complex(s * e, t * f) for e in edges for f in (0.0, e, np.nextafter(e, 0.0))
+         for s in (1, -1) for t in (1, -1)],
+        [complex(0.0, -0.0), complex(np.nan, 0.0), complex(np.inf, np.nan)]))
+    rng.shuffle(vals)
+    keys = np.arange(len(vals), dtype=np.int64)
+    op = QuantumOperator._from_arrays(len(vals), keys, vals)
+    kept = [abs(complex(v)) > DROP_TOL for v in vals]
+    assert op.keys.tolist() == keys[kept].tolist()
