@@ -8,9 +8,16 @@ Commands:
 - ``qlab hasse``    subset-lattice dump (nodes, edges, quadrilaterals, chains)
 - ``qlab report``   verify + spectrum + hasse in one JSON document
 
-Configuration may come from a JSON file with flat keys mirroring the flags
-(``--config file.json``); explicit flags override file values.  Exit codes:
-0 all-pass, 1 identity/tolerance failure, 2 usage or configuration error.
+Configuration may come from a JSON file holding one object whose keys are
+the flag names (``--config file.json``); an unknown key is an error, and
+explicit flags override file values.  Exit codes: 0 all-pass, 1
+identity/tolerance failure, 2 usage or configuration error.
+
+The identity checks form one table, :data:`SUITES`: each suite has a default
+tolerance and a lister that returns its ``(name, check)`` pairs, where
+``check()`` returns the residual.  A lister does the work its checks share
+(random draws, fused carriers); :func:`run_verify` alone calls the checks and
+makes the records, and a record's ``seconds`` covers its ``check()`` call.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 
@@ -56,21 +64,6 @@ DEFAULT_PHIS: Dict[int, Tuple[float, ...]] = {
     4: (0.9, 0.4, -0.5, -0.8),
 }
 
-DEFAULT_TOLS: Dict[str, float] = {
-    "anchors": 1e-13,
-    "rll": 1e-12,
-    "factorization": 1e-12,
-    "fusion": 1e-12,
-    "hirota": 1e-10,
-    "determinant": 1e-10,
-    "plucker": 1e-10,
-    "commuting": 1e-10,
-    "bgg": 1e-6,
-    "trace": 1e-6,
-}
-
-SUITES = tuple(DEFAULT_TOLS)
-
 
 class ConfigError(Exception):
     pass
@@ -85,7 +78,7 @@ class RunConfig:
     buffer: int = 4
     tol: Optional[float] = None
     seed: int = 0
-    suites: Tuple[str, ...] = SUITES
+    suites: Tuple[str, ...] = field(default_factory=lambda: tuple(SUITES))
     out: Optional[str] = None
     fmt: str = "json"
 
@@ -133,7 +126,7 @@ class RunConfig:
                 raise ConfigError(str(exc)) from exc
 
     def tolerance(self, suite: str) -> float:
-        return self.tol if self.tol is not None else DEFAULT_TOLS[suite]
+        return self.tol if self.tol is not None else SUITES[suite][0]
 
     def twist(self):
         from .transfer import TwistConfig
@@ -142,37 +135,23 @@ class RunConfig:
 
 # -- verification suites -----------------------------------------------------------
 
-
-def _record(suite: str, name: str, residual: float, tol: float,
-            t0: float) -> dict:
-    return {
-        "suite": suite,
-        "name": name,
-        "residual": float(residual),
-        "tolerance": tol,
-        "passed": bool(residual < tol),
-        "seconds": round(time.perf_counter() - t0, 3),
-    }
+#: one identity check: its record name and a call that returns its residual
+Check = Tuple[str, Callable[[], float]]
 
 
-def _suite_anchors(cfg: RunConfig, qf: QFamily) -> List[dict]:
-    out = []
-    dim = cfg.n ** cfg.length
-    eye = np.eye(dim)
-    for name, I, ref in [("empty-set member is identity", (),
-                          lambda z: eye),
-                         ("full-set member is z^L",
-                          tuple(range(1, cfg.n + 1)),
-                          lambda z: z ** cfg.length * eye)]:
-        t0 = time.perf_counter()
-        q = qf.q(I)
-        r = max(float(np.max(np.abs(q.at(z).to_dense() - ref(z))))
-                for z in (0.83, -0.27))
-        out.append(_record("anchors", name, r, cfg.tolerance("anchors"), t0))
-    return out
+def _suite_anchors(cfg: RunConfig, qf: QFamily) -> List[Check]:
+    eye = np.eye(cfg.n ** cfg.length)
+
+    def anchor(I: Tuple[int, ...], ref: Callable) -> Callable[[], float]:
+        return lambda: max(float(np.max(np.abs(qf.q(I).at(z).to_dense() - ref(z))))
+                           for z in (0.83, -0.27))
+
+    return [("empty-set member is identity", anchor((), lambda z: eye)),
+            ("full-set member is z^L", anchor(tuple(range(1, cfg.n + 1)),
+                                              lambda z: z ** cfg.length * eye))]
 
 
-def _suite_rll(cfg: RunConfig, qf: QFamily) -> List[dict]:
+def _suite_rll(cfg: RunConfig, qf: QFamily) -> List[Check]:
     from .glrep import fundamental_rep, trivial_rep, verma_rep
     from .lax import canonical_lax, eval_lax, partonic_lax, rll_residual
     rng = np.random.default_rng(cfg.seed)
@@ -191,124 +170,95 @@ def _suite_rll(cfg: RunConfig, qf: QFamily) -> List[dict]:
     if cfg.n >= 3:
         cases.append(("oscillator-traced block (1,2)",
                       canonical_lax(cfg.n, (1, 2), trivial_rep((1, 2)))))
-    out = []
-    for name, L in cases:
-        t0 = time.perf_counter()
-        r = rll_residual(L, pairs, n_max=cfg.n_max)
-        out.append(_record("rll", name, r, cfg.tolerance("rll"), t0))
-    return out
+    return [(name, partial(rll_residual, L, pairs, n_max=cfg.n_max))
+            for name, L in cases]
 
 
-def _suite_factorization(cfg: RunConfig, qf: QFamily) -> List[dict]:
+def _suite_factorization(cfg: RunConfig, qf: QFamily) -> List[Check]:
     from .fusion import factorize_partons
+    from .glrep import gl_relation_residual
     rng = np.random.default_rng(cfg.seed + 1)
     wt = tuple(complex(rng.normal(), rng.normal()) for _ in range(cfg.n))
     fac = factorize_partons(cfg.n, wt)
-    out = []
-    for z in (0.31, -0.74 + 0.2j):
-        t0 = time.perf_counter()
-        r = fac.residual(z, n_max=cfg.n_max, buffer=cfg.buffer)
-        out.append(_record("factorization", "ordered product at z=%s" % z, r,
-                           cfg.tolerance("factorization"), t0))
-    from .glrep import gl_relation_residual
-    t0 = time.perf_counter()
-    out.append(_record("factorization", "triangular-core algebra relations",
-                       gl_relation_residual(fac.generator_rep()),
-                       cfg.tolerance("factorization"), t0))
-    return out
+    checks: List[Check] = [
+        ("ordered product at z=%s" % z,
+         partial(fac.residual, z, n_max=cfg.n_max, buffer=cfg.buffer))
+        for z in (0.31, -0.74 + 0.2j)]
+    checks.append(("triangular-core algebra relations",
+                   lambda: gl_relation_residual(fac.generator_rep())))
+    return checks
 
 
-def _suite_fusion(cfg: RunConfig, qf: QFamily) -> List[dict]:
+def _suite_fusion(cfg: RunConfig, qf: QFamily) -> List[Check]:
     from .fusion import fuse
     from .glrep import gl_relation_residual, scalar_rep, verma_rep
-    out = []
     specs = [((1,), (2,), scalar_rep(1, 0.23), scalar_rep(2, -0.41), 0.6)]
     if cfg.n >= 3:
         specs.append(((1,), (2, 3), scalar_rep(1, 0.23),
                       verma_rep((0.4, -0.2), labels=(2, 3), tag="v"), 0.6))
+    checks: List[Check] = []
     for I, J, r1, r2, lam in specs:
-        t0 = time.perf_counter()
         res = fuse(cfg.n, I, J, r1, r2, lam)
-        r = max(res.residual(z, n_max=cfg.n_max, buffer=cfg.buffer)
-                for z in (0.37, -0.58))
-        out.append(_record("fusion", "blocks %s + %s" % (I, J), r,
-                           cfg.tolerance("fusion"), t0))
-        t0 = time.perf_counter()
-        out.append(_record("fusion", "merged algebra relations %s+%s" % (I, J),
-                           gl_relation_residual(res.fused_rep),
-                           cfg.tolerance("fusion"), t0))
-    return out
+        checks.append(("blocks %s + %s" % (I, J), lambda res=res: max(
+            res.residual(z, n_max=cfg.n_max, buffer=cfg.buffer) for z in (0.37, -0.58))))
+        checks.append(("merged algebra relations %s+%s" % (I, J),
+                       partial(gl_relation_residual, res.fused_rep)))
+    return checks
 
 
-def _suite_hirota(cfg: RunConfig, qf: QFamily) -> List[dict]:
+def _suite_hirota(cfg: RunConfig, qf: QFamily) -> List[Check]:
     from .relations import enumerate_hasse, hirota_residual
-    tw = cfg.twist()
-    out = []
-    for I, a, b in enumerate_hasse(cfg.n).quadrilaterals:
-        t0 = time.perf_counter()
-        r = hirota_residual(cfg.n, cfg.length, I, a, b, tw, family=qf)
-        out.append(_record("hirota", "quadrilateral I=%s a=%d b=%d" % (I, a, b),
-                           r, cfg.tolerance("hirota"), t0))
-    return out
+    return [("quadrilateral I=%s a=%d b=%d" % (I, a, b),
+             partial(hirota_residual, cfg.n, cfg.length, I, a, b, cfg.twist(),
+                     family=qf))
+            for I, a, b in enumerate_hasse(cfg.n).quadrilaterals]
 
 
-def _suite_determinant(cfg: RunConfig, qf: QFamily) -> List[dict]:
+def _suite_determinant(cfg: RunConfig, qf: QFamily) -> List[Check]:
     from .relations import q_determinant_residual, t_determinant_residual
     tw = cfg.twist()
-    out = []
-    for I in itertools.combinations(range(1, cfg.n + 1), 2):
-        t0 = time.perf_counter()
-        r = q_determinant_residual(cfg.n, cfg.length, I, tw, family=qf)
-        out.append(_record("determinant", "pair form I=%s" % (I,), r,
-                           cfg.tolerance("determinant"), t0))
-    t0 = time.perf_counter()
-    out.append(_record("determinant", "defining transfer form",
-                       t_determinant_residual(cfg.n, cfg.length, tw, family=qf),
-                       cfg.tolerance("determinant"), t0))
-    return out
+    checks: List[Check] = [
+        ("pair form I=%s" % (I,),
+         partial(q_determinant_residual, cfg.n, cfg.length, I, tw, family=qf))
+        for I in itertools.combinations(range(1, cfg.n + 1), 2)]
+    checks.append(("defining transfer form",
+                   partial(t_determinant_residual, cfg.n, cfg.length, tw,
+                           family=qf)))
+    return checks
 
 
-def _suite_plucker(cfg: RunConfig, qf: QFamily) -> List[dict]:
+def _suite_plucker(cfg: RunConfig, qf: QFamily) -> List[Check]:
     from .relations import plucker_residual
-    tw = cfg.twist()
     chain = tuple(range(1, cfg.n + 1))
     rng = np.random.default_rng(cfg.seed + 2)
-    out = []
-    for k in range(2, cfg.n + 1):
-        pts = tuple(np.round(rng.uniform(-0.8, 0.8, size=k + 1), 3))
-        t0 = time.perf_counter()
-        r = plucker_residual(cfg.n, cfg.length, chain, k, pts, tw, family=qf)
-        out.append(_record("plucker", "exchange relation k=%d" % k, r,
-                           cfg.tolerance("plucker"), t0))
-    return out
+    return [("exchange relation k=%d" % k,
+             partial(plucker_residual, cfg.n, cfg.length, chain, k,
+                     tuple(np.round(rng.uniform(-0.8, 0.8, size=k + 1), 3)),
+                     cfg.twist(), family=qf))
+            for k in range(2, cfg.n + 1)]
 
 
-def _suite_commuting(cfg: RunConfig, qf: QFamily) -> List[dict]:
+def _suite_commuting(cfg: RunConfig, qf: QFamily) -> List[Check]:
     from .relations import enumerate_hasse
     from .spectral import build_hamiltonian
     from .tensor import comm_norm
-    ops = [("hamiltonian", build_hamiltonian(cfg.n, cfg.length, cfg.twist()))]
-    ops.append(("defining transfer", qf.t_box().at(0.29)))
-    for I in enumerate_hasse(cfg.n).nodes:
-        if 0 < len(I) < cfg.n:
-            ops.append(("member %s" % (I,), qf.q(I).at(0.37)))
-    t0 = time.perf_counter()
-    worst = max(comm_norm(x, y)
-                for i, (_, x) in enumerate(ops) for _, y in ops[i + 1:])
-    return [_record("commuting", "max pairwise commutator (%d ops)" % len(ops),
-                    worst, cfg.tolerance("commuting"), t0)]
+    members = [I for I in enumerate_hasse(cfg.n).nodes if 0 < len(I) < cfg.n]
+
+    def worst() -> float:
+        ops = [build_hamiltonian(cfg.n, cfg.length, cfg.twist()),
+               qf.t_box().at(0.29)] + [qf.q(I).at(0.37) for I in members]
+        return max(comm_norm(x, y) for i, x in enumerate(ops) for y in ops[i + 1:])
+
+    return [("max pairwise commutator (%d ops)" % (2 + len(members)), worst)]
 
 
-def _suite_bgg(cfg: RunConfig, qf: QFamily) -> List[dict]:
+def _suite_bgg(cfg: RunConfig, qf: QFamily) -> List[Check]:
     """``T_box`` against the signed highest-weight sum at the run's twist, ``L <= 2``."""
     from .transfer import bgg_eigen_check
-    tw = cfg.twist()
     weight = (1.0,) + (0.0,) * (cfg.n - 1)
     length = min(cfg.length, 2) or 1
-    t0 = time.perf_counter()
-    r = bgg_eigen_check(cfg.n, length, weight, tw)
-    return [_record("bgg", "signed resolution, weight %s, L=%d"
-                    % (weight, length), r, cfg.tolerance("bgg"), t0)]
+    return [("signed resolution, weight %s, L=%d" % (weight, length),
+             partial(bgg_eigen_check, cfg.n, length, weight, cfg.twist()))]
 
 
 #: modes and twist angles of the ``trace`` suite; each weight is ``e^{i angle}``
@@ -332,7 +282,7 @@ def _trace_draws(seed: int) -> List[NormalOrderedOp]:
     return draws
 
 
-def _suite_trace(cfg: RunConfig, qf: QFamily) -> List[dict]:
+def _suite_trace(cfg: RunConfig, qf: QFamily) -> List[Check]:
     """Closed-form trace against the extrapolated damped trace, on 50 draws.
 
     The suite's domain is per-mode powers ``k <= TRACE_MAX_POWER`` on the
@@ -342,37 +292,49 @@ def _suite_trace(cfg: RunConfig, qf: QFamily) -> List[dict]:
     """
     from .oscillator import extrapolated_traces, weighted_trace
     qs = {m: cmath.exp(1j * a) for m, a in TRACE_WEIGHTS}
-    t0 = time.perf_counter()
-    draws = _trace_draws(cfg.seed)
-    worst = 0.0
-    for x, numeric in zip(draws, extrapolated_traces(draws, qs)):
-        worst = max(worst, abs(weighted_trace(x, qs) - numeric))
-    return [_record("trace", "closed form vs damped extrapolation (50 draws)",
-                    worst, cfg.tolerance("trace"), t0)]
+
+    def worst() -> float:
+        draws = _trace_draws(cfg.seed)
+        return max(abs(weighted_trace(x, qs) - numeric)
+                   for x, numeric in zip(draws, extrapolated_traces(draws, qs)))
+
+    return [("closed form vs damped extrapolation (50 draws)", worst)]
 
 
-#: each runner takes the configuration and the run's shared family cache
-SUITE_RUNNERS: Dict[str, Callable[[RunConfig, QFamily], List[dict]]] = {
-    "anchors": _suite_anchors,
-    "rll": _suite_rll,
-    "factorization": _suite_factorization,
-    "fusion": _suite_fusion,
-    "hirota": _suite_hirota,
-    "determinant": _suite_determinant,
-    "plucker": _suite_plucker,
-    "commuting": _suite_commuting,
-    "bgg": _suite_bgg,
-    "trace": _suite_trace,
+#: every suite in run order: its default tolerance and its lister, which takes
+#: the configuration and the run's shared family and returns the suite's checks
+SUITES: Dict[str, Tuple[float, Callable[[RunConfig, QFamily], List[Check]]]] = {
+    "anchors": (1e-13, _suite_anchors),
+    "rll": (1e-12, _suite_rll),
+    "factorization": (1e-12, _suite_factorization),
+    "fusion": (1e-12, _suite_fusion),
+    "hirota": (1e-10, _suite_hirota),
+    "determinant": (1e-10, _suite_determinant),
+    "plucker": (1e-10, _suite_plucker),
+    "commuting": (1e-10, _suite_commuting),
+    "bgg": (1e-6, _suite_bgg),
+    "trace": (1e-6, _suite_trace),
 }
 
 
-def run_verify(cfg: RunConfig) -> dict:
+def run_verify(cfg: RunConfig, family: QFamily | None = None) -> dict:
     from .relations import QFamily
     # one family per run: every suite reads the same lazily built members
-    qf = QFamily(cfg.n, cfg.length, cfg.twist())
+    qf = family or QFamily(cfg.n, cfg.length, cfg.twist())
     records = []
     for suite in cfg.suites:
-        records.extend(SUITE_RUNNERS[suite](cfg, qf))
+        tol = cfg.tolerance(suite)
+        for name, check in SUITES[suite][1](cfg, qf):
+            t0 = time.perf_counter()
+            residual = float(check())
+            records.append({
+                "suite": suite,
+                "name": name,
+                "residual": residual,
+                "tolerance": tol,
+                "passed": residual < tol,
+                "seconds": round(time.perf_counter() - t0, 3),
+            })
     return {
         "command": "verify",
         "config": _config_dict(cfg),
@@ -398,11 +360,11 @@ def _cstr(x: complex) -> str:
     return "%.12g%+.12gj" % (x.real, x.imag)
 
 
-def run_spectrum(cfg: RunConfig) -> dict:
+def run_spectrum(cfg: RunConfig, family: QFamily | None = None) -> dict:
     from .spectral import SpectralAnalysis
     if cfg.length < 1:
         raise ConfigError("spectrum needs L >= 1")
-    sa = SpectralAnalysis(cfg.n, cfg.length, cfg.twist())
+    sa = SpectralAnalysis(cfg.n, cfg.length, cfg.twist(), family=family)
     rows = []
     for r in sa.all_records():
         rows.append({
@@ -456,7 +418,10 @@ def run_hasse(cfg: RunConfig) -> dict:
 
 
 def run_report(cfg: RunConfig) -> dict:
-    verify = run_verify(cfg)
+    from .relations import QFamily
+    # the verify suites and the spectrum read the same members
+    qf = QFamily(cfg.n, cfg.length, cfg.twist())
+    verify = run_verify(cfg, qf)
     report = {
         "command": "report",
         "config": _config_dict(cfg),
@@ -464,7 +429,7 @@ def run_report(cfg: RunConfig) -> dict:
         "hasse": run_hasse(cfg),
     }
     if cfg.length >= 1:
-        report["spectrum"] = run_spectrum(cfg)
+        report["spectrum"] = run_spectrum(cfg, qf)
     report["all_passed"] = verify["all_passed"]
     return report
 
@@ -473,11 +438,9 @@ def run_report(cfg: RunConfig) -> dict:
 
 
 def _config_dict(cfg: RunConfig) -> dict:
-    return {
-        "n": cfg.n, "L": cfg.length, "phi": list(cfg.phis),
-        "nmax": cfg.n_max, "buffer": cfg.buffer, "tol": cfg.tol,
-        "seed": cfg.seed, "suite": list(cfg.suites),
-    }
+    """The run's settings under their config-file keys, the output ones left out."""
+    return {k: getattr(cfg, f) for k, (f, _) in CONFIG_KEYS.items()
+            if k not in ("out", "format")}
 
 
 def _emit(doc: dict, cfg: RunConfig) -> str:
@@ -538,49 +501,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _floats(raw: object) -> Tuple[float, ...]:
+    try:
+        return tuple(float(x) for x in (raw.split(",") if isinstance(raw, str) else raw))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("phi must be a comma-separated number list") from exc
+
+
+def _names(raw: object) -> Tuple[str, ...]:
+    return tuple(raw.split(",")) if isinstance(raw, str) else tuple(raw)
+
+
+#: each config-file key, which is also a flag: its ``RunConfig`` field and the
+#: conversion of its value; a key left out keeps the field's default
+CONFIG_KEYS: Dict[str, Tuple[str, Callable[[object], object]]] = {
+    "n": ("n", int), "L": ("length", int), "phi": ("phis", _floats),
+    "nmax": ("n_max", int), "buffer": ("buffer", int), "tol": ("tol", float),
+    "seed": ("seed", int), "suite": ("suites", _names), "out": ("out", str),
+    "format": ("fmt", str),
+}
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     values: Dict[str, object] = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                values.update(json.load(fh))
+                values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError("cannot read config file: %s" % exc) from exc
-    flags = {
-        "n": args.n, "L": args.L, "phi": args.phi, "nmax": args.nmax,
-        "buffer": args.buffer, "tol": args.tol, "seed": args.seed,
-        "suite": args.suite, "out": args.out, "format": args.format,
-    }
-    for k, v in flags.items():
-        if v is not None:
-            values[k] = v
-    phis: Tuple[float, ...] = ()
-    if "phi" in values and values["phi"] is not None:
-        raw = values["phi"]
-        try:
-            if isinstance(raw, str):
-                phis = tuple(float(x) for x in raw.split(","))
-            else:
-                phis = tuple(float(x) for x in raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("phi must be a comma-separated number list") from exc
-    suites: Tuple[str, ...] = SUITES
-    if "suite" in values and values["suite"] is not None:
-        raw = values["suite"]
-        suites = tuple(raw.split(",")) if isinstance(raw, str) else tuple(raw)
+        if not isinstance(values, dict):
+            raise ConfigError("config file must hold a JSON object of flag keys")
+        unknown = sorted(set(values) - set(CONFIG_KEYS))
+        if unknown:
+            raise ConfigError("unknown config key %r (choose from %s)"
+                              % (unknown[0], ", ".join(CONFIG_KEYS)))
+    values.update((k, getattr(args, k)) for k in CONFIG_KEYS
+                  if getattr(args, k) is not None)
     try:
-        return RunConfig(
-            n=int(values.get("n", 2)),
-            length=int(values.get("L", 2)),
-            phis=phis,
-            n_max=int(values.get("nmax", 8)),
-            buffer=int(values.get("buffer", 4)),
-            tol=(float(values["tol"]) if values.get("tol") is not None else None),
-            seed=int(values.get("seed", 0)),
-            suites=suites,
-            out=values.get("out"),
-            fmt=str(values.get("format", "json")),
-        )
+        return RunConfig(**{field_name: convert(values[k])
+                            for k, (field_name, convert) in CONFIG_KEYS.items()
+                            if values.get(k) is not None})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .glrep import GlRep, fuse_generators, scalar_rep, shifted_weights
-from .lax import LaxMatrix, ModeFn, canonical_lax, partonic_lax
+from .lax import LaxMatrix, ModeFn, _buffered_cols, canonical_lax, partonic_lax
 from .oscillator import CarrierOp, FockSpace, Mode, NormalOrderedOp, nilpotent_exp
 
 if TYPE_CHECKING:
@@ -108,7 +108,7 @@ def _residual(space: FockSpace, buffer: int, lhs: Side, rhs: Side) -> float:
             eye = sp.identity(factors[0].d, format="csr")
             mats = [sp.kron(eye, s[fidx]), *mats, sp.kron(eye, s_inv[:, fidx])]
         else:
-            idx = (np.arange(factors[0].d)[:, None] * space.dim + fidx).ravel()
+            idx = _buffered_cols(space, factors[0].d, 1, buffer)
             mats[0] = mats[0][idx]
             mats[-1] = mats[-1][:, idx]
         return reduce(matmul, mats)

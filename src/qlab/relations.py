@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import cmath
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from functools import reduce
+from operator import matmul
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .glrep import permutation_sign
 from .tensor import QuantumOperator
@@ -114,12 +114,20 @@ class QFamily:
         return self._t_box
 
 
-def _z_samples(length: int) -> List[float]:
-    # length + 2 deterministic generic points; kept inside the unit interval
-    # so that degree-L entries stay O(1) and residuals reflect precision
-    count = length + 2
-    return [-0.83 + 1.67 * k / (count - 1) + 0.0137 * (k % 3)
-            for k in range(count)]
+def _max_residual(sides: Callable[[float], Tuple[QuantumOperator, QuantumOperator]],
+                  length: int, z_values: Sequence[float] | None) -> float:
+    """Largest ``(lhs - rhs).norm()`` of ``lhs, rhs = sides(z)`` over ``z_values``,
+    by default ``length + 2`` deterministic generic points, kept inside the unit
+    interval so that degree-L entries stay O(1) and residuals reflect precision."""
+    if z_values is None:
+        count = length + 2
+        z_values = [-0.83 + 1.67 * k / (count - 1) + 0.0137 * (k % 3)
+                    for k in range(count)]
+    worst = 0.0
+    for z in z_values:
+        lhs, rhs = sides(z)
+        worst = max(worst, (lhs - rhs).norm())
+    return worst
 
 
 # -- bilinear quadrilateral relation ----------------------------------------------
@@ -140,13 +148,11 @@ def hirota_residual(n: int, length: int, index_set: Sequence[int], a: int,
     q_ia = qf.q(I + (a,))
     q_ib = qf.q(I + (b,))
     q_iab = qf.q(I + (a, b))
-    worst = 0.0
-    for z in (z_values if z_values is not None else _z_samples(length)):
-        lhs = (q_iab.at(z) @ q_i.at(z)) * delta_pair(twist, a, b)
-        rhs = q_ia.at(z + 0.5) @ q_ib.at(z - 0.5) \
-            - q_ib.at(z + 0.5) @ q_ia.at(z - 0.5)
-        worst = max(worst, (lhs - rhs).norm())
-    return worst
+    return _max_residual(
+        lambda z: ((q_iab.at(z) @ q_i.at(z)) * delta_pair(twist, a, b),
+                   q_ia.at(z + 0.5) @ q_ib.at(z - 0.5)
+                   - q_ib.at(z + 0.5) @ q_ia.at(z - 0.5)),
+        length, z_values)
 
 
 # -- determinant forms ------------------------------------------------------------
@@ -174,6 +180,12 @@ def _operator_det(entries: List[List[QuantumOperator]]) -> QuantumOperator:
     return out
 
 
+def _q_det(family: QFamily, letters: Sequence[int],
+           points: Sequence[float]) -> QuantumOperator:
+    """``det | Q_{a_i}(z_j) |`` over the letters ``a_i`` and the points ``z_j``."""
+    return _operator_det([[family.q((a,)).at(z) for z in points] for a in letters])
+
+
 def q_determinant_residual(n: int, length: int, index_set: Sequence[int],
                            twist: TwistConfig, family: QFamily | None = None,
                            z_values: Sequence[float] | None = None) -> float:
@@ -184,13 +196,10 @@ def q_determinant_residual(n: int, length: int, index_set: Sequence[int],
         raise ValueError("the empty set has no determinant form")
     qf = family or QFamily(n, length, twist)
     shifts = [(p + 1) / 2 - j for j in range(1, p + 1)]
-    worst = 0.0
-    for z in (z_values if z_values is not None else _z_samples(length)):
-        entries = [[qf.q((a,)).at(z + s) for s in shifts] for a in I]
-        rhs = _operator_det(entries)
-        lhs = qf.q(I).at(z) * delta_set(twist, I)
-        worst = max(worst, (lhs - rhs).norm())
-    return worst
+    return _max_residual(
+        lambda z: (qf.q(I).at(z) * delta_set(twist, I),
+                   _q_det(qf, I, [z + s for s in shifts])),
+        length, z_values)
 
 
 def t_determinant_residual(n: int, length: int, twist: TwistConfig,
@@ -202,13 +211,10 @@ def t_determinant_residual(n: int, length: int, twist: TwistConfig,
     weight = [1.0] + [0.0] * (n - 1)
     shifts = [weight[j - 1] + (n - 2 * j + 1) / 2 for j in range(1, n + 1)]
     full = tuple(range(1, n + 1))
-    worst = 0.0
-    for z in (z_values if z_values is not None else _z_samples(length)):
-        entries = [[qf.q((a,)).at(z + s) for s in shifts] for a in full]
-        rhs = _operator_det(entries)
-        lhs = tbox.at(z) * delta_set(twist, full)
-        worst = max(worst, (lhs - rhs).norm())
-    return worst
+    return _max_residual(
+        lambda z: (tbox.at(z) * delta_set(twist, full),
+                   _q_det(qf, full, [z + s for s in shifts])),
+        length, z_values)
 
 
 # -- split/merge of highest-weight operators --------------------------------------
@@ -230,12 +236,10 @@ def x_merge_residual(n: int, length: int, set_i: Sequence[int],
     merged_weight = tuple(w + shift for w in weight_i) + tuple(weight_j)
     x_u = build_X_plus(n, length, union, merged_weight, twist)
     scale = delta_set(twist, I) * delta_set(twist, J)
-    worst = 0.0
-    for z in (z_values if z_values is not None else _z_samples(length)):
-        lhs = (x_i.at(z + shift + p2 / 2) @ x_j.at(z - p1 / 2)) * scale
-        rhs = x_u.at(z) * delta_set(twist, union)
-        worst = max(worst, (lhs - rhs).norm())
-    return worst
+    return _max_residual(
+        lambda z: ((x_i.at(z + shift + p2 / 2) @ x_j.at(z - p1 / 2)) * scale,
+                   x_u.at(z) * delta_set(twist, union)),
+        length, z_values)
 
 
 def x_product_form_residual(n: int, length: int, index_set: Sequence[int],
@@ -248,14 +252,11 @@ def x_product_form_residual(n: int, length: int, index_set: Sequence[int],
     qf = family or QFamily(n, length, twist)
     x = build_X_plus(n, length, I, tuple(weight), twist)
     shifts = [weight[i - 1] + (p - 2 * i + 1) / 2 for i in range(1, p + 1)]
-    worst = 0.0
-    for z in (z_values if z_values is not None else _z_samples(length)):
-        lhs = x.at(z) * delta_set(twist, I)
-        rhs = QuantumOperator.identity(n ** length)
-        for a, s in zip(I, shifts):
-            rhs = rhs @ qf.q((a,)).at(z + s)
-        worst = max(worst, (lhs - rhs).norm())
-    return worst
+    return _max_residual(
+        lambda z: (x.at(z) * delta_set(twist, I),
+                   reduce(matmul, [qf.q((a,)).at(z + s) for a, s in zip(I, shifts)],
+                          QuantumOperator.identity(n ** length))),
+        length, z_values)
 
 
 # -- exchange (three-term) relation of determinants --------------------------------
@@ -283,13 +284,8 @@ def plucker_residual(n: int, length: int, chain: Sequence[int], k: int,
     qf = family or QFamily(n, length, twist)
     letters_k = tuple(sorted(chain[:k]))
     letters_km1 = tuple(sorted(chain[:k - 1]))
-
-    def det(letters: IndexSet, pts: Sequence[float]) -> QuantumOperator:
-        entries = [[qf.q((a,)).at(z) for z in pts] for a in letters]
-        return _operator_det(entries)
-
     z = list(z_points)
-    lhs = det(letters_k, [z[0]] + z[2:]) @ det(letters_km1, z[1:k])
-    rhs = det(letters_k, z[:k]) @ det(letters_km1, z[2:]) \
-        + det(letters_km1, [z[0]] + z[2:k]) @ det(letters_k, z[1:])
+    lhs = _q_det(qf, letters_k, [z[0]] + z[2:]) @ _q_det(qf, letters_km1, z[1:k])
+    rhs = _q_det(qf, letters_k, z[:k]) @ _q_det(qf, letters_km1, z[2:]) \
+        + _q_det(qf, letters_km1, [z[0]] + z[2:k]) @ _q_det(qf, letters_k, z[1:])
     return (lhs - rhs).norm()

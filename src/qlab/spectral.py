@@ -13,15 +13,15 @@ defining-representation transfer operator.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .relations import QFamily
 from .tensor import QuantumOperator, _accumulate, basis_states, sector_states, state_index
-from .transfer import TwistConfig, build_Q, build_T_box
+from .transfer import TwistConfig
 
 ROOT_COLLISION_TOL = 1e-9
 
@@ -117,26 +117,24 @@ def simultaneous_eigenbasis(blocks: Sequence[np.ndarray], seed: int = 5,
     raise RuntimeError("no common eigenbasis found; twist may be degenerate")
 
 
-def eigenvalues_in_basis(block: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.diag(np.linalg.inv(v) @ block @ v)
-
-
 # -- eigenvalue polynomials and roots --------------------------------------------
 
 
-def extract_q_polynomials_loose(blocks: Sequence[np.ndarray], v: np.ndarray
+def extract_q_polynomials_loose(blocks: Sequence[np.ndarray], v: np.ndarray,
+                                vinv: Optional[np.ndarray] = None
                                 ) -> List[np.ndarray]:
     """Eigenvalue polynomials (one per joint eigenstate) of an operator
     polynomial, from the sector blocks of its coefficients, lowest power first,
-    and the sector's joint eigenbasis ``v``; no degree or monic constraint."""
-    vinv = np.linalg.inv(v)
+    and the sector's joint eigenbasis ``v``; no degree or monic constraint.
+    ``vinv`` is ``v``'s inverse, computed here when not given."""
+    vinv = np.linalg.inv(v) if vinv is None else vinv
     coeff_eigs = [np.diag(vinv @ block @ v) for block in blocks]
     return [np.array([ce[s] for ce in coeff_eigs]) for s in range(v.shape[0])]
 
 
 def extract_q_polynomials(blocks: Sequence[np.ndarray], v: np.ndarray,
-                          expected_degree: int,
-                          fit_tol: float = 1e-8) -> List[np.ndarray]:
+                          expected_degree: int, fit_tol: float = 1e-8,
+                          vinv: Optional[np.ndarray] = None) -> List[np.ndarray]:
     """Monic eigenvalue polynomials (one per joint eigenstate) of a family member.
 
     Takes the arguments of :func:`extract_q_polynomials_loose`.  Returns
@@ -145,7 +143,7 @@ def extract_q_polynomials(blocks: Sequence[np.ndarray], v: np.ndarray,
     that the leading coefficient is 1.
     """
     per_state = []
-    for cs in extract_q_polynomials_loose(blocks, v):
+    for cs in extract_q_polynomials_loose(blocks, v, vinv):
         if np.max(np.abs(cs[expected_degree + 1:]), initial=0.0) > fit_tol:
             raise ValueError("eigenvalue polynomial exceeds the sector degree")
         cs = cs[:expected_degree + 1]
@@ -248,25 +246,29 @@ class EigenstateRecord:
 
 
 class SpectralAnalysis:
-    """Joint diagnosis of one chain along one ascending chain of index sets."""
+    """Joint diagnosis of one chain along one ascending chain of index sets;
+    the members come from ``family``, or from a family built here."""
 
     def __init__(self, n: int, length: int, twist: TwistConfig,
-                 path: Sequence[int] | None = None):
+                 path: Sequence[int] | None = None,
+                 family: QFamily | None = None):
         self.n, self.length, self.twist = n, length, twist
         self.path = tuple(path) if path is not None else tuple(range(1, n + 1))
         if sorted(self.path) != list(range(1, n + 1)):
             raise ValueError("path must order all letters")
         self.sets = [tuple(sorted(self.path[:i])) for i in range(n + 1)]
-        self.q_polys = {I: build_Q(n, length, I, twist) for I in self.sets}
-        self.tbox = build_T_box(n, length, twist)
+        qf = family or QFamily(n, length, twist)
+        self.q_polys = {I: qf.q(I) for I in self.sets}
+        self.tbox = qf.t_box()
         self.H = build_hamiltonian(n, length, twist)
         # every operator is read once, into its blocks on all sectors; the
         # probes are the operators diagonalized together
-        labels = sector_labels(n, length)
-        sectors = [sector_indices(n, length, m) for m in labels]
+        grouped = sector_states(n, length)
+        self.labels = sorted(grouped)
+        sectors = [[state_index(s, n) for s in grouped[m]] for m in self.labels]
 
         def blocks(op: QuantumOperator) -> Dict[Tuple[int, ...], np.ndarray]:
-            return dict(zip(labels, sector_blocks(op, sectors)))
+            return dict(zip(self.labels, sector_blocks(op, sectors)))
 
         probes = [self.H] + [self.q_polys[I].at(z) for I in self.sets[1:-1]
                              for z in (0.37, -0.81)] + [self.tbox.at(0.29)]
@@ -280,14 +282,15 @@ class SpectralAnalysis:
         m = tuple(m)
         blocks = [b[m] for b in self._probe_blocks]
         v = simultaneous_eigenbasis(blocks, seed=seed)
-        energies = eigenvalues_in_basis(blocks[0], v)
+        vinv = np.linalg.inv(v)
+        energies = np.diag(vinv @ blocks[0] @ v)
         level_polys = []
         for i, I in enumerate(self.sets):
             deg = sum(m[a - 1] for a in I)
             level_polys.append(extract_q_polynomials(
-                [b[m] for b in self._q_blocks[I]], v, deg))
+                [b[m] for b in self._q_blocks[I]], v, deg, vinv=vinv))
         tbox_polys = extract_q_polynomials_loose(
-            [b[m] for b in self._tbox_blocks], v)
+            [b[m] for b in self._tbox_blocks], v, vinv)
         sigmas = [self.q_polys[I].sigma for I in self.sets]
         out = []
         for s in range(len(blocks[0])):
@@ -301,7 +304,7 @@ class SpectralAnalysis:
 
     def all_records(self, seed: int = 5) -> List[EigenstateRecord]:
         out = []
-        for m in sector_labels(self.n, self.length):
+        for m in self.labels:
             out.extend(self.sector_records(m, seed=seed))
         return out
 

@@ -39,6 +39,17 @@ def test_tolerance_override():
     assert RunConfig(tol=1e-5).tolerance("hirota") == 1e-5
 
 
+def test_records_follow_suite_order_and_carry_their_tolerance(capsys):
+    argv = ["verify", "--n", "2", "--L", "1", "--suite", "trace,anchors"]
+    assert main(argv) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [r["suite"] for r in records] == ["trace", "anchors", "anchors"]
+    assert [r["tolerance"] for r in records] == [1e-6, 1e-13, 1e-13]
+    assert main(argv + ["--tol", "1e-3"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [r["tolerance"] for r in records] == [1e-3] * 3
+
+
 # -- exit codes -------------------------------------------------------------------
 
 def test_verify_small_chain_passes(capsys):
@@ -99,6 +110,24 @@ def test_hirota_suite_record_count(capsys):
 
 
 # -- config file ------------------------------------------------------------------
+
+@pytest.mark.parametrize("content, message", [
+    ("[1, 2]", "config file must hold a JSON object"),
+    ('{"sute": "hirota"}', "unknown config key 'sute'"),
+])
+def test_bad_config_file_exits_two_with_one_line_error(tmp_path, content, message,
+                                                      capsys):
+    # a list once crashed with a traceback (exit 1); a misspelled key was ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    assert main(["verify", "--n", "2", "--L", "1", "--suite", "anchors",
+                 "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in err
+
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -173,6 +202,27 @@ def test_report_combines_sections(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_passed"]
     assert "verify" in doc and "hasse" in doc and "spectrum" in doc
+
+
+def test_report_builds_each_member_once(monkeypatch, capsys):
+    # the verify suites and the spectrum share one family, so each
+    # trivial-carrier chain member and T_box at L is built once
+    from qlab import transfer
+    built = []
+    build_X = transfer.build_X
+
+    def counting(n, length, index_set, rep, *args, **kwargs):
+        built.append((length, tuple(index_set), rep.kind))
+        return build_X(n, length, index_set, rep, *args, **kwargs)
+
+    monkeypatch.setattr(transfer, "build_X", counting)
+    assert main(["report", "--n", "3", "--L", "2", "--suite", "anchors,commuting"]) == 0
+    capsys.readouterr()
+    members = sorted((I, kind) for length, I, kind in built if length == 2)
+    assert members == sorted([((), "trivial"), ((1,), "trivial"), ((2,), "trivial"),
+                              ((3,), "trivial"), ((1, 2), "trivial"),
+                              ((1, 3), "trivial"), ((2, 3), "trivial"),
+                              ((1, 2, 3), "trivial"), ((1, 2, 3), "fundamental")])
 
 
 def test_reports_are_deterministic(capsys):
@@ -266,7 +316,7 @@ def test_trace_suite_domain_is_load_bearing():
     Every power it draws passes on every suite weight; one power more fails
     on at least one of them, so widening the range would fail the suite.
     """
-    from qlab.cli import DEFAULT_TOLS, TRACE_MAX_POWER, TRACE_WEIGHTS
+    from qlab.cli import TRACE_MAX_POWER, TRACE_WEIGHTS
     from qlab.oscillator import NormalOrderedOp as Op, extrapolated_trace, weighted_trace
     assert TRACE_MAX_POWER == 2
 
@@ -275,7 +325,7 @@ def test_trace_suite_domain_is_load_bearing():
         x = Op.creator(mode) ** k * Op.annihilator(mode) ** k
         return abs(weighted_trace(x, q) - extrapolated_trace(x, q))
 
-    gate = DEFAULT_TOLS["trace"]
+    gate = RunConfig().tolerance("trace")
     for mode, angle in TRACE_WEIGHTS:
         for k in range(TRACE_MAX_POWER + 1):
             assert error(mode, angle, k) < gate
