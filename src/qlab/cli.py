@@ -96,10 +96,12 @@ class RunConfig:
                               % (self.buffer, self.n_max)) from exc
         if self.fmt not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
-        for s in self.suites:
+        for i, s in enumerate(self.suites):
             if s not in SUITES:
                 raise ConfigError("unknown suite %r (choose from %s)"
                                   % (s, ", ".join(SUITES)))
+            if s in self.suites[:i]:
+                raise ConfigError("suite %r is listed twice" % s)
         if self.seed < 0:
             raise ConfigError("seed must be non-negative (got %d)" % self.seed)
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
@@ -241,13 +243,19 @@ def _suite_plucker(cfg: RunConfig, qf: QFamily) -> List[Check]:
 def _suite_commuting(cfg: RunConfig, qf: QFamily) -> List[Check]:
     from .relations import enumerate_hasse
     from .spectral import build_hamiltonian
-    from .tensor import comm_norm
+    from .tensor import QuantumOperator, stack_chunks
     members = [I for I in enumerate_hasse(cfg.n).nodes if 0 < len(I) < cfg.n]
 
     def worst() -> float:
         ops = [build_hamiltonian(cfg.n, cfg.length, cfg.twist()),
                qf.t_box().at(0.29)] + [qf.q(I).at(0.37) for I in members]
-        return max(comm_norm(x, y) for i, x in enumerate(ops) for y in ops[i + 1:])
+        pairs = [(x, y) for i, x in enumerate(ops) for y in ops[i + 1:]]
+        norms = []
+        for chunk in stack_chunks(pairs, ops[0].dim):
+            x = QuantumOperator.stack([x for x, _ in chunk])
+            y = QuantumOperator.stack([y for _, y in chunk])
+            norms.extend(((x @ y) - (y @ x)).norms().tolist())
+        return max(norms)
 
     return [("max pairwise commutator (%d ops)" % (2 + len(members)), worst)]
 
@@ -335,6 +343,7 @@ def run_verify(cfg: RunConfig, family: QFamily | None = None) -> dict:
                 "passed": residual < tol,
                 "seconds": round(time.perf_counter() - t0, 3),
             })
+        qf.drop_values()
     return {
         "command": "verify",
         "config": _config_dict(cfg),

@@ -35,7 +35,8 @@ from operator import matmul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .glrep import permutation_sign
-from .tensor import QuantumOperator
+from . import tensor
+from .tensor import QuantumOperator, stack_chunks, stack_size
 from .transfer import (OperatorPolynomial, TwistConfig, build_Q, build_T_box,
                        build_X_plus)
 
@@ -95,12 +96,19 @@ def enumerate_hasse(n: int) -> HasseDiagram:
 
 class QFamily:
     """Cache of the trivial-carrier family members and the defining-carrier
-    transfer operator for one chain and twist; each is built on first use."""
+    transfer operator for one chain and twist; each is built on first use.
+
+    Each member's values at a tuple of points, one stack, are cached too,
+    where the stack spans at most ``STACK_SLOTS`` slots: the checks of one
+    suite read the same members at the same points many times.  Callers drop
+    them with :meth:`drop_values` when a suite ends, so that the values of one
+    suite are held at a time."""
 
     def __init__(self, n: int, length: int, twist: TwistConfig):
         self.n, self.length, self.twist = n, length, twist
         self._cache: Dict[IndexSet, OperatorPolynomial] = {}
         self._t_box: Optional[OperatorPolynomial] = None
+        self._stacks: Dict[Tuple[IndexSet, Tuple[float, ...]], QuantumOperator] = {}
 
     def q(self, index_set: Sequence[int]) -> OperatorPolynomial:
         I = tuple(sorted(index_set))
@@ -108,25 +116,45 @@ class QFamily:
             self._cache[I] = build_Q(self.n, self.length, I, self.twist)
         return self._cache[I]
 
+    def q_at(self, index_set: Sequence[int], points: Sequence[float]
+             ) -> QuantumOperator:
+        """The stack of ``Q_I`` at each of ``points``."""
+        key = (tuple(sorted(index_set)), tuple(points))
+        out = self._stacks.get(key)
+        if out is None:
+            out = self.q(key[0]).at(key[1])
+            if len(points) * out.dim ** 2 <= tensor.STACK_SLOTS:
+                self._stacks[key] = out
+        return out
+
+    def drop_values(self) -> None:
+        """Forget the cached values of :meth:`q_at`."""
+        self._stacks.clear()
+
     def t_box(self) -> OperatorPolynomial:
         if self._t_box is None:
             self._t_box = build_T_box(self.n, self.length, self.twist)
         return self._t_box
 
 
-def _max_residual(sides: Callable[[float], Tuple[QuantumOperator, QuantumOperator]],
-                  length: int, z_values: Sequence[float] | None) -> float:
-    """Largest ``(lhs - rhs).norm()`` of ``lhs, rhs = sides(z)`` over ``z_values``,
-    by default ``length + 2`` deterministic generic points, kept inside the unit
-    interval so that degree-L entries stay O(1) and residuals reflect precision."""
+Sides = Callable[[List[float]], Tuple[QuantumOperator, QuantumOperator]]
+
+
+def _max_residual(sides: Sides, dim: int, length: int,
+                  z_values: Sequence[float] | None) -> float:
+    """Largest ``(lhs - rhs).norm()`` over ``z_values``, where ``lhs, rhs =
+    sides(points)`` are the stacks of both sides at a run of points, by default
+    ``length + 2`` deterministic generic points, kept inside the unit interval
+    so that degree-L entries stay O(1) and residuals reflect precision.  The
+    points go to ``sides`` in runs of at most ``stack_size(dim)``."""
     if z_values is None:
         count = length + 2
         z_values = [-0.83 + 1.67 * k / (count - 1) + 0.0137 * (k % 3)
                     for k in range(count)]
     worst = 0.0
-    for z in z_values:
-        lhs, rhs = sides(z)
-        worst = max(worst, (lhs - rhs).norm())
+    for points in stack_chunks(list(z_values), dim):
+        lhs, rhs = sides(points)
+        worst = max(worst, *(lhs - rhs).norms().tolist())
     return worst
 
 
@@ -144,46 +172,66 @@ def hirota_residual(n: int, length: int, index_set: Sequence[int], a: int,
     if a in I or b in I or a == b:
         raise ValueError("indices must be distinct and outside the set")
     qf = family or QFamily(n, length, twist)
-    q_i = qf.q(I)
-    q_ia = qf.q(I + (a,))
-    q_ib = qf.q(I + (b,))
-    q_iab = qf.q(I + (a, b))
-    return _max_residual(
-        lambda z: ((q_iab.at(z) @ q_i.at(z)) * delta_pair(twist, a, b),
-                   q_ia.at(z + 0.5) @ q_ib.at(z - 0.5)
-                   - q_ib.at(z + 0.5) @ q_ia.at(z - 0.5)),
-        length, z_values)
+
+    def sides(zs: List[float]) -> Tuple[QuantumOperator, QuantumOperator]:
+        up, down = [z + 0.5 for z in zs], [z - 0.5 for z in zs]
+        return ((qf.q_at(I + (a, b), zs) @ qf.q_at(I, zs)) * delta_pair(twist, a, b),
+                qf.q_at(I + (a,), up) @ qf.q_at(I + (b,), down)
+                - qf.q_at(I + (b,), up) @ qf.q_at(I + (a,), down))
+
+    return _max_residual(sides, n ** length, length, z_values)
 
 
 # -- determinant forms ------------------------------------------------------------
 
 
 def _operator_det(entries: List[List[QuantumOperator]]) -> QuantumOperator:
-    """Determinant of a matrix of pairwise-commuting operators.
+    """Determinants of matrices of pairwise-commuting operators: the entries
+    are stacks, and operator ``b`` of the result is the determinant of the
+    operators ``b`` of the entries.
 
-    The signed products ``entries[0][s0] @ entries[1][s1] @ ...`` are summed
-    over permutations ``s`` in lexicographic order.  A depth-first walk forms
-    each left-associated prefix product once and shares it among the
-    permutations that extend it.
+    The signed products ``entries[0][s0] @ entries[1][s1] @ ...`` are added
+    one at a time over permutations ``s`` in lexicographic order.  A
+    depth-first walk forms each left-associated prefix product once and shares
+    it among the permutations that extend it.  It holds the prefixes in groups
+    of consecutive permutations of one length, each group one stack of at most
+    ``stack_size(dim)`` operators, and forms a group's children together, in
+    groups of the same bound.  With one operator per group, it holds the
+    prefixes a walk of single products holds.
     """
     p = len(entries)
-    out = QuantumOperator.zero(entries[0][0].dim)
-    stack = [((col,), entries[0][col]) for col in reversed(range(p))]
-    while stack:
-        sig, prefix = stack.pop()
-        row = len(sig)
+    dim, count = entries[0][0].dim, entries[0][0].count
+    per = max(1, stack_size(dim) // count)
+    out = QuantumOperator.zero(dim, count)
+    # (permutation prefixes, their products as one stack); the root is empty
+    todo: List[Tuple[List[Tuple[int, ...]], Optional[QuantumOperator]]] = [([()], None)]
+    while todo:
+        sigs, prefixes = todo.pop()
+        row = len(sigs[0])
         if row == p:
-            out = out + prefix * permutation_sign(sig)
+            signed = prefixes * [float(permutation_sign(s)) for s in sigs
+                                 for _ in range(count)]
+            for i in range(len(sigs)):
+                out = out + signed.take(range(i * count, (i + 1) * count))
             continue
-        stack.extend((sig + (col,), prefix @ entries[row][col])
-                     for col in reversed(range(p)) if col not in sig)
+        children = [(i, col) for i, sig in enumerate(sigs)
+                    for col in range(p) if col not in sig]
+        for lo in reversed(range(0, len(children), per)):
+            group = children[lo:lo + per]
+            products = QuantumOperator.stack([entries[row][col] for _, col in group])
+            if prefixes is not None:
+                products = prefixes.take([i * count + b for i, _ in group
+                                          for b in range(count)]) @ products
+            todo.append(([sigs[i] + (col,) for i, col in group], products))
     return out
 
 
 def _q_det(family: QFamily, letters: Sequence[int],
-           points: Sequence[float]) -> QuantumOperator:
-    """``det | Q_{a_i}(z_j) |`` over the letters ``a_i`` and the points ``z_j``."""
-    return _operator_det([[family.q((a,)).at(z) for z in points] for a in letters])
+           point_lists: Sequence[Sequence[float]]) -> QuantumOperator:
+    """The stack of ``det | Q_{a_i}(z_j) |`` over the letters ``a_i``, one for
+    each list of points ``z_j`` in ``point_lists``."""
+    return _operator_det([[family.q_at((a,), [zs[j] for zs in point_lists])
+                           for j in range(len(letters))] for a in letters])
 
 
 def q_determinant_residual(n: int, length: int, index_set: Sequence[int],
@@ -197,9 +245,9 @@ def q_determinant_residual(n: int, length: int, index_set: Sequence[int],
     qf = family or QFamily(n, length, twist)
     shifts = [(p + 1) / 2 - j for j in range(1, p + 1)]
     return _max_residual(
-        lambda z: (qf.q(I).at(z) * delta_set(twist, I),
-                   _q_det(qf, I, [z + s for s in shifts])),
-        length, z_values)
+        lambda zs: (qf.q_at(I, zs) * delta_set(twist, I),
+                    _q_det(qf, I, [[z + s for s in shifts] for z in zs])),
+        n ** length, length, z_values)
 
 
 def t_determinant_residual(n: int, length: int, twist: TwistConfig,
@@ -212,9 +260,9 @@ def t_determinant_residual(n: int, length: int, twist: TwistConfig,
     shifts = [weight[j - 1] + (n - 2 * j + 1) / 2 for j in range(1, n + 1)]
     full = tuple(range(1, n + 1))
     return _max_residual(
-        lambda z: (tbox.at(z) * delta_set(twist, full),
-                   _q_det(qf, full, [z + s for s in shifts])),
-        length, z_values)
+        lambda zs: (tbox.at(zs) * delta_set(twist, full),
+                    _q_det(qf, full, [[z + s for s in shifts] for z in zs])),
+        n ** length, length, z_values)
 
 
 # -- split/merge of highest-weight operators --------------------------------------
@@ -237,9 +285,10 @@ def x_merge_residual(n: int, length: int, set_i: Sequence[int],
     x_u = build_X_plus(n, length, union, merged_weight, twist)
     scale = delta_set(twist, I) * delta_set(twist, J)
     return _max_residual(
-        lambda z: ((x_i.at(z + shift + p2 / 2) @ x_j.at(z - p1 / 2)) * scale,
-                   x_u.at(z) * delta_set(twist, union)),
-        length, z_values)
+        lambda zs: ((x_i.at([z + shift + p2 / 2 for z in zs])
+                     @ x_j.at([z - p1 / 2 for z in zs])) * scale,
+                    x_u.at(zs) * delta_set(twist, union)),
+        n ** length, length, z_values)
 
 
 def x_product_form_residual(n: int, length: int, index_set: Sequence[int],
@@ -253,10 +302,11 @@ def x_product_form_residual(n: int, length: int, index_set: Sequence[int],
     x = build_X_plus(n, length, I, tuple(weight), twist)
     shifts = [weight[i - 1] + (p - 2 * i + 1) / 2 for i in range(1, p + 1)]
     return _max_residual(
-        lambda z: (x.at(z) * delta_set(twist, I),
-                   reduce(matmul, [qf.q((a,)).at(z + s) for a, s in zip(I, shifts)],
-                          QuantumOperator.identity(n ** length))),
-        length, z_values)
+        lambda zs: (x.at(zs) * delta_set(twist, I),
+                    reduce(matmul, [qf.q_at((a,), [z + s for z in zs])
+                                    for a, s in zip(I, shifts)],
+                           QuantumOperator.identity(n ** length, len(zs)))),
+        n ** length, length, z_values)
 
 
 # -- exchange (three-term) relation of determinants --------------------------------
@@ -276,16 +326,26 @@ def plucker_residual(n: int, length: int, chain: Sequence[int], k: int,
         D_k(z0, z2..zk) D_{k-1}(z1..z_{k-1})
             = D_k(z0..z_{k-1}) D_{k-1}(z2..zk)
             + D_{k-1}(z0, z2..z_{k-1}) D_k(z1..zk)
+
+    The three determinants of each size are formed as one stack.
     """
     if k < 2:
         raise ValueError("the relation needs at least two nested levels")
     if len(z_points) != k + 1:
         raise ValueError("need k+1 spectral points")
     qf = family or QFamily(n, length, twist)
-    letters_k = tuple(sorted(chain[:k]))
-    letters_km1 = tuple(sorted(chain[:k - 1]))
     z = list(z_points)
-    lhs = _q_det(qf, letters_k, [z[0]] + z[2:]) @ _q_det(qf, letters_km1, z[1:k])
-    rhs = _q_det(qf, letters_k, z[:k]) @ _q_det(qf, letters_km1, z[2:]) \
-        + _q_det(qf, letters_km1, [z[0]] + z[2:k]) @ _q_det(qf, letters_k, z[1:])
+
+    def dets(letters: Sequence[int], point_lists: List[List[float]]
+             ) -> List[QuantumOperator]:
+        out = []
+        for lists in stack_chunks(point_lists, n ** length):
+            stack = _q_det(qf, tuple(sorted(letters)), lists)
+            out.extend(stack.take([b]) for b in range(stack.count))
+        return out
+
+    d_k = dets(chain[:k], [[z[0]] + z[2:], z[:k], z[1:]])
+    d_km1 = dets(chain[:k - 1], [z[1:k], z[2:], [z[0]] + z[2:k]])
+    lhs = d_k[0] @ d_km1[0]
+    rhs = d_k[1] @ d_km1[1] + d_km1[2] @ d_k[2]
     return (lhs - rhs).norm()

@@ -94,11 +94,13 @@ def sector_blocks(op: QuantumOperator, sectors: Sequence[Sequence[int]]
 
 
 def simultaneous_eigenbasis(blocks: Sequence[np.ndarray], seed: int = 5,
-                            tol: float = 1e-8, attempts: int = 8) -> np.ndarray:
-    """Eigenbasis of a random combination, validated against every block."""
+                            tol: float = 1e-8, attempts: int = 8
+                            ) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenbasis ``v`` of a random combination, validated against every
+    block, and its inverse ``vinv``."""
     dim = blocks[0].shape[0]
     if dim == 0:
-        return np.zeros((0, 0), dtype=complex)
+        return np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
     rng = np.random.default_rng(seed)
     for _ in range(attempts):
         coeffs = rng.normal(size=len(blocks)) + 1j * rng.normal(size=len(blocks))
@@ -113,7 +115,7 @@ def simultaneous_eigenbasis(blocks: Sequence[np.ndarray], seed: int = 5,
                 ok = False
                 break
         if ok:
-            return v
+            return v, vinv
     raise RuntimeError("no common eigenbasis found; twist may be degenerate")
 
 
@@ -281,8 +283,7 @@ class SpectralAnalysis:
                        ) -> List[EigenstateRecord]:
         m = tuple(m)
         blocks = [b[m] for b in self._probe_blocks]
-        v = simultaneous_eigenbasis(blocks, seed=seed)
-        vinv = np.linalg.inv(v)
+        v, vinv = simultaneous_eigenbasis(blocks, seed=seed)
         energies = np.diag(vinv @ blocks[0] @ v)
         level_polys = []
         for i, I in enumerate(self.sets):

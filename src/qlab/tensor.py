@@ -16,16 +16,35 @@ equal operators stored in a different order give results that differ at
 rounding level.  Basis states of the chain are enumerated in base ``n`` with
 site 1 as the most significant digit.
 
+One ``QuantumOperator`` may hold a stack of ``count`` operators of one
+dimension, such as a family member at several spectral points: the
+``(count * dim) x dim`` matrix whose rows ``b * dim .. b * dim + dim - 1``
+hold operator ``b``, with keys ``(b * dim + row) * dim + col``.  A single
+operator (``count = 1``) is stored exactly as above.  Every operation acts on
+each operator of a stack on its own: ``a @ b`` pairs the entry ``(b, r, k)``
+of ``a`` with row ``b * dim + k`` of ``b``, a scalar multiple takes one scalar
+or one per operator, and :meth:`QuantumOperator.norms` gives one norm per
+operator.  Keys of different operators never meet, so each operator of a
+result is stored, and rounded, exactly as the operation on that operator
+alone would store it; the stack only forms one numpy pass where there were
+``count``.
+
 Sums of terms are formed by a scatter that costs O(terms) and sorts nothing
 (:func:`_scatter`): ``np.minimum.at`` records the position of each key's first
 term and ``np.add.at`` adds the terms in array order, both into a module
-workspace of ``dim**2`` slots, which each call resets only at the keys it
-stored.  The workspace takes 24 bytes per slot (an int64 position and a
-complex128 sum), so about 25 MB at ``dim = 1024`` (``n = 4, L = 5``); it is
-sized for the largest dimension used so far and kept.  A product forms its
-terms in chunks of left entries of about ``MATMUL_CHUNK`` terms each and
-scatters every chunk into the same workspace, which bounds its transient
-arrays without changing any sum.
+workspace of ``count * dim**2`` slots, which each call resets only at the keys
+it stored.  The workspace takes 24 bytes per slot (an int64 position and a
+complex128 sum); it is sized for the largest stack used so far and kept.
+Callers cut stacks into runs of at most :func:`stack_size` operators
+(:func:`stack_chunks`), so the workspace never passes
+``max(dim**2, STACK_SLOTS)`` slots: about 0.8 MB while ``dim**2`` is at most
+``STACK_SLOTS``, and 25 MB at ``dim = 1024`` (``n = 4, L = 5``), where every
+stack holds one operator.  So stacks hold more than one operator while
+``dim <= 128``: every chain with ``n = 2``, and ``n = 3`` to ``L = 4`` and
+``n = 4`` to ``L = 3``; at ``(3, 5)``, ``(4, 4)`` and ``(4, 5)`` every pass
+forms one operator.  A product forms its terms in chunks of left
+entries of about ``MATMUL_CHUNK`` terms each and scatters every chunk into the
+same workspace, which bounds its transient arrays without changing any sum.
 """
 
 from __future__ import annotations
@@ -41,17 +60,33 @@ DROP_TOL = 1e-14
 _SURE_DROP = 0.7 * DROP_TOL
 #: products form their terms in chunks of left entries of about this many terms
 MATMUL_CHUNK = 1 << 18
+#: a stack of operators spans at most this many slots ``count * dim**2``,
+#: unless a single operator spans more
+STACK_SLOTS = 1 << 15
+
+
+def stack_size(dim: int) -> int:
+    """The most operators of dimension ``dim`` that one stack holds."""
+    return max(1, STACK_SLOTS // (dim * dim))
+
+
+def stack_chunks(items: Sequence, dim: int) -> List[Sequence]:
+    """``items`` cut into consecutive runs of at most ``stack_size(dim)``."""
+    size = stack_size(dim)
+    return [items[lo:lo + size] for lo in range(0, len(items), size)]
 
 
 class QuantumOperator:
-    """A complex ``dim x dim`` matrix: entry keys ``row * dim + col`` (int64)
-    and amplitudes ``vals`` (complex128) in insertion order, which is the order
-    in which products and sums add terms (module docstring)."""
+    """A stack of ``count`` complex ``dim x dim`` matrices: entry keys
+    ``(b * dim + row) * dim + col`` (int64) of operator ``b`` and amplitudes
+    ``vals`` (complex128) in insertion order, which is the order in which
+    products and sums add terms (module docstring)."""
 
-    __slots__ = ("dim", "keys", "vals")
+    __slots__ = ("dim", "count", "keys", "vals")
 
     def __init__(self, dim: int, data: Dict[Tuple[int, int], complex] | None = None):
         self.dim = int(dim)
+        self.count = 1
         keys: List[int] = []
         vals: List[complex] = []
         for (r, c), v in (data or {}).items():
@@ -65,8 +100,8 @@ class QuantumOperator:
         self.vals = np.array(vals, dtype=complex)
 
     @classmethod
-    def _from_arrays(cls, dim: int, keys: np.ndarray, vals: np.ndarray
-                     ) -> "QuantumOperator":
+    def _from_arrays(cls, dim: int, keys: np.ndarray, vals: np.ndarray,
+                     count: int = 1) -> "QuantumOperator":
         """The entries ``keys``, ``vals`` whose modulus exceeds ``DROP_TOL``.
 
         The test reads ``m = max(|re|, |im|)`` first.  The modulus lies in
@@ -86,20 +121,28 @@ class QuantumOperator:
                 v = vals[unsure]
                 keep[unsure] = np.hypot(v.real, v.imag) > DROP_TOL
             keys, vals = keys[keep], vals[keep]
+        return cls._stored(dim, count, keys, vals)
+
+    @classmethod
+    def _stored(cls, dim: int, count: int, keys: np.ndarray, vals: np.ndarray
+                ) -> "QuantumOperator":
+        """The stack of the given entries, every one of which is kept."""
         op = cls.__new__(cls)
-        op.dim, op.keys, op.vals = dim, keys, vals
+        op.dim, op.count, op.keys, op.vals = dim, count, keys, vals
         return op
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def identity(cls, dim: int) -> "QuantumOperator":
-        return cls._from_arrays(dim, np.arange(dim, dtype=np.int64) * (dim + 1),
-                                np.ones(dim, dtype=complex))
+    def identity(cls, dim: int, count: int = 1) -> "QuantumOperator":
+        diag = np.arange(count * dim, dtype=np.int64) * dim
+        return cls._from_arrays(dim, diag + np.tile(np.arange(dim, dtype=np.int64), count),
+                                np.ones(count * dim, dtype=complex), count)
 
     @classmethod
-    def zero(cls, dim: int) -> "QuantumOperator":
-        return cls(dim)
+    def zero(cls, dim: int, count: int = 1) -> "QuantumOperator":
+        return cls._stored(dim, count, np.zeros(0, dtype=np.int64),
+                           np.zeros(0, dtype=complex))
 
     @classmethod
     def from_dense(cls, mat: np.ndarray) -> "QuantumOperator":
@@ -110,36 +153,81 @@ class QuantumOperator:
         return cls._from_arrays(mat.shape[0], keys,
                                 mat.reshape(-1)[keys].astype(complex))
 
+    @classmethod
+    def stack(cls, ops: Sequence["QuantumOperator"]) -> "QuantumOperator":
+        """The operators of the stacks ``ops``, in order, as one stack."""
+        if len(ops) == 1:
+            return ops[0]
+        dim = ops[0].dim
+        if any(op.dim != dim for op in ops):
+            raise ValueError("dimension mismatch")
+        first = np.cumsum([0] + [op.count for op in ops])
+        return cls._stored(dim, int(first[-1]),
+                           np.concatenate([op.keys + int(b) * dim * dim
+                                           for op, b in zip(ops, first)]),
+                           np.concatenate([op.vals for op in ops]))
+
+    def take(self, blocks: Sequence[int]) -> "QuantumOperator":
+        """The stack of operators ``blocks`` of this stack, in that order;
+        an operator may be taken more than once."""
+        blocks = list(blocks)
+        if blocks == list(range(self.count)):
+            return self
+        size = self.dim * self.dim
+        owner = self.keys // size
+        # each operator's entries, in stored order
+        order = np.argsort(owner, kind="stable")
+        sizes = np.bincount(owner, minlength=self.count)
+        start = np.cumsum(sizes) - sizes
+        picked = np.concatenate([order[start[b]:start[b] + sizes[b]] for b in blocks])
+        shift = np.repeat((np.arange(len(blocks)) - blocks) * size, sizes[blocks])
+        return QuantumOperator._stored(self.dim, len(blocks),
+                                       self.keys[picked] + shift, self.vals[picked])
+
     # -- arithmetic --------------------------------------------------------
 
+    def _check(self, other: "QuantumOperator") -> None:
+        if self.dim != other.dim or self.count != other.count:
+            raise ValueError("dimension or stack size mismatch")
+
     def __add__(self, other: "QuantumOperator") -> "QuantumOperator":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
+        self._check(other)
         return _accumulate(self.dim, np.concatenate((self.keys, other.keys)),
                            np.concatenate((self.vals, other.vals)),
-                           assigned=len(self.keys))
+                           assigned=len(self.keys), count=self.count)
 
     def __sub__(self, other: "QuantumOperator") -> "QuantumOperator":
         return self + (other * (-1.0))
 
-    def __mul__(self, scalar: complex) -> "QuantumOperator":
+    def __mul__(self, scalar) -> "QuantumOperator":
+        """The stack times one scalar, or operator ``b`` times ``scalar[b]``."""
+        if isinstance(scalar, (list, tuple, np.ndarray)):
+            if len(scalar) != self.count:
+                raise ValueError("need one scalar per operator")
+            # one operator's factor is broadcast, not copied to every entry
+            factor = complex(scalar[0]) if self.count == 1 else \
+                np.array(scalar, dtype=complex)[self.keys // (self.dim * self.dim)]
+        else:
+            factor = complex(scalar)
         return QuantumOperator._from_arrays(self.dim, self.keys,
-                                            _product(self.vals, complex(scalar)))
+                                            _product(self.vals, factor), self.count)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "QuantumOperator") -> "QuantumOperator":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
+        self._check(other)
         dim = self.dim
-        # the right factor's entries grouped by row, stored order within a row
+        # the right factor's entries grouped by stacked row, stored order
+        # within a row
         rows, cols = np.divmod(other.keys, dim)
         by_row = np.argsort(rows, kind="stable")
-        counts = np.bincount(rows, minlength=dim)
+        counts = np.bincount(rows, minlength=self.count * dim)
         row_start = np.cumsum(counts) - counts
-        # one term per (left entry, entry of the right factor's row k); term t
-        # of left entry i reads the right entry by_row[shift[i] + t]
+        # left entry (b, r, k) meets the right row b * dim + k; one term per
+        # (left entry, entry of that row); term t of left entry i reads the
+        # right entry by_row[shift[i] + t]
         left_rows, k = np.divmod(self.keys, dim)
+        k += left_rows - left_rows % dim
         width = counts[k]
         end = np.cumsum(width)
         shift = row_start[k] - (end - width)
@@ -158,28 +246,36 @@ class QuantumOperator:
                 yield (left_rows[left] * dim + cols[right],
                        _product(self.vals[left], other.vals[right]))
 
-        return _scatter(dim, chunks())
+        return _scatter(dim, chunks(), count=self.count)
 
     # -- queries -----------------------------------------------------------
 
+    def norms(self) -> np.ndarray:
+        """Largest entry modulus (max norm) of each operator of the stack."""
+        out = np.zeros(self.count)
+        np.maximum.at(out, self.keys // (self.dim * self.dim),
+                      np.hypot(self.vals.real, self.vals.imag))
+        return out
+
     def norm(self) -> float:
-        """Largest entry modulus (max norm)."""
-        if not len(self.vals):
-            return 0.0
-        return float(np.hypot(self.vals.real, self.vals.imag).max())
+        """Largest entry modulus over the stack (max norm)."""
+        return float(self.norms().max())
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dim * self.dim, dtype=complex)
+        """The ``(count * dim) x dim`` matrix of the stack."""
+        out = np.zeros(self.count * self.dim * self.dim, dtype=complex)
         out[self.keys] = self.vals
-        return out.reshape(self.dim, self.dim)
+        return out.reshape(self.count * self.dim, self.dim)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuantumOperator):
             return NotImplemented
-        return self.dim == other.dim and (self - other).norm() <= DROP_TOL
+        return (self.dim, self.count) == (other.dim, other.count) \
+            and (self - other).norm() <= DROP_TOL
 
     def __repr__(self) -> str:
-        return f"QuantumOperator(dim={self.dim}, nnz={len(self.keys)})"
+        stacked = f", count={self.count}" if self.count > 1 else ""
+        return f"QuantumOperator(dim={self.dim}{stacked}, nnz={len(self.keys)})"
 
 
 def _product(a: np.ndarray, b) -> np.ndarray:
@@ -191,15 +287,15 @@ def _product(a: np.ndarray, b) -> np.ndarray:
 
 
 def _accumulate(dim: int, keys: np.ndarray, terms: np.ndarray,
-                assigned: int = 0) -> QuantumOperator:
-    """The operator whose entry at each key is the sum of the ``terms`` there.
+                assigned: int = 0, count: int = 1) -> QuantumOperator:
+    """The stack whose entry at each key is the sum of the ``terms`` there.
 
     Terms are added in array order, and each key is stored where it is first
     touched.  A sum starts from ``0.0`` (``d.get(key, 0.0) + v``), or from
     ``-0.0`` where the key's first term is among the first ``assigned``: that
     takes the term unchanged, signed zeros included (``d[key] = v``).
     """
-    return _scatter(dim, [(keys, terms)], assigned)
+    return _scatter(dim, [(keys, terms)], assigned, count)
 
 
 #: the scatter workspace, indexed by key: the position of the key's first
@@ -210,15 +306,15 @@ _sums = np.empty(0, dtype=complex)
 
 
 def _scatter(dim: int, chunks: Iterable[Tuple[np.ndarray, np.ndarray]],
-             assigned: int = 0) -> QuantumOperator:
+             assigned: int = 0, count: int = 1) -> QuantumOperator:
     """:func:`_accumulate` of the concatenated ``(keys, terms)`` chunks, in
     O(terms) through the module workspace (module docstring).  The chunks are
     not joined, so one chunk's arrays are held at a time; the workspace is
     shared, so calls must not overlap (the package is single-threaded)."""
     global _first, _sums
-    if len(_first) < dim * dim:
-        _first = np.full(dim * dim, _UNSET, dtype=np.int64)
-        _sums = np.zeros(dim * dim, dtype=complex)
+    if len(_first) < count * dim * dim:
+        _first = np.full(count * dim * dim, _UNSET, dtype=np.int64)
+        _sums = np.zeros(count * dim * dim, dtype=complex)
     first, sums = _first, _sums
     stored = []
     offset = 0
@@ -241,7 +337,7 @@ def _scatter(dim: int, chunks: Iterable[Tuple[np.ndarray, np.ndarray]],
     vals = sums[keys]
     first[keys] = _UNSET
     sums[keys] = 0.0
-    return QuantumOperator._from_arrays(dim, keys, vals)
+    return QuantumOperator._from_arrays(dim, keys, vals, count)
 
 
 # -- chain embeddings -----------------------------------------------------
@@ -281,8 +377,3 @@ def sector_states(n: int, length: int) -> Dict[Tuple[int, ...], List[Tuple[int, 
     for s in basis_states(n, length):
         out.setdefault(occupation(s, n), []).append(s)
     return out
-
-
-def comm_norm(a: QuantumOperator, b: QuantumOperator) -> float:
-    """Max-norm of the commutator ``[a, b]``."""
-    return ((a @ b) - (b @ a)).norm()

@@ -20,7 +20,6 @@ from qlab.oscillator import (NormalOrderedOp as Op, extrapolated_trace,
 from qlab.relations import (QFamily, enumerate_hasse, hirota_residual,
                             q_determinant_residual, t_determinant_residual)
 from qlab.spectral import SpectralAnalysis, build_hamiltonian
-from qlab.tensor import comm_norm
 from qlab.transfer import TwistConfig, bgg_eigen_check, build_Q, build_T_box
 
 TW = {2: TwistConfig((0.7, -0.7)), 3: TwistConfig((0.7, -0.4, -0.3))}
@@ -140,7 +139,7 @@ def test_criterion_07_commuting_family():
                     ops.append(qf.q(I).at(0.37))
                     ops.append(qf.q(I).at(-0.81))
             worst = max(worst,
-                        max(comm_norm(x, y) for i, x in enumerate(ops)
+                        max(((x @ y) - (y @ x)).norm() for i, x in enumerate(ops)
                             for y in ops[i + 1:]))
     _report(7, "commuting conserved family", worst, 1e-10)
 

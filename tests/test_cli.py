@@ -81,6 +81,7 @@ def test_bad_flag_values_exit_two(capsys):
     (["--phi", "inf,-inf"], "phi must be finite angles"),
     (["--tol", "nan"], "tol must be a positive finite number"),
     (["--tol", "-1"], "tol must be a positive finite number"),
+    (["--suite", "anchors,anchors"], "suite 'anchors' is listed twice"),
 ])
 def test_invalid_inputs_exit_two_with_one_line_error(flags, message, capsys):
     # each of these once crashed with a traceback (exit 1, which means an

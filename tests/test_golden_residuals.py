@@ -1,9 +1,9 @@
-"""Every residual of eight reference ``verify`` runs, pinned to the last bit.
+"""Every residual of nine reference ``verify`` runs, pinned to the last bit.
 
 ``golden_residuals.json`` holds, as ``float.hex``, each record's residual for
-the relation suites at (n, L) = (4,3) seed 1, (3,3) seed 0 and (2,5) seed 1,
-the ``bgg,trace`` suites at (3,2), all at the default twist, the carrier
-suites ``rll,fusion,factorization`` at n = 2 and n = 3 with the default
+the relation suites at (n, L) = (4,3) seed 1, (3,3) seed 0, (2,5) seed 1 and
+(3,4) seed 1, the ``bgg,trace`` suites at (3,2), all at the default twist,
+the carrier suites ``rll,fusion,factorization`` at n = 2 and n = 3 with the default
 truncation and at n = 4 with ``--nmax 5 --buffer 4``, and the ``fusion`` and
 ``factorization`` suites at n = 4 with the default ``--nmax 8`` (12 modes,
 the buffered block holding the states of total excitation at most 4).  The
@@ -18,6 +18,12 @@ type over the oscillator algebra, and the n = 4 ``--nmax 8`` values while
 every Fock matrix was still built on the whole truncated space; ``CarrierOp``
 sums every entry in the same order, and a matrix built only on the rows a
 product reads holds those rows unchanged, so they must not move either.
+The (3,4) case was added, from the code that checked one spectral point at a
+time, when the checks began to stack their points: at dimension 81 a stack
+holds four operators and a check reads six points, so this case runs chunks
+that end inside a check.  Adding it regenerated no other value.  The relation
+cases are also run with the stacking cap lowered, down to one operator per
+pass, which is how the checks run at (4,4) and (4,5).
 
 A change that reorders a summation (for example dense BLAS sector blocks,
 ROADMAP item 2) moves these residuals at rounding level.  Such a change must
@@ -30,6 +36,7 @@ from pathlib import Path
 
 import pytest
 
+from qlab import tensor
 from qlab.cli import main
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_residuals.json").read_text())
@@ -41,3 +48,16 @@ def test_residuals_are_bitwise_unchanged(case, capsys):
     records = json.loads(capsys.readouterr().out)["records"]
     got = [[r["name"], float(r["residual"]).hex()] for r in records]
     assert got == case["residuals"]
+
+
+RELATION_CASES = [c for c in GOLDEN if "hirota" in c["argv"][c["argv"].index("--suite") + 1]]
+
+
+@pytest.mark.parametrize("slots", [1, 3 * 27 ** 2])
+@pytest.mark.parametrize("case", RELATION_CASES, ids=lambda c: " ".join(c["argv"][1:5]))
+def test_residuals_do_not_depend_on_the_stacking_cap(case, slots, capsys, monkeypatch):
+    # 3 * 27**2 slots hold three operators at (3,3), two at (2,5) and one at
+    # (4,3) and (3,4); one slot makes every pass form one operator and caches
+    # nothing
+    monkeypatch.setattr(tensor, "STACK_SLOTS", slots)
+    test_residuals_are_bitwise_unchanged(case, capsys)

@@ -3,7 +3,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qlab import tensor
 from qlab.tensor import QuantumOperator
 from qlab.transfer import TwistConfig, build_Q
 from qlab.relations import (
@@ -107,6 +109,35 @@ def test_operator_det_matches_naive_permutation_sum(p):
     assert np.array_equal(_operator_det(entries).to_dense(), _naive_det(entries).to_dense())
 
 
+def _random_op(rng, dim):
+    """A sparse operator whose entries meet exact cancellations in sums."""
+    dense = (rng.integers(-2, 3, (dim, dim)) + 1j * rng.integers(-2, 3, (dim, dim))) / 4
+    dense[rng.random((dim, dim)) < 0.5] = 0.0
+    return QuantumOperator.from_dense(dense)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+       st.integers(1, 120), st.integers(0, 2 ** 32 - 1))
+def test_stacked_operator_det_matches_each_determinant(p, dim, count, slots, seed):
+    # a small stacking cap cuts the walk's groups and products anywhere,
+    # down to one operator per product
+    rng = np.random.default_rng(seed)
+    single = [[[_random_op(rng, dim) for _ in range(p)] for _ in range(p)]
+              for _ in range(count)]
+    want = [_operator_det(entries) for entries in single]
+    stacked = [[QuantumOperator.stack([single[b][i][j] for b in range(count)])
+                for j in range(p)] for i in range(p)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "STACK_SLOTS", slots)
+        got = _operator_det(stacked)
+    assert got.count == count
+    for b, det in enumerate(want):
+        mine = got.keys // dim ** 2 == b
+        assert (got.keys[mine] - b * dim ** 2).tolist() == det.keys.tolist()
+        assert got.vals[mine].view(np.int64).tolist() == det.vals.view(np.int64).tolist()
+
+
 @pytest.mark.parametrize("I", [(1, 2), (1, 3), (2, 3)])
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_pair_determinant_form(I, L):
@@ -191,3 +222,17 @@ def test_exchange_relation_input_guards():
 def test_family_cache_returns_same_object():
     qf = QFamily(2, 2, TW2)
     assert qf.q((2, 1)) is qf.q((1, 2))
+
+
+def test_family_caches_values_within_the_stacking_cap(monkeypatch):
+    qf = QFamily(2, 2, TW2)
+    points = (0.1, -0.3)
+    stack = qf.q_at((2, 1), points)
+    assert stack is qf.q_at((1, 2), [0.1, -0.3])
+    assert stack.count == 2 and stack == QuantumOperator.stack(
+        [qf.q((1, 2)).at(z) for z in points])
+    qf.drop_values()
+    assert qf.q_at((1, 2), points) is not stack
+    # a stack past the cap is made anew on every call
+    monkeypatch.setattr(tensor, "STACK_SLOTS", 2 * 4 ** 2 - 1)
+    assert qf.q_at((1,), points) is not qf.q_at((1,), points)

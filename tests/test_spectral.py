@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qlab.tensor import QuantumOperator, comm_norm, state_index
+from qlab.tensor import QuantumOperator, state_index
 from qlab.transfer import TwistConfig, build_Q, build_T_box
 from qlab.spectral import (
     SpectralAnalysis, bethe_residuals, build_hamiltonian, energy_from_roots,
@@ -36,12 +36,11 @@ def test_twisted_hamiltonian_hermitian_for_real_twist():
 
 
 def test_hamiltonian_commutes_with_family():
-    H2 = build_hamiltonian(2, 2, TW2)
-    assert comm_norm(H2, build_Q(2, 2, (1,), TW2).at(0.3)) < 1e-12
-    assert comm_norm(H2, build_T_box(2, 2, TW2).at(0.5)) < 1e-12
-    H3 = build_hamiltonian(3, 2, TW3)
-    assert comm_norm(H3, build_Q(3, 2, (1, 2), TW3).at(0.4)) < 1e-12
-    assert comm_norm(H3, build_T_box(3, 2, TW3).at(-0.6)) < 1e-12
+    for H, op in [(build_hamiltonian(2, 2, TW2), build_Q(2, 2, (1,), TW2).at(0.3)),
+                  (build_hamiltonian(2, 2, TW2), build_T_box(2, 2, TW2).at(0.5)),
+                  (build_hamiltonian(3, 2, TW3), build_Q(3, 2, (1, 2), TW3).at(0.4)),
+                  (build_hamiltonian(3, 2, TW3), build_T_box(3, 2, TW3).at(-0.6))]:
+        assert ((H @ op) - (op @ H)).norm() < 1e-12
 
 
 def dict_hamiltonian(n, length, twist):
@@ -108,9 +107,10 @@ def test_simultaneous_eigenbasis_on_commuting_pair():
     d1 = np.diag(rng.normal(size=4))
     d2 = np.diag(rng.normal(size=4))
     a, b = g @ d1 @ np.linalg.inv(g), g @ d2 @ np.linalg.inv(g)
-    v = simultaneous_eigenbasis([a, b])
+    v, vinv = simultaneous_eigenbasis([a, b])
+    assert np.array_equal(vinv, np.linalg.inv(v))
     for block in (a, b):
-        m = np.linalg.inv(v) @ block @ v
+        m = vinv @ block @ v
         assert np.max(np.abs(m - np.diag(np.diag(m)))) < 1e-8
 
 
@@ -127,7 +127,7 @@ def test_extract_q_polynomials_enforces_degree_and_monicity():
     q1 = build_Q(2, 2, (1,), TW2)
     idx = sector_indices(2, 2, (1, 1))
     hb = sector_blocks(build_hamiltonian(2, 2, TW2), [idx])[0]
-    v = simultaneous_eigenbasis([hb, sector_blocks(q1.at(0.37), [idx])[0]])
+    v, _ = simultaneous_eigenbasis([hb, sector_blocks(q1.at(0.37), [idx])[0]])
     blocks = [sector_blocks(c, [idx])[0] for c in q1.coeffs]
     polys = extract_q_polynomials(blocks, v, expected_degree=1)
     assert all(abs(p[-1] - 1.0) < 1e-10 for p in polys)

@@ -8,7 +8,7 @@ from qlab import tensor
 from qlab.spectral import sector_blocks
 from qlab.tensor import (
     DROP_TOL, QuantumOperator, permutation_op, basis_states, state_index,
-    occupation, comm_norm,
+    occupation,
 )
 from qlab.transfer import OperatorPolynomial
 
@@ -85,11 +85,13 @@ def test_occupation_counts():
 
 
 def test_comm_norm_zero_for_commuting():
+    # the commutators [d1, d2] and [d1, off] as one stack, one norm each
     d1 = QuantumOperator.from_dense(np.diag([1.0, 2.0, 3.0]))
     d2 = QuantumOperator.from_dense(np.diag([5.0, -1.0, 0.5]))
-    assert comm_norm(d1, d2) == 0.0
     off = unit(3, 0, 1)
-    assert comm_norm(d1, off) > 0.5
+    x, y = QuantumOperator.stack([d1, d1]), QuantumOperator.stack([d2, off])
+    norms = ((x @ y) - (y @ x)).norms()
+    assert norms[0] == 0.0 and norms[1] > 0.5
 
 
 def test_drop_tolerance():
@@ -296,6 +298,115 @@ def test_poly_at_matches_dict_reference(ops, z):
     coeffs = [op for op, _ in ops]
     poly = OperatorPolynomial(coeffs[0].dim, 0.0, coeffs)
     assert_bitwise(poly.poly_at(z), dict_poly_at([ref for _, ref in ops], z))
+
+
+# -- stacks: every operator as on its own ----------------------------------------
+
+
+def block(stack, b):
+    """Operator ``b`` of a stack, read from its arrays: its keys, shifted to
+    ``row * dim + col``, and the bits of its values, in stored order."""
+    size = stack.dim ** 2
+    mine = stack.keys // size == b
+    return (stack.keys[mine] - b * size).tolist(), bits(stack.vals[mine])
+
+
+def assert_stack_of(stack, ops):
+    """``stack`` holds ``ops``, each with its keys in its order and its bits."""
+    assert stack.count == len(ops) and all(op.dim == stack.dim for op in ops)
+    assert len(stack.keys) == sum(len(op.keys) for op in ops)
+    for b, op in enumerate(ops):
+        assert block(stack, b) == (op.keys.tolist(), bits(op.vals))
+    assert_at_rest()
+
+
+scalars = st.one_of(st.integers(-3, 3), components, amplitudes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda c: operator_pairs(count=2 * c)),
+       st.lists(scalars, min_size=5, max_size=5),
+       st.lists(st.integers(0, 3), min_size=1, max_size=5))
+@example(_SIGNED_ZEROS * 2, [-1.0, 2, complex(-0.0, 1.0), 0.5, 1.0], [1, 0, 1])
+def test_stacked_arithmetic_matches_each_operator(ops, factors, picks):
+    ops = [op for op, _ in ops]
+    xs, ys = ops[:len(ops) // 2], ops[len(ops) // 2:]
+    x, y = QuantumOperator.stack(xs), QuantumOperator.stack(ys)
+    assert_stack_of(x, xs)
+    assert_stack_of(x @ y, [a @ b for a, b in zip(xs, ys)])
+    assert_stack_of(x + y, [a + b for a, b in zip(xs, ys)])
+    assert_stack_of(x - y, [a - b for a, b in zip(xs, ys)])
+    # a sum stores each operator's new keys after all of the left stack's
+    # keys, so products and sums of sums read interleaved operators
+    assert_stack_of((x + y) @ (y - x) - x, [(a + b) @ (b - a) - a for a, b in zip(xs, ys)])
+    factors, factor = factors[:len(xs)], factors[-1]
+    assert_stack_of((x + y) * factors, [(a + b) * f for a, b, f in zip(xs, ys, factors)])
+    assert_stack_of(x * factor, [a * factor for a in xs])
+    picks = [b % len(xs) for b in picks]
+    assert_stack_of((x + y).take(picks), [xs[b] + ys[b] for b in picks])
+    assert [v.hex() for v in (x @ y - y @ x).norms().tolist()] == \
+        [(a @ b - b @ a).norm().hex() for a, b in zip(xs, ys)]
+    assert x.norm() == max(a.norm() for a in xs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda c: operator_pairs(count=2 * c)), st.integers(1, 8))
+def test_chunked_stacked_product_matches_each_operator(ops, chunk):
+    # a stacked product's chunks of terms may end inside one operator
+    ops = [op for op, _ in ops]
+    xs, ys = ops[:len(ops) // 2], ops[len(ops) // 2:]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "MATMUL_CHUNK", chunk)
+        got = QuantumOperator.stack(xs) @ QuantumOperator.stack(ys)
+    assert_stack_of(got, [a @ b for a, b in zip(xs, ys)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: operator_pairs(count=k)),
+       st.sampled_from([0.0, 0.7, -1.1 + 0.2j]), st.data())
+def test_stacked_evaluation_matches_each_point(ops, sigma, data):
+    coeffs = [op for op, _ in ops]
+    poly = OperatorPolynomial(coeffs[0].dim, sigma, coeffs)
+    # a twisted exponential must not overflow: bounded points where it is one
+    point = (st.one_of(components, amplitudes) if sigma == 0.0 else
+             st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)))
+    points = data.draw(st.lists(point, min_size=1, max_size=5))
+    assert_stack_of(poly.poly_at(points), [poly.poly_at(z) for z in points])
+    assert_stack_of(poly.at(points), [poly.at(z) for z in points])
+    assert_stack_of(poly.at(tuple(points)), [poly.at(z) for z in points])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: operator_pairs(count=k)),
+       st.one_of(components, amplitudes))
+def test_single_operators_keep_their_keys(ops, z):
+    coeffs = [op for op, _ in ops]
+    dim = coeffs[0].dim
+    single = OperatorPolynomial(dim, 0.0, coeffs).at(z)
+    ref = dict_poly_at([ref for _, ref in ops], z)
+    # one operator is stored as before stacks: keys row * dim + col
+    assert single.count == 1
+    assert_bitwise(single, ref)
+    assert QuantumOperator.stack([single]) is single
+    assert single.take([0]) is single
+    assert QuantumOperator.identity(dim).keys.tolist() == [r * (dim + 1) for r in range(dim)]
+    assert_stack_of(QuantumOperator.identity(dim, 3), [QuantumOperator.identity(dim)] * 3)
+    assert_stack_of(QuantumOperator.zero(dim, 2), [QuantumOperator.zero(dim)] * 2)
+
+
+def test_stacks_must_match():
+    a, b = QuantumOperator.identity(2), QuantumOperator.identity(2, 2)
+    for op in (lambda: a + b, lambda: a @ b, lambda: b * [1.0, 2.0, 3.0],
+               lambda: QuantumOperator.stack([a, QuantumOperator.identity(3)])):
+        with pytest.raises(ValueError):
+            op()
+
+
+def test_stack_chunks_bound_the_workspace():
+    assert tensor.stack_size(27) == 44 and tensor.stack_size(64) == 8
+    assert tensor.stack_size(81) == 4 and tensor.stack_size(256) == 1
+    assert [len(c) for c in tensor.stack_chunks(list(range(6)), 81)] == [4, 2]
+    assert tensor.stack_chunks([], 81) == []
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,7 +9,6 @@ from qlab.glrep import fundamental_rep, trivial_rep, verma_rep
 from qlab.lax import canonical_lax
 from qlab.oscillator import CarrierOp, NormalOrderedOp as Op, extrapolated_trace, \
     weighted_trace
-from qlab.tensor import comm_norm
 from qlab.transfer import (
     OperatorPolynomial, TwistConfig, alternating_sum_T, bgg_eigen_check,
     build_Q, build_T_box, build_X, build_X_plus, build_twist_D,
@@ -225,7 +224,7 @@ def test_family_members_commute_pairwise():
            for I in [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]]
     ops.append(build_T_box(3, 2, TW3).at(-0.52))
     ops.append(build_Q(3, 2, (1, 2), TW3).at(-1.1))
-    worst = max(comm_norm(x, y) for i, x in enumerate(ops) for y in ops[i + 1:])
+    worst = max(((x @ y) - (y @ x)).norm() for i, x in enumerate(ops) for y in ops[i + 1:])
     assert worst < 1e-10
 
 
@@ -295,7 +294,8 @@ def test_bgg_detects_a_perturbed_member(n, monkeypatch):
 def test_x_plus_commutes_with_q():
     xp = build_X_plus(3, 2, (1, 2), (0.4, -0.1), TW3_COMPLEX)
     q = build_Q(3, 2, (1, 2), TW3_COMPLEX)
-    assert comm_norm(xp.at(0.3), q.at(-0.7)) < 1e-10
+    x, y = xp.at(0.3), q.at(-0.7)
+    assert ((x @ y) - (y @ x)).norm() < 1e-10
 
 
 # -- polynomial plumbing ---------------------------------------------------------
