@@ -18,6 +18,16 @@ weight ``q != 1``:
 The number-basis convention is non-unitary: ``|k+1> = B†|k>``, so ``B†`` has
 matrix entry ``(k+1, k) = 1`` and ``B`` has entry ``(k-1, k) = k``.
 
+Products and sums have one implementation, on the plain ``{TermKey: complex}``
+dicts of the operators: :func:`_mul_terms` and :func:`_add_terms`, and for
+carrier matrices :func:`_carrier_mul` and :func:`_carrier_add` on
+:data:`CarrierTerms`.  :class:`NormalOrderedOp`, :class:`CarrierOp` and the
+family build of :mod:`qlab.transfer` all call them.  Coefficients of modulus
+at most ``COEFF_TOL`` are dropped after every product and every sum.  The
+Wick expansion of each pair of monomials is computed once and kept in a table
+shared by every product; the table is emptied whenever it reaches
+``WICK_CAP`` entries, which keeps it below 1 MB.
+
 The truncated Fock matrices (:func:`fock_matrix`, :func:`nilpotent_exp`,
 :meth:`CarrierOp.to_matrix`) are ``scipy.sparse`` matrices.  They serve only
 the carrier cross-checks, so scipy is imported inside those functions and a
@@ -112,12 +122,15 @@ class NormalOrderedOp:
 
     # -- arithmetic ----------------------------------------------------------
 
+    @classmethod
+    def _of(cls, terms: Dict[TermKey, complex]) -> "NormalOrderedOp":
+        """The operator holding ``terms``, which are complex and above ``COEFF_TOL``."""
+        op = cls.__new__(cls)
+        op.terms = terms
+        return op
+
     def __add__(self, other):
-        other = _coerce(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0.0) + c
-        return NormalOrderedOp(terms)
+        return NormalOrderedOp._of(_add_terms(self.terms, _coerce(other).terms))
 
     __radd__ = __add__
 
@@ -135,11 +148,7 @@ class NormalOrderedOp:
             return NormalOrderedOp({k: c * other for k, c in self.terms.items()})
         if not isinstance(other, NormalOrderedOp):
             return NotImplemented
-        out: Dict[TermKey, complex] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                _accumulate_product(k1, k2, c1 * c2, out)
-        return NormalOrderedOp(out)
+        return NormalOrderedOp._of(_mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -169,21 +178,23 @@ def _coerce(x) -> NormalOrderedOp:
     raise TypeError(f"cannot coerce {type(x)!r} to NormalOrderedOp")
 
 
-def _accumulate_product(k1: TermKey, k2: TermKey, coeff: complex,
-                        out: Dict[TermKey, complex]) -> None:
-    """Normal-order the product of two monomials and accumulate into ``out``.
+#: Wick expansions of monomial pairs, shared by every product; emptied
+#: whenever it reaches ``WICK_CAP`` entries
+_WICK: Dict[Tuple[TermKey, TermKey], List[Tuple[TermKey, float]]] = {}
+WICK_CAP = 1 << 10
+
+
+def _wick(k1: TermKey, k2: TermKey) -> List[Tuple[TermKey, float]]:
+    """The normal-ordered monomials of ``k1 k2``, both non-scalar, with
+    weights, stored in ``_WICK``.
 
     Per shared mode, ``B^{k} B†^{j} = sum_i i! C(k,i) C(j,i) B†^{j-i} B^{k-i}``.
     The resulting monomials are expanded mode by mode in ascending mode order;
     a mode with nothing to contract has the single alternative of weight 1.
     """
-    if not k1 or not k2:
-        key = k1 or k2
-        out[key] = out.get(key, 0.0) + coeff
-        return
     d1 = {m: (j, k) for m, j, k in k1}
     d2 = {m: (j, k) for m, j, k in k2}
-    partial: List[Tuple[TermKey, float]] = [((), 1.0)]
+    partial = [((), 1.0)]
     for m in sorted(set(d1) | set(d2)):
         j1, a1 = d1.get(m, (0, 0))
         j2, a2 = d2.get(m, (0, 0))
@@ -198,8 +209,43 @@ def _accumulate_product(k1: TermKey, k2: TermKey, coeff: complex,
             wi = float(math.comb(a1, i) * math.comb(j2, i) * math.factorial(i))
             alts.append((((m, j, k),) if j or k else (), wi))
         partial = [(key + part, w * wi) for key, w in partial for part, wi in alts]
-    for key, w in partial:
-        out[key] = out.get(key, 0.0) + coeff * w
+    if len(_WICK) >= WICK_CAP:
+        _WICK.clear()
+    _WICK[k1, k2] = partial
+    return partial
+
+
+def _mul_terms(t1: Dict[TermKey, complex], t2: Dict[TermKey, complex]
+               ) -> Dict[TermKey, complex]:
+    """Terms of the product of two operators' terms.
+
+    Each pair of monomials adds its terms in order; a scalar factor adds
+    ``c1 c2`` unweighted, every other pair ``c1 c2 w`` per monomial of its
+    Wick expansion (``w = 1.0`` would flip a signed zero).
+    """
+    out: Dict[TermKey, complex] = {}
+    for k1, c1 in t1.items():
+        for k2, c2 in t2.items():
+            coeff = c1 * c2
+            if not k1 or not k2:
+                key = k1 or k2
+                out[key] = out.get(key, 0.0) + coeff
+                continue
+            for key, w in _WICK.get((k1, k2)) or _wick(k1, k2):
+                out[key] = out.get(key, 0.0) + coeff * w
+    return {key: c for key, c in out.items() if abs(c) > COEFF_TOL}
+
+
+def _add_terms(t1: Dict[TermKey, complex], t2: Dict[TermKey, complex]
+               ) -> Dict[TermKey, complex]:
+    """Terms of the sum: ``t2``'s added, in its order, to a copy of ``t1``
+    (to ``t1`` itself when ``t2`` is empty: then nothing is added)."""
+    if not t2:
+        return t1
+    out = dict(t1)
+    for key, c in t2.items():
+        out[key] = out.get(key, 0.0) + c
+    return {key: c for key, c in out.items() if abs(c) > COEFF_TOL}
 
 
 # -- closed-form weighted traces ---------------------------------------------
@@ -228,26 +274,41 @@ def weighted_trace(x: NormalOrderedOp, q: Mapping[Mode, complex],
     that does not depend on the hash seed.  A mode appearing in ``x`` without
     a weight would be an untwisted (divergent) trace and raises ``ValueError``.
     """
+    return _trace_terms(x.terms, q, plain_modes, {})
+
+
+def _trace_terms(terms: Dict[TermKey, complex], q: Mapping[Mode, complex],
+                 plain_modes: Sequence[Mode], factors: Dict) -> complex:
+    """:func:`weighted_trace` of ``terms``.  Each key's mode factors, up to the
+    first zero one (an unbalanced mode's), and the partition factors of the
+    plain modes it lacks are read from, or stored in, ``factors``, which must
+    hold keys of these weights only."""
     for m in plain_modes:
         if m not in q:
             raise ValueError(f"plain-trace mode {m!r} has no weight")
     total = 0.0 + 0.0j
-    for key, c in x.terms.items():
-        seen = set()
+    for key, c in terms.items():
+        fs = factors.get(key)
+        if fs is None:
+            modes = []
+            for mode, j, k in key:
+                if mode not in q:
+                    raise ValueError(f"mode {mode!r} carries no twist weight; trace diverges")
+                modes.append(_mode_factor(j, k, q[mode], mode in plain_modes))
+                if j != k:
+                    break
+            present = {mode for mode, _, _ in key}
+            fs = factors[key] = (modes, [1.0 / (1.0 - q[m]) for m in plain_modes
+                                         if m not in present])
         f = c
-        for mode, j, k in key:
-            if mode not in q:
-                raise ValueError(f"mode {mode!r} carries no twist weight; trace diverges")
-            f *= _mode_factor(j, k, q[mode], mode in plain_modes)
+        for x in fs[0]:
+            f *= x
             if f == 0.0:
                 break
-            seen.add(mode)
         else:
-            for mode in plain_modes:
-                if mode not in seen:
-                    f *= 1.0 / (1.0 - q[mode])
+            for x in fs[1]:
+                f *= x
             total += f
-            continue
     return total
 
 
@@ -592,11 +653,20 @@ class CarrierOp:
         out.mat[i][j] = _coerce(x)
         return out
 
+    @classmethod
+    def _of(cls, terms: "CarrierTerms") -> "CarrierOp":
+        out = cls.__new__(cls)
+        out.d = d = len(terms)
+        out.mat = [[NormalOrderedOp._of(row.get(j, {})) for j in range(d)] for row in terms]
+        return out
+
+    def _terms(self) -> "CarrierTerms":
+        return [{j: e.terms for j, e in enumerate(row) if e.terms} for row in self.mat]
+
     def __add__(self, other: "CarrierOp") -> "CarrierOp":
         if self.d != other.d:
             raise ValueError("carrier dimension mismatch")
-        return CarrierOp(self.d, [[self.mat[i][j] + other.mat[i][j]
-                                   for j in range(self.d)] for i in range(self.d)])
+        return CarrierOp._of(_carrier_add(self._terms(), other._terms()))
 
     def __sub__(self, other: "CarrierOp") -> "CarrierOp":
         return self + other.scale(-1.0)
@@ -612,21 +682,7 @@ class CarrierOp:
             return NotImplemented
         if self.d != other.d:
             raise ValueError("carrier dimension mismatch")
-        # only products of two non-empty entries are formed; an entry with no
-        # contributing product keeps the shared zero of the fresh result
-        out = CarrierOp(self.d)
-        for i in range(self.d):
-            row = [(k, a) for k, a in enumerate(self.mat[i]) if a.terms]
-            for j in range(self.d):
-                acc = None
-                for k, a in row:
-                    b = other.mat[k][j]
-                    if b.terms:
-                        p = a * b
-                        acc = p if acc is None else acc + p
-                if acc is not None:
-                    out.mat[i][j] = acc
-        return out
+        return CarrierOp._of(_carrier_mul(self._terms(), other._terms()))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -657,8 +713,7 @@ class CarrierOp:
         """Trace against diag(carrier_weights) ⊗ per-mode occupation weights."""
         if len(carrier_weights) != self.d:
             raise ValueError("carrier weight length mismatch")
-        return sum(carrier_weights[i] * weighted_trace(self.mat[i][i], q, plain_modes)
-                   for i in range(self.d))
+        return _carrier_trace(self._terms(), carrier_weights, q, plain_modes, {})
 
     def to_matrix(self, space: FockSpace, row_cap: int | None = None) -> sp.csr_matrix:
         """Dense carrier index (slow-running) ⊗ Fock basis (fast-running).
@@ -687,3 +742,41 @@ class CarrierOp:
 
     def __repr__(self) -> str:
         return f"CarrierOp(d={self.d})"
+
+
+#: a carrier operator's non-empty entries as term dicts, one dict per row
+#: from column to terms, in ascending column order
+CarrierTerms = List[Dict[int, Dict[TermKey, complex]]]
+
+
+def _carrier_add(a: CarrierTerms, b: CarrierTerms) -> CarrierTerms:
+    """Entries of the carrier sum ``a + b``, each by :func:`_add_terms`."""
+    out = []
+    for row_a, row_b in zip(a, b):
+        row = dict(row_a)
+        for j, y in row_b.items():
+            row[j] = _add_terms(row.get(j, {}), y)
+        out.append({j: row[j] for j in sorted(row) if row[j]})
+    return out
+
+
+def _carrier_mul(a: CarrierTerms, b: CarrierTerms) -> CarrierTerms:
+    """Entries of the carrier product ``a b``: each adds its products of two
+    non-empty entries in order of the inner index."""
+    out = []
+    for row in a:
+        acc: Dict[int, Dict[TermKey, complex]] = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                p = _mul_terms(x, y)
+                acc[j] = p if j not in acc else _add_terms(acc[j], p)
+        out.append({j: acc[j] for j in sorted(acc) if acc[j]})
+    return out
+
+
+def _carrier_trace(a: CarrierTerms, carrier_weights: Sequence[complex],
+                   q: Mapping[Mode, complex], plain_modes: Sequence[Mode],
+                   factors: Dict) -> complex:
+    """:meth:`CarrierOp.weighted_trace` of ``a``, through :func:`_trace_terms`."""
+    return sum(carrier_weights[i] * _trace_terms(row.get(i, {}), q, plain_modes, factors)
+               for i, row in enumerate(a))

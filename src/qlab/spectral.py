@@ -167,7 +167,10 @@ def poly_roots(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _q_value(sigma: complex, roots: np.ndarray, z: complex) -> complex:
-    return cmath.exp(1j * z * sigma) * complex(np.prod(z - roots))
+    """``e^{i z sigma} prod_r (z - r)``, the product formed in Python complex
+    arithmetic from 1, left to right, which rounds as ``np.prod(z - roots)``
+    does."""
+    return cmath.exp(1j * z * sigma) * math.prod([complex(z) - r for r in roots.tolist()])
 
 
 def _root_ratio(level_roots: Sequence[np.ndarray],

@@ -16,9 +16,16 @@ sector are expanded; the others vanish because every surviving monomial must
 balance creators and annihilators per mode.  Every member commutes with the
 twisted cyclic shift, so only one pair per orbit of simultaneous rotation is
 expanded: entry ``(rot s, rot t)``, with ``rot`` moving site L to site 1, is
-entry ``(s, t)`` times ``e^{i(phi_{t_L} - phi_{s_L})}``.  The result is a
-polynomial in the spectral parameter with sparse quantum-space coefficients,
-together with a symbolic exponential prefactor ``exp(i z sigma)``.
+entry ``(s, t)`` times ``e^{i(phi_{t_L} - phi_{s_L})}``.  The orbits, their
+representatives, the phases and the order in which entries are stored depend
+only on the chain and the twist: they form one plan per chain
+(:func:`_orbit_plan`, which keeps the plans of the last four chains), and
+every member reuses it.  The expansion itself runs on plain term dicts
+(:data:`qlab.oscillator.CarrierTerms`), through the products, sums and traces
+that the operator classes of :mod:`qlab.oscillator` also call.  The result is
+a polynomial in the spectral parameter with sparse quantum-space
+coefficients, together with a symbolic exponential prefactor
+``exp(i z sigma)``.
 
 The builds use no Fock matrices.  Only the explicit twist matrix
 (:meth:`TwistOperatorD.matrix` and its conjugation check) does, and it
@@ -28,15 +35,17 @@ imports ``scipy.sparse`` itself.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .glrep import GlRep, diagonal_weight_data, dot_action_orbit, \
     fundamental_rep, trivial_rep, verma_rep
 from .lax import LaxMatrix, ModeFn, canonical_lax
-from .oscillator import CarrierOp, FockSpace, Mode, NormalOrderedOp
+from .oscillator import CarrierOp, CarrierTerms, FockSpace, Mode, NormalOrderedOp, \
+    _carrier_add, _carrier_mul, _carrier_trace
 from .tensor import QuantumOperator, _accumulate, _product, sector_states, \
     state_index
 
@@ -228,13 +237,48 @@ class OperatorPolynomial:
 # -- the Q / T / X families ----------------------------------------------------
 
 
-def _graded_entries(lax: LaxMatrix
-                    ) -> List[List[List[Tuple[int, Optional[CarrierOp]]]]]:
-    """Each Lax entry ``z c0 + c1`` as its non-zero ``(power of z, coefficient)``
-    parts; a coefficient equal to the carrier identity is given as ``None``."""
-    return [[[(k, None if c.is_identity() else c)
-              for k, c in ((0, lax.c1[i][j]), (1, lax.c0[i][j])) if not c.is_zero()]
-             for j in range(lax.n)] for i in range(lax.n)]
+@functools.lru_cache(maxsize=4)
+def _orbit_plan(n: int, length: int, phis: Tuple[complex, ...]) -> Tuple:
+    """The orbits of simultaneous cyclic rotation among the balanced pairs.
+
+    Pairs are met sector by sector, row-major within a sector.  The first
+    pair of each orbit is its representative; each later member, reached by
+    moving site L (letters s, t) to site 1 step by step, carries the product
+    of the steps' phases ``e^{i(phi_t - phi_s)}``, multiplied from 1.0 in
+    walk order.  An orbit closes early for periodic pairs.  Returns the keys
+    ``row * dim + col`` of the pairs in that order, the letter strings
+    ``(s, t)`` of each orbit's representative, the orbit of each pair, and
+    the positions and phases of the pairs that are not representatives.
+    """
+    step = [[cmath.exp(1j * (t - s)) for t in phis] for s in phis]
+    dim, top = n ** length, n ** max(length - 1, 0)
+    keys, reps, orbit, moved, phase = [], [], [], [], []
+    # orbit and phase of the members met later
+    pending: Dict[Tuple[int, int], Tuple[int, complex]] = {}
+    for states in sector_states(n, length).values():
+        for istr in states:
+            row = state_index(istr, n)
+            for jstr in states:
+                col = state_index(jstr, n)
+                found = pending.pop((row, col), None)
+                if found is None:
+                    o = len(reps)
+                    reps.append((istr, jstr))
+                    r, c, p = row, col, 1.0
+                    while True:
+                        p *= step[r % n][c % n]
+                        r, c = (r % n) * top + r // n, (c % n) * top + c // n
+                        if (r, c) == (row, col):
+                            break
+                        pending[(r, c)] = (o, p)
+                else:
+                    o, p = found
+                    moved.append(len(keys))
+                    phase.append(p)
+                orbit.append(o)
+                keys.append(row * dim + col)
+    return (np.array(keys, dtype=np.int64), reps, np.array(orbit, dtype=np.int64),
+            np.array(moved, dtype=np.int64), np.array(phase, dtype=complex))
 
 
 def _traced_monodromy(n: int, length: int, lax: LaxMatrix, D: TwistOperatorD,
@@ -243,58 +287,46 @@ def _traced_monodromy(n: int, length: int, lax: LaxMatrix, D: TwistOperatorD,
 
     The quantum-space entry for configurations (i_1..i_L), (j_1..j_L) is the
     twisted trace of the site-ordered product of the entries ``L_{i_s j_s}``.
-    The product is kept as a list of carrier-operator coefficients indexed by
-    the power of ``z``; a site multiplies each by ``c1`` (same power) and
-    ``c0`` (next power), skipping parts that are zero and products with the
-    identity.  Only pairs inside one letter-count sector are expanded, and of
-    those one per orbit of simultaneous cyclic rotation: the trace is cyclic
-    and ``D L_{st} = e^{i(phi_t - phi_s)} L_{st} D``, so rotating site L
-    (letters s, t) to site 1 multiplies every coefficient by
-    ``e^{i(phi_t - phi_s)}``; an orbit closes early for periodic pairs.
+    The product is kept as carrier-operator terms (:data:`CarrierTerms`)
+    indexed by the power of ``z``; a site multiplies each by ``c1`` (same
+    power) and ``c0`` (next power), skipping parts that are zero and products
+    with the identity.  Only one pair per orbit of :func:`_orbit_plan` is
+    expanded: the trace is cyclic and ``D L_{st} = e^{i(phi_t - phi_s)} L_{st}
+    D``, so every other member is the representative's value times its phase.
+    Entries are stored in basis order within each sector, so downstream sums
+    run in the same order as a full expansion.
     """
-    entries = _graded_entries(lax)
-    ident = CarrierOp.identity(lax.d)
-    # phase gained when the last-site letters (s, t) rotate to site 1
-    step = [[cmath.exp(1j * (t - s)) for t in twist.phis] for s in twist.phis]
-    dim, top = n ** length, n ** max(length - 1, 0)
-    keys: List[List[int]] = [[] for _ in range(length + 1)]
-    vals: List[List[complex]] = [[] for _ in range(length + 1)]
-    # coefficients of orbit members met later; entries are stored in basis
-    # order, so downstream sums run in the same order as a full expansion
-    pending: Dict[Tuple[int, int], List[Tuple[int, complex]]] = {}
-    for states in sector_states(n, length).values():
-        for istr in states:
-            row = state_index(istr, n)
-            for jstr in states:
-                col = state_index(jstr, n)
-                traced = pending.pop((row, col), None)
-                if traced is None:
-                    first = entries[istr[0]][jstr[0]] if length else [(0, None)]
-                    graded = {k: ident if c is None else c for k, c in first}
-                    for i, j in zip(istr[1:], jstr[1:]):
-                        if not graded:
-                            break
-                        nxt: Dict[int, CarrierOp] = {}
-                        for k, p in graded.items():
-                            for shift, c in entries[i][j]:
-                                term = p if c is None else p * c
-                                key = k + shift
-                                nxt[key] = term if key not in nxt else nxt[key] + term
-                        graded = nxt
-                    traced = [(k, D.weighted_trace(p)) for k, p in graded.items()]
-                    r, c, phase = row, col, 1.0
-                    while True:
-                        phase *= step[r % n][c % n]
-                        r, c = (r % n) * top + r // n, (c % n) * top + c // n
-                        if (r, c) == (row, col):
-                            break
-                        pending[(r, c)] = [(k, phase * val) for k, val in traced]
-                for k, val in traced:
-                    keys[k].append(row * dim + col)
-                    vals[k].append(val)
-    return [QuantumOperator._from_arrays(dim, np.array(kk, dtype=np.int64),
-                                         np.array(vv, dtype=complex))
-            for kk, vv in zip(keys, vals)]
+    keys, reps, orbit, moved, phase = _orbit_plan(n, length, tuple(twist.phis))
+    # each Lax entry ``z c0 + c1`` as its non-zero (power of z, terms) parts;
+    # a part equal to the carrier identity is given as None
+    entries = [[[(k, None if c.is_identity() else c._terms())
+                 for k, c in ((0, lax.c1[i][j]), (1, lax.c0[i][j])) if not c.is_zero()]
+                for j in range(lax.n)] for i in range(lax.n)]
+    ident = CarrierOp.identity(lax.d)._terms()
+    weights, q, plain = D.carrier_weights, D.q, D.plain_modes
+    factors: Dict = {}
+    traced = np.zeros((length + 1, len(reps)), dtype=complex)
+    for o, (istr, jstr) in enumerate(reps):
+        first = entries[istr[0]][jstr[0]] if length else [(0, None)]
+        graded = {k: ident if c is None else c for k, c in first}
+        for i, j in zip(istr[1:], jstr[1:]):
+            if not graded:
+                break
+            nxt: Dict[int, CarrierTerms] = {}
+            for k, p in graded.items():
+                for shift, c in entries[i][j]:
+                    term = p if c is None else _carrier_mul(p, c)
+                    key = k + shift
+                    nxt[key] = term if key not in nxt else _carrier_add(nxt[key], term)
+            graded = nxt
+        for k, p in graded.items():
+            traced[k, o] = _carrier_trace(p, weights, q, plain, factors)
+    out = []
+    for row in traced:
+        vals = row[orbit]
+        vals[moved] = _product(vals[moved], phase)
+        out.append(QuantumOperator._from_arrays(n ** length, keys, vals))
+    return out
 
 
 def build_X(n: int, length: int, index_set: Sequence[int], rep: GlRep,

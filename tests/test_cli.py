@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import os
 import subprocess
@@ -165,6 +166,41 @@ def test_spectrum_requires_positive_length(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "bethe"])
+@pytest.mark.parametrize("n,length", [(2, 0), (2, 1), (3, 1), (4, 1)])
+def test_spectral_commands_need_two_sites(command, n, length, capsys):
+    # a one-site chain has a zero Hamiltonian but T_box reads its wrap bond:
+    # at (2,1) sector (0,1) once printed E_direct 0, E_roots 0 and E_TBox
+    # -0.340-1.971i, with exit 0
+    assert main([command, "--n", str(n), "--L", str(length)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: %s needs L >= 2" % command]
+    assert "Traceback" not in err
+
+
+#: sha256 of the stdout of ``qlab <command> --n n --L L`` at the default flags,
+#: recorded before the family build and the root products were rewritten
+SPECTRAL_STDOUT_SHA256 = {
+    ("spectrum", 2, 3): "69549f8217d8fc251f50ff9d2b3f751acdc3f5e370f50d74f089f4678da5a51b",
+    ("bethe", 2, 3): "33dba10a702a3f7f873b741815d253127ac9c33a325877e9e9fb4b78bd8f72d9",
+    ("spectrum", 3, 3): "0d4d353c7c09392a2eee60587142fb89857d2f9ec27bb90566c1c124e5f3a566",
+    ("bethe", 3, 3): "71b8eafa5540ca529383655a33cc2ede8fe3781bf00cc63fc312765ac6df1f9b",
+    ("spectrum", 4, 2): "bc421e614ba44b7861889c426726c5b10f418bd3e83a2d058ee310decc699e4d",
+    ("bethe", 4, 2): "39797fe36b9f5e36d72c1e7eecd323f897c30d0554abe909e941b8037f28a472",
+}
+
+
+@pytest.mark.parametrize("command,n,length", sorted(SPECTRAL_STDOUT_SHA256))
+def test_spectral_stdout_is_pinned(command, n, length, capsys):
+    # every energy, root and residual to the last bit
+    assert main([command, "--n", str(n), "--L", str(length)]) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == SPECTRAL_STDOUT_SHA256[command, n, length]
+
+
 # -- bethe ------------------------------------------------------------------------
 
 def test_bethe_output_structure(capsys):
@@ -199,10 +235,17 @@ def test_hasse_adjacency_edges_are_coverings(capsys):
 # -- report and determinism -------------------------------------------------------
 
 def test_report_combines_sections(capsys):
-    assert main(["report", "--n", "2", "--L", "1", "--suite", "anchors"]) == 0
+    assert main(["report", "--n", "2", "--L", "2", "--suite", "anchors"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_passed"]
     assert "verify" in doc and "hasse" in doc and "spectrum" in doc
+
+
+def test_report_leaves_out_the_spectrum_below_two_sites(capsys):
+    assert main(["report", "--n", "2", "--L", "1", "--suite", "anchors"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_passed"]
+    assert "verify" in doc and "hasse" in doc and "spectrum" not in doc
 
 
 def test_report_builds_each_member_once(monkeypatch, capsys):

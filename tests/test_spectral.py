@@ -3,11 +3,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qlab.tensor import QuantumOperator, state_index
 from qlab.transfer import TwistConfig, build_Q, build_T_box
 from qlab.spectral import (
-    SpectralAnalysis, bethe_residuals, build_hamiltonian, energy_from_roots,
+    SpectralAnalysis, _q_value, bethe_residuals, build_hamiltonian, energy_from_roots,
     energy_from_tbox_poly, extract_q_polynomials, poly_roots, sector_blocks,
     sector_indices, sector_labels, simultaneous_eigenbasis,
     solve_bethe_newton,
@@ -178,6 +179,29 @@ def test_energy_from_roots_guards_singular_points():
 def test_energy_from_tbox_constant_polynomial():
     # T(z) = 2 + 3z on a length-2 chain: E = 4 - 2*(3/2) = 1
     assert abs(energy_from_tbox_poly(np.array([2.0, 3.0]), 2) - 1.0) < 1e-13
+
+
+def complexes(bound):
+    return st.builds(complex, st.floats(-bound, bound), st.floats(-bound, bound))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(complexes(100.0), max_size=8), complexes(30.0), complexes(10.0),
+       st.booleans())
+@example([1.0 + 0.0j], complex(1.0, -0.0), 0.5 + 0.0j, False)
+@example([1.0 + 0.0j], complex(1.0, -0.0), 0.5 + 0.0j, True)
+@example([complex(-0.0, 2.0), 1.0 + 0.0j], complex(0.0, 2.0), -1.5 + 0.0j, False)
+def test_q_value_rounds_as_numpy_prod(roots, z, sigma, real_roots):
+    # the root product runs in Python complex arithmetic; it must round as
+    # the numpy product it replaced, signed zeros included: a product started
+    # from its first factor instead of from 1 fails the first example (|z
+    # sigma| stays below the overflow of the exponential factor)
+    dtype = float if real_roots else complex
+    roots = np.array([r.real if real_roots else r for r in roots], dtype=dtype)
+    z = np.complex128(z)
+    want = cmath.exp(1j * z * sigma) * complex(np.prod(z - roots))
+    got = _q_value(sigma, roots, z)
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 # -- full pipeline ----------------------------------------------------------------

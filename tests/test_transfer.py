@@ -1,14 +1,15 @@
 import cmath
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from qlab import transfer
-from qlab.glrep import fundamental_rep, trivial_rep, verma_rep
+from qlab.glrep import dot_action_orbit, fundamental_rep, trivial_rep, verma_rep
 from qlab.lax import canonical_lax
-from qlab.oscillator import CarrierOp, NormalOrderedOp as Op, extrapolated_trace, \
-    weighted_trace
+from qlab.oscillator import COEFF_TOL, CarrierOp, NormalOrderedOp as Op, _mode_factor, \
+    extrapolated_trace, weighted_trace
 from qlab.transfer import (
     OperatorPolynomial, TwistConfig, alternating_sum_T, bgg_eigen_check,
     build_Q, build_T_box, build_X, build_X_plus, build_twist_D,
@@ -190,6 +191,174 @@ def test_short_orbits_match_brute_force(n, L, twist, carrier):
         if L > 1:
             assert np.max(np.abs(ref[short])) > 0.1
             assert np.max(np.abs(got[short] - ref[short])) <= 1e-13 * scale
+
+
+# -- the build as it was written on operator objects, with their arithmetic -------
+
+def reference_accumulate_product(k1, k2, coeff, out):
+    """Normal-order a product of two monomials into ``out``, per shared mode
+    ``B^k B†^j = sum_i i! C(k,i) C(j,i) B†^{j-i} B^{k-i}``."""
+    if not k1 or not k2:
+        key = k1 or k2
+        out[key] = out.get(key, 0.0) + coeff
+        return
+    d1 = {m: (j, k) for m, j, k in k1}
+    d2 = {m: (j, k) for m, j, k in k2}
+    partial = [((), 1.0)]
+    for m in sorted(set(d1) | set(d2)):
+        j1, a1 = d1.get(m, (0, 0))
+        j2, a2 = d2.get(m, (0, 0))
+        contract = min(a1, j2)
+        if not contract:
+            part = ((m, j1 + j2, a1 + a2),)
+            partial = [(key + part, w) for key, w in partial]
+            continue
+        alts = []
+        for i in range(contract + 1):
+            j, k = j1 + j2 - i, a1 + a2 - i
+            wi = float(math.comb(a1, i) * math.comb(j2, i) * math.factorial(i))
+            alts.append((((m, j, k),) if j or k else (), wi))
+        partial = [(key + part, w * wi) for key, w in partial for part, wi in alts]
+    for key, w in partial:
+        out[key] = out.get(key, 0.0) + coeff * w
+
+
+def reference_kept(terms):
+    return {key: complex(c) for key, c in terms.items() if abs(complex(c)) > COEFF_TOL}
+
+
+def reference_sum(x, y):
+    out = dict(x)
+    for key, c in y.items():
+        out[key] = out.get(key, 0.0) + c
+    return reference_kept(out)
+
+
+def reference_carrier_product(a, b):
+    """Dense ``d x d`` matrices of term dicts; only products of two non-empty
+    entries are formed."""
+    d = len(a)
+    out = [[{} for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        row = [(k, x) for k, x in enumerate(a[i]) if x]
+        for j in range(d):
+            acc = None
+            for k, x in row:
+                if b[k][j]:
+                    p = {}
+                    for k1, c1 in x.items():
+                        for k2, c2 in b[k][j].items():
+                            reference_accumulate_product(k1, k2, c1 * c2, p)
+                    p = reference_kept(p)
+                    acc = p if acc is None else reference_sum(acc, p)
+            if acc is not None:
+                out[i][j] = acc
+    return out
+
+
+def reference_trace(x, q, plain_modes):
+    total = 0.0 + 0.0j
+    for key, c in x.items():
+        seen = set()
+        f = c
+        for mode, j, k in key:
+            f *= _mode_factor(j, k, q[mode], mode in plain_modes)
+            if f == 0.0:
+                break
+            seen.add(mode)
+        else:
+            for mode in plain_modes:
+                if mode not in seen:
+                    f *= 1.0 / (1.0 - q[mode])
+            total += f
+    return total
+
+
+def reference_monodromy(n, length, lax, D, twist):
+    """The ``z^k`` coefficients of the twisted monodromy trace, expanded on
+    dense carrier matrices, one orbit of simultaneous rotation walked per
+    member: the build as it stood before it moved to a shared orbit plan and
+    the dict-level helpers of ``qlab.oscillator``."""
+    from qlab.tensor import QuantumOperator, sector_states, state_index
+    entries = [[[(k, None if c.is_identity() else [[e.terms for e in r] for r in c.mat])
+                 for k, c in ((0, lax.c1[i][j]), (1, lax.c0[i][j])) if not c.is_zero()]
+                for j in range(lax.n)] for i in range(lax.n)]
+    ident = [[{(): 1.0 + 0.0j} if i == j else {} for j in range(lax.d)]
+             for i in range(lax.d)]
+    step = [[cmath.exp(1j * (t - s)) for t in twist.phis] for s in twist.phis]
+    dim, top = n ** length, n ** max(length - 1, 0)
+    keys = [[] for _ in range(length + 1)]
+    vals = [[] for _ in range(length + 1)]
+    pending = {}
+    for states in sector_states(n, length).values():
+        for istr in states:
+            row = state_index(istr, n)
+            for jstr in states:
+                col = state_index(jstr, n)
+                traced = pending.pop((row, col), None)
+                if traced is None:
+                    first = entries[istr[0]][jstr[0]] if length else [(0, None)]
+                    graded = {k: ident if c is None else c for k, c in first}
+                    for i, j in zip(istr[1:], jstr[1:]):
+                        if not graded:
+                            break
+                        nxt = {}
+                        for k, p in graded.items():
+                            for shift, c in entries[i][j]:
+                                term = p if c is None else reference_carrier_product(p, c)
+                                key = k + shift
+                                nxt[key] = term if key not in nxt else [
+                                    [reference_sum(x, y) for x, y in zip(rx, ry)]
+                                    for rx, ry in zip(nxt[key], term)]
+                        graded = nxt
+                    traced = [(k, sum(D.carrier_weights[i]
+                                      * reference_trace(p[i][i], D.q, D.plain_modes)
+                                      for i in range(lax.d)))
+                              for k, p in graded.items()]
+                    r, c, phase = row, col, 1.0
+                    while True:
+                        phase *= step[r % n][c % n]
+                        r, c = (r % n) * top + r // n, (c % n) * top + c // n
+                        if (r, c) == (row, col):
+                            break
+                        pending[(r, c)] = [(k, phase * val) for k, val in traced]
+                for k, val in traced:
+                    keys[k].append(row * dim + col)
+                    vals[k].append(val)
+    return [QuantumOperator._from_arrays(dim, np.array(kk, dtype=np.int64),
+                                         np.array(vv, dtype=complex))
+            for kk, vv in zip(keys, vals)]
+
+
+def family_cases(n):
+    """Every trivial-carrier member, T_box, the dot-orbit highest-weight
+    members and one two-index highest-weight member, as (index set, carrier)."""
+    full = tuple(range(1, n + 1))
+    cases = [(I, trivial_rep(I)) for r in range(1, n + 1)
+             for I in itertools.combinations(full, r)]
+    cases.append((full, fundamental_rep(full)))
+    cases += [(full, verma_rep(tuple(w), labels=full, tag="v"))
+              for _, w in dot_action_orbit((1.0,) + (0.0,) * (n - 1))]
+    cases.append(((1, 2), verma_rep((0.4, -0.1), labels=(1, 2), tag="v")))
+    return cases
+
+
+@pytest.mark.parametrize("n,L,twist", [
+    (2, 0, TW2), (3, 0, TW3), (2, 1, TW2), (3, 1, TW3), (4, 1, TW4),
+    (3, 4, TW3), (4, 3, TW4), (2, 5, TW2),
+    (2, 4, TW2), (3, 3, TW3), (2, 4, TW2_COMPLEX), (3, 3, TW3_COMPLEX)])
+def test_build_matches_the_object_reference_bitwise(n, L, twist):
+    # same keys in the same order and the same value bits, coefficient by
+    # coefficient, for every member kind; (2,4) and (3,3) hold short orbits
+    for I, rep in family_cases(n):
+        lax = canonical_lax(n, I, rep)
+        D = build_twist_D(n, I, rep, twist)
+        got = build_X(n, L, I, rep, twist).coeffs
+        want = reference_monodromy(n, L, lax, D, twist)
+        assert len(got) == len(want) == L + 1
+        for g, w in zip(got, want):
+            assert g.keys.tobytes() == w.keys.tobytes()
+            assert g.vals.tobytes() == w.vals.tobytes()
 
 
 def twisted_shift(n, length, twist):
