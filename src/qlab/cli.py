@@ -371,8 +371,6 @@ def _cstr(x: complex) -> str:
 
 def run_spectrum(cfg: RunConfig, family: QFamily | None = None) -> dict:
     from .spectral import SpectralAnalysis
-    # a one-site chain has no bond: its Hamiltonian is zero, while T_box's
-    # log-derivative reads a literal wrap bond, so the energies cannot agree
     if cfg.length < 2:
         raise ConfigError("spectrum needs L >= 2")
     sa = SpectralAnalysis(cfg.n, cfg.length, cfg.twist(), family=family)

@@ -26,7 +26,9 @@ its left factors and its core, and one function builds ``S`` and ``S⁻¹`` and
 forms the residual on the buffered block of a truncated Fock space.  Every
 matrix there is built only on the Fock rows that block's product reads
 (``row_cap``), and each kept entry is summed as in the product of the whole
-matrices.  The ``scipy.sparse`` matrices are imported where they are built.
+matrices.  ``S``, ``S⁻¹`` and the Fock space do not depend on ``z``: each
+identity builds them once and keeps them for every point it is checked at.
+The ``scipy.sparse`` matrices are imported where they are built.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ def lax_at(L: LaxMatrix, z: complex) -> CarrierOp:
 Side = Tuple[Sequence[CarrierOp], Sequence[NormalOrderedOp]]
 
 
-def _residual(space: FockSpace, buffer: int, lhs: Side, rhs: Side) -> float:
+def _residual(space: FockSpace, buffer: int, lhs: Side, rhs: Side,
+              frames: Dict | None = None) -> float:
     """Max-entry deviation of two :data:`Side` s on the buffered rows and columns.
 
     ``S⁻¹`` is ``exp(−e_m) ⋯ exp(−e₁)``, and a side without exponents has
@@ -89,11 +92,17 @@ def _residual(space: FockSpace, buffer: int, lhs: Side, rhs: Side) -> float:
     product reads: ``S`` raises excitation, so it and the first factor need
     the rows up to ``n_max − buffer``; the cap grows by each factor's largest
     lowering, and ``S⁻¹`` is built at the final cap.
+
+    The buffered rows of ``S`` and columns of ``S⁻¹`` of each side are read
+    from, or stored in, ``frames`` under ``(side, n_max, buffer, cap)``; a
+    ``frames`` passed in must hold the frames of this space and these sides'
+    exponents only.
     """
     import scipy.sparse as sp
     fidx = space.buffered_indices(buffer)
+    frames = {} if frames is None else frames
 
-    def form(side: Side) -> sp.csr_matrix:
+    def form(side: Side, tag: str) -> sp.csr_matrix:
         factors, exponents = side
         cap = start = space.n_max - buffer
         mats = []
@@ -102,25 +111,37 @@ def _residual(space: FockSpace, buffer: int, lhs: Side, rhs: Side) -> float:
             cap += max(0, -min(e.min_excitation_shift() for row in f.mat for e in row))
         exponents = [e for e in exponents if not e.is_zero()]
         if exponents:
-            s = reduce(matmul, [nilpotent_exp(e, space, row_cap=start) for e in exponents])
-            s_inv = reduce(matmul, [nilpotent_exp(-e, space, row_cap=cap)
-                                    for e in reversed(exponents)])
-            eye = sp.identity(factors[0].d, format="csr")
-            mats = [sp.kron(eye, s[fidx]), *mats, sp.kron(eye, s_inv[:, fidx])]
+            key = (tag, space.n_max, buffer, cap)
+            if key not in frames:
+                s = reduce(matmul, [nilpotent_exp(e, space, row_cap=start) for e in exponents])
+                s_inv = reduce(matmul, [nilpotent_exp(-e, space, row_cap=cap)
+                                        for e in reversed(exponents)])
+                eye = sp.identity(factors[0].d, format="csr")
+                frames[key] = (sp.kron(eye, s[fidx], format="csr"),
+                               sp.kron(eye, s_inv[:, fidx], format="csr"))
+            mats = [frames[key][0], *mats, frames[key][1]]
         else:
             idx = _buffered_cols(space, factors[0].d, 1, buffer)
             mats[0] = mats[0][idx]
             mats[-1] = mats[-1][:, idx]
         return reduce(matmul, mats)
 
-    diff = form(lhs) - form(rhs)
+    diff = form(lhs, "lhs") - form(rhs, "rhs")
     return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
 
 
 def _identity_residual(self, z: complex, n_max: int = 8, buffer: int = 4) -> float:
-    """``Π lhs_factors(z) − S·core(z)·S⁻¹``, bound as ``residual`` by each class below."""
-    return _residual(FockSpace(self.all_modes(), n_max), buffer,
-                     (self.lhs_factors(z), ()), ([self.core(z)], self.s_exponents()))
+    """``Π lhs_factors(z) − S·core(z)·S⁻¹``, bound as ``residual`` by each class below.
+
+    The Fock space, ``S`` and ``S⁻¹`` do not depend on ``z``: each identity
+    builds them once per ``(n_max, buffer, cap)`` and keeps them for its
+    lifetime, in ``_spaces`` and ``_frames``.
+    """
+    spaces = vars(self).setdefault("_spaces", {})
+    if n_max not in spaces:
+        spaces[n_max] = FockSpace(self.all_modes(), n_max)
+    return _residual(spaces[n_max], buffer, (self.lhs_factors(z), ()),
+                     ([self.core(z)], self.s_exponents()), vars(self).setdefault("_frames", {}))
 
 
 # -- similarity transforms ---------------------------------------------------------

@@ -15,9 +15,9 @@ are provided:
 rational R-matrix ``R(z) = z + P`` on a truncated Fock space, at a list of
 spectral pairs ``(z1, z2)``.  Since ``L(z) = z c0 + c1``, the Fock matrices
 of ``c0`` and ``c1`` are built once per Lax matrix and combined linearly at
-each point; the residual is formed only on the buffered columns, on which
-truncation is exact.  It is the only function here that needs scipy, and it
-imports ``scipy.sparse`` itself.
+each point, as is ``R ⊗ 1``, from R's nonzero entries; the residual is formed
+only on the buffered columns, on which truncation is exact.  Only it and its
+helpers need scipy, and they import ``scipy.sparse`` themselves.
 """
 
 from __future__ import annotations
@@ -214,16 +214,27 @@ def rll_residual(L: LaxMatrix, pairs: Sequence[Tuple[complex, complex]],
     a1, a2 = layouts(L.c0)
     b1, b2 = layouts(L.c1)
     cols = _buffered_cols(space, L.d, n * n, buffer)
-    eye = sp.identity(wdim, format="csr")
     worst = 0.0
     for z1, z2 in pairs:
         m1 = z1 * a1 + b1
         m2 = z2 * a2 + b2
-        rbig = sp.kron(sp.csr_matrix(rmatrix(n, z1 - z2).to_dense()), eye, format="csr")
+        rbig = _kron_identity(rmatrix(n, z1 - z2).to_dense(), wdim)
         res = rbig @ (m1 @ m2[:, cols]) - m2 @ (m1 @ rbig[:, cols])
-        if res.nnz:
-            worst = max(worst, float(np.max(np.abs(res.data))))
-    return worst
+        worst = np.abs(res.data).max(initial=worst)  # keeps a NaN, unlike max()
+    return float(worst)
+
+
+def _kron_identity(r: np.ndarray, wdim: int) -> sp.csr_matrix:
+    """``r ⊗ 1_wdim`` stored as ``sp.kron`` stores it: row ``a·wdim + f`` holds
+    the nonzero entries ``r[a, b]`` only, at columns ``b·wdim + f``."""
+    import scipy.sparse as sp
+    nonzero = [np.flatnonzero(row) for row in r]
+    f, size = np.arange(wdim)[:, None], r.shape[0] * wdim
+    return sp.csr_matrix(
+        (np.concatenate([np.tile(row[b], wdim) for row, b in zip(r, nonzero)]),
+         np.concatenate([(b * wdim + f).ravel() for b in nonzero]),
+         np.concatenate([[0], np.cumsum(np.repeat([b.size for b in nonzero], wdim))])),
+        shape=(size, size))
 
 
 # -- GL(n) frame transformations --------------------------------------------------

@@ -23,7 +23,8 @@ dicts of the operators: :func:`_mul_terms` and :func:`_add_terms`, and for
 carrier matrices :func:`_carrier_mul` and :func:`_carrier_add` on
 :data:`CarrierTerms`.  :class:`NormalOrderedOp`, :class:`CarrierOp` and the
 family build of :mod:`qlab.transfer` all call them.  Coefficients of modulus
-at most ``COEFF_TOL`` are dropped after every product and every sum.  The
+at most ``COEFF_TOL`` are dropped after every product and every sum; a NaN
+coefficient is kept.  The
 Wick expansion of each pair of monomials is computed once and kept in a table
 shared by every product; the table is emptied whenever it reaches
 ``WICK_CAP`` entries, which keeps it below 1 MB.
@@ -64,7 +65,7 @@ class NormalOrderedOp:
         if terms:
             for key, c in terms.items():
                 c = complex(c)
-                if abs(c) > COEFF_TOL:
+                if not abs(c) <= COEFF_TOL:
                     self.terms[key] = c
 
     # -- constructors ------------------------------------------------------
@@ -233,7 +234,7 @@ def _mul_terms(t1: Dict[TermKey, complex], t2: Dict[TermKey, complex]
                 continue
             for key, w in _WICK.get((k1, k2)) or _wick(k1, k2):
                 out[key] = out.get(key, 0.0) + coeff * w
-    return {key: c for key, c in out.items() if abs(c) > COEFF_TOL}
+    return {key: c for key, c in out.items() if not abs(c) <= COEFF_TOL}
 
 
 def _add_terms(t1: Dict[TermKey, complex], t2: Dict[TermKey, complex]
@@ -245,7 +246,7 @@ def _add_terms(t1: Dict[TermKey, complex], t2: Dict[TermKey, complex]
     out = dict(t1)
     for key, c in t2.items():
         out[key] = out.get(key, 0.0) + c
-    return {key: c for key, c in out.items() if abs(c) > COEFF_TOL}
+    return {key: c for key, c in out.items() if not abs(c) <= COEFF_TOL}
 
 
 # -- closed-form weighted traces ---------------------------------------------
@@ -513,6 +514,7 @@ class FockSpace:
         self._mode_pos = {m: i for i, m in enumerate(self.modes)}
         self.radix = (self.n_max + 1) ** np.arange(k - 1, -1, -1, dtype=np.int64)
         self.codes = occ @ self.radix
+        self._up_to: Dict[int, np.ndarray] = {}
 
     @property
     def states(self) -> List[Tuple[int, ...]]:
@@ -527,7 +529,15 @@ class FockSpace:
         nothing, and a negative one guarantees nothing.
         """
         FockTruncation(self.n_max, buffer)
-        return np.flatnonzero(self.total <= self.n_max - buffer)
+        return self.up_to(self.n_max - buffer)
+
+    def up_to(self, excitation: int) -> np.ndarray:
+        """Ascending indices of the states of total excitation at most
+        ``excitation``, kept per threshold."""
+        t = min(excitation, self.n_max)
+        if t not in self._up_to:
+            self._up_to[t] = np.flatnonzero(self.total <= t)
+        return self._up_to[t]
 
     def occupation_weights(self, q: Mapping[Mode, complex]) -> np.ndarray:
         """Diagonal of ``prod_m q_m^{N_m}`` over the basis (weight 1 for missing modes)."""
@@ -535,53 +545,65 @@ class FockSpace:
         return np.prod(w ** self.occ, axis=1)
 
 
-def fock_matrix(x: NormalOrderedOp, space: FockSpace, rep: str = "+",
+def fock_matrix(x: NormalOrderedOp | CarrierOp, space: FockSpace, rep: str = "+",
                 row_cap: int | None = None) -> sp.csr_matrix:
     """Matrix of ``x`` on the truncated basis; amplitudes leaving the cap are dropped.
 
+    A :class:`CarrierOp` gives the dense carrier index (slow-running) ⊗ Fock
+    basis (fast-running): block ``(i, j)`` holds entry ``mat[i][j]``.
     ``rep="-"`` materializes the second representation via the algebra
-    automorphism.  Each term acts on every state at once: the columns it
-    keeps are those with enough quanta to annihilate and room under the cap
-    for the net excitation it adds, and its rows are found from the shifted
-    state codes.
+    automorphism.  Each term acts at once on the states it can reach (total
+    excitation at most the cap minus the net excitation it adds) that hold
+    enough quanta to annihilate; its rows are found from the shifted state
+    codes.  The whole matrix is built in one pass; terms of one entry that
+    hit one position are added in term order, and blocks never overlap.
 
     With ``row_cap`` the rows of states with total excitation above
     ``min(row_cap, n_max)`` are left empty; every other row is stored exactly
     as without the cap, so a product that reads only those rows is unchanged
     to the bit.
     """
+    entries = x.mat if isinstance(x, CarrierOp) else [[x]]
     if rep == "-":
-        x = automorphism_image(x)
+        entries = [[automorphism_image(e) for e in row] for row in entries]
     elif rep != "+":
         raise ValueError("rep must be '+' or '-'")
     import scipy.sparse as sp
     cap = space.n_max if row_cap is None else min(row_cap, space.n_max)
-    rows = [np.zeros(0, dtype=np.int64)]
-    cols = [np.zeros(0, dtype=np.int64)]
+    dim, size = space.dim, len(entries) * space.dim
+    keys = [np.zeros(0, dtype=np.int64)]
     vals = [np.zeros(0, dtype=complex)]
     pos = space._mode_pos
-    for key, c in x.terms.items():
-        missing = [m for m, _, _ in key if m not in pos]
-        if missing:
-            raise ValueError(f"operator acts on modes outside the space: {missing}")
-        keep = space.total + sum(j - k for _, j, k in key) <= cap
-        for m, _, k in key:
-            keep &= space.occ[:, pos[m]] >= k
-        col = np.flatnonzero(keep)
-        code = space.codes[col]
-        amp = np.full(col.size, c, dtype=complex)
-        for m, j, k in key:
-            occ = space.occ[col, pos[m]]
-            # B^k then B†^j in the |k+1> = B†|k> convention; one factor at a
-            # time, so the rounding matches the per-state reference loop
-            for i in range(k):
-                amp *= occ - i
-            code = code + (j - k) * space.radix[pos[m]]
-        rows.append(np.searchsorted(space.codes, code))
-        cols.append(col)
-        vals.append(amp)
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(space.dim, space.dim), dtype=complex)
+    for a, row in enumerate(entries):
+        for b, e in enumerate(row):
+            for key, c in e.terms.items():
+                missing = [m for m, _, _ in key if m not in pos]
+                if missing:
+                    raise ValueError(f"operator acts on modes outside the space: {missing}")
+                col = space.up_to(cap - sum(j - k for _, j, k in key))
+                for m, _, k in key:
+                    if k:
+                        col = col[space.occ[col, pos[m]] >= k]
+                code = space.codes[col]
+                amp = np.full(col.size, c, dtype=complex)
+                for m, j, k in key:
+                    occ = space.occ[col, pos[m]]
+                    # B^k then B†^j in the |k+1> = B†|k> convention; one factor at a
+                    # time, so the rounding matches the per-state reference loop
+                    for i in range(k):
+                        amp *= occ - i
+                    code = code + (j - k) * space.radix[pos[m]]
+                rows = np.searchsorted(space.codes, code)
+                keys.append((a * dim + rows) * size + b * dim + col)
+                vals.append(amp)
+    key, first, pos = np.unique(np.concatenate(keys), return_index=True, return_inverse=True)
+    val = np.concatenate(vals)
+    out, later = val[first], np.ones(val.size, dtype=bool)
+    later[first] = False
+    # ufunc.at adds in index order: each position's later terms in term order
+    np.add.at(out, pos[later], val[later])
+    indptr = np.searchsorted(key, np.arange(size + 1) * size)
+    return sp.csr_matrix((out, key % size, indptr), shape=(size, size))
 
 
 def nilpotent_exp(x: NormalOrderedOp, space: FockSpace, row_cap: int) -> sp.csr_matrix:
@@ -716,29 +738,9 @@ class CarrierOp:
         return _carrier_trace(self._terms(), carrier_weights, q, plain_modes, {})
 
     def to_matrix(self, space: FockSpace, row_cap: int | None = None) -> sp.csr_matrix:
-        """Dense carrier index (slow-running) ⊗ Fock basis (fast-running).
-
-        Block ``(i, j)`` is ``fock_matrix(mat[i][j], space, row_cap=row_cap)``.
-        The non-empty blocks' entries are shifted into place and built into one
-        matrix; blocks never overlap, so every value is its block's own.
-        """
-        if self.d == 1:
-            return fock_matrix(self.mat[0][0], space, row_cap=row_cap)
-        import scipy.sparse as sp
-        dim = space.dim
-        rows = [np.zeros(0, dtype=np.int64)]
-        cols = [np.zeros(0, dtype=np.int64)]
-        vals = [np.zeros(0, dtype=complex)]
-        for i, row in enumerate(self.mat):
-            for j, x in enumerate(row):
-                if x.terms:
-                    m = fock_matrix(x, space, row_cap=row_cap)
-                    rows.append(i * dim + np.repeat(np.arange(dim), np.diff(m.indptr)))
-                    cols.append(j * dim + m.indices)
-                    vals.append(m.data)
-        size = self.d * dim
-        return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(size, size), dtype=complex)
+        """:func:`fock_matrix` of this carrier operator: dense carrier index
+        (slow-running) ⊗ Fock basis (fast-running), built in one pass."""
+        return fock_matrix(self, space, row_cap=row_cap)
 
     def __repr__(self) -> str:
         return f"CarrierOp(d={self.d})"

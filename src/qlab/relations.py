@@ -154,8 +154,8 @@ def _max_residual(sides: Sides, dim: int, length: int,
     worst = 0.0
     for points in stack_chunks(list(z_values), dim):
         lhs, rhs = sides(points)
-        worst = max(worst, *(lhs - rhs).norms().tolist())
-    return worst
+        worst = (lhs - rhs).norms().max(initial=worst)  # keeps a NaN, unlike max()
+    return float(worst)
 
 
 # -- bilinear quadrilateral relation ----------------------------------------------

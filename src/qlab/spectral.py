@@ -257,6 +257,10 @@ class SpectralAnalysis:
     def __init__(self, n: int, length: int, twist: TwistConfig,
                  path: Sequence[int] | None = None,
                  family: QFamily | None = None):
+        # a one-site chain has no bond: its Hamiltonian is zero, while T_box's
+        # log-derivative reads a literal wrap bond, so the energies cannot agree
+        if length < 2:
+            raise ValueError("spectral analysis needs length >= 2")
         self.n, self.length, self.twist = n, length, twist
         self.path = tuple(path) if path is not None else tuple(range(1, n + 1))
         if sorted(self.path) != list(range(1, n + 1)):

@@ -11,10 +11,10 @@ place (``a - b`` is ``a + b * (-1.0)``); ``OperatorPolynomial.poly_at`` adds
 sequence starting from ``0.0``, and a new key is stored where first touched.
 Products round as CPython 3.11's complex product (``re = ar*br - ai*bi``,
 ``im = ar*bi + ai*br``, no fused multiply-add; a real scalar has imaginary
-part ``0.0``).  Entries of modulus at most ``DROP_TOL`` are dropped.  So two
-equal operators stored in a different order give results that differ at
-rounding level.  Basis states of the chain are enumerated in base ``n`` with
-site 1 as the most significant digit.
+part ``0.0``).  Entries of modulus at most ``DROP_TOL`` are dropped; a NaN
+entry is kept.  So two equal operators stored in a different order give
+results that differ at rounding level.  Basis states of the chain are
+enumerated in base ``n`` with site 1 as the most significant digit.
 
 One ``QuantumOperator`` may hold a stack of ``count`` operators of one
 dimension, such as a family member at several spectral points: the
@@ -91,7 +91,7 @@ class QuantumOperator:
         vals: List[complex] = []
         for (r, c), v in (data or {}).items():
             v = complex(v)
-            if abs(v) > DROP_TOL:
+            if not abs(v) <= DROP_TOL:
                 if not (0 <= r < self.dim and 0 <= c < self.dim):
                     raise IndexError(f"entry {(r, c)} outside dimension {self.dim}")
                 keys.append(r * self.dim + c)
@@ -102,24 +102,26 @@ class QuantumOperator:
     @classmethod
     def _from_arrays(cls, dim: int, keys: np.ndarray, vals: np.ndarray,
                      count: int = 1) -> "QuantumOperator":
-        """The entries ``keys``, ``vals`` whose modulus exceeds ``DROP_TOL``.
+        """The entries ``keys``, ``vals`` whose modulus is not at most ``DROP_TOL``.
 
         The test reads ``m = max(|re|, |im|)`` first.  The modulus lies in
         ``[m, sqrt(2) m]``, and a faithfully rounded ``hypot`` stays in that
         bracket, because both ends are at most one rounding from a float on
         the correct side.  So ``m > DROP_TOL`` keeps an entry and
         ``m <= 0.7 DROP_TOL`` drops it (``0.7 sqrt(2) < 1``), exactly as
-        ``hypot(re, im) > DROP_TOL`` decides.  ``hypot`` is evaluated only for
-        the entries in between, and for NaN.  When every entry is kept the
-        arrays are stored as given; no operator writes to its arrays.
+        ``hypot(re, im) <= DROP_TOL`` decides.  ``hypot`` is evaluated only
+        for the entries in between.  A NaN entry is kept, so that it reaches
+        every residual formed from it.  When every entry is kept the arrays
+        are stored as given; no operator writes to its arrays.
         """
         m = np.maximum(np.abs(vals.real), np.abs(vals.imag))
-        keep = m > DROP_TOL
-        if not keep.all():
-            unsure = np.flatnonzero(~(keep | (m <= _SURE_DROP)))
+        drop = m <= DROP_TOL
+        if drop.any():
+            unsure = np.flatnonzero(drop & (m > _SURE_DROP))
             if len(unsure):
                 v = vals[unsure]
-                keep[unsure] = np.hypot(v.real, v.imag) > DROP_TOL
+                drop[unsure] = np.hypot(v.real, v.imag) <= DROP_TOL
+            keep = ~drop
             keys, vals = keys[keep], vals[keep]
         return cls._stored(dim, count, keys, vals)
 
@@ -149,7 +151,7 @@ class QuantumOperator:
         mat = np.asarray(mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("expected a square matrix")
-        keys = np.flatnonzero(np.abs(mat) > DROP_TOL)
+        keys = np.flatnonzero(~(np.abs(mat) <= DROP_TOL))
         return cls._from_arrays(mat.shape[0], keys,
                                 mat.reshape(-1)[keys].astype(complex))
 

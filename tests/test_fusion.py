@@ -331,3 +331,51 @@ def test_buffered_residual_matches_the_whole_product_bitwise():
         whole = _whole_residual(obj, z, n_max, buffer)
         assert whole > 0.0
         assert obj.residual(z, n_max=n_max, buffer=buffer) == whole
+
+
+def _fresh_residual(obj, z, n_max, buffer):
+    """The residual with a new Fock space, ``S`` and ``S⁻¹`` built for this ``z``."""
+    return fu._residual(FockSpace(obj.all_modes(), n_max), buffer,
+                        (obj.lhs_factors(z), ()), ([obj.core(z)], obj.s_exponents()))
+
+
+@pytest.mark.parametrize("n,n_max,buffer", [(2, 6, 3), (3, 6, 4), (4, 5, 4)])
+def test_shared_frames_equal_fresh_ones_at_every_point_bitwise(n, n_max, buffer):
+    rng = np.random.default_rng(n)
+    wt = tuple(complex(rng.normal(), rng.normal()) for _ in range(n))
+    cases = [
+        fuse(n, (1,), tuple(range(2, n + 1)), scalar_rep(1, 0.23),
+             verma_rep(tuple(0.3 - 0.2 * a for a in range(n - 1)),
+                       labels=tuple(range(2, n + 1)), tag="v"), 0.6),
+        iterated_parton_fusion(n, tuple(range(1, n + 1)), wt),
+        factorize_partons(n, wt),
+    ]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return nilpotent_exp(*args, **kwargs)
+
+    for obj in cases:
+        points = [0.37, -0.58 + 0.2j, 0.31]
+        want = [_fresh_residual(obj, z, n_max, buffer) for z in points]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fu, "nilpotent_exp", counted)
+            calls.clear()
+            got = [obj.residual(z, n_max=n_max, buffer=buffer) for z in points]
+            per_point = len(calls)
+            # another buffer keeps frames of its own
+            assert (obj.residual(0.37, n_max=n_max, buffer=buffer - 1)
+                    == _fresh_residual(obj, 0.37, n_max, buffer - 1))
+        assert [r.hex() for r in got] == [r.hex() for r in want]
+        assert max(got) < 1e-12
+        # S and S⁻¹ are built at the first point only
+        assert per_point == 2 * len([e for e in obj.s_exponents() if not e.is_zero()])
+
+
+def test_nan_coefficient_in_a_fusion_factor_reaches_the_residual():
+    res = fuse(2, (1,), (2,), scalar_rep(1, 0.23), scalar_rep(2, -0.41), 0.6)
+    assert res.residual(0.37, n_max=6, buffer=3) < 1e-12
+    key = ((M1(1, 2), 1, 0),)
+    res.L1.c1[0][1] = CarrierOp(1, [[Op({key: complex(np.nan, 0.0)})]])
+    assert np.isnan(res.residual(0.37, n_max=6, buffer=3))

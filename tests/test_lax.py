@@ -4,8 +4,8 @@ import scipy.sparse as sp
 
 from qlab.glrep import fundamental_rep, trivial_rep, verma_rep
 from qlab.lax import (
-    LaxMatrix, canonical_lax, eval_lax, gl_transform, leading_coeff_rank,
-    partonic_lax, rll_residual, rmatrix,
+    LaxMatrix, _kron_identity, canonical_lax, eval_lax, gl_transform,
+    leading_coeff_rank, partonic_lax, rll_residual, rmatrix,
 )
 from qlab.oscillator import FockSpace, NormalOrderedOp as Op
 from qlab.tensor import permutation_op
@@ -140,6 +140,23 @@ def test_canonical_rll_fundamental_carrier():
     rep = fundamental_rep((1, 3))
     L = canonical_lax(3, (1, 3), rep)
     assert rll_residual(L, [(0.25, 0.8)], n_max=8) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_r_times_identity_equals_sp_kron_bitwise(n):
+    # at u = -1 the diagonal entries (a, a) of R vanish and are not stored;
+    # at u = 0, R is the permutation
+    for u in (-1.0, 0.0, 0.3 - 1.2j, -0.7 + 0.05j):
+        r = rmatrix(n, u).to_dense()
+        for wdim in (1, 7, 462):
+            got = _kron_identity(r, wdim)
+            want = sp.kron(sp.csr_matrix(r), sp.identity(wdim, format="csr"), format="csr")
+            assert got.shape == want.shape
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert got.data.tobytes() == want.data.tobytes()
+    # the n rows (a, a) of R(-1) are empty; every other row holds -1 and the 1 of P
+    assert _kron_identity(rmatrix(n, -1.0).to_dense(), 3).nnz == 2 * (n * n - n) * 3
 
 
 def test_rll_negative_control():

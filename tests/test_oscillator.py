@@ -334,12 +334,13 @@ def test_fock_truncation_guard():
 
 
 def _fock_matrix_reference(x, space, rep="+"):
-    """Per-state loop: apply each term to each basis state in turn."""
+    """Per-state loop: apply each term to each basis state in turn; terms that
+    hit one position are added in term order, starting from the first."""
     if rep == "-":
         x = automorphism_image(x)
     index = {s: i for i, s in enumerate(space.states)}
     pos = {m: p for p, m in enumerate(space.modes)}
-    rows, cols, vals = [], [], []
+    acc = {}
     for key, c in x.terms.items():
         for col, state in enumerate(space.states):
             amp = c
@@ -355,10 +356,10 @@ def _fock_matrix_reference(x, space, rep="+"):
                 new[pos[m]] = occ - k + j
             row = index.get(tuple(new)) if ok else None
             if row is not None:
-                rows.append(row)
-                cols.append(col)
-                vals.append(amp)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(space.dim, space.dim), dtype=complex)
+                acc[row, col] = acc[row, col] + amp if (row, col) in acc else complex(amp)
+    pairs = sorted(acc)
+    return sp.csr_matrix(([acc[p] for p in pairs], ([r for r, _ in pairs], [c for _, c in pairs])),
+                         shape=(space.dim, space.dim), dtype=complex)
 
 
 def _random_op(rng, modes, n_terms, max_power):
@@ -403,12 +404,13 @@ COEFFS = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
 
 
 @st.composite
-def _hyp_op(draw, modes, raising=False):
-    """A random operator; each term may bring a twin that hits its matrix entries.
+def _hyp_op(draw, modes, raising=False, twins=1):
+    """A random operator; each term may bring up to ``twins`` twins that hit
+    its matrix entries.
 
-    The twin has one more creator and one more annihilator on one mode, so it
-    moves every state it acts on to the same row as its partner.  With
-    ``raising`` every term strictly raises the total excitation.
+    Twin ``t`` has ``t`` more creators and ``t`` more annihilators on one
+    mode, so it moves every state it acts on to the same row as its partner.
+    With ``raising`` every term strictly raises the total excitation.
     """
     terms = {}
     for _ in range(draw(st.integers(1, 4))):
@@ -423,10 +425,10 @@ def _hyp_op(draw, modes, raising=False):
                 key.append([modes[0], 0, 0])
             key[0][1] += 1 - shift
         keys = [key]
-        if key and draw(st.booleans()):
+        for t in range(1, 1 + (draw(st.integers(0, twins)) if key else 0)):
             twin = [list(part) for part in key]
-            twin[0][1] += 1
-            twin[0][2] += 1
+            twin[0][1] += t
+            twin[0][2] += t
             keys.append(twin)
         for k in keys:
             k = tuple(tuple(part) for part in k)
@@ -484,10 +486,42 @@ def _bmat_to_matrix(x, space, row_cap):
 def test_carrier_to_matrix_equals_the_bmat_assembly(data, d, k, n_max):
     modes = HMODES[:k]
     space = FockSpace(modes, n_max)
-    entry = st.one_of(st.just(Op.zero()), _hyp_op(modes))
+    # up to four terms on one matrix entry
+    entry = st.one_of(st.just(Op.zero()), _hyp_op(modes, twins=3))
     x = CarrierOp(d, [[data.draw(entry) for _ in range(d)] for _ in range(d)])
     for cap in (None, *range(n_max + 1)):
         _assert_bitwise(x.to_matrix(space, row_cap=cap), _bmat_to_matrix(x, space, cap))
+
+
+def _wide_op(rng, modes):
+    """Every monomial with at most two creators and two annihilators per mode:
+    25 net shifts, so a row holds up to 25 entries of one block, and 81 terms,
+    of which up to 9 (net shift 0) hit each diagonal entry."""
+    terms = {}
+    for powers in np.ndindex(*(3, 3) * len(modes)):
+        key = tuple((m, powers[2 * p], powers[2 * p + 1]) for p, m in enumerate(modes)
+                    if powers[2 * p] or powers[2 * p + 1])
+        terms[key] = complex(rng.normal(), rng.normal())
+    return Op(terms)
+
+
+def test_carrier_to_matrix_on_wide_rows_equals_the_per_state_reference():
+    # rows that more than 16 terms hit, where scipy's duplicate summation
+    # does not keep their order, and rows of more than 16 stored entries
+    rng = np.random.default_rng(11)
+    modes = HMODES[:2]
+    space = FockSpace(modes, 4)
+    x = CarrierOp(2, [[_wide_op(rng, modes), Op.zero()],
+                      [_wide_op(rng, modes), _wide_op(rng, modes)]])
+    want = sp.csr_matrix(sp.bmat([[_fock_matrix_reference(e, space) for e in row]
+                                  for row in x.mat], format="csr"))
+    got = x.to_matrix(space)
+    assert np.diff(got.indptr).max() > 16
+    _assert_bitwise(got, want)
+    for cap in range(space.n_max + 1):
+        _assert_bitwise(x.to_matrix(space, row_cap=cap), _bmat_to_matrix(x, space, cap))
+    # a lone operator goes through the same assembly
+    _assert_bitwise(fock_matrix(x.mat[1][0], space), _fock_matrix_reference(x.mat[1][0], space))
 
 
 # -- carrier-valued matrices ------------------------------------------------------

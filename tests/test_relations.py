@@ -68,6 +68,21 @@ def test_quadrilateral_relation_antisymmetric_in_ab():
     assert hirota_residual(2, 2, (), 2, 1, TW2, family=qf) < 1e-10
 
 
+def test_nan_entry_of_a_member_reaches_the_residual_and_fails_the_record():
+    from qlab.cli import RunConfig, run_verify
+    qf = QFamily(2, 2, TW2)
+    q1 = qf.q((1,))
+    c0 = q1.coeffs[0]
+    entries = {divmod(k, c0.dim): v for k, v in zip(c0.keys.tolist(), c0.vals.tolist())}
+    entries[2, 2] = complex(np.nan, 0.0)
+    q1.coeffs[0] = QuantumOperator(c0.dim, entries)
+    assert np.isnan(hirota_residual(2, 2, (), 1, 2, TW2, family=qf))
+    qf.drop_values()
+    doc = run_verify(RunConfig(n=2, length=2, suites=("hirota",)), family=qf)
+    assert [r["passed"] for r in doc["records"]] == [False]
+    assert np.isnan(doc["records"][0]["residual"])
+
+
 def test_quadrilateral_rejects_bad_indices():
     with pytest.raises(ValueError):
         hirota_residual(3, 1, (1,), 1, 2, TW3)

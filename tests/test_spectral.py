@@ -231,6 +231,13 @@ def test_path_changes_intermediate_index_sets():
         SpectralAnalysis(3, 2, TW3, path=(1, 2))
 
 
+@pytest.mark.parametrize("n,tw", [(2, TW2), (3, TW3)])
+def test_one_site_chain_is_rejected(n, tw):
+    # a one-site chain has no bond, and its three energies would disagree
+    with pytest.raises(ValueError, match="length >= 2"):
+        SpectralAnalysis(n, 1, tw)
+
+
 def test_newton_recovers_perturbed_roots():
     sa = SpectralAnalysis(2, 3, TW2)
     recs = sa.sector_records((2, 1))
