@@ -142,11 +142,12 @@ Check = Tuple[str, Callable[[], float]]
 
 
 def _suite_anchors(cfg: RunConfig, qf: QFamily) -> List[Check]:
+    from .oscillator import _worst
     eye = np.eye(cfg.n ** cfg.length)
 
     def anchor(I: Tuple[int, ...], ref: Callable) -> Callable[[], float]:
-        return lambda: max(float(np.max(np.abs(qf.q(I).at(z).to_dense() - ref(z))))
-                           for z in (0.83, -0.27))
+        return lambda: _worst(float(np.max(np.abs(qf.q(I).at(z).to_dense() - ref(z))))
+                              for z in (0.83, -0.27))
 
     return [("empty-set member is identity", anchor((), lambda z: eye)),
             ("full-set member is z^L", anchor(tuple(range(1, cfg.n + 1)),
@@ -194,6 +195,7 @@ def _suite_factorization(cfg: RunConfig, qf: QFamily) -> List[Check]:
 def _suite_fusion(cfg: RunConfig, qf: QFamily) -> List[Check]:
     from .fusion import fuse
     from .glrep import gl_relation_residual, scalar_rep, verma_rep
+    from .oscillator import _worst
     specs = [((1,), (2,), scalar_rep(1, 0.23), scalar_rep(2, -0.41), 0.6)]
     if cfg.n >= 3:
         specs.append(((1,), (2, 3), scalar_rep(1, 0.23),
@@ -201,7 +203,7 @@ def _suite_fusion(cfg: RunConfig, qf: QFamily) -> List[Check]:
     checks: List[Check] = []
     for I, J, r1, r2, lam in specs:
         res = fuse(cfg.n, I, J, r1, r2, lam)
-        checks.append(("blocks %s + %s" % (I, J), lambda res=res: max(
+        checks.append(("blocks %s + %s" % (I, J), lambda res=res: _worst(
             res.residual(z, n_max=cfg.n_max, buffer=cfg.buffer) for z in (0.37, -0.58))))
         checks.append(("merged algebra relations %s+%s" % (I, J),
                        partial(gl_relation_residual, res.fused_rep)))
@@ -241,6 +243,7 @@ def _suite_plucker(cfg: RunConfig, qf: QFamily) -> List[Check]:
 
 
 def _suite_commuting(cfg: RunConfig, qf: QFamily) -> List[Check]:
+    from .oscillator import _worst
     from .relations import enumerate_hasse
     from .spectral import build_hamiltonian
     from .tensor import QuantumOperator, stack_chunks
@@ -255,7 +258,7 @@ def _suite_commuting(cfg: RunConfig, qf: QFamily) -> List[Check]:
             x = QuantumOperator.stack([x for x, _ in chunk])
             y = QuantumOperator.stack([y for _, y in chunk])
             norms.extend(((x @ y) - (y @ x)).norms().tolist())
-        return max(norms)
+        return _worst(norms)
 
     return [("max pairwise commutator (%d ops)" % (2 + len(members)), worst)]
 
@@ -298,13 +301,13 @@ def _suite_trace(cfg: RunConfig, qf: QFamily) -> List[Check]:
     there, the default schedule of :func:`qlab.oscillator.extrapolated_traces`
     errs by up to 1.3e-8 at k=2 but by 6.3e-6 at k=3, over the 1e-6 gate.
     """
-    from .oscillator import extrapolated_traces, weighted_trace
+    from .oscillator import _worst, extrapolated_traces, weighted_trace
     qs = {m: cmath.exp(1j * a) for m, a in TRACE_WEIGHTS}
 
     def worst() -> float:
         draws = _trace_draws(cfg.seed)
-        return max(abs(weighted_trace(x, qs) - numeric)
-                   for x, numeric in zip(draws, extrapolated_traces(draws, qs)))
+        return _worst(abs(weighted_trace(x, qs) - numeric)
+                      for x, numeric in zip(draws, extrapolated_traces(draws, qs)))
 
     return [("closed form vs damped extrapolation (50 draws)", worst)]
 

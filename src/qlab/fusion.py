@@ -42,7 +42,8 @@ import numpy as np
 
 from .glrep import GlRep, fuse_generators, scalar_rep, shifted_weights
 from .lax import LaxMatrix, ModeFn, _buffered_cols, canonical_lax, partonic_lax
-from .oscillator import CarrierOp, FockSpace, Mode, NormalOrderedOp, nilpotent_exp
+from .oscillator import (CarrierOp, FockSpace, Mode, NormalOrderedOp, _worst,
+                         nilpotent_exp)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -224,17 +225,10 @@ class FusionResult:
 
     def g_commutation_residual(self) -> float:
         """Entries of G must commute with every entry of the fused Lax matrix."""
-        worst = 0.0
-        ents = [op for cm in (self.L_fused.c0, self.L_fused.c1)
-                for row in cm for e in row for r in e.mat for op in r]
-        for row in self.G.mat:
-            for g in row:
-                for x in ents:
-                    worst = max(worst, g.commutator(x).max_coeff())
-                for row2 in self.G.mat:
-                    for g2 in row2:
-                        worst = max(worst, g.commutator(g2).max_coeff())
-        return worst
+        g_ents = [g for row in self.G.mat for g in row]
+        others = [op for cm in (self.L_fused.c0, self.L_fused.c1)
+                  for row in cm for e in row for r in e.mat for op in r] + g_ents
+        return _worst(g.commutator(x).max_coeff() for g in g_ents for x in others)
 
 
 def fuse(n: int, I: Sequence[int], J: Sequence[int], rep1: GlRep, rep2: GlRep,
@@ -416,6 +410,7 @@ class PartonFactorization:
     def __post_init__(self):
         self.shifts = shifted_weights(self.weight)
         self.u1 = _u_matrix(self.n, 1)
+        self.u1_inv = inv_unipotent(self.u1)
         self.u_last = _u_matrix(self.n, self.n + 1)
 
     def mid_matrix(self, z: complex, dressed: bool) -> CarrierOp:
@@ -429,7 +424,7 @@ class PartonFactorization:
         return m
 
     def lplus(self, z: complex) -> CarrierOp:
-        return inv_unipotent(self.u1) * (self.mid_matrix(z, dressed=False) * self.u1)
+        return self.u1_inv * (self.mid_matrix(z, dressed=False) * self.u1)
 
     def s_exponent(self, a: int) -> NormalOrderedOp:
         out = NormalOrderedOp.zero()

@@ -22,7 +22,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .oscillator import CarrierOp, Mode, NormalOrderedOp
+from .oscillator import CarrierOp, Mode, NormalOrderedOp, _commutator_terms, _worst
 
 
 @dataclass
@@ -224,20 +224,38 @@ def verma_rep(weight: Sequence[complex], labels: Sequence[int] | None = None,
 
 
 def gl_relation_residual(rep: GlRep) -> float:
-    """Max coefficient norm of ``[J_ab, J_cd] - delta_bc J_ad + delta_ad J_cb``."""
-    worst = 0.0
-    L = rep.labels
-    # each product serves as the first term of (a,b,c,d) and the second of (c,d,a,b)
-    prod = {(a, b, c, d): rep.gen(a, b) * rep.gen(c, d)
-            for a in L for b in L for c in L for d in L}
-    for (a, b, c, d), p in prod.items():
-        r = p - prod[c, d, a, b]
+    """Max coefficient norm of ``r = [J_ab, J_cd] - delta_bc J_ad + delta_ad J_cb``.
+
+    ``r`` is formed once per unordered pair of generators ``(a, b) < (c, d)``,
+    ``p^2 (p^2 - 1) / 2`` commutators in all.  This loses nothing: the
+    reverse pair's residual is ``-r`` in exact arithmetic, since the
+    commutator is antisymmetric and the two delta terms trade places, and a
+    generator with itself gives ``r = 0`` identically.  An oscillator
+    realization (``d = 1``) takes each commutator from
+    :func:`~qlab.oscillator._commutator_terms`; a finite matrix carrier from
+    :meth:`~qlab.oscillator.CarrierOp.commutator`.
+    """
+    if rep.d == 1:
+        gens = {ab: g.mat[0][0] for ab, g in rep.gens.items()}
+
+        # the kernel itself rather than NormalOrderedOp.commutator, so that a
+        # per-function profile charges its time to this check
+        def commutator(x: NormalOrderedOp, y: NormalOrderedOp) -> NormalOrderedOp:
+            return NormalOrderedOp._of(_commutator_terms(x.terms, y.terms))
+    else:
+        gens, commutator = rep.gens, CarrierOp.commutator
+
+    def residual(a: int, b: int, c: int, d: int) -> float:
+        r = commutator(gens[a, b], gens[c, d])
         if b == c:
-            r = r - rep.gen(a, d)
+            r = r - gens[a, d]
         if a == d:
-            r = r + rep.gen(c, b)
-        worst = max(worst, r.max_coeff())
-    return worst
+            r = r + gens[c, b]
+        return r.max_coeff()
+
+    pairs = [(a, b) for a in rep.labels for b in rep.labels]
+    return _worst(residual(a, b, c, d)
+                  for i, (a, b) in enumerate(pairs) for c, d in pairs[i + 1:])
 
 
 def highest_weight_residual(rep: GlRep) -> float:
@@ -249,20 +267,21 @@ def highest_weight_residual(rep: GlRep) -> float:
     """
     if rep.d != 1:
         raise ValueError("only oscillator realizations have a Fock vacuum")
-    worst = 0.0
     L = rep.labels
-    for i, a in enumerate(L):
-        for b in L[i + 1:]:
-            for key, coeff in rep.gen(a, b).mat[0][0].terms.items():
-                if all(k == 0 for _, _, k in key):
-                    worst = max(worst, abs(coeff))
-        diag = rep.gen(a, a).mat[0][0]
-        for key, coeff in diag.terms.items():
-            if key == ():
-                worst = max(worst, abs(coeff - rep.weight[a]))
-            elif all(k == 0 for _, _, k in key):
-                worst = max(worst, abs(coeff))
-    return worst
+
+    def deviations():
+        for i, a in enumerate(L):
+            for b in L[i + 1:]:
+                for key, coeff in rep.gen(a, b).mat[0][0].terms.items():
+                    if all(k == 0 for _, _, k in key):
+                        yield abs(coeff)
+            for key, coeff in rep.gen(a, a).mat[0][0].terms.items():
+                if key == ():
+                    yield abs(coeff - rep.weight[a])
+                elif all(k == 0 for _, _, k in key):
+                    yield abs(coeff)
+
+    return _worst(deviations())
 
 
 def diagonal_weight_data(rep: GlRep, phis: Mapping[int, complex]

@@ -18,14 +18,17 @@ weight ``q != 1``:
 The number-basis convention is non-unitary: ``|k+1> = B†|k>``, so ``B†`` has
 matrix entry ``(k+1, k) = 1`` and ``B`` has entry ``(k-1, k) = k``.
 
-Products and sums have one implementation, on the plain ``{TermKey: complex}``
-dicts of the operators: :func:`_mul_terms` and :func:`_add_terms`, and for
-carrier matrices :func:`_carrier_mul` and :func:`_carrier_add` on
-:data:`CarrierTerms`.  :class:`NormalOrderedOp`, :class:`CarrierOp` and the
-family build of :mod:`qlab.transfer` all call them.  Coefficients of modulus
-at most ``COEFF_TOL`` are dropped after every product and every sum; a NaN
-coefficient is kept.  The
-Wick expansion of each pair of monomials is computed once and kept in a table
+Products, commutators and sums have one implementation, on the plain
+``{TermKey: complex}`` dicts of the operators: :func:`_mul_terms`,
+:func:`_commutator_terms` and :func:`_add_terms`, and for carrier matrices
+:func:`_carrier_mul` and :func:`_carrier_add` on :data:`CarrierTerms`.
+:class:`NormalOrderedOp`, :class:`CarrierOp`, the relation check of
+:mod:`qlab.glrep` and the family build of :mod:`qlab.transfer` all call them.
+:func:`_commutator_terms` expands only the monomial pairs that contract, and
+of those only the contracted monomials; the rest of ``xy`` cancels against
+``yx`` exactly.  Coefficients of modulus at most ``COEFF_TOL`` are dropped
+after every product and every sum; a NaN coefficient is kept.  The Wick
+expansion of each pair of monomials is computed once and kept in a table
 shared by every product; the table is emptied whenever it reaches
 ``WICK_CAP`` entries, which keeps it below 1 MB.
 
@@ -97,7 +100,7 @@ class NormalOrderedOp:
         return all(abs(c) <= tol for c in self.terms.values())
 
     def max_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return _worst(abs(c) for c in self.terms.values())
 
     def modes(self) -> FrozenSet[Mode]:
         out = set()
@@ -165,7 +168,7 @@ class NormalOrderedOp:
         return out
 
     def commutator(self, other: "NormalOrderedOp") -> "NormalOrderedOp":
-        return self * other - other * self
+        return NormalOrderedOp._of(_commutator_terms(self.terms, other.terms))
 
     def __repr__(self) -> str:
         return f"NormalOrderedOp({len(self.terms)} terms)"
@@ -177,6 +180,17 @@ def _coerce(x) -> NormalOrderedOp:
     if isinstance(x, numbers.Number):
         return NormalOrderedOp.scalar(x)
     raise TypeError(f"cannot coerce {type(x)!r} to NormalOrderedOp")
+
+
+def _worst(values: Iterable[float]) -> float:
+    """The largest of ``0.0`` and ``values``, or a NaN if any of them is one.
+    The builtin ``max`` keeps a NaN only as its first argument, so a residual
+    reduced by it could pass its gate on a NaN."""
+    worst = 0.0
+    for v in values:
+        if v > worst or v != v:
+            worst = v
+    return worst
 
 
 #: Wick expansions of monomial pairs, shared by every product; emptied
@@ -234,6 +248,45 @@ def _mul_terms(t1: Dict[TermKey, complex], t2: Dict[TermKey, complex]
                 continue
             for key, w in _WICK.get((k1, k2)) or _wick(k1, k2):
                 out[key] = out.get(key, 0.0) + coeff * w
+    return {key: c for key, c in out.items() if not abs(c) <= COEFF_TOL}
+
+
+def _ladder_modes(t: Dict[TermKey, complex]
+                  ) -> List[Tuple[TermKey, complex, FrozenSet[Mode], FrozenSet[Mode]]]:
+    """The non-scalar terms of ``t``, each with its creating and its
+    annihilating modes."""
+    return [(key, c, frozenset(m for m, j, _ in key if j),
+             frozenset(m for m, _, k in key if k)) for key, c in t.items() if key]
+
+
+def _commutator_terms(t1: Dict[TermKey, complex], t2: Dict[TermKey, complex]
+                      ) -> Dict[TermKey, complex]:
+    """Terms of the commutator ``[x, y] = xy - yx`` of two operators' terms.
+
+    A monomial pair ``k1 k2`` contracts only where ``k1`` annihilates on a
+    mode on which ``k2`` creates.  Both orders of a pair share the first
+    monomial of their Wick expansions, the contraction-free one, with weight
+    1, so it cancels exactly and is left out.  A pair with a scalar, or that
+    contracts in neither order, therefore adds nothing.  Every other pair adds
+    ``c1 c2 w`` per further monomial of ``k1 k2`` and subtracts it per further
+    monomial of ``k2 k1``.  So a NaN coefficient reaches the result only
+    through a pair that contracts.
+    """
+    out: Dict[TermKey, complex] = {}
+    rows = _ladder_modes(t2)
+    for k1, c1, create1, annihilate1 in _ladder_modes(t1):
+        for k2, c2, create2, annihilate2 in rows:
+            forward = not annihilate1.isdisjoint(create2)
+            backward = not annihilate2.isdisjoint(create1)
+            if not (forward or backward):
+                continue
+            coeff = c1 * c2
+            if forward:
+                for key, w in (_WICK.get((k1, k2)) or _wick(k1, k2))[1:]:
+                    out[key] = out.get(key, 0.0) + coeff * w
+            if backward:
+                for key, w in (_WICK.get((k2, k1)) or _wick(k2, k1))[1:]:
+                    out[key] = out.get(key, 0.0) - coeff * w
     return {key: c for key, c in out.items() if not abs(c) <= COEFF_TOL}
 
 
@@ -720,7 +773,11 @@ class CarrierOp:
                    for i in range(self.d) for j in range(self.d))
 
     def max_coeff(self) -> float:
-        return max(self.mat[i][j].max_coeff() for i in range(self.d) for j in range(self.d))
+        return _worst(e.max_coeff() for row in self.mat for e in row)
+
+    def commutator(self, other: "CarrierOp") -> "CarrierOp":
+        """``self other - other self`` as carrier matrices."""
+        return self * other - other * self
 
     def modes(self) -> FrozenSet[Mode]:
         out = set()

@@ -45,7 +45,7 @@ from .glrep import GlRep, diagonal_weight_data, dot_action_orbit, \
     fundamental_rep, trivial_rep, verma_rep
 from .lax import LaxMatrix, ModeFn, canonical_lax
 from .oscillator import CarrierOp, CarrierTerms, FockSpace, Mode, NormalOrderedOp, \
-    _carrier_add, _carrier_mul, _carrier_trace
+    _carrier_add, _carrier_mul, _carrier_trace, _worst
 from .tensor import QuantumOperator, _accumulate, _product, sector_states, \
     state_index
 
@@ -115,16 +115,16 @@ class TwistOperatorD:
         space = FockSpace(sorted(set(L.modes()) | set(self.q)), n_max)
         d = self.matrix(space)
         dinv = sp.diags(1.0 / d.diagonal()).tocsr()
-        worst = 0.0
         blocks = L.at(z)
-        for a in range(1, self.n + 1):
-            for b in range(1, self.n + 1):
-                m = blocks[a - 1][b - 1].to_matrix(space)
-                phase = cmath.exp(1j * (twist.phi(b) - twist.phi(a)))
-                diff = d @ m @ dinv - phase * m
-                if diff.nnz:
-                    worst = max(worst, float(np.max(np.abs(diff.toarray()))))
-        return worst
+
+        def deviation(a: int, b: int) -> float:
+            m = blocks[a - 1][b - 1].to_matrix(space)
+            phase = cmath.exp(1j * (twist.phi(b) - twist.phi(a)))
+            diff = d @ m @ dinv - phase * m
+            return float(np.max(np.abs(diff.toarray()))) if diff.nnz else 0.0
+
+        labels = range(1, self.n + 1)
+        return _worst(deviation(a, b) for a in labels for b in labels)
 
 
 def build_twist_D(n: int, index_set: Sequence[int], rep: GlRep,

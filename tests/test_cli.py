@@ -375,3 +375,73 @@ def test_trace_suite_domain_is_load_bearing():
             assert error(mode, angle, k) < gate
     above = max(error(mode, angle, TRACE_MAX_POWER + 1) for mode, angle in TRACE_WEIGHTS)
     assert above > 5 * gate  # 6.3e-6, at angle -1.4
+
+
+# -- a NaN in any place of a reduction fails its record -------------------------------
+
+def _records(suite, **kwargs):
+    from qlab.cli import run_verify
+    doc = run_verify(RunConfig(suites=(suite,), **kwargs))
+    return {r["name"]: r for r in doc["records"]}
+
+
+def _assert_failed_on_nan(record):
+    assert record["residual"] != record["residual"]
+    assert not record["passed"]
+
+
+def test_a_nan_at_the_second_point_fails_the_anchor_records(monkeypatch):
+    from qlab.tensor import QuantumOperator
+    to_dense, calls = QuantumOperator.to_dense, []
+
+    def nan_every_second_call(self):
+        out = to_dense(self)
+        calls.append(1)
+        if len(calls) % 2 == 0:
+            out = out.copy()
+            out[0, 0] = float("nan")
+        return out
+
+    monkeypatch.setattr(QuantumOperator, "to_dense", nan_every_second_call)
+    records = _records("anchors")
+    assert len(records) == 2 and len(calls) == 4
+    for r in records.values():
+        _assert_failed_on_nan(r)
+
+
+def test_a_nan_at_the_second_point_fails_the_fusion_blocks(monkeypatch):
+    from qlab.fusion import FusionResult
+    monkeypatch.setattr(FusionResult, "residual",
+                        lambda self, z, **kw: float("nan") if z == -0.58 else 0.0)
+    records = _records("fusion", length=1)
+    _assert_failed_on_nan(records["blocks (1,) + (2,)"])
+    assert records["merged algebra relations (1,)+(2,)"]["passed"]
+
+
+def test_a_nan_in_a_later_pair_fails_the_commuting_record(monkeypatch):
+    import numpy as np
+    from qlab.tensor import QuantumOperator
+    norms = QuantumOperator.norms
+
+    def nan_last(self):
+        out = np.array(norms(self))
+        out[-1] = float("nan")
+        return out
+
+    monkeypatch.setattr(QuantumOperator, "norms", nan_last)
+    (record,) = _records("commuting").values()
+    _assert_failed_on_nan(record)
+
+
+def test_a_nan_in_a_later_draw_fails_the_trace_record(monkeypatch):
+    from qlab import oscillator
+    traces = oscillator.extrapolated_traces
+
+    def nan_second(xs, q):
+        out = traces(xs, q)
+        out[1] = complex("nan")
+        return out
+
+    monkeypatch.setattr(oscillator, "extrapolated_traces", nan_second)
+    (record,) = _records("trace").values()
+    _assert_failed_on_nan(record)

@@ -242,6 +242,31 @@ def test_full_product_triangular_core(n, wt):
     assert (lhs - rhs).max_coeff() < 1e-13
 
 
+def _bits(m):
+    return [[[(key, c.real.hex(), c.imag.hex()) for key, c in e.terms.items()]
+             for e in row] for row in m.mat]
+
+
+@pytest.mark.parametrize("n,wt", [(3, (0.45 + 0.3j, -0.15, 0.7)),
+                                  (4, (0.2 - 0.5j, 0.9, -0.35, 0.1 + 0.4j))])
+def test_lplus_with_the_kept_u1_inverse_is_bitwise_unchanged(n, wt):
+    pf = factorize_partons(n, wt)
+    for z in (0.31, -0.74 + 0.2j):
+        want = inv_unipotent(pf.u1) * (pf.mid_matrix(z, dressed=False) * pf.u1)
+        assert _bits(pf.lplus(z)) == _bits(want)
+
+
+def test_g_commutation_residual_keeps_a_nan():
+    fr = fuse(3, (1,), (2, 3), scalar_rep(1, 0.23),
+              verma_rep((0.4, -0.2), labels=(2, 3), tag="v"), 0.6)
+    assert fr.g_commutation_residual() == 0.0
+    # a creator on the mode one entry of G annihilates on, so that the pair
+    # contracts; it is not the first pair the check reduces
+    (mode,) = fr.G.mat[0][1].modes()
+    fr.G.mat[1][2] = Op({((mode, 1, 0),): complex("nan")})
+    assert np.isnan(fr.g_commutation_residual())
+
+
 def test_u1_inverse_is_exact():
     pf = factorize_partons(3, (0.1, 0.2, 0.3))
     prod = pf.u1 * inv_unipotent(pf.u1)

@@ -6,7 +6,7 @@ from qlab.glrep import (
     trivial_rep, scalar_rep, fundamental_rep, fuse_generators, verma_rep,
     gl_relation_residual, highest_weight_residual, diagonal_weight_data,
 )
-from qlab.oscillator import NormalOrderedOp as Op
+from qlab.oscillator import CarrierOp, NormalOrderedOp as Op
 
 
 def test_shifted_weights():
@@ -140,11 +140,23 @@ def _relation_residual_reference(rep):
     return worst
 
 
-def test_relation_residual_forms_each_product_once_bitwise():
+def _perturbed(rep, ab, delta, key=None):
+    """``rep`` with ``delta`` added to the coefficient of ``key`` in ``J_ab``,
+    by default to its first non-scalar one."""
+    gens = dict(rep.gens)
+    terms = dict(gens[ab].mat[0][0].terms)
+    if key is None:
+        key = next(k for k in terms if k)
+    terms[key] = terms.get(key, 0.0) + delta
+    gens[ab] = CarrierOp.from_scalar_op(Op(terms))
+    return GlRep(rep.labels, rep.d, gens, rep.weight, rep.modes)
+
+
+def test_relation_residual_matches_the_full_product_reference_bitwise():
     from qlab.fusion import factorize_partons
-    from qlab.oscillator import CarrierOp
     reps = [verma_rep((0.3, 1.1 - 0.2j, -2.0, 0.6)), fundamental_rep((1, 2, 3)),
-            factorize_partons(3, (0.45 + 0.3j, -0.15, 0.7)).generator_rep()]
+            factorize_partons(3, (0.45 + 0.3j, -0.15, 0.7)).generator_rep(),
+            factorize_partons(4, (0.2 - 0.5j, 0.9, -0.35, 0.1 + 0.4j)).generator_rep()]
     # a perturbed realization, so that the residuals are not all exact zeros
     rep = verma_rep((0.7, -0.35 + 0.1j, 1.2), tag="w")
     gens = dict(rep.gens)
@@ -156,3 +168,46 @@ def test_relation_residual_forms_each_product_once_bitwise():
     got = [gl_relation_residual(rep) for rep in reps]
     assert got == [_relation_residual_reference(rep) for rep in reps]
     assert got[-1] > 0.0
+
+
+@pytest.mark.parametrize("rep", [verma_rep((0.3, -0.2)), verma_rep((0.5, 0.1, -0.6)),
+                                 verma_rep((0.3, 1.1 - 0.2j, -2.0, 0.6)),
+                                 fundamental_rep((1, 2, 3))])
+def test_relation_residual_forms_one_commutator_per_unordered_pair(rep, monkeypatch):
+    import qlab.glrep as glrep
+    calls = []
+    if rep.d == 1:
+        kernel = glrep._commutator_terms
+        monkeypatch.setattr(glrep, "_commutator_terms",
+                            lambda x, y: calls.append(1) or kernel(x, y))
+    else:
+        commutator = CarrierOp.commutator
+        monkeypatch.setattr(CarrierOp, "commutator",
+                            lambda x, y: calls.append(1) or commutator(x, y))
+    assert gl_relation_residual(rep) < 1e-12
+    p = rep.p
+    assert len(calls) == p * p * (p * p - 1) // 2
+
+
+@pytest.mark.parametrize("n,wt", [(3, (0.45 + 0.3j, -0.15, 0.7)),
+                                  (4, (0.2 - 0.5j, 0.9, -0.35, 0.1 + 0.4j))])
+@pytest.mark.parametrize("ab", [(1, 2), (2, 1), (3, 3)])
+def test_relation_residual_sees_a_small_perturbation(n, wt, ab):
+    from qlab.fusion import factorize_partons
+    rep = factorize_partons(n, wt).generator_rep()
+    assert gl_relation_residual(rep) < 1e-12
+    assert gl_relation_residual(_perturbed(rep, ab, 1e-8)) > 1e-9
+
+
+def test_a_nan_generator_coefficient_fails_the_fused_relations():
+    from qlab.fusion import fuse
+    res = fuse(3, (1,), (2, 3), scalar_rep(1, 0.23),
+               verma_rep((0.4, -0.2), labels=(2, 3), tag="v"), 0.6)
+    assert gl_relation_residual(res.fused_rep) == 0.0
+    for ab in [(1, 1), (2, 3), (3, 1)]:
+        assert np.isnan(gl_relation_residual(_perturbed(res.fused_rep, ab, float("nan"))))
+    # the highest-weight check reads the constants of the diagonal generators
+    assert highest_weight_residual(res.fused_rep) < 1e-13
+    for a in (2, 3):
+        bad = _perturbed(res.fused_rep, (a, a), float("nan"), key=())
+        assert np.isnan(highest_weight_residual(bad))

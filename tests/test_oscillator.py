@@ -10,7 +10,8 @@ from qlab.oscillator import (
     CarrierOp, FockSpace, FockTruncation,
     weighted_trace, damped_numeric_trace, extrapolated_trace, extrapolated_traces,
     automorphism_image, fock_matrix, nilpotent_exp,
-    _geometric_weights, _rational_extrapolate,
+    _add_terms, _commutator_terms, _geometric_weights, _mul_terms,
+    _rational_extrapolate, _worst,
 )
 
 M1 = ("m", 0, 1)
@@ -622,3 +623,60 @@ def test_weight_prefix_is_bitwise_the_short_array(phase, eta):
 def test_damped_trace_rejects_non_convergent_weight():
     with pytest.raises(ValueError, match="non-convergent"):
         extrapolated_traces([Op.scalar(1.0)], {M1: 1.5})
+
+
+# -- the commutator kernel ----------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_commutator_kernel_matches_the_two_products(data, k):
+    x = data.draw(_hyp_op(HMODES[:k]))
+    y = data.draw(_hyp_op(HMODES[:k]))
+    xy, yx = _mul_terms(x.terms, y.terms), _mul_terms(y.terms, x.terms)
+    want = _add_terms(xy, {key: -c for key, c in yx.items()})
+    got = _commutator_terms(x.terms, y.terms)
+    # the products round at the scale of their own coefficients, and a
+    # coefficient at most COEFF_TOL is dropped on either side
+    tol = 1e-13 * max([1.0] + [abs(c) for c in list(xy.values()) + list(yx.values())])
+    for key in set(got) | set(want):
+        assert abs(got.get(key, 0.0) - want.get(key, 0.0)) <= tol
+    assert (x.commutator(y)).terms == got
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_commutator_kernel_of_disjoint_modes_is_empty(data):
+    x = data.draw(_hyp_op(HMODES[:1]))
+    y = data.draw(_hyp_op(HMODES[1:]))
+    assert _commutator_terms(x.terms, y.terms) == {}
+    assert _commutator_terms(y.terms, x.terms) == {}
+
+
+def test_commutator_kernel_canonical_pair():
+    assert _commutator_terms(b().terms, bd().terms) == {(): 1.0}
+    assert _commutator_terms(bd().terms, b().terms) == {(): -1.0}
+    # a scalar commutes with everything
+    assert _commutator_terms({(): 2.5}, (b() * bd()).terms) == {}
+
+
+# -- NaN-keeping reductions ---------------------------------------------------------
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("values", [[NAN, 1.0, 2.0], [1.0, NAN, 2.0], [1.0, 2.0, NAN]])
+def test_worst_keeps_a_nan_in_any_place(values):
+    assert math.isnan(_worst(values))
+
+
+def test_worst_of_nothing_is_zero():
+    assert _worst([]) == 0.0
+    assert _worst([0.5, 3.0, 1.0]) == 3.0
+
+
+def test_max_coeff_keeps_a_nan_that_is_not_the_first_term():
+    x = Op({((M1, 1, 0),): 2.0, ((M1, 0, 1),): complex(NAN, 0.0), ((M2, 1, 1),): 1.0})
+    assert list(x.terms)[0] == ((M1, 1, 0),)
+    assert math.isnan(x.max_coeff())
+    carrier = CarrierOp(2, [[bd(), Op.zero()], [Op.zero(), x]])
+    assert math.isnan(carrier.max_coeff())
