@@ -8,6 +8,25 @@ members; each member's eigenvalue polynomial is then read off in that basis,
 its roots feed the nested root equations, and three independent energies are
 compared: direct diagonalization, the root sum, and the log-derivative of the
 defining-representation transfer operator.
+
+Each sector is processed as one batch.  All its states share each level's
+degree, so every step works on stacks, one row per state: the operators'
+blocks are read into one stack per sector; one stacked ``vinv @ probes @ v``
+validates the joint eigenbasis and gives the energies; one stacked matmul per
+member gives its eigenvalue polynomials; one ``eigvals`` per level finds every
+state's roots from companion matrices built as ``np.roots`` builds them; and
+the root equations and both energies are evaluated per sector.
+
+Every result is bit for bit what the one-state-at-a-time computation gives.
+Stacked ``matmul`` and ``eigvals`` round each slice as they round it alone,
+and ``np.prod`` over the last axis rounds as the Python product from 1.  But
+numpy's elementwise complex ``*``, ``/``, ``abs`` and ``exp`` round unlike
+CPython's complex operations and ``cmath.exp``.  So the root products are
+vectorized and the exponent ``(1j * z) * sigma`` is formed as an array, which
+is exact (it multiplies by ``i`` and by a real); ``cmath.exp``, the quotients
+and ``abs`` then run on Python scalars.  Newton refinement stays per state on
+the scalar kernel :func:`_root_ratio`, which the tests also take as the
+reference for the batched one.
 """
 
 from __future__ import annotations
@@ -15,10 +34,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .oscillator import _worst
 from .relations import QFamily
 from .tensor import QuantumOperator, _accumulate, basis_states, sector_states, state_index
 from .transfer import TwistConfig
@@ -65,102 +85,129 @@ def sector_indices(n: int, length: int, m: Sequence[int]) -> List[int]:
     return [state_index(s, n) for s in sector_states(n, length).get(tuple(m), ())]
 
 
-def sector_blocks(op: QuantumOperator, sectors: Sequence[Sequence[int]]
+def sector_blocks(ops: Sequence[QuantumOperator], sectors: Sequence[Sequence[int]]
                   ) -> List[np.ndarray]:
-    """The diagonal blocks ``op[idx, idx]``, one per index list in ``sectors``.
+    """The diagonal blocks ``op[idx, idx]`` of every operator in ``ops``, one
+    stack of shape ``(len(ops), len(idx), len(idx))`` per index list ``idx``
+    in ``sectors``.
 
-    The blocks are read from the operator's stored entries in one pass, with
-    no dense copy of the whole operator; entries outside the blocks are
-    ignored.  The index lists must be disjoint.
+    The map from basis index to sector and position is built once; each
+    operator's stored entries are then read in one pass, with no dense copy of
+    the operator.  Entries outside the blocks are ignored.  The index lists
+    must be disjoint.
     """
+    dim = ops[0].dim
     sizes = np.array([len(idx) for idx in sectors], dtype=np.int64)
-    label = np.full(op.dim, -1, dtype=np.int64)
-    pos = np.zeros(op.dim, dtype=np.int64)
+    label = np.full(dim, -1, dtype=np.int64)
+    pos = np.zeros(dim, dtype=np.int64)
     for s, idx in enumerate(sectors):
         label[idx] = s
         pos[idx] = np.arange(len(idx))
-    # the blocks are row-major views into one buffer, block s at offset[s]
-    offset = np.concatenate(([0], np.cumsum(sizes ** 2)))
+    # the stacks are row-major views into one buffer, stack s at offset[s]
+    offset = np.concatenate(([0], np.cumsum(len(ops) * sizes ** 2)))
     flat = np.zeros(offset[-1], dtype=complex)
-    rows, cols = np.divmod(op.keys, op.dim)
-    keep = (label[rows] >= 0) & (label[rows] == label[cols])
-    rows, cols, s = rows[keep], cols[keep], label[rows[keep]]
-    flat[offset[s] + pos[rows] * sizes[s] + pos[cols]] = op.vals[keep]
-    return [flat[offset[s]:offset[s + 1]].reshape(size, size)
+    for k, op in enumerate(ops):
+        rows, cols = np.divmod(op.keys, dim)
+        keep = (label[rows] >= 0) & (label[rows] == label[cols])
+        rows, cols, s = rows[keep], cols[keep], label[rows[keep]]
+        flat[offset[s] + (k * sizes[s] + pos[rows]) * sizes[s] + pos[cols]] = op.vals[keep]
+    return [flat[offset[s]:offset[s + 1]].reshape(len(ops), size, size)
             for s, size in enumerate(sizes)]
 
 
 # -- simultaneous diagonalization ------------------------------------------------
 
 
-def simultaneous_eigenbasis(blocks: Sequence[np.ndarray], seed: int = 5,
+def simultaneous_eigenbasis(blocks: np.ndarray, seed: int = 5,
                             tol: float = 1e-8, attempts: int = 8
-                            ) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenbasis ``v`` of a random combination, validated against every
-    block, and its inverse ``vinv``."""
-    dim = blocks[0].shape[0]
+                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenbasis ``v`` of a random combination of the stacked ``blocks``
+    ``(p, d, d)``, validated against every block; returns ``v``, its inverse
+    ``vinv`` and the ``(p, d)`` eigenvalues of the blocks in that basis, the
+    diagonals of the one stacked ``vinv @ blocks @ v`` that validated it."""
+    count, dim = blocks.shape[:2]
     if dim == 0:
-        return np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
+        return (np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex),
+                np.zeros((count, 0), dtype=complex))
     rng = np.random.default_rng(seed)
+    diag = np.arange(dim)
     for _ in range(attempts):
-        coeffs = rng.normal(size=len(blocks)) + 1j * rng.normal(size=len(blocks))
+        coeffs = rng.normal(size=count) + 1j * rng.normal(size=count)
         comb = sum(c * b for c, b in zip(coeffs, blocks))
         _, v = np.linalg.eig(comb)
         vinv = np.linalg.inv(v)
-        ok = True
-        for b in blocks:
-            m = vinv @ b @ v
-            off = m - np.diag(np.diag(m))
-            if off.size and np.max(np.abs(off)) > tol * max(1.0, np.max(np.abs(m))):
-                ok = False
-                break
-        if ok:
-            return v, vinv
+        m = vinv @ blocks @ v
+        eigs = m[:, diag, diag]
+        size = np.abs(m)
+        scale = np.fmax(1.0, size.max(axis=(1, 2)))
+        size[:, diag, diag] = 0.0
+        if not (size.max(axis=(1, 2)) > tol * scale).any():
+            return v, vinv, eigs
     raise RuntimeError("no common eigenbasis found; twist may be degenerate")
 
 
 # -- eigenvalue polynomials and roots --------------------------------------------
 
 
-def extract_q_polynomials_loose(blocks: Sequence[np.ndarray], v: np.ndarray,
-                                vinv: Optional[np.ndarray] = None
-                                ) -> List[np.ndarray]:
-    """Eigenvalue polynomials (one per joint eigenstate) of an operator
-    polynomial, from the sector blocks of its coefficients, lowest power first,
-    and the sector's joint eigenbasis ``v``; no degree or monic constraint.
-    ``vinv`` is ``v``'s inverse, computed here when not given."""
-    vinv = np.linalg.inv(v) if vinv is None else vinv
-    coeff_eigs = [np.diag(vinv @ block @ v) for block in blocks]
-    return [np.array([ce[s] for ce in coeff_eigs]) for s in range(v.shape[0])]
+def extract_q_polynomials_loose(blocks: np.ndarray, v: np.ndarray,
+                                vinv: np.ndarray) -> np.ndarray:
+    """Eigenvalue polynomials of an operator polynomial, one row per joint
+    eigenstate, lowest power first, from the stacked sector blocks of its
+    coefficients and the sector's joint eigenbasis ``v`` with inverse
+    ``vinv``; no degree or monic constraint."""
+    return np.diagonal(vinv @ blocks @ v, axis1=1, axis2=2).T
 
 
-def extract_q_polynomials(blocks: Sequence[np.ndarray], v: np.ndarray,
-                          expected_degree: int, fit_tol: float = 1e-8,
-                          vinv: Optional[np.ndarray] = None) -> List[np.ndarray]:
-    """Monic eigenvalue polynomials (one per joint eigenstate) of a family member.
+def extract_q_polynomials(blocks: np.ndarray, v: np.ndarray, vinv: np.ndarray,
+                          expected_degree: int, fit_tol: float = 1e-8
+                          ) -> np.ndarray:
+    """Monic eigenvalue polynomials of a family member, one row per joint
+    eigenstate.
 
     Takes the arguments of :func:`extract_q_polynomials_loose`.  Returns
-    coefficient arrays ``[c_0, ..., c_deg]`` after stripping the exponential
+    coefficient rows ``[c_0, ..., c_deg]`` after stripping the exponential
     prefactor; checks that coefficients above the expected degree vanish and
-    that the leading coefficient is 1.
+    that the leading coefficient is 1, which it then sets exactly.
     """
-    per_state = []
-    for cs in extract_q_polynomials_loose(blocks, v, vinv):
-        if np.max(np.abs(cs[expected_degree + 1:]), initial=0.0) > fit_tol:
-            raise ValueError("eigenvalue polynomial exceeds the sector degree")
-        cs = cs[:expected_degree + 1]
-        if abs(cs[-1] - 1.0) > fit_tol:
-            raise ValueError("eigenvalue polynomial is not monic")
-        cs[-1] = 1.0
-        per_state.append(cs)
-    return per_state
+    polys = extract_q_polynomials_loose(blocks, v, vinv)
+    if (np.abs(polys[:, expected_degree + 1:]).max(axis=1, initial=0.0) > fit_tol).any():
+        raise ValueError("eigenvalue polynomial exceeds the sector degree")
+    polys = polys[:, :expected_degree + 1].copy()
+    if (np.abs(polys[:, -1] - 1.0) > fit_tol).any():
+        raise ValueError("eigenvalue polynomial is not monic")
+    polys[:, -1] = 1.0
+    return polys
 
 
 def poly_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of ``sum_k c_k z^k`` (ascending coefficients)."""
-    if len(coeffs) <= 1:
-        return np.zeros(0, dtype=complex)
-    return np.roots(coeffs[::-1])
+    """Roots of ``sum_k c_k z^k`` for each row of ``coeffs`` (ascending
+    powers, nonzero leading coefficient), one row of roots per row, each as
+    ``np.roots`` finds it.
+
+    As in ``np.roots``, the exact-zero low-order coefficients of a row give
+    zero roots, placed last, and the rest are the eigenvalues of the companion
+    matrix of the stripped polynomial; rows that strip alike share one stacked
+    ``eigvals``.  When every root of every row is zero the result is float,
+    as ``np.roots`` gives for ``z^k``.
+    """
+    rows, degree = coeffs.shape[0], coeffs.shape[1] - 1
+    # the number of exact-zero coefficients below the lowest nonzero one
+    stripped = (coeffs != 0).argmax(axis=1)
+    counts = set(stripped.tolist())
+    if degree > 0 and counts == {degree}:
+        return np.zeros((rows, degree))
+    out = np.zeros((rows, degree), dtype=complex)
+    for t in counts:
+        k = degree - t
+        if k == 0:
+            continue
+        take = stripped == t
+        desc = coeffs[take, t:][:, ::-1]
+        companion = np.zeros((len(desc), k, k), dtype=complex)
+        companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+        out[take, :k] = np.linalg.eigvals(companion)
+    return out
 
 
 # -- nested root equations --------------------------------------------------------
@@ -186,50 +233,88 @@ def _root_ratio(level_roots: Sequence[np.ndarray],
     return below * same * above
 
 
-def bethe_residuals(level_roots: Sequence[np.ndarray],
-                    level_sigmas: Sequence[complex], length: int
-                    ) -> List[np.ndarray]:
-    """Per-level, per-root residual |ratio + 1| of the nested root equations.
+def _q_values(sigma: complex, roots: np.ndarray, z: np.ndarray) -> List[complex]:
+    """:func:`_q_value` at every point of ``z`` (``(..., rows, points)``)
+    against the roots in the same row of ``roots``, flattened, bit for bit.
 
-    ``level_roots[i]`` holds the roots for the i-th member of an ascending
-    chain of index sets, i = 0..n, with the empty set first (no roots, sigma
-    0) and the full set last (roots all zero, eigenvalue z^L).
+    The root products are one ``np.prod``, which rounds as the Python product
+    from 1 does; the exponent ``(1j * z) * sigma`` is exact as an array.  The
+    exponential and the product of the two stay in Python arithmetic, because
+    numpy's elementwise complex ``exp`` and ``*`` round differently."""
+    prods = np.prod(z[..., None] - roots[:, None, :], axis=-1).ravel().tolist()
+    return [cmath.exp(x) * p
+            for x, p in zip(((1j * z) * sigma).ravel().tolist(), prods)]
+
+
+def _root_ratios(level_roots: Sequence[np.ndarray],
+                 level_sigmas: Sequence[complex], z: np.ndarray) -> List[complex]:
+    """:func:`_root_ratio` at the middle one of three consecutive levels,
+    given as row-per-state root stacks, at every point of ``z`` (one row per
+    state), flattened row by row, bit for bit."""
+    (below, same, above), (s_below, s_same, s_above) = level_roots, level_sigmas
+    # each level is evaluated at both of its shifts at once
+    half, whole = np.stack((z - 0.5, z + 0.5)), np.stack((z + 1.0, z - 1.0))
+    q_below = _q_values(s_below, below, half)
+    q_same = _q_values(s_same, same, whole)
+    q_above = _q_values(s_above, above, half)
+    n = z.size
+    return [(b1 / b2) * (s1 / s2) * (a1 / a2) for b1, b2, s1, s2, a1, a2 in zip(
+        q_below[:n], q_below[n:], q_same[:n], q_same[n:], q_above[:n], q_above[n:])]
+
+
+def bethe_residuals(level_roots: Sequence[np.ndarray],
+                    level_sigmas: Sequence[complex]) -> List[np.ndarray]:
+    """Per-level, per-root residual |ratio + 1| of the nested root equations,
+    one row per state.
+
+    ``level_roots[i]`` stacks, one row per state, the roots for the i-th
+    member of an ascending chain of index sets, i = 0..n, with the empty set
+    first (no roots, sigma 0) and the full set last (roots all zero,
+    eigenvalue z^L).
     """
-    n_levels = len(level_roots)
     out = []
-    for i in range(1, n_levels - 1):
+    for i in range(1, len(level_roots) - 1):
         cur = level_roots[i]
-        if len(cur) > 1:
-            dists = np.abs(cur[:, None] - cur[None, :]) + np.eye(len(cur))
-            if np.min(dists) < ROOT_COLLISION_TOL:
+        if cur.shape[1] > 1:
+            dists = np.abs(cur[:, :, None] - cur[:, None, :]) + np.eye(cur.shape[1])
+            if (dists.min(axis=(1, 2)) < ROOT_COLLISION_TOL).any():
                 raise ValueError("coinciding roots within one level")
-        out.append(np.array([abs(_root_ratio(level_roots, level_sigmas, i, z) + 1.0)
-                             for z in cur], dtype=float))
+        ratios = _root_ratios(level_roots[i - 1:i + 2], level_sigmas[i - 1:i + 2], cur)
+        out.append(np.array([abs(r + 1.0) for r in ratios], dtype=float).reshape(cur.shape))
     return out
 
 
-def energy_from_roots(top_roots: np.ndarray) -> complex:
-    """Energy as the standard sum over the last-level roots."""
-    for z in top_roots:
-        if min(abs(z - 0.5), abs(z + 0.5)) < 1e-12:
-            raise ValueError("root at +-1/2 makes the energy singular")
-    return 2.0 * complex(np.sum(1.0 / (0.25 - top_roots ** 2)))
+def energy_from_roots(top_roots: np.ndarray) -> List[complex]:
+    """Energy as the standard sum over the last-level roots, one per row."""
+    if np.any(np.minimum(np.abs(top_roots - 0.5), np.abs(top_roots + 0.5)) < 1e-12):
+        raise ValueError("root at +-1/2 makes the energy singular")
+    return [2.0 * complex(e)
+            for e in np.sum(1.0 / (0.25 - top_roots ** 2), axis=-1).tolist()]
 
 
-def energy_from_tbox_poly(coeffs: np.ndarray, length: int) -> complex:
-    """Energy from the defining-carrier transfer eigenvalue polynomial.
+def _polyval_rows(coeffs: np.ndarray, z: float) -> np.ndarray:
+    """``np.polyval`` of each row of ascending ``coeffs`` at ``z``, in its
+    Horner order, so each value rounds as ``np.polyval`` rounds it."""
+    y = np.zeros(len(coeffs))
+    for k in range(coeffs.shape[1] - 1, -1, -1):
+        y = y * z + coeffs[:, k]
+    return y
+
+
+def energy_from_tbox_poly(coeffs: np.ndarray, length: int) -> List[complex]:
+    """Energy from the defining-carrier transfer eigenvalue polynomial, one
+    per row of ascending ``coeffs``.
 
     With this package's argument convention the log-derivative is taken at
     z = 0 (the carrier-size shift is already absorbed into the argument of
     the construction); verified against direct diagonalization.
     """
     z0 = 0.0
-    val = complex(np.polyval(coeffs[::-1], z0))
-    dcoeffs = np.array([k * coeffs[k] for k in range(1, len(coeffs))])
-    dval = complex(np.polyval(dcoeffs[::-1], z0)) if len(dcoeffs) else 0.0
-    if abs(val) < 1e-12:
+    vals = _polyval_rows(coeffs, z0).tolist()
+    dvals = _polyval_rows(np.arange(1, coeffs.shape[1]) * coeffs[:, 1:], z0).tolist()
+    if any(abs(val) < 1e-12 for val in vals):
         raise ValueError("transfer eigenvalue vanishes at the evaluation point")
-    return 2.0 * length - 2.0 * dval / val
+    return [2.0 * length - 2.0 * dval / val for dval, val in zip(dvals, vals)]
 
 
 # -- chain-level orchestration -----------------------------------------------------
@@ -247,7 +332,7 @@ class EigenstateRecord:
 
     @property
     def max_bethe_residual(self) -> float:
-        return max((float(np.max(r)) for r in self.bethe if len(r)), default=0.0)
+        return _worst(float(np.max(r)) for r in self.bethe if len(r))
 
 
 class SpectralAnalysis:
@@ -270,45 +355,39 @@ class SpectralAnalysis:
         self.q_polys = {I: qf.q(I) for I in self.sets}
         self.tbox = qf.t_box()
         self.H = build_hamiltonian(n, length, twist)
-        # every operator is read once, into its blocks on all sectors; the
-        # probes are the operators diagonalized together
+        # every operator is read once, into one stack of blocks per sector:
+        # the probes diagonalized together, then each member's coefficients
         grouped = sector_states(n, length)
         self.labels = sorted(grouped)
         sectors = [[state_index(s, n) for s in grouped[m]] for m in self.labels]
-
-        def blocks(op: QuantumOperator) -> Dict[Tuple[int, ...], np.ndarray]:
-            return dict(zip(self.labels, sector_blocks(op, sectors)))
-
         probes = [self.H] + [self.q_polys[I].at(z) for I in self.sets[1:-1]
                              for z in (0.37, -0.81)] + [self.tbox.at(0.29)]
-        self._probe_blocks = [blocks(op) for op in probes]
-        self._q_blocks = {I: [blocks(c) for c in self.q_polys[I].coeffs]
-                          for I in self.sets}
-        self._tbox_blocks = [blocks(c) for c in self.tbox.coeffs[:length + 1]]
+        members = [self.q_polys[I].coeffs for I in self.sets] \
+            + [self.tbox.coeffs[:length + 1]]
+        bounds = np.cumsum([len(probes)] + [len(c) for c in members]).tolist()
+        self._probes = slice(0, bounds[0])
+        # the members' coefficient slices: one per index set, then T_box
+        self._members = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self._stacks = dict(zip(self.labels, sector_blocks(
+            probes + [c for coeffs in members for c in coeffs], sectors)))
 
     def sector_records(self, m: Sequence[int], seed: int = 5
                        ) -> List[EigenstateRecord]:
+        """The records of every joint eigenstate of sector ``m``, each step
+        taken once for the whole sector on stacked arrays."""
         m = tuple(m)
-        blocks = [b[m] for b in self._probe_blocks]
-        v, vinv = simultaneous_eigenbasis(blocks, seed=seed)
-        energies = np.diag(vinv @ blocks[0] @ v)
-        level_polys = []
-        for i, I in enumerate(self.sets):
-            deg = sum(m[a - 1] for a in I)
-            level_polys.append(extract_q_polynomials(
-                [b[m] for b in self._q_blocks[I]], v, deg, vinv=vinv))
-        tbox_polys = extract_q_polynomials_loose(
-            [b[m] for b in self._tbox_blocks], v, vinv)
-        sigmas = [self.q_polys[I].sigma for I in self.sets]
-        out = []
-        for s in range(len(blocks[0])):
-            roots = [poly_roots(level_polys[i][s]) for i in range(len(self.sets))]
-            bres = bethe_residuals(roots, sigmas, self.length)
-            out.append(EigenstateRecord(
-                m, s, complex(energies[s]), roots, bres,
-                energy_from_roots(roots[-2]),
-                energy_from_tbox_poly(tbox_polys[s], self.length)))
-        return out
+        stack = self._stacks[m]
+        v, vinv, eigs = simultaneous_eigenbasis(stack[self._probes], seed=seed)
+        roots = [poly_roots(extract_q_polynomials(stack[part], v, vinv,
+                                                  sum(m[a - 1] for a in I)))
+                 for I, part in zip(self.sets, self._members)]
+        bethe = bethe_residuals(roots, [self.q_polys[I].sigma for I in self.sets])
+        e_tbox = energy_from_tbox_poly(
+            extract_q_polynomials_loose(stack[self._members[-1]], v, vinv), self.length)
+        return [EigenstateRecord(m, s, e, [r[s] for r in roots], [b[s] for b in bethe],
+                                 e_roots, e_t)
+                for s, (e, e_roots, e_t) in enumerate(
+                    zip(eigs[0].tolist(), energy_from_roots(roots[-2]), e_tbox))]
 
     def all_records(self, seed: int = 5) -> List[EigenstateRecord]:
         out = []
@@ -341,7 +420,10 @@ def solve_bethe_newton(level_roots: List[np.ndarray],
     Returns (refined roots, their max |residual|, iterations used).  The
     roots are the iterate with the smallest max |residual|, the start
     included: near a singular Jacobian the steps can carry a converged start
-    far away.  The Jacobian is numerical; a singular Jacobian raises.
+    far away.  An iterate whose residual is not finite, or overflows the
+    exponential factor, ends the refinement; a start that is not finite is
+    returned with its residual.  The Jacobian is numerical; a singular
+    Jacobian raises.
     """
     interior = [np.array(r, dtype=complex) for r in level_roots[1:-1]]
     shapes = [len(r) for r in interior]
@@ -360,31 +442,39 @@ def solve_bethe_newton(level_roots: List[np.ndarray],
         return [level_roots[0]] + list(rs) + [level_roots[-1]]
 
     def residual(x):
-        f = _residual_vector(full(unpack(x)), level_sigmas)
+        try:
+            f = _residual_vector(full(unpack(x)), level_sigmas)
+        except OverflowError:
+            return None, math.inf
         return f, (float(np.max(np.abs(f))) if f.size else 0.0)
 
-    x = pack(interior)
-    best_x, best_res = x, math.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        f, res = residual(x)
-        if res <= best_res:
-            best_x, best_res = x, res
-        if res < tol:
-            break
-        h = 1e-7
+    def jacobian(x, f, h=1e-7):
         J = np.zeros((len(f), len(x)), dtype=complex)
         for j in range(len(x)):
             xp = x.copy()
             xp[j] += h
-            J[:, j] = (_residual_vector(full(unpack(xp)), level_sigmas) - f) / h
+            fp, _ = residual(xp)
+            if fp is None:
+                return None
+            J[:, j] = (fp - f) / h
+        return J
+
+    x = pack(interior)
+    f, res = residual(x)
+    best_x, best_res = x, res
+    it = 0
+    for it in range(1, max_iter + 1):
+        if res < tol or not math.isfinite(res):
+            break
+        J = jacobian(x, f)
+        if J is None:
+            break
         try:
             dx = np.linalg.solve(J, f)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("singular Jacobian in root refinement") from exc
         x = x - dx
-    else:
-        _, res = residual(x)
+        f, res = residual(x)
         if res <= best_res:
             best_x, best_res = x, res
     return full(unpack(best_x)), best_res, it

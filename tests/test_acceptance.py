@@ -15,7 +15,7 @@ from qlab.glrep import (fundamental_rep, gl_relation_residual, scalar_rep,
 from qlab.lax import canonical_lax, eval_lax, partonic_lax, rll_residual
 from qlab.fusion import (FockSpace, _residual, factorize_partons, fuse,
                          iterated_parton_fusion)
-from qlab.oscillator import (NormalOrderedOp as Op, extrapolated_trace,
+from qlab.oscillator import (NormalOrderedOp as Op, _worst, extrapolated_trace,
                              weighted_trace)
 from qlab.relations import (QFamily, enumerate_hasse, hirota_residual,
                             q_determinant_residual, t_determinant_residual)
@@ -156,9 +156,8 @@ def test_criterion_08_energy_triple_agreement():
 
 
 def test_criterion_09_root_equations():
-    worst = 0.0
-    for r in SpectralAnalysis(3, 3, TW[3]).all_records():
-        worst = max(worst, r.max_bethe_residual)
+    worst = _worst(r.max_bethe_residual
+                   for r in SpectralAnalysis(3, 3, TW[3]).all_records())
     _report(9, "nested root equations (n=3, L=3)", worst, 1e-8)
 
 

@@ -189,6 +189,11 @@ SPECTRAL_STDOUT_SHA256 = {
     ("bethe", 3, 3): "71b8eafa5540ca529383655a33cc2ede8fe3781bf00cc63fc312765ac6df1f9b",
     ("spectrum", 4, 2): "bc421e614ba44b7861889c426726c5b10f418bd3e83a2d058ee310decc699e4d",
     ("bethe", 4, 2): "39797fe36b9f5e36d72c1e7eecd323f897c30d0554abe909e941b8037f28a472",
+    # the benchmark's spectrum round, recorded before the per-sector batch
+    ("spectrum", 3, 4): "74f9bf9e103f87c7c2866e7d1c47583d5e62809363d7c28d73abcbc2b2d7f3f7",
+    ("spectrum", 4, 3): "741336fe997a8de267f7742c8f2c4b778afedeb5eec8eaeb4c44ea5a83a1e1d8",
+    ("spectrum", 2, 5): "69599b04fd21bf05e7e444cbbfd99e4ab3a40148bbfa4be922b8893e8a2fe566",
+    ("bethe", 3, 4): "fbec3c14bc2b8ba2283815583e7b0ff805613a3536e66310faa16c08fe138d18",
 }
 
 

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,14 +9,19 @@ from hypothesis import example, given, settings, strategies as st
 from qlab.tensor import QuantumOperator, state_index
 from qlab.transfer import TwistConfig, build_Q, build_T_box
 from qlab.spectral import (
-    SpectralAnalysis, _q_value, bethe_residuals, build_hamiltonian, energy_from_roots,
+    EigenstateRecord, SpectralAnalysis, _q_value, _residual_vector, _root_ratio,
+    _root_ratios, bethe_residuals, build_hamiltonian, energy_from_roots,
     energy_from_tbox_poly, extract_q_polynomials, poly_roots, sector_blocks,
-    sector_indices, sector_labels, simultaneous_eigenbasis,
-    solve_bethe_newton,
+    sector_indices, sector_labels, simultaneous_eigenbasis, solve_bethe_newton,
 )
 
 TW2 = TwistConfig((0.7, -0.7))
 TW3 = TwistConfig((0.7, -0.4, -0.3))
+
+
+def bits(a):
+    """The bit patterns of a complex scalar or array."""
+    return np.ascontiguousarray(np.atleast_1d(a), dtype=complex).view(np.int64).tolist()
 
 
 # -- Hamiltonian ------------------------------------------------------------------
@@ -93,11 +99,14 @@ def test_sector_blocks_ignore_entries_between_sectors():
     # (1, 0) couples sectors (2,0) and (1,1); only the diagonal blocks are read
     op = QuantumOperator(4, {(1, 0): 1.0, (1, 2): 2.0, (2, 1): 3.0j, (3, 3): 4.0})
     sectors = [sector_indices(2, 2, m) for m in sector_labels(2, 2)]
-    blocks = sector_blocks(op, sectors)
-    dense = op.to_dense()
-    for idx, block in zip(sectors, blocks):
-        assert np.array_equal(block, dense[np.ix_(idx, idx)])
-    assert np.array_equal(blocks[1], [[0.0, 2.0], [3.0j, 0.0]])
+    other = QuantumOperator(4, {(2, 2): 5.0, (0, 3): 6.0})
+    stacks = sector_blocks([op, other], sectors)
+    for idx, stack in zip(sectors, stacks):
+        assert stack.shape == (2, len(idx), len(idx))
+        for block, o in zip(stack, (op, other)):
+            assert np.array_equal(block, o.to_dense()[np.ix_(idx, idx)])
+    assert np.array_equal(stacks[1][0], [[0.0, 2.0], [3.0j, 0.0]])
+    assert np.array_equal(stacks[1][1], [[0.0, 0.0], [0.0, 5.0]])
 
 
 # -- simultaneous diagonalization -------------------------------------------------
@@ -108,18 +117,20 @@ def test_simultaneous_eigenbasis_on_commuting_pair():
     d1 = np.diag(rng.normal(size=4))
     d2 = np.diag(rng.normal(size=4))
     a, b = g @ d1 @ np.linalg.inv(g), g @ d2 @ np.linalg.inv(g)
-    v, vinv = simultaneous_eigenbasis([a, b])
+    v, vinv, eigs = simultaneous_eigenbasis(np.array([a, b]))
     assert np.array_equal(vinv, np.linalg.inv(v))
-    for block in (a, b):
+    for block, eig in zip((a, b), eigs):
         m = vinv @ block @ v
         assert np.max(np.abs(m - np.diag(np.diag(m)))) < 1e-8
+        # the eigenvalues are those of the one-block product, bit for bit
+        assert bits(np.diag(m)) == bits(eig)
 
 
 def test_simultaneous_eigenbasis_rejects_noncommuting():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     b = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(RuntimeError):
-        simultaneous_eigenbasis([a, b], attempts=3)
+        simultaneous_eigenbasis(np.array([a, b]), attempts=3)
 
 
 # -- eigenvalue polynomials -------------------------------------------------------
@@ -127,19 +138,49 @@ def test_simultaneous_eigenbasis_rejects_noncommuting():
 def test_extract_q_polynomials_enforces_degree_and_monicity():
     q1 = build_Q(2, 2, (1,), TW2)
     idx = sector_indices(2, 2, (1, 1))
-    hb = sector_blocks(build_hamiltonian(2, 2, TW2), [idx])[0]
-    v, _ = simultaneous_eigenbasis([hb, sector_blocks(q1.at(0.37), [idx])[0]])
-    blocks = [sector_blocks(c, [idx])[0] for c in q1.coeffs]
-    polys = extract_q_polynomials(blocks, v, expected_degree=1)
-    assert all(abs(p[-1] - 1.0) < 1e-10 for p in polys)
+    probes, = sector_blocks([build_hamiltonian(2, 2, TW2), q1.at(0.37)], [idx])
+    v, vinv, _ = simultaneous_eigenbasis(probes)
+    blocks, = sector_blocks(q1.coeffs, [idx])
+    polys = extract_q_polynomials(blocks, v, vinv, expected_degree=1)
+    assert polys.shape == (2, 2) and np.all(polys[:, -1] == 1.0)
+    # each row is the diagonal of the one-block products, bit for bit
+    for s, row in enumerate(polys):
+        want = [(vinv @ b @ v)[s, s] for b in blocks[:len(row) - 1]]
+        assert bits(row[:-1]) == bits(want)
     with pytest.raises(ValueError, match="degree"):
-        extract_q_polynomials(blocks, v, expected_degree=0)
+        extract_q_polynomials(blocks, v, vinv, expected_degree=0)
+    with pytest.raises(ValueError, match="monic"):
+        extract_q_polynomials(2.0 * blocks, v, vinv, expected_degree=1)
 
 
 def test_poly_roots_matches_numpy_factoring():
-    roots = poly_roots(np.array([6.0, -5.0, 1.0]))  # z^2 - 5z + 6
-    assert sorted(np.round(roots.real, 8)) == [2.0, 3.0]
-    assert len(poly_roots(np.array([3.0]))) == 0
+    roots = poly_roots(np.array([[6.0, -5.0, 1.0]]))  # z^2 - 5z + 6
+    assert sorted(np.round(roots[0].real, 8)) == [2.0, 3.0]
+    assert poly_roots(np.array([[3.0], [1.0]])).shape == (2, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.lists(st.integers(0, 6), min_size=1, max_size=5),
+       st.integers(0, 2 ** 32 - 1))
+@example(0, [0], 0)
+@example(1, [0, 1], 0)
+@example(4, [4, 4], 0)
+@example(5, [0, 2, 5, 1], 0)
+def test_poly_roots_match_np_roots_row_by_row(degree, zeros, seed):
+    # monic rows whose low-order coefficients are exact zeros in varying
+    # numbers, z^degree itself included, which np.roots answers in floats
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(len(zeros), degree + 1)) \
+        + 1j * rng.normal(size=(len(zeros), degree + 1))
+    coeffs[:, -1] = 1.0
+    for row, count in zip(coeffs, zeros):
+        row[:min(count, degree)] = 0.0
+    got = poly_roots(coeffs)
+    assert got.shape == (len(zeros), degree)
+    for row, c in zip(got, coeffs):
+        assert bits(row) == bits(np.roots(c[::-1]) if degree else np.zeros(0))
+    if degree and np.all(coeffs[:, :-1] == 0):
+        assert got.dtype == np.float64
 
 
 # -- root equations ---------------------------------------------------------------
@@ -147,38 +188,39 @@ def test_poly_roots_matches_numpy_factoring():
 def _one_site_levels():
     g = cmath.exp(-1j * (TW2.phi(1) - TW2.phi(2)))
     z1 = 0.5 + g / (1 - g)
-    roots = [np.zeros(0), np.array([z1]), np.array([0.0])]
+    roots = [np.zeros((1, 0)), np.array([[z1]]), np.array([[0.0]])]
     sigmas = [0.0, TW2.phi(1), 0.0]
     return roots, sigmas
 
 
 def test_one_site_closed_form_root_satisfies_equations():
     roots, sigmas = _one_site_levels()
-    res = bethe_residuals(roots, sigmas, length=1)
-    assert res[0][0] < 1e-12
+    res = bethe_residuals(roots, sigmas)
+    assert res[0][0, 0] < 1e-12
 
 
 def test_perturbed_root_fails_equations():
     roots, sigmas = _one_site_levels()
     roots[1] = roots[1] + 0.01
-    assert bethe_residuals(roots, sigmas, length=1)[0][0] > 1e-3
+    assert bethe_residuals(roots, sigmas)[0][0, 0] > 1e-3
 
 
 def test_colliding_roots_rejected():
-    roots = [np.zeros(0), np.array([0.3, 0.3 + 1e-12]), np.zeros(2)]
+    # the second state's level collides; the first state's does not
+    roots = [np.zeros((2, 0)), np.array([[0.3, 0.7], [0.3, 0.3 + 1e-12]]), np.zeros((2, 2))]
     with pytest.raises(ValueError, match="oinciding"):
-        bethe_residuals(roots, [0.0, 0.1, 0.0], length=2)
+        bethe_residuals(roots, [0.0, 0.1, 0.0])
 
 
 def test_energy_from_roots_guards_singular_points():
     with pytest.raises(ValueError, match="singular"):
-        energy_from_roots(np.array([0.5]))
-    assert abs(energy_from_roots(np.array([0.0 + 0.0j])) - 8.0) < 1e-13
+        energy_from_roots(np.array([[0.1], [0.5]]))
+    assert abs(energy_from_roots(np.array([[0.0 + 0.0j]]))[0] - 8.0) < 1e-13
 
 
 def test_energy_from_tbox_constant_polynomial():
     # T(z) = 2 + 3z on a length-2 chain: E = 4 - 2*(3/2) = 1
-    assert abs(energy_from_tbox_poly(np.array([2.0, 3.0]), 2) - 1.0) < 1e-13
+    assert abs(energy_from_tbox_poly(np.array([[2.0, 3.0]]), 2)[0] - 1.0) < 1e-13
 
 
 def complexes(bound):
@@ -202,6 +244,57 @@ def test_q_value_rounds_as_numpy_prod(roots, z, sigma, real_roots):
     want = cmath.exp(1j * z * sigma) * complex(np.prod(z - roots))
     got = _q_value(sigma, roots, z)
     assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+@st.composite
+def level_stacks(draw):
+    """Three consecutive levels of root stacks on 1-3 states, the last one
+    real in some draws, as the full-set level is; values from a small pool
+    with signed zeros, or arbitrary."""
+    rows = draw(st.integers(1, 3))
+    values = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.0, complex(-0.0, 1.0),
+                                        complex(1.0, -0.0), 0.25 + 2.0j]),
+                       complexes(3.0))
+
+    def level(real):
+        k = draw(st.integers(0, 4))
+        stack = np.array(draw(st.lists(values, min_size=rows * k, max_size=rows * k)),
+                         dtype=complex).reshape(rows, k)
+        return stack.real.copy() if real else stack
+
+    return [level(False), level(False), level(draw(st.booleans()))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_stacks(), st.tuples(*[st.floats(-2.0, 2.0)] * 3))
+def test_root_ratios_match_scalar_kernel_bitwise(levels, sigmas):
+    z = levels[1]
+    try:
+        want = [_root_ratio([lv[s] for lv in levels], sigmas, 1, x)
+                for s in range(len(z)) for x in z[s]]
+    except ZeroDivisionError:
+        # a point on a root of a denominator factor fails both ways alike
+        with pytest.raises(ZeroDivisionError):
+            _root_ratios(levels, sigmas, z)
+        return
+    got = _root_ratios(levels, sigmas, z)
+    assert [(w.real.hex(), w.imag.hex()) for w in want] == \
+        [(g.real.hex(), g.imag.hex()) for g in got]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 2 ** 32 - 1))
+def test_batched_energies_match_per_state_formulas_bitwise(rows, k, seed):
+    rng = np.random.default_rng(seed)
+    roots = rng.normal(size=(rows, k)) + 1j * rng.normal(size=(rows, k))
+    for row, got in zip(roots, energy_from_roots(roots)):
+        assert bits(got) == bits(2.0 * complex(np.sum(1.0 / (0.25 - row ** 2))))
+    coeffs = rng.normal(size=(rows, k + 1)) + 1j * rng.normal(size=(rows, k + 1))
+    for c, got in zip(coeffs, energy_from_tbox_poly(coeffs, 3)):
+        val = complex(np.polyval(c[::-1], 0.0))
+        dcoeffs = np.array([j * c[j] for j in range(1, len(c))])
+        dval = complex(np.polyval(dcoeffs[::-1], 0.0)) if len(dcoeffs) else 0.0
+        assert bits(got) == bits(2.0 * 3 - 2.0 * dval / val)
 
 
 # -- full pipeline ----------------------------------------------------------------
@@ -271,9 +364,46 @@ def test_newton_keeps_best_iterate():
         np.zeros(5, dtype=complex),
     ]
     sigmas = [0.0, 0.9, 1.3, 0.8, 0.0]
-    start = max(np.max(r) for r in bethe_residuals(levels, sigmas, 5))
+    start = max(np.max(r) for r in bethe_residuals([r[None] for r in levels], sigmas))
     assert 1e-12 < start < 1e-11
     refined, res, iterations = solve_bethe_newton(levels, sigmas)
     assert iterations == 40
     assert res <= start
-    assert res == max(np.max(r) for r in bethe_residuals(refined, sigmas, 5))
+    assert res == max(np.max(r) for r in bethe_residuals([r[None] for r in refined], sigmas))
+
+
+def test_newton_stops_at_an_overflowing_iterate():
+    """A start whose Newton steps overflow the exponential factor is returned
+    as it was, with its residual.
+
+    The roots are those of state 27 of sector (1,2,2) in the default-twist
+    n=3, L=5 chain: a near-singular root pair at about +-1/2 + 0.0029i, with
+    residual 0.26.  The steps diverge, and the eleventh iterate once ended
+    ``qlab bethe --n 3 --L 5`` with an OverflowError from ``cmath.exp``.
+    """
+    levels = [
+        np.zeros(0, dtype=complex),
+        np.array([4.163336342344337e-17 + 0.2156867283950895j]),
+        np.array([-0.49999999999993955 + 0.0029074488452218916j,
+                  0.499999999999855 + 0.0029074488452217927j,
+                  8.367466967289749e-14 + 0.038622825228777115j]),
+        np.zeros(5),
+    ]
+    sigmas = [0.0, 0.7, 0.29999999999999993, -5.551115123125783e-17]
+    start = float(np.max(np.abs(_residual_vector(levels, sigmas))))
+    assert 0.25 < start < 0.27
+    refined, res, iterations = solve_bethe_newton(levels, sigmas)
+    assert 1 < iterations < 40
+    assert res == start
+    assert all(bits(a) == bits(b) for a, b in zip(refined, levels))
+
+
+def test_nan_residuals_stay_visible():
+    # a NaN at a later level once vanished in the builtin max
+    record = EigenstateRecord((1, 1), 0, 0j, [], [np.array([1e-13]), np.array([np.nan])],
+                              0j, 0j)
+    assert math.isnan(record.max_bethe_residual)
+    # a start whose residual is NaN is reported with it, not with inf
+    levels = [np.zeros(0, dtype=complex), np.array([complex(math.nan, 0.0)]), np.zeros(1)]
+    refined, res, iterations = solve_bethe_newton(levels, [0.0, 0.3, 0.0])
+    assert math.isnan(res) and iterations == 1

@@ -410,17 +410,18 @@ def test_stack_chunks_bound_the_workspace():
 
 
 @settings(max_examples=100, deadline=None)
-@given(operator_pairs(count=1), st.randoms(use_true_random=False))
+@given(operator_pairs(count=2), st.randoms(use_true_random=False))
 def test_sector_blocks_match_dense_reference(ops, rnd):
-    (a, ra), = ops
+    (a, ra), (b, rb) = ops
     # a random partition of the basis into index lists
     idx = list(range(a.dim))
     rnd.shuffle(idx)
     cuts = sorted(rnd.sample(range(1, a.dim), rnd.randint(0, a.dim - 1)))
     sectors = [idx[i:j] for i, j in zip([0] + cuts, cuts + [a.dim])]
-    dense = ra.to_dense()
-    for block, sector in zip(sector_blocks(a, sectors), sectors):
-        assert bits(block) == bits(dense[np.ix_(sector, sector)])
+    dense = [ra.to_dense(), rb.to_dense()]
+    for stack, sector in zip(sector_blocks([a, b], sectors), sectors):
+        for block, d in zip(stack, dense):
+            assert bits(block) == bits(d[np.ix_(sector, sector)])
 
 
 def test_signed_zero_conventions():
