@@ -19,34 +19,27 @@ decomposition of each partonic factor
 
 Every n×n matrix over the oscillator algebra (Lax values, ``G``, the
 triangular frames) is a :class:`qlab.oscillator.CarrierOp` of size n.  The
-three identities share the form ``Π (left factors at z) = S · core(z) · S⁻¹``:
-each of :class:`FusionResult`, :class:`IteratedFusion` and
-:class:`PartonFactorization` supplies its modes, its ordered ``S`` exponents,
-its left factors and its core, and one function builds ``S`` and ``S⁻¹`` and
-forms the residual on the buffered block of a truncated Fock space.  Every
-matrix there is built only on the Fock rows that block's product reads
-(``row_cap``), and each kept entry is summed as in the product of the whole
-matrices.  ``S``, ``S⁻¹`` and the Fock space do not depend on ``z``: each
-identity builds them once and keeps them for every point it is checked at.
-The ``scipy.sparse`` matrices are imported where they are built.
+three identities share the form ``Π (left factors at z) = S · core(z) · S⁻¹``
+with ``S = exp(e₁) ⋯ exp(e_m)``: each of :class:`FusionResult`,
+:class:`IteratedFusion` and :class:`PartonFactorization` supplies its ordered
+``S`` exponents, its left factors and its core, and one function decides the
+identity exactly in the oscillator algebra.  It forms ``S · core · S⁻¹`` as
+the adjoint series ``Σ_k ad_e^k core / k!`` of each exponent in turn, which
+ends because every ``ad_e`` is nilpotent on these entries, and reads the
+largest coefficient of the difference of the two sides.  No Fock space is
+built, so nothing is truncated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import matmul
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
-
-import numpy as np
+from operator import mul
+from typing import Dict, List, Sequence, Tuple
 
 from .glrep import GlRep, fuse_generators, scalar_rep, shifted_weights
-from .lax import LaxMatrix, ModeFn, _buffered_cols, canonical_lax, partonic_lax
-from .oscillator import (CarrierOp, FockSpace, Mode, NormalOrderedOp, _worst,
-                         nilpotent_exp)
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .lax import LaxMatrix, ModeFn, canonical_lax, partonic_lax
+from .oscillator import CarrierOp, Mode, NormalOrderedOp, _adjoint_terms, _worst
 
 
 # -- n×n matrices over the oscillator algebra and the identity check -------------
@@ -81,68 +74,28 @@ def lax_at(L: LaxMatrix, z: complex) -> CarrierOp:
 Side = Tuple[Sequence[CarrierOp], Sequence[NormalOrderedOp]]
 
 
-def _residual(space: FockSpace, buffer: int, lhs: Side, rhs: Side,
-              frames: Dict | None = None) -> float:
-    """Max-entry deviation of two :data:`Side` s on the buffered rows and columns.
+def _residual(lhs: Side, rhs: Side) -> float:
+    """Largest coefficient of the difference of two :data:`Side` s, exactly.
 
-    ``S⁻¹`` is ``exp(−e_m) ⋯ exp(−e₁)``, and a side without exponents has
-    ``S = 1``.  Each side is formed only on the buffered rows of its first
-    matrix and the buffered columns of its last one, with the products
-    associated left to right, so every kept entry is summed in the same order
-    as in the whole product.  Each matrix is built only on the Fock rows the
-    product reads: ``S`` raises excitation, so it and the first factor need
-    the rows up to ``n_max − buffer``; the cap grows by each factor's largest
-    lowering, and ``S⁻¹`` is built at the final cap.
-
-    The buffered rows of ``S`` and columns of ``S⁻¹`` of each side are read
-    from, or stored in, ``frames`` under ``(side, n_max, buffer, cap)``; a
-    ``frames`` passed in must hold the frames of this space and these sides'
-    exponents only.
+    Each side is the product of its factors, left to right, conjugated by
+    ``S`` in the oscillator algebra: ``S X S⁻¹`` is the adjoint series of
+    ``e_m`` applied to every entry of ``X`` first and that of ``e₁`` last
+    (:func:`qlab.oscillator._adjoint_terms`).  A side without exponents has
+    ``S = 1``.
     """
-    import scipy.sparse as sp
-    fidx = space.buffered_indices(buffer)
-    frames = {} if frames is None else frames
-
-    def form(side: Side, tag: str) -> sp.csr_matrix:
+    def form(side: Side) -> CarrierOp:
         factors, exponents = side
-        cap = start = space.n_max - buffer
-        mats = []
-        for f in factors:
-            mats.append(f.to_matrix(space, row_cap=cap))
-            cap += max(0, -min(e.min_excitation_shift() for row in f.mat for e in row))
-        exponents = [e for e in exponents if not e.is_zero()]
-        if exponents:
-            key = (tag, space.n_max, buffer, cap)
-            if key not in frames:
-                s = reduce(matmul, [nilpotent_exp(e, space, row_cap=start) for e in exponents])
-                s_inv = reduce(matmul, [nilpotent_exp(-e, space, row_cap=cap)
-                                        for e in reversed(exponents)])
-                eye = sp.identity(factors[0].d, format="csr")
-                frames[key] = (sp.kron(eye, s[fidx], format="csr"),
-                               sp.kron(eye, s_inv[:, fidx], format="csr"))
-            mats = [frames[key][0], *mats, frames[key][1]]
-        else:
-            idx = _buffered_cols(space, factors[0].d, 1, buffer)
-            mats[0] = mats[0][idx]
-            mats[-1] = mats[-1][:, idx]
-        return reduce(matmul, mats)
+        out = reduce(mul, factors)._terms()
+        for e in reversed(exponents):
+            out = [{j: _adjoint_terms(e.terms, t) for j, t in row.items()} for row in out]
+        return CarrierOp._of(out)
 
-    diff = form(lhs, "lhs") - form(rhs, "rhs")
-    return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+    return (form(lhs) - form(rhs)).max_coeff()
 
 
-def _identity_residual(self, z: complex, n_max: int = 8, buffer: int = 4) -> float:
-    """``Π lhs_factors(z) − S·core(z)·S⁻¹``, bound as ``residual`` by each class below.
-
-    The Fock space, ``S`` and ``S⁻¹`` do not depend on ``z``: each identity
-    builds them once per ``(n_max, buffer, cap)`` and keeps them for its
-    lifetime, in ``_spaces`` and ``_frames``.
-    """
-    spaces = vars(self).setdefault("_spaces", {})
-    if n_max not in spaces:
-        spaces[n_max] = FockSpace(self.all_modes(), n_max)
-    return _residual(spaces[n_max], buffer, (self.lhs_factors(z), ()),
-                     ([self.core(z)], self.s_exponents()), vars(self).setdefault("_frames", {}))
+def _identity_residual(self, z: complex) -> float:
+    """``Π lhs_factors(z) − S·core(z)·S⁻¹``, bound as ``residual`` by each class below."""
+    return _residual((self.lhs_factors(z), ()), ([self.core(z)], self.s_exponents()))
 
 
 # -- similarity transforms ---------------------------------------------------------
@@ -205,12 +158,6 @@ class FusionResult:
     s1_exp: NormalOrderedOp
     s2_exp: NormalOrderedOp
 
-    def all_modes(self) -> List[Mode]:
-        modes = set(self.L1.modes()) | set(self.L2.modes()) | set(self.L_fused.modes())
-        modes |= set(self.L_fused.rep.modes) | self.G.modes()
-        modes |= self.s1_exp.modes() | self.s2_exp.modes()
-        return sorted(modes)
-
     def s_exponents(self) -> List[NormalOrderedOp]:
         return [self.s1_exp, self.s2_exp]
 
@@ -238,7 +185,7 @@ def fuse(n: int, I: Sequence[int], J: Sequence[int], rep1: GlRep, rep2: GlRep,
 
     Returns the symbolic pieces of the identity
     ``L¹_I(z + λ + p₂/2) L²_J(z − p₁/2) = S (L_{I∪J}(z) G) S⁻¹``; use
-    :meth:`FusionResult.residual` to verify it on a truncated carrier.
+    :meth:`FusionResult.residual` to verify it in the oscillator algebra.
     """
     I, J = tuple(sorted(I)), tuple(sorted(J))
     if set(I) & set(J):
@@ -290,15 +237,6 @@ class IteratedFusion:
     L_fused: LaxMatrix
     gamma: CarrierOp
     offset: complex   # spectral offset λ_p of the fused matrix
-
-    def all_modes(self) -> List[Mode]:
-        modes = set(self.L_fused.modes()) | set(self.fused_rep.modes)
-        modes |= self.gamma.modes()
-        for a in self.index_set:
-            for x in range(1, self.n + 1):
-                if x != a:
-                    modes.add(parton_mode(a, x))
-        return sorted(modes)
 
     def s_exponents(self) -> List[NormalOrderedOp]:
         # innermost (last fused) step first

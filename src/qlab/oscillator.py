@@ -30,12 +30,16 @@ of those only the contracted monomials; the rest of ``xy`` cancels against
 after every product and every sum; a NaN coefficient is kept.  The Wick
 expansion of each pair of monomials is computed once and kept in a table
 shared by every product; the table is emptied whenever it reaches
-``WICK_CAP`` entries, which keeps it below 1 MB.
+``WICK_CAP`` entries, which keeps it below 1 MB.  A similarity transform
+``exp(e) x exp(-e)`` is the adjoint series :func:`_adjoint_terms`, which the
+identity checks of :mod:`qlab.fusion` apply entry by entry; it ends because
+``ad_e`` is nilpotent on the operators they transform.
 
-The truncated Fock matrices (:func:`fock_matrix`, :func:`nilpotent_exp`,
-:meth:`CarrierOp.to_matrix`) are ``scipy.sparse`` matrices.  They serve only
-the carrier cross-checks, so scipy is imported inside those functions and a
-process that never builds one never loads it.
+The truncated Fock matrices (:func:`fock_matrix`, :meth:`CarrierOp.to_matrix`)
+are ``scipy.sparse`` matrices.  Only the exchange-relation check of
+:mod:`qlab.lax` builds them, and the tests use them as an independent
+representation of the Wick product; scipy is imported inside those functions,
+so a process that never builds one never loads it.
 """
 
 from __future__ import annotations
@@ -115,14 +119,10 @@ class NormalOrderedOp:
 
     def degree(self) -> int:
         """Largest total ladder-operator count in any single term."""
-        return max((sum(j + k for _, j, k in key) for key in self.terms), default=0)
+        return _degree(self.terms)
 
     def scalar_part(self) -> complex:
         return self.terms.get((), 0.0)
-
-    def min_excitation_shift(self) -> int:
-        """Smallest net excitation change ``sum(j - k)`` over the stored terms."""
-        return min((sum(j - k for _, j, k in key) for key in self.terms), default=0)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -180,6 +180,11 @@ def _coerce(x) -> NormalOrderedOp:
     if isinstance(x, numbers.Number):
         return NormalOrderedOp.scalar(x)
     raise TypeError(f"cannot coerce {type(x)!r} to NormalOrderedOp")
+
+
+def _degree(t: Dict[TermKey, complex]) -> int:
+    """Largest total ladder-operator count of a key of ``t``."""
+    return max((sum(j + k for _, j, k in key) for key in t), default=0)
 
 
 def _worst(values: Iterable[float]) -> float:
@@ -288,6 +293,28 @@ def _commutator_terms(t1: Dict[TermKey, complex], t2: Dict[TermKey, complex]
                 for key, w in (_WICK.get((k2, k1)) or _wick(k2, k1))[1:]:
                     out[key] = out.get(key, 0.0) - coeff * w
     return {key: c for key, c in out.items() if not abs(c) <= COEFF_TOL}
+
+
+def _adjoint_terms(e: Dict[TermKey, complex], t: Dict[TermKey, complex]
+                   ) -> Dict[TermKey, complex]:
+    """Terms of ``exp(e) x exp(-e) = sum_k ad_e^k x / k!`` for the terms
+    ``t`` of ``x``, with ``ad_e y = [e, y]``.
+
+    Each power is the commutator of ``e`` with the one before, divided by
+    ``k``, and the series stops at its first power without terms.  It is cut
+    at ``degree(x) + degree(e) + 1`` powers, in total ladder degrees: the
+    exponents of :mod:`qlab.fusion` end within two.  A series still going
+    there is taken as one on which ``ad_e`` is not nilpotent (``e = B†B``
+    never ends on ``B``) and raises ``RuntimeError``.
+    """
+    bound = _degree(t) + _degree(e) + 1
+    out, power = t, t
+    for k in range(1, bound + 1):
+        power = {key: c / k for key, c in _commutator_terms(e, power).items()}
+        if not power:
+            return out
+        out = _add_terms(out, power)
+    raise RuntimeError("adjoint series failed to terminate")
 
 
 def _add_terms(t1: Dict[TermKey, complex], t2: Dict[TermKey, complex]
@@ -592,14 +619,9 @@ class FockSpace:
             self._up_to[t] = np.flatnonzero(self.total <= t)
         return self._up_to[t]
 
-    def occupation_weights(self, q: Mapping[Mode, complex]) -> np.ndarray:
-        """Diagonal of ``prod_m q_m^{N_m}`` over the basis (weight 1 for missing modes)."""
-        w = np.array([q.get(m, 1.0) for m in self.modes], dtype=complex)
-        return np.prod(w ** self.occ, axis=1)
 
-
-def fock_matrix(x: NormalOrderedOp | CarrierOp, space: FockSpace, rep: str = "+",
-                row_cap: int | None = None) -> sp.csr_matrix:
+def fock_matrix(x: NormalOrderedOp | CarrierOp, space: FockSpace,
+                rep: str = "+") -> sp.csr_matrix:
     """Matrix of ``x`` on the truncated basis; amplitudes leaving the cap are dropped.
 
     A :class:`CarrierOp` gives the dense carrier index (slow-running) ⊗ Fock
@@ -610,11 +632,6 @@ def fock_matrix(x: NormalOrderedOp | CarrierOp, space: FockSpace, rep: str = "+"
     enough quanta to annihilate; its rows are found from the shifted state
     codes.  The whole matrix is built in one pass; terms of one entry that
     hit one position are added in term order, and blocks never overlap.
-
-    With ``row_cap`` the rows of states with total excitation above
-    ``min(row_cap, n_max)`` are left empty; every other row is stored exactly
-    as without the cap, so a product that reads only those rows is unchanged
-    to the bit.
     """
     entries = x.mat if isinstance(x, CarrierOp) else [[x]]
     if rep == "-":
@@ -622,7 +639,6 @@ def fock_matrix(x: NormalOrderedOp | CarrierOp, space: FockSpace, rep: str = "+"
     elif rep != "+":
         raise ValueError("rep must be '+' or '-'")
     import scipy.sparse as sp
-    cap = space.n_max if row_cap is None else min(row_cap, space.n_max)
     dim, size = space.dim, len(entries) * space.dim
     keys = [np.zeros(0, dtype=np.int64)]
     vals = [np.zeros(0, dtype=complex)]
@@ -633,7 +649,7 @@ def fock_matrix(x: NormalOrderedOp | CarrierOp, space: FockSpace, rep: str = "+"
                 missing = [m for m, _, _ in key if m not in pos]
                 if missing:
                     raise ValueError(f"operator acts on modes outside the space: {missing}")
-                col = space.up_to(cap - sum(j - k for _, j, k in key))
+                col = space.up_to(space.n_max - sum(j - k for _, j, k in key))
                 for m, _, k in key:
                     if k:
                         col = col[space.occ[col, pos[m]] >= k]
@@ -657,32 +673,6 @@ def fock_matrix(x: NormalOrderedOp | CarrierOp, space: FockSpace, rep: str = "+"
     np.add.at(out, pos[later], val[later])
     indptr = np.searchsorted(key, np.arange(size + 1) * size)
     return sp.csr_matrix((out, key % size, indptr), shape=(size, size))
-
-
-def nilpotent_exp(x: NormalOrderedOp, space: FockSpace, row_cap: int) -> sp.csr_matrix:
-    """Exact matrix exponential of an excitation-raising operator on the cap.
-
-    Every term of ``x`` must strictly raise total excitation, which makes the
-    truncated matrix nilpotent and the series finite.  The series starts from
-    the identity on the states of total excitation at most ``row_cap`` only;
-    as ``x`` raises, those rows read no others and come out as in the whole
-    exponential (``row_cap = space.n_max``).
-    """
-    if x.min_excitation_shift() < 1:
-        raise ValueError("exponent must strictly raise total excitation")
-    import scipy.sparse as sp
-    a = fock_matrix(x, space, row_cap=row_cap)
-    out = power = sp.diags((space.total <= row_cap).astype(complex), format="csr")
-    k = 1
-    while True:
-        power = (power @ a) / k
-        if power.count_nonzero() == 0:
-            break
-        out = out + power
-        k += 1
-        if k > space.n_max + 2:
-            raise RuntimeError("exponential series failed to terminate")
-    return sp.csr_matrix(out)
 
 
 # -- small matrices over the oscillator algebra -------------------------------
@@ -794,10 +784,10 @@ class CarrierOp:
             raise ValueError("carrier weight length mismatch")
         return _carrier_trace(self._terms(), carrier_weights, q, plain_modes, {})
 
-    def to_matrix(self, space: FockSpace, row_cap: int | None = None) -> sp.csr_matrix:
+    def to_matrix(self, space: FockSpace) -> sp.csr_matrix:
         """:func:`fock_matrix` of this carrier operator: dense carrier index
         (slow-running) ⊗ Fock basis (fast-running), built in one pass."""
-        return fock_matrix(self, space, row_cap=row_cap)
+        return fock_matrix(self, space)
 
     def __repr__(self) -> str:
         return f"CarrierOp(d={self.d})"

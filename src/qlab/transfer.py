@@ -27,30 +27,28 @@ a polynomial in the spectral parameter with sparse quantum-space
 coefficients, together with a symbolic exponential prefactor
 ``exp(i z sigma)``.
 
-The builds use no Fock matrices.  Only the explicit twist matrix
-(:meth:`TwistOperatorD.matrix` and its conjugation check) does, and it
-imports ``scipy.sparse`` itself.
+Nothing here builds a Fock matrix: the twist's conjugation check
+(:meth:`TwistOperatorD.conjugation_residual`) rescales each monomial by its
+weights in the oscillator algebra.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .glrep import GlRep, diagonal_weight_data, dot_action_orbit, \
     fundamental_rep, trivial_rep, verma_rep
 from .lax import LaxMatrix, ModeFn, canonical_lax
-from .oscillator import CarrierOp, CarrierTerms, FockSpace, Mode, NormalOrderedOp, \
+from .oscillator import CarrierOp, CarrierTerms, Mode, NormalOrderedOp, \
     _carrier_add, _carrier_mul, _carrier_trace, _worst
 from .tensor import QuantumOperator, _accumulate, _product, sector_states, \
     state_index
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 #: relative tolerance below which a twist-weight is considered degenerate
 DEGENERACY_TOL = 1e-9
@@ -101,30 +99,25 @@ class TwistOperatorD:
     def weighted_trace(self, op: CarrierOp) -> complex:
         return op.weighted_trace(list(self.carrier_weights), self.q, self.plain_modes)
 
-    def matrix(self, space: FockSpace) -> sp.csr_matrix:
-        """Explicit diagonal matrix on carrier ⊗ truncated Fock basis."""
-        import scipy.sparse as sp
-        fock_diag = space.occupation_weights(self.q)
-        diag = np.concatenate([w * fock_diag for w in self.carrier_weights])
-        return sp.diags(diag).tocsr()
+    def conjugation_residual(self, L: LaxMatrix, twist: TwistConfig, z: complex) -> float:
+        """Largest coefficient of ``D L_ab D⁻¹ − e^{i(φ_b − φ_a)} L_ab``, exactly.
 
-    def conjugation_residual(self, L: LaxMatrix, twist: TwistConfig, z: complex,
-                             n_max: int = 6) -> float:
-        """Max deviation of D L_ab D^-1 - e^{i(phi_b - phi_a)} L_ab."""
-        import scipy.sparse as sp
-        space = FockSpace(sorted(set(L.modes()) | set(self.q)), n_max)
-        d = self.matrix(space)
-        dinv = sp.diags(1.0 / d.diagonal()).tocsr()
-        blocks = L.at(z)
+        ``D x D⁻¹`` multiplies a monomial ``Π (B†)^j B^k`` of carrier entry
+        ``(r, s)`` by ``w_r / w_s · Π q_m^{j−k}``, with weight 1 on a mode
+        that has none, so no matrix is built.
+        """
+        w = self.carrier_weights
 
-        def deviation(a: int, b: int) -> float:
-            m = blocks[a - 1][b - 1].to_matrix(space)
+        def deviation(a: int, b: int, entries: CarrierOp) -> float:
             phase = cmath.exp(1j * (twist.phi(b) - twist.phi(a)))
-            diff = d @ m @ dinv - phase * m
-            return float(np.max(np.abs(diff.toarray()))) if diff.nnz else 0.0
+            return _worst(
+                abs(c * (w[r] / w[s] * math.prod(self.q.get(m, 1.0) ** (j - k)
+                                                 for m, j, k in key) - phase))
+                for r, row in enumerate(entries.mat) for s, e in enumerate(row)
+                for key, c in e.terms.items())
 
-        labels = range(1, self.n + 1)
-        return _worst(deviation(a, b) for a in labels for b in labels)
+        return _worst(deviation(a, b, entries) for a, row in enumerate(L.at(z), 1)
+                      for b, entries in enumerate(row, 1))
 
 
 def build_twist_D(n: int, index_set: Sequence[int], rep: GlRep,

@@ -13,8 +13,7 @@ import pytest
 from qlab.glrep import (fundamental_rep, gl_relation_residual, scalar_rep,
                         trivial_rep, verma_rep)
 from qlab.lax import canonical_lax, eval_lax, partonic_lax, rll_residual
-from qlab.fusion import (FockSpace, _residual, factorize_partons, fuse,
-                         iterated_parton_fusion)
+from qlab.fusion import _residual, factorize_partons, fuse, iterated_parton_fusion
 from qlab.oscillator import (NormalOrderedOp as Op, _worst, extrapolated_trace,
                              weighted_trace)
 from qlab.relations import (QFamily, enumerate_hasse, hirota_residual,
@@ -75,19 +74,17 @@ def test_criterion_03_factorization():
         wt = tuple(complex(rng.normal(), rng.normal()) for _ in range(n))
         pf = factorize_partons(n, wt)
         for z in (0.31, -0.6 + 0.17j):
-            worst = max(worst, pf.residual(z, n_max=8, buffer=4))
+            worst = max(worst, pf.residual(z))
     # the triangular-decomposition route and the iterated pairwise-merge
     # route must produce identical matrices on the joint carrier
     n, wt = 3, (0.45, -0.15, 0.7)
     pf = factorize_partons(n, wt)
     itf = iterated_parton_fusion(n, (1, 2, 3), wt)
-    space = FockSpace(sorted(set(pf.all_modes()) | set(itf.all_modes())), 8)
     z = 0.27
     worst = max(worst,
-                _residual(space, 4, ([pf.core(z)], pf.s_exponents()),
+                _residual(([pf.core(z)], pf.s_exponents()),
                           ([itf.core(z)], itf.s_exponents())),
-                _residual(space, 4, (pf.lhs_factors(z), ()),
-                          (itf.lhs_factors(z), ())))
+                _residual((pf.lhs_factors(z), ()), (itf.lhs_factors(z), ())))
     _report(3, "ordered-product factorization", worst, 1e-12)
 
 
@@ -99,7 +96,7 @@ def test_criterion_04_fusion():
     for I, J, r1, r2 in specs:
         res = fuse(3, I, J, r1, r2, 0.6)
         for z in (0.37, -0.58):
-            worst = max(worst, res.residual(z, n_max=8, buffer=4))
+            worst = max(worst, res.residual(z))
         worst = max(worst, gl_relation_residual(res.fused_rep))
     _report(4, "pairwise merge of blocks", worst, 1e-12)
 

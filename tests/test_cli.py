@@ -97,12 +97,25 @@ def test_invalid_inputs_exit_two_with_one_line_error(flags, message, capsys):
 
 @pytest.mark.parametrize("buffer", ["5", "3"])
 def test_buffer_must_leave_room_under_nmax(buffer, capsys):
-    # with buffer >= nmax at most the vacuum is buffered, so the carrier
-    # residuals would compare next to nothing and pass
+    # no check reads the buffer any more, but the guard stays, so that a
+    # configuration is valid exactly when it was before
     code = main(["verify", "--n", "2", "--suite", "fusion,factorization",
                  "--nmax", "3", "--buffer", buffer])
     assert code == 2
     assert "0 <= buffer < nmax" in capsys.readouterr().err
+
+
+def test_buffer_is_accepted_echoed_and_ignored(capsys):
+    # fusion and factorization are exact in the algebra, and rll derives its
+    # own buffer, so the records do not depend on the flag
+    docs = []
+    for buffer in ("1", "4"):
+        assert main(["verify", "--n", "3", "--L", "1", "--suite", "rll,fusion,factorization",
+                     "--nmax", "6", "--buffer", buffer]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert [d["config"]["buffer"] for d in docs] == [1, 4]
+    records = [[(r["name"], r["residual"]) for r in d["records"]] for d in docs]
+    assert records[0] == records[1]
 
 
 def test_hirota_suite_record_count(capsys):
@@ -315,7 +328,8 @@ def test_qlab_threads_caps_blas_threads():
 
 
 def test_scipy_loaded_only_by_carrier_suites():
-    """Only the Fock-matrix suites import scipy; every other command runs without it."""
+    """Only the exchange-relation suite, which builds Fock matrices, imports
+    scipy; every other command runs without it."""
     src = str(Path(qlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
@@ -330,6 +344,7 @@ def test_scipy_loaded_only_by_carrier_suites():
         "             ('bethe', '--n', '2', '--L', '2'),\n"
         "             ('verify', '--n', '2', '--L', '2', '--suite',\n"
         "              'anchors,hirota,determinant,plucker,commuting,bgg,trace'),\n"
+        "             ('verify', '--n', '3', '--L', '1', '--suite', 'fusion,factorization'),\n"
         "             ('hasse', '--n', '3')):\n"
         "    assert run(*argv) == 0, argv\n"
         "    assert 'scipy' not in sys.modules, argv\n"
@@ -341,22 +356,24 @@ def test_scipy_loaded_only_by_carrier_suites():
 def test_carrier_suites_at_twelve_modes_stay_under_200_mb():
     """Fusion and factorization at n=4 and the default ``--nmax 8`` (12 modes).
 
-    Only the Fock rows each identity reads are built; building ``S`` and
-    ``S⁻¹`` on the whole space of 125,970 states peaked at 310 MB.
+    Both are decided in the oscillator algebra, so they build no Fock space
+    (125,970 states at this truncation) and never load scipy.
     """
     src = str(Path(qlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "import contextlib, io, resource, qlab.cli\n"
+        "import contextlib, io, resource, sys, qlab.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    status = qlab.cli.main(['verify', '--n', '4', '--L', '1',\n"
         "                            '--suite', 'fusion,factorization'])\n"
-        "print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        "print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,\n"
+        "      int('scipy' in sys.modules))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          stdout=subprocess.PIPE, check=True, text=True).stdout
-    status, peak_kb = map(int, out.split())
+    status, peak_kb, scipy_loaded = map(int, out.split())
     assert status == 0
     assert peak_kb / 1024 < 200
+    assert not scipy_loaded
 
 
 def test_trace_suite_domain_is_load_bearing():

@@ -16,7 +16,7 @@ from qlab.glrep import (
     scalar_rep, verma_rep,
 )
 from qlab.lax import canonical_lax, partonic_lax
-from qlab.oscillator import CarrierOp, FockSpace, NormalOrderedOp as Op, nilpotent_exp
+from qlab.oscillator import CarrierOp, FockSpace, NormalOrderedOp as Op, fock_matrix
 
 M1 = lambda a, x: ("1", a, x)
 M2 = lambda a, x: ("2", a, x)
@@ -24,51 +24,46 @@ M2 = lambda a, x: ("2", a, x)
 
 # -- similarity transforms: conjugation rules ------------------------------------
 
-def conj_residual(s_exp, x, y, space, buffer=4):
-    """max |S x S^-1 - y| on the buffered sub-block."""
-    return fu._residual(space, buffer, ([CarrierOp(1, [[x]])], [s_exp]),
-                        ([CarrierOp(1, [[y]])], ()))
+def conj_residual(s_exp, x, y):
+    """Largest coefficient of ``S x S⁻¹ - y``."""
+    return fu._residual(([CarrierOp(1, [[x]])], [s_exp]), ([CarrierOp(1, [[y]])], ()))
 
 
 def test_s1_conjugation_rules():
     n, I, J = 3, (1,), (2,)
     s1 = build_S1(I, J, M1, M2)
-    modes = [M1(1, 2), M1(1, 3), M2(2, 1), M2(2, 3)]
-    space = FockSpace(modes, 8)
     # annihilator with outside row index, inside column: picks up a creator
     b1 = Op.annihilator(M1(1, 2))           # pairs with the cross creator
     shift = Op.creator(M2(2, 1))
-    assert conj_residual(s1, b1, b1 - shift, space) < 1e-12
+    assert conj_residual(s1, b1, b1 - shift) < 1e-12
     b2 = Op.annihilator(M2(2, 1))
     shift2 = Op.creator(M1(1, 2))
-    assert conj_residual(s1, b2, b2 - shift2, space) < 1e-12
+    assert conj_residual(s1, b2, b2 - shift2) < 1e-12
     # oscillators pointing fully outside both sets are untouched
     b_out = Op.annihilator(M1(1, 3))
-    assert conj_residual(s1, b_out, b_out, space) < 1e-12
+    assert conj_residual(s1, b_out, b_out) < 1e-12
     c_out = Op.creator(M2(2, 3))
-    assert conj_residual(s1, c_out, c_out, space) < 1e-12
+    assert conj_residual(s1, c_out, c_out) < 1e-12
 
 
 def test_s2_conjugation_rules():
     n, I, J = 3, (1,), (2,)
     s2 = build_S2(n, I, J, M1, M2)
-    modes = [M1(1, 2), M1(1, 3), M2(2, 1), M2(2, 3)]
-    space = FockSpace(modes, 8)
     # b¹ with inside column index picks up the outside-coupled product
     b1 = Op.annihilator(M1(1, 2))
     y1 = b1 - Op.creator(M2(2, 3)) * Op.annihilator(M1(1, 3))
-    assert conj_residual(s2, b1, y1, space) < 1e-12
+    assert conj_residual(s2, b1, y1) < 1e-12
     # b² with outside column index
     b2 = Op.annihilator(M2(2, 3))
     y2 = b2 - Op.creator(M1(1, 2)) * Op.annihilator(M1(1, 3))
-    assert conj_residual(s2, b2, y2, space) < 1e-12
+    assert conj_residual(s2, b2, y2) < 1e-12
     # b†¹ pointing outside both sets
     c1 = Op.creator(M1(1, 3))
     y3 = c1 + Op.creator(M1(1, 2)) * Op.creator(M2(2, 3))
-    assert conj_residual(s2, c1, y3, space) < 1e-12
+    assert conj_residual(s2, c1, y3) < 1e-12
     # untouched: the cross creator itself
     c0 = Op.creator(M1(1, 2))
-    assert conj_residual(s2, c0, c0, space) < 1e-12
+    assert conj_residual(s2, c0, c0) < 1e-12
 
 
 def test_s2_trivial_when_sets_cover_everything():
@@ -103,7 +98,7 @@ def test_fuse_rank1_rank1_reproduces_spin_factorization():
     assert (fr.fused_rep.gen(1, 2).mat[0][0] + b).is_zero()
     assert (fr.fused_rep.gen(2, 1).mat[0][0] - (bd * bd * b - 2 * j * bd)).is_zero()
     for z in (0.3, -0.45, 1.2):
-        assert fr.residual(z, n_max=10, buffer=5) < 1e-12
+        assert fr.residual(z) < 1e-12
     assert fr.g_commutation_residual() < 1e-14
 
 
@@ -111,7 +106,7 @@ def test_fuse_with_bystander_index():
     fr = fuse(3, (1,), (2,), scalar_rep(1, 0.0), scalar_rep(2, 0.0), 0.45)
     assert not fr.s2_exp.is_zero()
     for z in (0.3, -0.2, 0.9):
-        assert fr.residual(z, n_max=8, buffer=4) < 1e-12
+        assert fr.residual(z) < 1e-12
     assert gl_relation_residual(fr.fused_rep) < 1e-12
     assert highest_weight_residual(fr.fused_rep) < 1e-13
     assert fr.g_commutation_residual() < 1e-14
@@ -120,7 +115,7 @@ def test_fuse_with_bystander_index():
 def test_fuse_higher_rank_factor():
     rep1 = verma_rep((0.4, -0.2), labels=(1, 2), tag="v")
     fr = fuse(3, (1, 2), (3,), rep1, scalar_rep(3, 0.6), -0.35)
-    assert fr.residual(0.22, n_max=8, buffer=5) < 1e-12
+    assert fr.residual(0.22) < 1e-12
     assert fr.fused_rep.weight == pytest.approx({1: 0.4 - 0.35, 2: -0.2 - 0.35, 3: 0.6})
     assert gl_relation_residual(fr.fused_rep) < 1e-12
 
@@ -162,10 +157,6 @@ def test_fuse_associativity_three_factors():
     # both groupings assign the same weight to the triple
     assert outer_a.fused_rep.weight == pytest.approx(outer_b.fused_rep.weight)
 
-    modes = set()
-    for f in (inner_a, outer_a, inner_b, outer_b):
-        modes |= set(f.all_modes())
-    space = FockSpace(sorted(modes), 8)
     w = 0.23
     # direct triple product at the shifts induced by nested fusion
     lax1 = canonical_lax(n, (1,), scalar_rep(1, 0.0), M1)
@@ -181,13 +172,13 @@ def test_fuse_associativity_three_factors():
     # left grouping: fuse (1,2) first; its G matrix stays between the factors,
     # so the chain is verified step by step
     L12 = lax_at(inner_a.L_fused, w + lam2 + 0.5)
-    assert fu._residual(space, 4, ([A1, A2], ()), sandwich(inner_a, w + lam2 + 0.5)) < 1e-12
-    assert fu._residual(space, 4, ([L12, A3], ()), sandwich(outer_a, w)) < 1e-12
+    assert fu._residual(([A1, A2], ()), sandwich(inner_a, w + lam2 + 0.5)) < 1e-12
+    assert fu._residual(([L12, A3], ()), sandwich(outer_a, w)) < 1e-12
 
     # right grouping: the nested transforms compose into a single sandwich
     core_b = lax_at(outer_b.L_fused, w) * (outer_b.G * inner_b.G)
     exps_b = inner_b.s_exponents() + outer_b.s_exponents()
-    assert fu._residual(space, 4, ([A1, A2, A3], ()), ([core_b], exps_b)) < 1e-12
+    assert fu._residual(([A1, A2, A3], ()), ([core_b], exps_b)) < 1e-12
 
 
 # -- iterated single-index fusion --------------------------------------------------
@@ -200,7 +191,7 @@ def test_fuse_associativity_three_factors():
 def test_iterated_parton_fusion(n, I, wt):
     itf = iterated_parton_fusion(n, I, wt)
     for z in (0.31, -0.6):
-        assert itf.residual(z, n_max=8, buffer=4) < 1e-12
+        assert itf.residual(z) < 1e-12
     # fused weight is the target weight minus its trailing entry
     assert itf.fused_rep.weight == pytest.approx(
         {a: wt[k] - wt[-1] for k, a in enumerate(I)})
@@ -276,11 +267,10 @@ def test_u1_inverse_is_exact():
 @pytest.mark.parametrize("n,wt", [(2, (0.8, -0.8)), (3, (0.45, -0.15 + 0.2j, 0.7))])
 def test_similarity_absorbs_half_the_ladder_content(n, wt):
     pf = factorize_partons(n, wt)
-    space = FockSpace(pf.all_modes(), 8)
     exps = pf.s_exponents()
     u1i = inv_unipotent(pf.u1)
-    assert fu._residual(space, 4, ([pf.u1], exps), ([pf.u1], ())) < 1e-12
-    assert fu._residual(space, 4, ([pf.u_last], exps), ([u1i, pf.u_last], ())) < 1e-12
+    assert fu._residual(([pf.u1], exps), ([pf.u1], ())) < 1e-12
+    assert fu._residual(([pf.u_last], exps), ([u1i, pf.u_last], ())) < 1e-12
 
 
 def test_n2_factorization_closed_form_transform():
@@ -289,12 +279,12 @@ def test_n2_factorization_closed_form_transform():
     assert pf.s_exponent(1).is_zero()
     expect = Op.creator(parton_mode(1, 2)) * Op.creator(parton_mode(2, 1))
     assert (pf.s_exponent(2) - expect).is_zero()
-    assert pf.residual(0.3, n_max=10, buffer=5) < 1e-12
+    assert pf.residual(0.3) < 1e-12
 
 
 def test_n3_factorization_residual():
     pf = factorize_partons(3, (0.45 + 0.3j, -0.15, 0.7))
-    assert pf.residual(0.27, n_max=8, buffer=4) < 1e-12
+    assert pf.residual(0.27) < 1e-12
 
 
 def test_factorized_core_carries_valid_generators():
@@ -318,89 +308,109 @@ def test_triangular_route_equals_iterated_route():
     n, wt = 3, (0.45, -0.15, 0.7)
     pf = factorize_partons(n, wt)
     itf = iterated_parton_fusion(n, (1, 2, 3), wt)
-    space = FockSpace(sorted(set(pf.all_modes()) | set(itf.all_modes())), 8)
     z = 0.27
-    assert fu._residual(space, 4, ([pf.core(z)], pf.s_exponents()),
+    assert fu._residual(([pf.core(z)], pf.s_exponents()),
                         ([itf.core(z)], itf.s_exponents())) < 1e-12
-    assert fu._residual(space, 4, (pf.lhs_factors(z), ()),
+    assert fu._residual((pf.lhs_factors(z), ()),
                         (itf.lhs_factors(z), ())) < 1e-13
-
-
-def _whole_residual(obj, z, n_max, buffer):
-    """The residual from whole Fock matrices, sliced to the buffered block last."""
-    space = FockSpace(obj.all_modes(), n_max)
-    lhs = functools.reduce(operator.matmul,
-                           [f.to_matrix(space) for f in obj.lhs_factors(z)])
-    exps = [e for e in obj.s_exponents() if not e.is_zero()]
-    s = functools.reduce(operator.matmul, [nilpotent_exp(e, space, n_max) for e in exps])
-    si = functools.reduce(operator.matmul,
-                          [nilpotent_exp(-e, space, n_max) for e in reversed(exps)])
-    eye = sp.identity(obj.n, format="csr")
-    rhs = sp.kron(eye, s) @ obj.core(z).to_matrix(space) @ sp.kron(eye, si)
-    idx = (np.arange(obj.n)[:, None] * space.dim + space.buffered_indices(buffer)).ravel()
-    return np.max(np.abs((lhs - rhs).tocsr()[idx][:, idx].toarray()))
-
-
-def test_buffered_residual_matches_the_whole_product_bitwise():
-    # forming only the buffered rows and columns of each side, from matrices
-    # built only on the Fock rows the product reads, sums every kept entry in
-    # the order of the whole product
-    cases = [
-        (factorize_partons(3, (0.45 + 0.3j, -0.15, 0.7)), 6, 4),
-        (fuse(3, (1,), (2, 3), scalar_rep(1, 0.23),
-              verma_rep((0.4, -0.2), labels=(2, 3), tag="v"), 0.6), 6, 3),
-        (iterated_parton_fusion(4, (1, 2, 3, 4), (0.3 + 0.2j, -0.4, 0.1, 0.25j)), 5, 4),
-    ]
-    z = 0.27
-    for obj, n_max, buffer in cases:
-        whole = _whole_residual(obj, z, n_max, buffer)
-        assert whole > 0.0
-        assert obj.residual(z, n_max=n_max, buffer=buffer) == whole
-
-
-def _fresh_residual(obj, z, n_max, buffer):
-    """The residual with a new Fock space, ``S`` and ``S⁻¹`` built for this ``z``."""
-    return fu._residual(FockSpace(obj.all_modes(), n_max), buffer,
-                        (obj.lhs_factors(z), ()), ([obj.core(z)], obj.s_exponents()))
-
-
-@pytest.mark.parametrize("n,n_max,buffer", [(2, 6, 3), (3, 6, 4), (4, 5, 4)])
-def test_shared_frames_equal_fresh_ones_at_every_point_bitwise(n, n_max, buffer):
-    rng = np.random.default_rng(n)
-    wt = tuple(complex(rng.normal(), rng.normal()) for _ in range(n))
-    cases = [
-        fuse(n, (1,), tuple(range(2, n + 1)), scalar_rep(1, 0.23),
-             verma_rep(tuple(0.3 - 0.2 * a for a in range(n - 1)),
-                       labels=tuple(range(2, n + 1)), tag="v"), 0.6),
-        iterated_parton_fusion(n, tuple(range(1, n + 1)), wt),
-        factorize_partons(n, wt),
-    ]
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return nilpotent_exp(*args, **kwargs)
-
-    for obj in cases:
-        points = [0.37, -0.58 + 0.2j, 0.31]
-        want = [_fresh_residual(obj, z, n_max, buffer) for z in points]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fu, "nilpotent_exp", counted)
-            calls.clear()
-            got = [obj.residual(z, n_max=n_max, buffer=buffer) for z in points]
-            per_point = len(calls)
-            # another buffer keeps frames of its own
-            assert (obj.residual(0.37, n_max=n_max, buffer=buffer - 1)
-                    == _fresh_residual(obj, 0.37, n_max, buffer - 1))
-        assert [r.hex() for r in got] == [r.hex() for r in want]
-        assert max(got) < 1e-12
-        # S and S⁻¹ are built at the first point only
-        assert per_point == 2 * len([e for e in obj.s_exponents() if not e.is_zero()])
 
 
 def test_nan_coefficient_in_a_fusion_factor_reaches_the_residual():
     res = fuse(2, (1,), (2,), scalar_rep(1, 0.23), scalar_rep(2, -0.41), 0.6)
-    assert res.residual(0.37, n_max=6, buffer=3) < 1e-12
+    assert res.residual(0.37) < 1e-12
     key = ((M1(1, 2), 1, 0),)
     res.L1.c1[0][1] = CarrierOp(1, [[Op({key: complex(np.nan, 0.0)})]])
-    assert np.isnan(res.residual(0.37, n_max=6, buffer=3))
+    assert np.isnan(res.residual(0.37))
+
+
+# -- negative controls and the truncated Fock cross-check --------------------------
+
+def _identities(n):
+    """One identity of each class at ``n``: a pairwise fusion, an iterated
+    fusion and a triangular factorization."""
+    rng = np.random.default_rng(n)
+    wt = tuple(complex(rng.normal(), rng.normal()) for _ in range(n))
+    rest = tuple(range(2, n + 1))
+    r2 = (scalar_rep(2, -0.41) if n == 2 else
+          verma_rep(tuple(0.3 - 0.2 * a for a in range(n - 1)), labels=rest, tag="v"))
+    return [fuse(n, (1,), rest, scalar_rep(1, 0.23), r2, 0.6),
+            iterated_parton_fusion(n, tuple(range(1, n + 1)), wt),
+            factorize_partons(n, wt)]
+
+
+def _with_nan(m):
+    """``m`` with the coefficient of one non-scalar monomial set to NaN."""
+    out = CarrierOp(m.d, [row[:] for row in m.mat])
+    i, j, key = next((i, j, key) for i, row in enumerate(m.mat) for j, e in enumerate(row)
+                     for key in e.terms if key)
+    out.mat[i][j] = out.mat[i][j] + Op({key: complex("nan")})
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_identity_class_fails_its_negative_controls(n):
+    z = 0.37
+    for obj in _identities(n):
+        lhs, exps = (obj.lhs_factors(z), ()), obj.s_exponents()
+        assert fu._residual(lhs, ([obj.core(z)], exps)) == 0.0
+        # the core one step of 1e-9 away, as a shifted spectral parameter
+        shifted = fu._residual(lhs, ([obj.core(z + 1e-9)], exps))
+        assert 5e-10 < shifted < 2e-9
+        # no similarity transform
+        assert fu._residual(lhs, ([obj.core(z)], ())) > 0.5
+        # a NaN in the core reaches the residual through the adjoint series
+        assert np.isnan(fu._residual(lhs, ([_with_nan(obj.core(z))], exps)))
+
+
+def _fock_residual(lhs, rhs, n_max, buffer):
+    """The residual of two sides on the buffered block of a truncated Fock space.
+
+    A second representation of the Wick product: each factor is a Fock matrix,
+    the sides are matrix products, and ``S`` is the exponential series of the
+    exponents' matrices, each series ending when the truncated matrix power
+    vanishes.  Only the buffered rows of ``S`` and columns of ``S⁻¹`` are
+    formed; ``S`` raises excitation, so those rows read no other rows.
+    """
+    sides = [lhs, rhs]
+    modes = set().union(*(f.modes() for factors, _ in sides for f in factors),
+                        *(e.modes() for _, exps in sides for e in exps))
+    space = FockSpace(sorted(modes), n_max)
+    d = lhs[0][0].d
+    idx = space.buffered_indices(buffer)
+
+    def series(start, e, sign, rows):
+        """``start · exp(±e)`` (rows) or ``exp(±e) · start`` (columns), densely."""
+        a = sign * fock_matrix(e, space).toarray()
+        out = power = start
+        for k in range(1, n_max + 2):
+            power = (power @ a if rows else a @ power) / k
+            out = out + power
+        assert not power.any()
+        return out
+
+    def form(side):
+        factors, exps = side
+        s_rows = np.eye(space.dim)[idx]
+        s_inv_cols = np.eye(space.dim)[:, idx]
+        for e in exps:
+            s_rows = series(s_rows, e, 1.0, rows=True)
+            s_inv_cols = series(s_inv_cols, e, -1.0, rows=False)
+        m = functools.reduce(operator.matmul, [f.to_matrix(space) for f in factors])
+        eye = sp.identity(d, format="csr")
+        return sp.kron(eye, s_rows) @ m @ sp.kron(eye, s_inv_cols)
+
+    return float(np.max(np.abs(form(lhs) - form(rhs))))
+
+
+def test_truncated_fock_route_cross_checks_each_identity_class():
+    # the exact residual and the truncated one agree on every class at n=3,
+    # on the exact identity and on one whose core is 1e-9 away
+    z = 0.27
+    for obj in _identities(3):
+        lhs, exps = (obj.lhs_factors(z), ()), obj.s_exponents()
+        exact = ([obj.core(z)], exps)
+        shifted = ([obj.core(z + 1e-9)], exps)
+        assert fu._residual(lhs, exact) < 1e-12
+        assert _fock_residual(lhs, exact, 6, 4) < 1e-12
+        assert 5e-10 < fu._residual(lhs, shifted) < 2e-9
+        assert 5e-10 < _fock_residual(lhs, shifted, 6, 4) < 1e-8

@@ -5,19 +5,21 @@ the relation suites at (n, L) = (4,3) seed 1, (3,3) seed 0, (2,5) seed 1 and
 (3,4) seed 1, the ``bgg,trace`` suites at (3,2), all at the default twist,
 the carrier suites ``rll,fusion,factorization`` at n = 2 and n = 3 with the default
 truncation and at n = 4 with ``--nmax 5 --buffer 4``, and the ``fusion`` and
-``factorization`` suites at n = 4 with the default ``--nmax 8`` (12 modes,
-the buffered block holding the states of total excitation at most 4).  The
+``factorization`` suites at n = 4 with the default ``--nmax 8``.  The
 ``bgg`` value was regenerated when the signed-resolution check stopped
 damping and extrapolating: it builds every member once, at the default twist,
 and reads 9.5e-13 where the damped route read 5.0e-12.  The other relation
 values were produced by the dictionary-based operator substrate;
 the array-based one performs the same floating-point operations in the same
-order, so they must not move at all.  The carrier values at n = 2, 3 and
-``--nmax 5`` were produced while the fusion checks still kept their own matrix
-type over the oscillator algebra, and the n = 4 ``--nmax 8`` values while
-every Fock matrix was still built on the whole truncated space; ``CarrierOp``
-sums every entry in the same order, and a matrix built only on the rows a
-product reads holds those rows unchanged, so they must not move either.
+order, so they must not move at all.  The ``rll`` values and the algebra
+relations of the carrier suites were produced while the fusion checks still
+kept their own matrix type over the oscillator algebra, and ``CarrierOp``
+sums every entry in the same order, so they must not move either.  The
+fusion ``blocks …`` and factorization ``ordered product …`` values were
+regenerated when those identities came to be decided exactly in the
+oscillator algebra instead of on a truncated Fock space: each reads 0.0,
+where the Fock route read 2e-16 to 1.8e-15, and no longer depends on
+``--nmax`` or ``--buffer``.
 The (3,4) case was added, from the code that checked one spectral point at a
 time, when the checks began to stack their points: at dimension 81 a stack
 holds four operators and a check reads six points, so this case runs chunks

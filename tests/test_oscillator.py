@@ -9,8 +9,8 @@ from qlab.oscillator import (
     NormalOrderedOp as Op,
     CarrierOp, FockSpace, FockTruncation,
     weighted_trace, damped_numeric_trace, extrapolated_trace, extrapolated_traces,
-    automorphism_image, fock_matrix, nilpotent_exp,
-    _add_terms, _commutator_terms, _geometric_weights, _mul_terms,
+    automorphism_image, fock_matrix,
+    _add_terms, _adjoint_terms, _commutator_terms, _geometric_weights, _mul_terms,
     _rational_extrapolate, _worst,
 )
 
@@ -301,27 +301,22 @@ def test_second_representation_matrices():
     assert (automorphism_image(comm) - Op.scalar(1.0)).is_zero()
 
 
-def test_nilpotent_exp_matches_series():
-    space = FockSpace([M1, M2], 5)
-    x = bd(M1) * bd(M2) + 0.5 * bd(M1) * bd(M1) * b(M2)
-    e = nilpotent_exp(x, space, space.n_max).toarray()
-    a = fock_matrix(x, space).toarray()
-    expect = np.eye(space.dim, dtype=complex)
-    p = np.eye(space.dim, dtype=complex)
-    for k in range(1, 10):
-        p = p @ a / k
-        expect += p
-    assert np.allclose(e, expect, atol=1e-12)
-    # exp(x) exp(-x) = 1 exactly on the truncated space
-    einv = nilpotent_exp(-1.0 * x + 2.0 * x - x + x, space, space.n_max)  # = exp(x) again
-    eneg = nilpotent_exp(Op.zero() - x, space, space.n_max).toarray()
-    assert np.allclose(e @ eneg, np.eye(space.dim), atol=1e-12)
+def test_adjoint_series_of_creators_shifts_the_annihilators():
+    # exp(e) B exp(-e) = B + [e, B] + ..., with [B†, B] = -1 and [B†², B] = -2B†
+    lam = 0.3 - 0.2j
+    got = Op._of(_adjoint_terms((lam * bd()).terms, b().terms))
+    assert (got - (b() - lam)).is_zero()
+    got = Op._of(_adjoint_terms((lam * bd() * bd()).terms, b().terms))
+    assert (got - (b() - 2 * lam * bd())).is_zero()
+    # [B†², N] = -2B†² commutes with B†², so the series stops at its second power
+    got = Op._of(_adjoint_terms((lam * bd() * bd()).terms, Op.number(M1).terms))
+    assert (got - (Op.number(M1) - 2 * lam * bd() * bd())).is_zero()
 
 
-def test_nilpotent_exp_rejects_lowering_terms():
-    space = FockSpace([M1], 4)
-    with pytest.raises(ValueError):
-        nilpotent_exp(b(), space, space.n_max)
+def test_adjoint_series_raises_when_ad_e_is_not_nilpotent():
+    # [B†B, B] = -B, so the series never ends
+    with pytest.raises(RuntimeError):
+        _adjoint_terms(Op.number(M1).terms, b().terms)
 
 
 def test_fock_truncation_guard():
@@ -397,7 +392,7 @@ def test_fock_matrix_rejects_modes_outside_space():
         fock_matrix(bd(M2) + b(M1), FockSpace([M1], 3))
 
 
-# -- row caps and block assembly ---------------------------------------------------
+# -- block assembly ----------------------------------------------------------------
 
 HMODES = [("h", 0, a) for a in range(3)]
 COEFFS = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
@@ -405,13 +400,12 @@ COEFFS = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
 
 
 @st.composite
-def _hyp_op(draw, modes, raising=False, twins=1):
+def _hyp_op(draw, modes, twins=1):
     """A random operator; each term may bring up to ``twins`` twins that hit
     its matrix entries.
 
     Twin ``t`` has ``t`` more creators and ``t`` more annihilators on one
     mode, so it moves every state it acts on to the same row as its partner.
-    With ``raising`` every term strictly raises the total excitation.
     """
     terms = {}
     for _ in range(draw(st.integers(1, 4))):
@@ -420,11 +414,6 @@ def _hyp_op(draw, modes, raising=False, twins=1):
             j, k = draw(st.integers(0, 2)), draw(st.integers(0, 2))
             if j or k:
                 key.append([m, j, k])
-        shift = sum(j - k for _, j, k in key)
-        if raising and shift < 1:
-            if not key:
-                key.append([modes[0], 0, 0])
-            key[0][1] += 1 - shift
         keys = [key]
         for t in range(1, 1 + (draw(st.integers(0, twins)) if key else 0)):
             twin = [list(part) for part in key]
@@ -437,15 +426,6 @@ def _hyp_op(draw, modes, raising=False, twins=1):
     return Op(terms)
 
 
-def _without_rows_above(m, space, cap):
-    """``m`` with the entries of the rows of total excitation above ``cap`` removed."""
-    counts = np.diff(m.indptr)
-    keep = np.repeat(space.total <= cap, counts)
-    counts = np.where(space.total <= cap, counts, 0)
-    return sp.csr_matrix((m.data[keep], m.indices[keep], np.concatenate([[0], np.cumsum(counts)])),
-                         shape=m.shape)
-
-
 def _assert_bitwise(got, want):
     assert got.shape == want.shape
     assert np.array_equal(got.indptr, want.indptr)
@@ -453,32 +433,11 @@ def _assert_bitwise(got, want):
     assert got.data.tobytes() == want.data.tobytes()
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data(), st.integers(2, 3), st.integers(1, 5))
-def test_capped_fock_matrix_is_the_full_matrix_without_the_rows_above_the_cap(data, k, n_max):
-    x = data.draw(_hyp_op(HMODES[:k]))
-    space = FockSpace(HMODES[:k], n_max)
-    full = fock_matrix(x, space)
-    for cap in range(n_max + 1):
-        _assert_bitwise(fock_matrix(x, space, row_cap=cap), _without_rows_above(full, space, cap))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data(), st.integers(2, 3), st.integers(1, 5))
-def test_capped_nilpotent_exp_is_the_full_exp_without_the_rows_above_the_cap(data, k, n_max):
-    x = data.draw(_hyp_op(HMODES[:k], raising=True))
-    space = FockSpace(HMODES[:k], n_max)
-    full = nilpotent_exp(x, space, n_max)
-    for cap in range(n_max + 1):
-        _assert_bitwise(nilpotent_exp(x, space, row_cap=cap),
-                        _without_rows_above(full, space, cap))
-
-
-def _bmat_to_matrix(x, space, row_cap):
+def _bmat_to_matrix(x, space):
     """Block assembly through ``sp.bmat``, one matrix per entry, empty ones included."""
     if x.d == 1:
-        return fock_matrix(x.mat[0][0], space, row_cap=row_cap)
-    blocks = [[fock_matrix(e, space, row_cap=row_cap) for e in row] for row in x.mat]
+        return fock_matrix(x.mat[0][0], space)
+    blocks = [[fock_matrix(e, space) for e in row] for row in x.mat]
     return sp.csr_matrix(sp.bmat(blocks, format="csr"))
 
 
@@ -490,8 +449,7 @@ def test_carrier_to_matrix_equals_the_bmat_assembly(data, d, k, n_max):
     # up to four terms on one matrix entry
     entry = st.one_of(st.just(Op.zero()), _hyp_op(modes, twins=3))
     x = CarrierOp(d, [[data.draw(entry) for _ in range(d)] for _ in range(d)])
-    for cap in (None, *range(n_max + 1)):
-        _assert_bitwise(x.to_matrix(space, row_cap=cap), _bmat_to_matrix(x, space, cap))
+    _assert_bitwise(x.to_matrix(space), _bmat_to_matrix(x, space))
 
 
 def _wide_op(rng, modes):
@@ -519,8 +477,7 @@ def test_carrier_to_matrix_on_wide_rows_equals_the_per_state_reference():
     got = x.to_matrix(space)
     assert np.diff(got.indptr).max() > 16
     _assert_bitwise(got, want)
-    for cap in range(space.n_max + 1):
-        _assert_bitwise(x.to_matrix(space, row_cap=cap), _bmat_to_matrix(x, space, cap))
+    _assert_bitwise(got, _bmat_to_matrix(x, space))
     # a lone operator goes through the same assembly
     _assert_bitwise(fock_matrix(x.mat[1][0], space), _fock_matrix_reference(x.mat[1][0], space))
 

@@ -8,8 +8,8 @@ import pytest
 from qlab import transfer
 from qlab.glrep import dot_action_orbit, fundamental_rep, trivial_rep, verma_rep
 from qlab.lax import canonical_lax
-from qlab.oscillator import COEFF_TOL, CarrierOp, NormalOrderedOp as Op, _mode_factor, \
-    extrapolated_trace, weighted_trace
+from qlab.oscillator import COEFF_TOL, CarrierOp, FockSpace, NormalOrderedOp as Op, \
+    _mode_factor, extrapolated_trace, weighted_trace
 from qlab.transfer import (
     OperatorPolynomial, TwistConfig, alternating_sum_T, bgg_eigen_check,
     build_Q, build_T_box, build_X, build_X_plus, build_twist_D,
@@ -97,6 +97,36 @@ def test_twist_conjugation_property(rep_kind):
     D = build_twist_D(3, (1, 2), rep, TW3)
     L = canonical_lax(3, (1, 2), rep)
     assert D.conjugation_residual(L, TW3, 0.37) < 1e-12
+    # one outer weight turned by 1e-9
+    mode = ("o", 1, 3)
+    D.q[mode] *= cmath.exp(1e-9j)
+    assert 5e-10 < D.conjugation_residual(L, TW3, 0.37) < 1e-8
+
+
+def test_twist_conjugation_agrees_with_the_fock_route():
+    # D as the diagonal matrix of its weights on a truncated Fock space, and
+    # the largest entry of D L_ab D^-1 - e^{i(phi_b - phi_a)} L_ab
+    rep = verma_rep((0.4, -0.2), labels=(1, 2), tag="v")
+    L = canonical_lax(3, (1, 2), rep)
+
+    def fock_route(D):
+        space = FockSpace(sorted(set(L.modes()) | set(D.q)), 5)
+        w = np.array([D.q.get(m, 1.0) for m in space.modes], dtype=complex)
+        d = np.kron(D.carrier_weights, np.prod(w ** space.occ, axis=1))
+        worst = 0.0
+        for a, row in enumerate(L.at(0.37), 1):
+            for b, entry in enumerate(row, 1):
+                m = entry.to_matrix(space).toarray()
+                phase = cmath.exp(1j * (TW3.phi(b) - TW3.phi(a)))
+                worst = max(worst, np.max(np.abs(d[:, None] * m / d[None, :] - phase * m)))
+        return worst
+
+    D = build_twist_D(3, (1, 2), rep, TW3)
+    assert D.conjugation_residual(L, TW3, 0.37) < 1e-12
+    assert fock_route(D) < 1e-12
+    D.q[("o", 2, 3)] *= cmath.exp(1e-9j)
+    assert 5e-10 < D.conjugation_residual(L, TW3, 0.37) < 1e-8
+    assert 5e-10 < fock_route(D) < 1e-7
 
 
 # -- trivial anchors -------------------------------------------------------------
