@@ -74,9 +74,9 @@ class RunConfig:
     n: int = 2
     length: int = 2
     phis: Tuple[float, ...] = ()
+    # n_max and buffer are accepted, validated and echoed, but read by no
+    # check: every carrier identity is decided exactly in the algebra
     n_max: int = 8
-    # accepted, validated and echoed, but read by no check: the carrier
-    # identities are exact in the algebra, and rll derives its own buffer
     buffer: int = 4
     tol: Optional[float] = None
     seed: int = 0
@@ -159,9 +159,6 @@ def _suite_anchors(cfg: RunConfig, qf: QFamily) -> List[Check]:
 def _suite_rll(cfg: RunConfig, qf: QFamily) -> List[Check]:
     from .glrep import fundamental_rep, trivial_rep, verma_rep
     from .lax import canonical_lax, eval_lax, partonic_lax, rll_residual
-    rng = np.random.default_rng(cfg.seed)
-    pairs = [(complex(rng.normal(), rng.normal()),
-              complex(rng.normal(), rng.normal())) for _ in range(5)]
     labels = tuple(range(1, cfg.n + 1))
     cases = [("defining evaluation", eval_lax(fundamental_rep(labels)))]
     wt = tuple(0.3 - 0.17 * a for a in range(cfg.n))
@@ -175,8 +172,7 @@ def _suite_rll(cfg: RunConfig, qf: QFamily) -> List[Check]:
     if cfg.n >= 3:
         cases.append(("oscillator-traced block (1,2)",
                       canonical_lax(cfg.n, (1, 2), trivial_rep((1, 2)))))
-    return [(name, partial(rll_residual, L, pairs, n_max=cfg.n_max))
-            for name, L in cases]
+    return [(name, partial(rll_residual, L)) for name, L in cases]
 
 
 def _suite_factorization(cfg: RunConfig, qf: QFamily) -> List[Check]:

@@ -22,7 +22,8 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .oscillator import CarrierOp, Mode, NormalOrderedOp, _commutator_terms, _worst
+from .oscillator import (CarrierOp, Mode, NormalOrderedOp, _carrier_add, _carrier_commutator,
+                         _carrier_max_coeff, _carrier_neg, _worst)
 
 
 @dataclass
@@ -230,28 +231,21 @@ def gl_relation_residual(rep: GlRep) -> float:
     ``p^2 (p^2 - 1) / 2`` commutators in all.  This loses nothing: the
     reverse pair's residual is ``-r`` in exact arithmetic, since the
     commutator is antisymmetric and the two delta terms trade places, and a
-    generator with itself gives ``r = 0`` identically.  An oscillator
-    realization (``d = 1``) takes each commutator from
-    :func:`~qlab.oscillator._commutator_terms`; a finite matrix carrier from
-    :meth:`~qlab.oscillator.CarrierOp.commutator`.
+    generator with itself gives ``r = 0`` identically.  Each commutator is
+    :func:`~qlab.oscillator._carrier_commutator`, which an oscillator
+    realization (``d = 1``) hands to
+    :func:`~qlab.oscillator._commutator_terms` and a finite matrix carrier
+    forms from carrier products.
     """
-    if rep.d == 1:
-        gens = {ab: g.mat[0][0] for ab, g in rep.gens.items()}
-
-        # the kernel itself rather than NormalOrderedOp.commutator, so that a
-        # per-function profile charges its time to this check
-        def commutator(x: NormalOrderedOp, y: NormalOrderedOp) -> NormalOrderedOp:
-            return NormalOrderedOp._of(_commutator_terms(x.terms, y.terms))
-    else:
-        gens, commutator = rep.gens, CarrierOp.commutator
+    gens = {ab: g._terms() for ab, g in rep.gens.items()}
 
     def residual(a: int, b: int, c: int, d: int) -> float:
-        r = commutator(gens[a, b], gens[c, d])
+        r = _carrier_commutator(gens[a, b], gens[c, d])
         if b == c:
-            r = r - gens[a, d]
+            r = _carrier_add(r, _carrier_neg(gens[a, d]))
         if a == d:
-            r = r + gens[c, b]
-        return r.max_coeff()
+            r = _carrier_add(r, gens[c, b])
+        return _carrier_max_coeff(r)
 
     pairs = [(a, b) for a in rep.labels for b in rep.labels]
     return _worst(residual(a, b, c, d)

@@ -12,28 +12,26 @@ are provided:
   oscillator pairs.
 
 :func:`rll_residual` checks the defining exchange relation against the
-rational R-matrix ``R(z) = z + P`` on a truncated Fock space, at a list of
-spectral pairs ``(z1, z2)``.  Since ``L(z) = z c0 + c1``, the Fock matrices
-of ``c0`` and ``c1`` are built once per Lax matrix and combined linearly at
-each point, as is ``R ⊗ 1``, from R's nonzero entries; the residual is formed
-only on the buffered columns, on which truncation is exact.  Only it and its
-helpers need scipy, and they import ``scipy.sparse`` themselves.
+rational R-matrix ``R(z) = z + P`` for every pair of spectral parameters at
+once.  ``L(z) = z c0 + c1`` is linear, so the relation is a polynomial
+identity in the two parameters, and it holds exactly when a set of
+commutator identities among the coefficients ``c0``, ``c1`` does; these are
+decided in the oscillator algebra, with no Fock space and no truncation.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .glrep import GlRep, trivial_rep
-from .oscillator import CarrierOp, FockSpace, Mode, NormalOrderedOp
+from .oscillator import (CarrierOp, Mode, NormalOrderedOp, _carrier_add,
+                         _carrier_commutator, _carrier_max_coeff, _carrier_mul,
+                         _carrier_neg, _worst)
 from .tensor import QuantumOperator, permutation_op
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 ModeFn = Callable[[int, int], Mode]
 
@@ -72,15 +70,6 @@ class LaxMatrix:
             for e in row:
                 out |= e.modes()
         return tuple(sorted(out))
-
-    def max_creation_degree(self) -> int:
-        out = 0
-        for row in self.c0 + self.c1:
-            for e in row:
-                for op_row in e.mat:
-                    for op in op_row:
-                        out = max(out, op.creation_degree())
-        return out
 
     def copy(self) -> "LaxMatrix":
         return LaxMatrix(self.n, self.index_set, self.rep,
@@ -166,75 +155,52 @@ def rmatrix(n: int, z: complex) -> QuantumOperator:
     return QuantumOperator.identity(n * n) * z + permutation_op(n)
 
 
-def _fock_space_for(L: LaxMatrix, n_max: int,
-                    extra_modes: Sequence[Mode] = ()) -> FockSpace:
-    modes = set(L.modes()) | set(L.rep.modes) | set(extra_modes)
-    return FockSpace(sorted(modes), n_max)
+def rll_residual(L: LaxMatrix) -> float:
+    """Largest coefficient of the exchange relation
+    ``R(u-v) L¹(u) L²(v) = L²(v) L¹(u) R(u-v)`` in its point-free form.
 
+    Superscripts mark which ℂⁿ factor the matrix acts on, and
+    ``R(w) = w + P``.  Write ``A = c0`` and ``B = c1``, so ``L(z) = z A + B``.
+    The entry ``(ik, jl)`` of the relation reads
 
-def _buffered_cols(space: FockSpace, d: int, n_quantum: int, buffer: int) -> np.ndarray:
-    block = (np.arange(d)[:, None] * space.dim + space.buffered_indices(buffer)).ravel()
-    return (np.arange(n_quantum)[:, None] * (d * space.dim) + block).ravel()
+        (u-v) [L_ij(u), L_kl(v)] = L_kj(v) L_il(u) - L_kj(u) L_il(v)
+                                 = (u-v) (B_kj A_il - A_kj B_il),
 
+    and after dividing by ``u - v`` the left side is ``uv [A_ij, A_kl] +
+    u [A_ij, B_kl] + v [B_ij, A_kl] + [B_ij, B_kl]``.  A polynomial in
+    ``u, v`` vanishes everywhere exactly when each coefficient does, so the
+    relation holds for every ``u, v`` exactly when
 
-def rll_residual(L: LaxMatrix, pairs: Sequence[Tuple[complex, complex]],
-                 n_max: int = 8, buffer: int | None = None) -> float:
-    """Largest max-entry magnitude of ``R(z1-z2) L¹(z1) L²(z2) - L²(z2) L¹(z1) R(z1-z2)``
-    over the spectral pairs ``(z1, z2)`` in ``pairs``.
+        [A_ij, A_kl] = [A_ij, B_kl] = [B_ij, A_kl] = 0,
+        r(ij, kl) = [B_ij, B_kl] - B_kj A_il + A_kj B_il = 0.
 
-    Superscripts mark which ℂⁿ factor the matrix acts on; the residual is
-    evaluated on the truncated Fock carrier and only on the columns whose
-    total excitation leaves room for the expression's creation degree, where
-    truncation is exact.  ``L(z) = z c0 + c1`` is linear, so each coefficient
-    is put on the Fock space and into both layouts ``L¹``, ``L²`` once, and
-    each point costs one scaled sum ``z A + B``.
+    One unordered pair ``(i,j) <= (k,l)`` of each kind is formed.  The first
+    three are antisymmetric under the swap ``(ij) <-> (kl)``, or swap into
+    each other.  For the last, ``r(kl, ij) = -r(ij, kl) + [A_il, B_kj] +
+    [A_kj, B_il]``: once every ``A``-``B`` commutator is zero, which is
+    checked, the reverse pair's residual is ``-r``, and nothing is lost.
+
+    Every commutator and product is formed exactly in the oscillator algebra
+    (:func:`~qlab.oscillator._carrier_commutator`), so the residual is exact
+    but for the coefficients of modulus at most ``COEFF_TOL`` that each
+    product and sum drops.  No Fock space is built and nothing is truncated.
     """
-    import scipy.sparse as sp
     n = L.n
-    if buffer is None:
-        buffer = min(2 * max(1, L.max_creation_degree()) + 1, n_max - 1)
-    space = _fock_space_for(L, n_max)
-    d = L.d
-    wdim = d * space.dim
-    size = n * n * wdim
-    shift = np.arange(n)[:, None]
+    c0 = [[e._terms() for e in row] for row in L.c0]
+    c1 = [[e._terms() for e in row] for row in L.c1]
 
-    def layouts(coeff: List[List[CarrierOp]]) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
-        """``L¹ = coeff ⊗ 1`` and ``L² = 1 ⊗ coeff`` on ℂⁿ ⊗ ℂⁿ ⊗ carrier ⊗ Fock."""
-        w = CarrierOp(n * d, [[coeff[i][j].mat[x][y] for j in range(n) for y in range(d)]
-                              for i in range(n) for x in range(d)]).to_matrix(space).tocoo()
-        (a, f), (b, g) = divmod(w.row, wdim), divmod(w.col, wdim)
-        data = np.tile(w.data, n)
-        m1 = sp.csr_matrix((data, (((a * n + shift) * wdim + f).ravel(),
-                                   ((b * n + shift) * wdim + g).ravel())), shape=(size, size))
-        m2 = sp.csr_matrix((data, ((w.row + shift * n * wdim).ravel(),
-                                   (w.col + shift * n * wdim).ravel())), shape=(size, size))
-        return m1, m2
+    def residual(i: int, j: int, k: int, l: int) -> float:
+        r = _carrier_add(_carrier_commutator(c1[i][j], c1[k][l]),
+                         _carrier_neg(_carrier_mul(c1[k][j], c0[i][l])))
+        r = _carrier_add(r, _carrier_mul(c0[k][j], c1[i][l]))
+        return _worst(map(_carrier_max_coeff, (
+            _carrier_commutator(c0[i][j], c0[k][l]),
+            _carrier_commutator(c0[i][j], c1[k][l]),
+            _carrier_commutator(c1[i][j], c0[k][l]), r)))
 
-    a1, a2 = layouts(L.c0)
-    b1, b2 = layouts(L.c1)
-    cols = _buffered_cols(space, L.d, n * n, buffer)
-    worst = 0.0
-    for z1, z2 in pairs:
-        m1 = z1 * a1 + b1
-        m2 = z2 * a2 + b2
-        rbig = _kron_identity(rmatrix(n, z1 - z2).to_dense(), wdim)
-        res = rbig @ (m1 @ m2[:, cols]) - m2 @ (m1 @ rbig[:, cols])
-        worst = np.abs(res.data).max(initial=worst)  # keeps a NaN, unlike max()
-    return float(worst)
-
-
-def _kron_identity(r: np.ndarray, wdim: int) -> sp.csr_matrix:
-    """``r ⊗ 1_wdim`` stored as ``sp.kron`` stores it: row ``a·wdim + f`` holds
-    the nonzero entries ``r[a, b]`` only, at columns ``b·wdim + f``."""
-    import scipy.sparse as sp
-    nonzero = [np.flatnonzero(row) for row in r]
-    f, size = np.arange(wdim)[:, None], r.shape[0] * wdim
-    return sp.csr_matrix(
-        (np.concatenate([np.tile(row[b], wdim) for row, b in zip(r, nonzero)]),
-         np.concatenate([(b * wdim + f).ravel() for b in nonzero]),
-         np.concatenate([[0], np.cumsum(np.repeat([b.size for b in nonzero], wdim))])),
-        shape=(size, size))
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    return _worst(residual(i, j, k, l)
+                  for x, (i, j) in enumerate(pairs) for k, l in pairs[x:])
 
 
 # -- GL(n) frame transformations --------------------------------------------------

@@ -21,9 +21,10 @@ matrix entry ``(k+1, k) = 1`` and ``B`` has entry ``(k-1, k) = k``.
 Products, commutators and sums have one implementation, on the plain
 ``{TermKey: complex}`` dicts of the operators: :func:`_mul_terms`,
 :func:`_commutator_terms` and :func:`_add_terms`, and for carrier matrices
-:func:`_carrier_mul` and :func:`_carrier_add` on :data:`CarrierTerms`.
-:class:`NormalOrderedOp`, :class:`CarrierOp`, the relation check of
-:mod:`qlab.glrep` and the family build of :mod:`qlab.transfer` all call them.
+:func:`_carrier_mul`, :func:`_carrier_commutator` and :func:`_carrier_add`
+on :data:`CarrierTerms`.  :class:`NormalOrderedOp`, :class:`CarrierOp`, the
+relation checks of :mod:`qlab.glrep` and :mod:`qlab.lax` and the family
+build of :mod:`qlab.transfer` all call them.
 :func:`_commutator_terms` expands only the monomial pairs that contract, and
 of those only the contracted monomials; the rest of ``xy`` cancels against
 ``yx`` exactly.  Coefficients of modulus at most ``COEFF_TOL`` are dropped
@@ -36,10 +37,11 @@ identity checks of :mod:`qlab.fusion` apply entry by entry; it ends because
 ``ad_e`` is nilpotent on the operators they transform.
 
 The truncated Fock matrices (:func:`fock_matrix`, :meth:`CarrierOp.to_matrix`)
-are ``scipy.sparse`` matrices.  Only the exchange-relation check of
-:mod:`qlab.lax` builds them, and the tests use them as an independent
-representation of the Wick product; scipy is imported inside those functions,
-so a process that never builds one never loads it.
+are ``scipy.sparse`` matrices.  No check of the package builds them: the
+tests use them as an independent representation of the Wick product, and
+as the truncated route that cross-checks the identity checks.  scipy is
+imported inside those functions, so a process that never builds one never
+loads it.
 """
 
 from __future__ import annotations
@@ -112,10 +114,6 @@ class NormalOrderedOp:
             for mode, _, _ in key:
                 out.add(mode)
         return frozenset(out)
-
-    def creation_degree(self) -> int:
-        """Largest total number of creators in any single term."""
-        return max((sum(j for _, j, _ in key) for key in self.terms), default=0)
 
     def degree(self) -> int:
         """Largest total ladder-operator count in any single term."""
@@ -766,8 +764,10 @@ class CarrierOp:
         return _worst(e.max_coeff() for row in self.mat for e in row)
 
     def commutator(self, other: "CarrierOp") -> "CarrierOp":
-        """``self other - other self`` as carrier matrices."""
-        return self * other - other * self
+        """``self other - other self`` as carrier matrices, by :func:`_carrier_commutator`."""
+        if self.d != other.d:
+            raise ValueError("carrier dimension mismatch")
+        return CarrierOp._of(_carrier_commutator(self._terms(), other._terms()))
 
     def modes(self) -> FrozenSet[Mode]:
         out = set()
@@ -821,6 +821,29 @@ def _carrier_mul(a: CarrierTerms, b: CarrierTerms) -> CarrierTerms:
                 acc[j] = p if j not in acc else _add_terms(acc[j], p)
         out.append({j: acc[j] for j in sorted(acc) if acc[j]})
     return out
+
+
+def _carrier_commutator(a: CarrierTerms, b: CarrierTerms) -> CarrierTerms:
+    """Entries of the carrier commutator ``[a, b] = ab - ba``.
+
+    A one-dimensional carrier is a bare operator, whose commutator
+    :func:`_commutator_terms` forms from the contracting monomial pairs
+    alone; a wider one is the carrier product ``ab`` plus the negated
+    product ``ba``, entry by entry."""
+    if len(a) == 1:
+        t = _commutator_terms(a[0].get(0, {}), b[0].get(0, {}))
+        return [{0: t} if t else {}]
+    return _carrier_add(_carrier_mul(a, b), _carrier_neg(_carrier_mul(b, a)))
+
+
+def _carrier_neg(a: CarrierTerms) -> CarrierTerms:
+    """Entries of ``-a``."""
+    return [{j: {key: -c for key, c in t.items()} for j, t in row.items()} for row in a]
+
+
+def _carrier_max_coeff(a: CarrierTerms) -> float:
+    """Largest coefficient modulus of the entries, or a NaN if one is."""
+    return _worst(abs(c) for row in a for t in row.values() for c in t.values())
 
 
 def _carrier_trace(a: CarrierTerms, carrier_weights: Sequence[complex],

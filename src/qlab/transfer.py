@@ -394,6 +394,6 @@ def bgg_eigen_check(n: int, length: int, weight: Sequence[complex],
     t_box = build_T_box(n, length, twist)
     members = _signed_members(n, length, weight, twist)
     dim = n ** length
-    return max(float(np.max(np.abs(_alternating_sum_at(members, dim, z).to_dense()
-                                   - t_box.at(z).to_dense())))
-               for z in (0.3, -0.6))
+    return _worst(float(np.max(np.abs(_alternating_sum_at(members, dim, z).to_dense()
+                                      - t_box.at(z).to_dense())))
+                  for z in (0.3, -0.6))

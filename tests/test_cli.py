@@ -106,8 +106,8 @@ def test_buffer_must_leave_room_under_nmax(buffer, capsys):
 
 
 def test_buffer_is_accepted_echoed_and_ignored(capsys):
-    # fusion and factorization are exact in the algebra, and rll derives its
-    # own buffer, so the records do not depend on the flag
+    # every carrier identity is decided exactly in the algebra, so the records
+    # do not depend on the flag
     docs = []
     for buffer in ("1", "4"):
         assert main(["verify", "--n", "3", "--L", "1", "--suite", "rll,fusion,factorization",
@@ -116,6 +116,24 @@ def test_buffer_is_accepted_echoed_and_ignored(capsys):
     assert [d["config"]["buffer"] for d in docs] == [1, 4]
     records = [[(r["name"], r["residual"]) for r in d["records"]] for d in docs]
     assert records[0] == records[1]
+
+
+@pytest.mark.parametrize("n", ["2", "3", "4"])
+def test_carrier_records_read_no_truncation_flag_and_no_seed(n, capsys):
+    # --nmax 2 --buffer 1 once failed the highest-weight evaluation at n=3
+    # (3.2), where the truncated exchange relation had no room left
+    def records(*argv):
+        assert main(["verify", "--n", n, "--L", "1", *argv]) == 0
+        return [(r["suite"], r["name"], r["residual"], r["passed"])
+                for r in json.loads(capsys.readouterr().out)["records"]]
+
+    want = records("--suite", "rll,fusion,factorization")
+    rll = [r for r in want if r[0] == "rll"]
+    assert rll and all(r[2] == 0.0 for r in rll)
+    for flags in ([], ["--nmax", "5", "--buffer", "4"], ["--nmax", "2", "--buffer", "1"]):
+        assert records("--suite", "rll,fusion,factorization", *flags) == want
+        for seed in ("1", "11"):
+            assert records("--suite", "rll", "--seed", seed, *flags) == rll
 
 
 def test_hirota_suite_record_count(capsys):
@@ -328,8 +346,9 @@ def test_qlab_threads_caps_blas_threads():
 
 
 def test_scipy_loaded_only_by_carrier_suites():
-    """Only the exchange-relation suite, which builds Fock matrices, imports
-    scipy; every other command runs without it."""
+    """No command loads scipy, the carrier suites included: every check is
+    decided in the oscillator algebra or on numpy arrays, and only the
+    truncated Fock matrices, which no check builds, use scipy."""
     src = str(Path(qlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
@@ -340,16 +359,13 @@ def test_scipy_loaded_only_by_carrier_suites():
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        return qlab.cli.main(list(argv))\n"
         "assert 'scipy' not in sys.modules, 'import'\n"
-        "for argv in (('spectrum', '--n', '2', '--L', '2'),\n"
-        "             ('bethe', '--n', '2', '--L', '2'),\n"
-        "             ('verify', '--n', '2', '--L', '2', '--suite',\n"
-        "              'anchors,hirota,determinant,plucker,commuting,bgg,trace'),\n"
-        "             ('verify', '--n', '3', '--L', '1', '--suite', 'fusion,factorization'),\n"
-        "             ('hasse', '--n', '3')):\n"
-        "    assert run(*argv) == 0, argv\n"
-        "    assert 'scipy' not in sys.modules, argv\n"
-        "assert run('verify', '--n', '2', '--suite', 'rll') == 0\n"
-        "assert 'scipy.sparse' in sys.modules\n")
+        "for n in ('2', '3', '4'):\n"
+        "    for argv in (('verify', '--n', n, '--L', '2'),\n"
+        "                 ('spectrum', '--n', n, '--L', '2'),\n"
+        "                 ('bethe', '--n', n, '--L', '2'),\n"
+        "                 ('hasse', '--n', n)):\n"
+        "        assert run(*argv) == 0, argv\n"
+        "        assert 'scipy' not in sys.modules, argv\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
@@ -466,4 +482,17 @@ def test_a_nan_in_a_later_draw_fails_the_trace_record(monkeypatch):
 
     monkeypatch.setattr(oscillator, "extrapolated_traces", nan_second)
     (record,) = _records("trace").values()
+    _assert_failed_on_nan(record)
+
+
+def test_a_nan_at_the_second_point_fails_the_bgg_record(monkeypatch):
+    from qlab import transfer
+    alternating_sum_at = transfer._alternating_sum_at
+
+    def nan_at_second_point(members, dim, z):
+        out = alternating_sum_at(members, dim, z)
+        return out * float("nan") if z == -0.6 else out
+
+    monkeypatch.setattr(transfer, "_alternating_sum_at", nan_at_second_point)
+    (record,) = _records("bgg", length=1).values()
     _assert_failed_on_nan(record)

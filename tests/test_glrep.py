@@ -176,14 +176,9 @@ def test_relation_residual_matches_the_full_product_reference_bitwise():
 def test_relation_residual_forms_one_commutator_per_unordered_pair(rep, monkeypatch):
     import qlab.glrep as glrep
     calls = []
-    if rep.d == 1:
-        kernel = glrep._commutator_terms
-        monkeypatch.setattr(glrep, "_commutator_terms",
-                            lambda x, y: calls.append(1) or kernel(x, y))
-    else:
-        commutator = CarrierOp.commutator
-        monkeypatch.setattr(CarrierOp, "commutator",
-                            lambda x, y: calls.append(1) or commutator(x, y))
+    commutator = glrep._carrier_commutator
+    monkeypatch.setattr(glrep, "_carrier_commutator",
+                        lambda x, y: calls.append(1) or commutator(x, y))
     assert gl_relation_residual(rep) < 1e-12
     p = rep.p
     assert len(calls) == p * p * (p * p - 1) // 2

@@ -11,15 +11,18 @@ damping and extrapolating: it builds every member once, at the default twist,
 and reads 9.5e-13 where the damped route read 5.0e-12.  The other relation
 values were produced by the dictionary-based operator substrate;
 the array-based one performs the same floating-point operations in the same
-order, so they must not move at all.  The ``rll`` values and the algebra
-relations of the carrier suites were produced while the fusion checks still
-kept their own matrix type over the oscillator algebra, and ``CarrierOp``
-sums every entry in the same order, so they must not move either.  The
-fusion ``blocks …`` and factorization ``ordered product …`` values were
-regenerated when those identities came to be decided exactly in the
-oscillator algebra instead of on a truncated Fock space: each reads 0.0,
-where the Fock route read 2e-16 to 1.8e-15, and no longer depends on
-``--nmax`` or ``--buffer``.
+order, so they must not move at all.  The algebra relations of the
+carrier suites were produced while the fusion checks still kept their own
+matrix type over the oscillator algebra, and ``CarrierOp`` sums every entry
+in the same order, so they must not move either.  The fusion ``blocks …``
+and factorization ``ordered product …`` values were regenerated when those
+identities came to be decided exactly in the oscillator algebra instead of
+on a truncated Fock space: each reads 0.0, where the Fock route read 2e-16
+to 1.8e-15, and no longer depends on ``--nmax`` or ``--buffer``.  The
+``rll`` values were regenerated likewise when the exchange relation came to
+be decided from the commutators of the Lax coefficients instead of at five
+spectral pairs on a truncated Fock space: each reads 0.0, where the Fock
+route read 5.6e-16 to 1.4e-14.
 The (3,4) case was added, from the code that checked one spectral point at a
 time, when the checks began to stack their points: at dimension 81 a stack
 holds four operators and a check reads six points, so this case runs chunks

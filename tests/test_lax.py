@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from qlab.cli import RunConfig, _suite_rll
 from qlab.glrep import fundamental_rep, trivial_rep, verma_rep
 from qlab.lax import (
-    LaxMatrix, _kron_identity, canonical_lax, eval_lax, gl_transform,
+    LaxMatrix, canonical_lax, eval_lax, gl_transform,
     leading_coeff_rank, partonic_lax, rll_residual, rmatrix,
 )
-from qlab.oscillator import FockSpace, NormalOrderedOp as Op
+from qlab.oscillator import CarrierOp, FockSpace, NormalOrderedOp as Op, _worst, fock_matrix
 from qlab.tensor import permutation_op
 
 
@@ -46,12 +49,12 @@ def test_eval_rank2_verma_matches_spin_form():
 
 def test_eval_fundamental_rll_exact():
     L = eval_lax(fundamental_rep((1, 2, 3)))
-    assert rll_residual(L, [(0.3, -0.7)], n_max=4) < 1e-12
+    assert rll_residual(L) < 1e-12
 
 
 def test_eval_verma_rll():
     L = eval_lax(verma_rep((0.8 + 0.3j, -0.4)))
-    assert rll_residual(L, [(0.45, -0.8 + 0.25j)], n_max=8) < 1e-12
+    assert rll_residual(L) < 1e-12
 
 
 def test_eval_central_shift_equals_spectral_shift():
@@ -105,12 +108,12 @@ def test_partonic_layout_n3_middle_index():
 
 def test_partonic_rll():
     L = partonic_lax(2, 1)
-    assert rll_residual(L, [(0.2, 1.1)], n_max=10, buffer=3) < 1e-12
+    assert rll_residual(L) < 1e-12
 
 
 def test_partonic_rll_n3():
     L = partonic_lax(3, 2)
-    assert rll_residual(L, [(-0.3 + 0.2j, 0.9)], n_max=8, buffer=3) < 1e-12
+    assert rll_residual(L) < 1e-12
 
 
 # -- canonical form for general index sets ----------------------------------------
@@ -133,36 +136,134 @@ def test_canonical_reduces_to_eval_and_partonic():
 def test_canonical_rll_two_index_verma():
     rep = verma_rep((0.9, -0.35), labels=(1, 2), tag="v")
     L = canonical_lax(3, (1, 2), rep)
-    assert rll_residual(L, [(0.4, -0.55)], n_max=8) < 1e-12
+    assert rll_residual(L) < 1e-12
 
 
 def test_canonical_rll_fundamental_carrier():
     rep = fundamental_rep((1, 3))
     L = canonical_lax(3, (1, 3), rep)
-    assert rll_residual(L, [(0.25, 0.8)], n_max=8) < 1e-12
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_r_times_identity_equals_sp_kron_bitwise(n):
-    # at u = -1 the diagonal entries (a, a) of R vanish and are not stored;
-    # at u = 0, R is the permutation
-    for u in (-1.0, 0.0, 0.3 - 1.2j, -0.7 + 0.05j):
-        r = rmatrix(n, u).to_dense()
-        for wdim in (1, 7, 462):
-            got = _kron_identity(r, wdim)
-            want = sp.kron(sp.csr_matrix(r), sp.identity(wdim, format="csr"), format="csr")
-            assert got.shape == want.shape
-            assert np.array_equal(got.indptr, want.indptr)
-            assert np.array_equal(got.indices, want.indices)
-            assert got.data.tobytes() == want.data.tobytes()
-    # the n rows (a, a) of R(-1) are empty; every other row holds -1 and the 1 of P
-    assert _kron_identity(rmatrix(n, -1.0).to_dense(), 3).nnz == 2 * (n * n - n) * 3
+    assert rll_residual(L) < 1e-12
 
 
 def test_rll_negative_control():
     L = partonic_lax(2, 1).copy()
     L.c1[0][1] = L.c1[0][1].scale(-1.0)  # flip the creator's sign
-    assert rll_residual(L, [(0.2, 1.1)], n_max=10, buffer=3) > 0.1
+    assert rll_residual(L) > 0.1
+
+
+# -- the point-free check against its references -------------------------------------
+
+def _suite_cases(n):
+    """The ``rll`` suite's Lax matrices at ``n``, by record name."""
+    return {name: check.args[0] for name, check in _suite_rll(RunConfig(n=n), None)}
+
+
+def _nudged(L, delta):
+    """A copy of ``L`` with ``delta`` added to its first ``c1`` coefficient:
+    the first term of the first non-empty entry, in row-major order over the
+    Lax matrix and then over the carrier.  Entries are shared inside a Lax
+    matrix, so the one entry is replaced, not changed in place."""
+    out = L.copy()
+    for row in out.c1:
+        for j, e in enumerate(row):
+            for x, y in itertools.product(range(e.d), repeat=2):
+                terms = e.mat[x][y].terms
+                if terms:
+                    key = next(iter(terms))
+                    mat = [list(r) for r in e.mat]
+                    mat[x][y] = Op._of({**terms, key: terms[key] + delta})
+                    row[j] = CarrierOp(e.d, mat)
+                    return out
+    raise ValueError("no c1 coefficient")
+
+
+def _rll_reference(L):
+    """The four coefficient identities of ``rll_residual`` at every ordered
+    quadruple ``(i, j, k, l)``, each commutator as a difference of carrier
+    products."""
+    A, B = L.c0, L.c1
+
+    def commutator(x, y):
+        return x * y - y * x
+
+    return _worst(r.max_coeff() for i, j, k, l in itertools.product(range(L.n), repeat=4)
+                  for r in (commutator(A[i][j], A[k][l]), commutator(A[i][j], B[k][l]),
+                            commutator(B[i][j], A[k][l]),
+                            commutator(B[i][j], B[k][l]) - B[k][j] * A[i][l]
+                            + A[k][j] * B[i][l]))
+
+
+def _truncated_rll(L, room, points):
+    """``R(u-v) L¹(u) L²(v) - L²(v) L¹(u) R(u-v)`` on a truncated Fock space,
+    with dense numpy, at each spectral pair ``(u, v)`` in ``points``.
+
+    The residual is formed on the columns of total excitation at most
+    ``room``, and the cap leaves room above them for the creators of both
+    factors, so truncation is exact on them.  ``L`` is laid out
+    as blocks ``L_ij`` over carrier ⊗ Fock, and ``(L¹(u) L²(v))[ik, jl]`` is
+    ``L_ij(u) L_kl(v)``.
+    """
+    n, d = L.n, L.d
+    creators = max((sum(j for _, j, _ in key) for cm in (L.c0, L.c1) for row in cm
+                    for e in row for r in e.mat for op in r for key in op.terms), default=0)
+    space = FockSpace(sorted(set(L.modes()) | set(L.rep.modes)), 2 * creators + room)
+    w = d * space.dim
+    cols = (np.arange(d)[:, None] * space.dim
+            + space.buffered_indices(2 * creators)).ravel()
+
+    def blocks(coeff):
+        big = CarrierOp(n * d, [[coeff[i][j].mat[x][y] for j in range(n) for y in range(d)]
+                                for i in range(n) for x in range(d)])
+        return fock_matrix(big, space).toarray().reshape(n, w, n, w).transpose(0, 2, 1, 3)
+
+    a, b = blocks(L.c0), blocks(L.c1)
+    worst = 0.0
+    for u, v in points:
+        lu, lv = u * a + b, v * a + b
+        left = np.einsum("ijxy,klyc->ikjlxc", lu, lv[..., cols]).reshape(n * n, n * n, w, -1)
+        right = np.einsum("klxy,ijyc->ikjlxc", lv, lu[..., cols]).reshape(n * n, n * n, w, -1)
+        r = rmatrix(n, u - v).to_dense()
+        res = np.einsum("pq,qrxc->prxc", r, left) - np.einsum("pqxc,qr->prxc", right, r)
+        worst = _worst([worst, float(np.abs(res).max())])
+    return worst
+
+
+def _agree(a, b):
+    """Both NaN, or equal to within a relative 1e-6 (exactly, where one is 0)."""
+    return (a != a and b != b) or abs(a - b) <= 1e-6 * max(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_suite_case_reads_zero_and_fails_its_negative_controls(n):
+    gate = RunConfig().tolerance("rll")
+    for name, L in _suite_cases(n).items():
+        assert rll_residual(L) == 0.0, name
+        nudged = rll_residual(_nudged(L, 1e-9))
+        assert 5e-10 < nudged < 5e-9 and not nudged < gate, name
+        nan = rll_residual(_nudged(L, float("nan")))
+        assert nan != nan and not nan < gate, name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unordered_pairs_agree_with_every_ordered_quadruple(n):
+    for name, L in _suite_cases(n).items():
+        flipped = L.copy()
+        flipped.c1[0][1] = flipped.c1[0][1].scale(-1.0)
+        for M in (L, _nudged(L, 1e-9), _nudged(L, float("nan")), flipped):
+            assert _agree(rll_residual(M), _rll_reference(M)), name
+
+
+@pytest.mark.parametrize("name", ["defining evaluation", "highest-weight evaluation",
+                                  "degenerate factor 2", "oscillator-traced block (1,2)"])
+def test_truncated_fock_route_cross_checks_each_lax_class(name):
+    L = _suite_cases(3)[name]
+    points = [(0.37 - 0.21j, -0.58 + 0.44j), (1.3, 0.2 + 0.9j)]
+    gate = RunConfig().tolerance("rll")
+    assert rll_residual(L) == 0.0
+    assert _truncated_rll(L, 2, points) < gate
+    nudged = _nudged(L, 1e-9)
+    assert 5e-10 < rll_residual(nudged) < 5e-9
+    assert 5e-10 < _truncated_rll(nudged, 2, points) < 5e-8
 
 
 def test_leading_coeff_rank_counts_index_set():
@@ -241,7 +342,7 @@ def test_gl_transform_block_conjugation_preserves_form():
         for key in T.c1[2][a].mat[0][0].terms:
             assert len(key) == 1 and key[0][1] == 0 and key[0][2] == 1
     # the transformed matrix still solves the exchange relation
-    assert rll_residual(T, [(0.3, -0.4)], n_max=7) < 1e-12
+    assert rll_residual(T) < 1e-12
 
 
 def test_gl_transform_rank_invariance():
@@ -265,4 +366,4 @@ def test_gl_transform_disjoint_operator_frame_allowed():
     g = [[Op.scalar(1.0), -Op.annihilator(("q", 2, 1))],
          [Op.zero(), Op.scalar(1.0)]]
     T = gl_transform(L, np.eye(2), g)
-    assert rll_residual(T, [(0.15, -0.95)], n_max=8, buffer=3) < 1e-12
+    assert rll_residual(T) < 1e-12
