@@ -14,8 +14,7 @@ block).
 Iterating with single-index factors factorizes the evaluation Lax matrix for
 any highest-weight carrier into a z-shifted product of partonic matrices.  An
 independent route to the same factorization goes through a triangular
-decomposition of each partonic factor
-(:func:`parton_triangular_factors` / :class:`PartonFactorization`).
+decomposition of each partonic factor (:class:`PartonFactorization`).
 
 Every n×n matrix over the oscillator algebra (Lax values, ``G``, the
 triangular frames) is a :class:`qlab.oscillator.CarrierOp` of size n.  The
@@ -39,7 +38,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .glrep import GlRep, fuse_generators, scalar_rep, shifted_weights
 from .lax import LaxMatrix, ModeFn, canonical_lax, partonic_lax
-from .oscillator import CarrierOp, Mode, NormalOrderedOp, _adjoint_terms, _worst
+from .oscillator import CarrierOp, Mode, NormalOrderedOp, _adjoint_terms
 
 
 # -- n×n matrices over the oscillator algebra and the identity check -------------
@@ -170,13 +169,6 @@ class FusionResult:
 
     residual = _identity_residual
 
-    def g_commutation_residual(self) -> float:
-        """Entries of G must commute with every entry of the fused Lax matrix."""
-        g_ents = [g for row in self.G.mat for g in row]
-        others = [op for cm in (self.L_fused.c0, self.L_fused.c1)
-                  for row in cm for e in row for r in e.mat for op in r] + g_ents
-        return _worst(g.commutator(x).max_coeff() for g in g_ents for x in others)
-
 
 def fuse(n: int, I: Sequence[int], J: Sequence[int], rep1: GlRep, rep2: GlRep,
          lam: complex, mode1_fn: ModeFn | None = None,
@@ -293,15 +285,6 @@ def _an(a: int, b: int) -> NormalOrderedOp:
     return NormalOrderedOp.annihilator(parton_mode(b, a))
 
 
-def parton_triangular_factors(n: int, a: int) -> Tuple[CarrierOp, CarrierOp]:
-    """The frame pair (U_a, U_{a+1}) in the triangular decomposition of L_a.
-
-    ``L_a(z) = U_a⁻¹ · M_a(z) · U_{a+1}`` with ``M_a`` carrying
-    ``z − (n−1)/2`` at position ``a`` and coupling entries below it.
-    """
-    return _u_matrix(n, a), _u_matrix(n, a + 1)
-
-
 def _u_matrix(n: int, k: int) -> CarrierOp:
     f1, f2, f3 = (CarrierOp.identity(n) for _ in range(3))
     for b in range(1, k):
@@ -389,21 +372,20 @@ class PartonFactorization:
 
     residual = _identity_residual
 
-    def generator_rep(self, z_probe: Tuple[complex, complex] = (0.0, 1.0)) -> GlRep:
-        """Extract the gl(n) realization carried by L⁺ (entries z δ + J_ji)."""
+    def generator_rep(self) -> GlRep:
+        """Extract the gl(n) realization carried by L⁺ (entries z δ + J_ji):
+        ``J_ji`` is ``L⁺(0)``, and ``L⁺(1) − L⁺(0)`` must be the identity."""
         n = self.n
-        m0 = self.lplus(z_probe[0])
-        m1 = self.lplus(z_probe[1])
-        dz = z_probe[1] - z_probe[0]
+        m0 = self.lplus(0.0)
+        m1 = self.lplus(1.0)
         gens: Dict[Tuple[int, int], CarrierOp] = {}
         for i in range(n):
             for j in range(n):
-                lin = (m1.mat[i][j] - m0.mat[i][j]) * (1.0 / dz)
+                lin = m1.mat[i][j] - m0.mat[i][j]
                 want = NormalOrderedOp.scalar(1.0) if i == j else NormalOrderedOp.zero()
                 if not (lin - want).is_zero(1e-10):
                     raise ValueError("z-coefficient is not the identity")
-                const = m0.mat[i][j] - z_probe[0] * lin
-                gens[(j + 1, i + 1)] = CarrierOp.from_scalar_op(const)
+                gens[(j + 1, i + 1)] = CarrierOp.from_scalar_op(m0.mat[i][j])
         return GlRep(tuple(range(1, n + 1)), 1, gens,
                      {a: self.weight[a - 1] for a in range(1, n + 1)},
                      tuple(self.all_modes()), "triangular")

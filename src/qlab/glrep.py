@@ -17,10 +17,8 @@ the fusion module uses to combine two auxiliary spaces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
-
-import numpy as np
 
 from .oscillator import (CarrierOp, Mode, NormalOrderedOp, _carrier_add, _carrier_commutator,
                          _carrier_max_coeff, _carrier_neg, _worst)
@@ -250,32 +248,6 @@ def gl_relation_residual(rep: GlRep) -> float:
     pairs = [(a, b) for a in rep.labels for b in rep.labels]
     return _worst(residual(a, b, c, d)
                   for i, (a, b) in enumerate(pairs) for c, d in pairs[i + 1:])
-
-
-def highest_weight_residual(rep: GlRep) -> float:
-    """Check the vacuum is a highest-weight vector of the stated weight.
-
-    In normal-ordered form a monomial kills the vacuum iff it contains an
-    annihilator, so the raising generators must consist purely of such terms
-    and ``J_aa`` must reduce to ``weight[a]`` plus annihilator-carrying terms.
-    """
-    if rep.d != 1:
-        raise ValueError("only oscillator realizations have a Fock vacuum")
-    L = rep.labels
-
-    def deviations():
-        for i, a in enumerate(L):
-            for b in L[i + 1:]:
-                for key, coeff in rep.gen(a, b).mat[0][0].terms.items():
-                    if all(k == 0 for _, _, k in key):
-                        yield abs(coeff)
-            for key, coeff in rep.gen(a, a).mat[0][0].terms.items():
-                if key == ():
-                    yield abs(coeff - rep.weight[a])
-                elif all(k == 0 for _, _, k in key):
-                    yield abs(coeff)
-
-    return _worst(deviations())
 
 
 def diagonal_weight_data(rep: GlRep, phis: Mapping[int, complex]

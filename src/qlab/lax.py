@@ -21,17 +21,13 @@ decided in the oscillator algebra, with no Fock space and no truncation.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, List, Sequence, Tuple
 
 from .glrep import GlRep, trivial_rep
 from .oscillator import (CarrierOp, Mode, NormalOrderedOp, _carrier_add,
                          _carrier_commutator, _carrier_max_coeff, _carrier_mul,
                          _carrier_neg, _worst)
-from .tensor import QuantumOperator, permutation_op
 
 ModeFn = Callable[[int, int], Mode]
 
@@ -44,17 +40,14 @@ def _default_mode_fn(a: int, x: int) -> Mode:
 class LaxMatrix:
     """``L(z) = z * c0 + c1`` with CarrierOp-valued coefficient matrices.
 
-    ``index_set`` lists the diagonal positions carrying ``z`` (for matrices in
-    normal form); ``canonical`` records whether the block normal form holds,
-    in which case ``c0`` is diagonal with identities exactly at ``index_set``.
+    ``index_set`` lists the diagonal positions carrying ``z``: ``c0`` is
+    diagonal with identities exactly there.
     """
     n: int
     index_set: Tuple[int, ...]
     rep: GlRep
     c0: List[List[CarrierOp]]
     c1: List[List[CarrierOp]]
-    mode_fn: Optional[ModeFn] = None
-    canonical: bool = True
 
     @property
     def d(self) -> int:
@@ -70,11 +63,6 @@ class LaxMatrix:
             for e in row:
                 out |= e.modes()
         return tuple(sorted(out))
-
-    def copy(self) -> "LaxMatrix":
-        return LaxMatrix(self.n, self.index_set, self.rep,
-                         copy.deepcopy(self.c0), copy.deepcopy(self.c1),
-                         self.mode_fn, self.canonical)
 
 
 # -- constructors ---------------------------------------------------------------
@@ -127,7 +115,7 @@ def canonical_lax(n: int, index_set: Sequence[int], rep: GlRep,
                     -NormalOrderedOp.annihilator(mode_fn(b, a)), d)
             elif a == b:
                 c1[i][j] = ident
-    return LaxMatrix(n, I, rep, c0, c1, mode_fn, True)
+    return LaxMatrix(n, I, rep, c0, c1)
 
 
 def eval_lax(rep: GlRep) -> LaxMatrix:
@@ -138,21 +126,17 @@ def eval_lax(rep: GlRep) -> LaxMatrix:
     return canonical_lax(n, range(1, n + 1), rep)
 
 
-def partonic_lax(n: int, a: int, tag: str = "p") -> LaxMatrix:
+def partonic_lax(n: int, a: int) -> LaxMatrix:
     """Single-index Lax matrix: diagonal ``z - Σ_{x≠a}(N_{(a,x)} + ½)`` at ``a``,
-    creators along row ``a``, minus-annihilators down column ``a``."""
+    creators along row ``a``, minus-annihilators down column ``a``; the pair
+    coupling ``a`` to ``x`` is the mode ``("p", a, x)``."""
     if not 1 <= a <= n:
         raise ValueError("index out of range")
     return canonical_lax(n, (a,), trivial_rep((a,)),
-                         mode_fn=lambda c, x: (tag, c, x))
+                         mode_fn=lambda c, x: ("p", c, x))
 
 
-# -- the rational R-matrix and the exchange-relation checker ---------------------
-
-
-def rmatrix(n: int, z: complex) -> QuantumOperator:
-    """``R(z) = z + P`` on ℂⁿ ⊗ ℂⁿ."""
-    return QuantumOperator.identity(n * n) * z + permutation_op(n)
+# -- the exchange-relation checker ------------------------------------------------
 
 
 def rll_residual(L: LaxMatrix) -> float:
@@ -201,63 +185,3 @@ def rll_residual(L: LaxMatrix) -> float:
     pairs = [(i, j) for i in range(n) for j in range(n)]
     return _worst(residual(i, j, k, l)
                   for x, (i, j) in enumerate(pairs) for k, l in pairs[x:])
-
-
-# -- GL(n) frame transformations --------------------------------------------------
-
-
-def gl_transform(L: LaxMatrix, F, G) -> LaxMatrix:
-    """Return ``F · L(z) · G`` for frame matrices with commuting entries.
-
-    ``F`` and ``G`` are ``n x n`` arrays of numbers or oscillator-algebra
-    elements; every entry must commute with every entry of ``L`` and with each
-    other (checked exhaustively as operator identities).  The result generally
-    leaves the block normal form, so ``canonical`` is cleared.
-    """
-    n = L.n
-    Fm, Gm = CarrierOp(n, F).mat, CarrierOp(n, G).mat
-    frame = [e for mat in (Fm, Gm) for row in mat for e in row]
-    lax_entries = [op for cmat in (L.c0, L.c1) for row in cmat
-                   for e in row for op_row in e.mat for op in op_row]
-    for f in frame:
-        for g in frame:
-            if not f.commutator(g).is_zero(1e-12):
-                raise ValueError("frame entries do not commute among themselves")
-        for x in lax_entries:
-            if not f.commutator(x).is_zero(1e-12):
-                raise ValueError("frame entries do not commute with the Lax entries")
-
-    def sandwich(cm: List[List[CarrierOp]]) -> List[List[CarrierOp]]:
-        d = L.d
-        fl = [[CarrierOp(d) for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = CarrierOp(d)
-                for k in range(n):
-                    acc = acc + cm[i][k] * CarrierOp.from_scalar_op(Gm[k][j], d)
-                fl[i][j] = acc
-        out = [[CarrierOp(d) for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = CarrierOp(d)
-                for k in range(n):
-                    acc = acc + CarrierOp.from_scalar_op(Fm[i][k], d) * fl[k][j]
-                out[i][j] = acc
-        return out
-
-    return LaxMatrix(L.n, L.index_set, L.rep, sandwich(L.c0), sandwich(L.c1),
-                     L.mode_fn, canonical=False)
-
-
-def leading_coeff_rank(c0: List[List[CarrierOp]], tol: float = 1e-9) -> int:
-    """Numeric rank of a z-coefficient matrix, viewed as an n×n scalar matrix.
-
-    The z-coefficient is central, so each entry is a number times the carrier
-    identity; the rank classification refers to that ``n x n`` matrix.
-    """
-    n = len(c0)
-    m = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = c0[i][j].mat[0][0].scalar_part()
-    return int(np.linalg.matrix_rank(m, tol=tol))

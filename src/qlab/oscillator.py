@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Sequence,
                     Set, Tuple)
 
@@ -164,9 +164,6 @@ class NormalOrderedOp:
         for _ in range(k):
             out = out * self
         return out
-
-    def commutator(self, other: "NormalOrderedOp") -> "NormalOrderedOp":
-        return NormalOrderedOp._of(_commutator_terms(self.terms, other.terms))
 
     def __repr__(self) -> str:
         return f"NormalOrderedOp({len(self.terms)} terms)"
@@ -484,38 +481,27 @@ def _rational_extrapolate(xs: Sequence[float], ys: Sequence[complex],
     return cur[0]
 
 
-def extrapolated_trace(x: NormalOrderedOp, q: Mapping[Mode, complex],
-                       etas: Sequence[float] | None = None,
-                       n_max: int | None = None) -> complex:
-    """:func:`extrapolated_traces` of the one operator ``x``."""
-    return extrapolated_traces([x], q, etas, n_max)[0]
-
-
-def extrapolated_traces(xs: Sequence[NormalOrderedOp], q: Mapping[Mode, complex],
-                        etas: Sequence[float] | None = None,
-                        n_max: int | None = None) -> List[complex]:
+def extrapolated_traces(xs: Sequence[NormalOrderedOp], q: Mapping[Mode, complex]
+                        ) -> List[complex]:
     """Rational extrapolation of the damped numeric trace to eta = 0, per operator.
 
-    The default schedule is geometric, ``0.2 * 2^{-j}``; the truncation depth
-    is chosen so the discarded geometric tail is negligible at the smallest
-    damping used.  Each per-mode factor of the damped trace is a rational
+    The dampings are geometric, ``0.2 * 2^{-j}`` for ``j < 6``; at each, the
+    truncation depth is chosen so the discarded geometric tail is negligible.
+    Each per-mode factor of the damped trace is a rational
     function of ``e^{-eta}``, so Bulirsch-Stoer rational extrapolation
     converges much faster here than polynomial (Neville) extrapolation.
     The operators share each damping's weight arrays (:func:`_damped_traces`),
     and each result equals that of the operator on its own, bit for bit.
 
-    The default schedule is accurate only for low powers on unit-modulus
+    The schedule is accurate only for low powers on unit-modulus
     weights.  For ``(B†)^k B^k`` at ``q = e^{-1.4i}`` the error is 4e-11 at
     k=1, 1.3e-8 at k=2, 6.3e-6 at k=3 and 6.7e-4 at k=4; the ``trace`` suite
     of the CLI therefore draws ``k <= 2`` only.
     """
-    if etas is None:
-        etas = [0.2 / 2 ** j for j in range(6)]
-    etas = sorted(etas, reverse=True)
+    etas = [0.2 / 2 ** j for j in range(6)]
     degs = [max(x.degree(), 2) for x in xs]
-    samples = [_damped_traces(
-        xs, q, [n_max if n_max is not None else int((40 + 14 * deg) / eta)
-                for deg in degs], eta) for eta in etas]
+    samples = [_damped_traces(xs, q, [int((40 + 14 * deg) / eta) for deg in degs], eta)
+               for eta in etas]
     return [_rational_extrapolate(etas, list(vals), 0.0) for vals in zip(*samples)]
 
 
@@ -762,12 +748,6 @@ class CarrierOp:
 
     def max_coeff(self) -> float:
         return _worst(e.max_coeff() for row in self.mat for e in row)
-
-    def commutator(self, other: "CarrierOp") -> "CarrierOp":
-        """``self other - other self`` as carrier matrices, by :func:`_carrier_commutator`."""
-        if self.d != other.d:
-            raise ValueError("carrier dimension mismatch")
-        return CarrierOp._of(_carrier_commutator(self._terms(), other._terms()))
 
     def modes(self) -> FrozenSet[Mode]:
         out = set()

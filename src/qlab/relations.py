@@ -34,7 +34,7 @@ from functools import reduce
 from operator import matmul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .glrep import permutation_sign
+from .glrep import permutation_sign, shifted_weights
 from . import tensor
 from .tensor import QuantumOperator, stack_chunks, stack_size
 from .transfer import (OperatorPolynomial, TwistConfig, build_Q, build_T_box,
@@ -140,19 +140,17 @@ class QFamily:
 Sides = Callable[[List[float]], Tuple[QuantumOperator, QuantumOperator]]
 
 
-def _max_residual(sides: Sides, dim: int, length: int,
-                  z_values: Sequence[float] | None) -> float:
-    """Largest ``(lhs - rhs).norm()`` over ``z_values``, where ``lhs, rhs =
-    sides(points)`` are the stacks of both sides at a run of points, by default
-    ``length + 2`` deterministic generic points, kept inside the unit interval
-    so that degree-L entries stay O(1) and residuals reflect precision.  The
-    points go to ``sides`` in runs of at most ``stack_size(dim)``."""
-    if z_values is None:
-        count = length + 2
-        z_values = [-0.83 + 1.67 * k / (count - 1) + 0.0137 * (k % 3)
-                    for k in range(count)]
+def _max_residual(sides: Sides, dim: int, length: int) -> float:
+    """Largest ``(lhs - rhs).norm()`` over ``length + 2`` deterministic generic
+    points, where ``lhs, rhs = sides(points)`` are the stacks of both sides at
+    a run of points.  The points are kept inside the unit interval so that
+    degree-L entries stay O(1) and residuals reflect precision; they go to
+    ``sides`` in runs of at most ``stack_size(dim)``."""
+    count = length + 2
+    z_values = [-0.83 + 1.67 * k / (count - 1) + 0.0137 * (k % 3)
+                for k in range(count)]
     worst = 0.0
-    for points in stack_chunks(list(z_values), dim):
+    for points in stack_chunks(z_values, dim):
         lhs, rhs = sides(points)
         worst = (lhs - rhs).norms().max(initial=worst)  # keeps a NaN, unlike max()
     return float(worst)
@@ -162,8 +160,8 @@ def _max_residual(sides: Sides, dim: int, length: int,
 
 
 def hirota_residual(n: int, length: int, index_set: Sequence[int], a: int,
-                    b: int, twist: TwistConfig, family: QFamily | None = None,
-                    z_values: Sequence[float] | None = None) -> float:
+                    b: int, twist: TwistConfig, family: QFamily | None = None
+                    ) -> float:
     """Max-entry residual of the quadrilateral relation at several points.
 
     Antisymmetric under a <-> b; both orders are accepted.
@@ -179,7 +177,7 @@ def hirota_residual(n: int, length: int, index_set: Sequence[int], a: int,
                 qf.q_at(I + (a,), up) @ qf.q_at(I + (b,), down)
                 - qf.q_at(I + (b,), up) @ qf.q_at(I + (a,), down))
 
-    return _max_residual(sides, n ** length, length, z_values)
+    return _max_residual(sides, n ** length, length)
 
 
 # -- determinant forms ------------------------------------------------------------
@@ -235,8 +233,8 @@ def _q_det(family: QFamily, letters: Sequence[int],
 
 
 def q_determinant_residual(n: int, length: int, index_set: Sequence[int],
-                           twist: TwistConfig, family: QFamily | None = None,
-                           z_values: Sequence[float] | None = None) -> float:
+                           twist: TwistConfig, family: QFamily | None = None
+                           ) -> float:
     """Residual of delta_set(I) Q_I(z) = det | Q_{a_i}(z + (p+1)/2 - j) |."""
     I = tuple(sorted(index_set))
     p = len(I)
@@ -247,22 +245,20 @@ def q_determinant_residual(n: int, length: int, index_set: Sequence[int],
     return _max_residual(
         lambda zs: (qf.q_at(I, zs) * delta_set(twist, I),
                     _q_det(qf, I, [[z + s for s in shifts] for z in zs])),
-        n ** length, length, z_values)
+        n ** length, length)
 
 
 def t_determinant_residual(n: int, length: int, twist: TwistConfig,
-                           family: QFamily | None = None,
-                           z_values: Sequence[float] | None = None) -> float:
+                           family: QFamily | None = None) -> float:
     """Residual of the determinant form of the defining-carrier transfer op."""
     qf = family or QFamily(n, length, twist)
     tbox = qf.t_box()
-    weight = [1.0] + [0.0] * (n - 1)
-    shifts = [weight[j - 1] + (n - 2 * j + 1) / 2 for j in range(1, n + 1)]
+    shifts = shifted_weights([1.0] + [0.0] * (n - 1))
     full = tuple(range(1, n + 1))
     return _max_residual(
         lambda zs: (tbox.at(zs) * delta_set(twist, full),
                     _q_det(qf, full, [[z + s for s in shifts] for z in zs])),
-        n ** length, length, z_values)
+        n ** length, length)
 
 
 # -- split/merge of highest-weight operators --------------------------------------
@@ -271,8 +267,7 @@ def t_determinant_residual(n: int, length: int, twist: TwistConfig,
 def x_merge_residual(n: int, length: int, set_i: Sequence[int],
                      set_j: Sequence[int], weight_i: Sequence[float],
                      weight_j: Sequence[float], shift: float,
-                     twist: TwistConfig,
-                     z_values: Sequence[float] | None = None) -> float:
+                     twist: TwistConfig) -> float:
     """Residual of the split of a highest-weight operator into two blocks."""
     I, J = tuple(sorted(set_i)), tuple(sorted(set_j))
     if set(I) & set(J):
@@ -288,25 +283,23 @@ def x_merge_residual(n: int, length: int, set_i: Sequence[int],
         lambda zs: ((x_i.at([z + shift + p2 / 2 for z in zs])
                      @ x_j.at([z - p1 / 2 for z in zs])) * scale,
                     x_u.at(zs) * delta_set(twist, union)),
-        n ** length, length, z_values)
+        n ** length, length)
 
 
 def x_product_form_residual(n: int, length: int, index_set: Sequence[int],
                             weight: Sequence[float], twist: TwistConfig,
-                            family: QFamily | None = None,
-                            z_values: Sequence[float] | None = None) -> float:
+                            family: QFamily | None = None) -> float:
     """Residual of delta(I) X_I(z, W) = prod_i Q_{a_i}(z + w_i + (p-2i+1)/2)."""
     I = tuple(sorted(index_set))
-    p = len(I)
     qf = family or QFamily(n, length, twist)
     x = build_X_plus(n, length, I, tuple(weight), twist)
-    shifts = [weight[i - 1] + (p - 2 * i + 1) / 2 for i in range(1, p + 1)]
+    shifts = shifted_weights(weight)
     return _max_residual(
         lambda zs: (x.at(zs) * delta_set(twist, I),
                     reduce(matmul, [qf.q_at((a,), [z + s for z in zs])
                                     for a, s in zip(I, shifts)],
                            QuantumOperator.identity(n ** length, len(zs)))),
-        n ** length, length, z_values)
+        n ** length, length)
 
 
 # -- exchange (three-term) relation of determinants --------------------------------

@@ -76,15 +76,6 @@ def build_hamiltonian(n: int, length: int, twist: TwistConfig) -> QuantumOperato
                                                   terms.ravel())))
 
 
-def sector_labels(n: int, length: int) -> List[Tuple[int, ...]]:
-    """All letter-count vectors with total ``length``."""
-    return sorted(sector_states(n, length))
-
-
-def sector_indices(n: int, length: int, m: Sequence[int]) -> List[int]:
-    return [state_index(s, n) for s in sector_states(n, length).get(tuple(m), ())]
-
-
 def sector_blocks(ops: Sequence[QuantumOperator], sectors: Sequence[Sequence[int]]
                   ) -> List[np.ndarray]:
     """The diagonal blocks ``op[idx, idx]`` of every operator in ``ops``, one
@@ -118,18 +109,21 @@ def sector_blocks(ops: Sequence[QuantumOperator], sectors: Sequence[Sequence[int
 # -- simultaneous diagonalization ------------------------------------------------
 
 
-def simultaneous_eigenbasis(blocks: np.ndarray, seed: int = 5,
-                            tol: float = 1e-8, attempts: int = 8
+def simultaneous_eigenbasis(blocks: np.ndarray, attempts: int = 8
                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenbasis ``v`` of a random combination of the stacked ``blocks``
     ``(p, d, d)``, validated against every block; returns ``v``, its inverse
     ``vinv`` and the ``(p, d)`` eigenvalues of the blocks in that basis, the
-    diagonals of the one stacked ``vinv @ blocks @ v`` that validated it."""
+    diagonals of the one stacked ``vinv @ blocks @ v`` that validated it.
+
+    The combinations are drawn from a generator seeded with 5; a basis is
+    accepted when every off-diagonal entry is at most ``1e-8`` times the
+    block's scale."""
     count, dim = blocks.shape[:2]
     if dim == 0:
         return (np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex),
                 np.zeros((count, 0), dtype=complex))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(5)
     diag = np.arange(dim)
     for _ in range(attempts):
         coeffs = rng.normal(size=count) + 1j * rng.normal(size=count)
@@ -141,7 +135,7 @@ def simultaneous_eigenbasis(blocks: np.ndarray, seed: int = 5,
         size = np.abs(m)
         scale = np.fmax(1.0, size.max(axis=(1, 2)))
         size[:, diag, diag] = 0.0
-        if not (size.max(axis=(1, 2)) > tol * scale).any():
+        if not (size.max(axis=(1, 2)) > 1e-8 * scale).any():
             return v, vinv, eigs
     raise RuntimeError("no common eigenbasis found; twist may be degenerate")
 
@@ -159,21 +153,21 @@ def extract_q_polynomials_loose(blocks: np.ndarray, v: np.ndarray,
 
 
 def extract_q_polynomials(blocks: np.ndarray, v: np.ndarray, vinv: np.ndarray,
-                          expected_degree: int, fit_tol: float = 1e-8
-                          ) -> np.ndarray:
+                          expected_degree: int) -> np.ndarray:
     """Monic eigenvalue polynomials of a family member, one row per joint
     eigenstate.
 
     Takes the arguments of :func:`extract_q_polynomials_loose`.  Returns
     coefficient rows ``[c_0, ..., c_deg]`` after stripping the exponential
-    prefactor; checks that coefficients above the expected degree vanish and
-    that the leading coefficient is 1, which it then sets exactly.
+    prefactor; checks, to within ``1e-8``, that coefficients above the
+    expected degree vanish and that the leading coefficient is 1, which it
+    then sets exactly.
     """
     polys = extract_q_polynomials_loose(blocks, v, vinv)
-    if (np.abs(polys[:, expected_degree + 1:]).max(axis=1, initial=0.0) > fit_tol).any():
+    if (np.abs(polys[:, expected_degree + 1:]).max(axis=1, initial=0.0) > 1e-8).any():
         raise ValueError("eigenvalue polynomial exceeds the sector degree")
     polys = polys[:, :expected_degree + 1].copy()
-    if (np.abs(polys[:, -1] - 1.0) > fit_tol).any():
+    if (np.abs(polys[:, -1] - 1.0) > 1e-8).any():
         raise ValueError("eigenvalue polynomial is not monic")
     polys[:, -1] = 1.0
     return polys
@@ -371,13 +365,12 @@ class SpectralAnalysis:
         self._stacks = dict(zip(self.labels, sector_blocks(
             probes + [c for coeffs in members for c in coeffs], sectors)))
 
-    def sector_records(self, m: Sequence[int], seed: int = 5
-                       ) -> List[EigenstateRecord]:
+    def sector_records(self, m: Sequence[int]) -> List[EigenstateRecord]:
         """The records of every joint eigenstate of sector ``m``, each step
         taken once for the whole sector on stacked arrays."""
         m = tuple(m)
         stack = self._stacks[m]
-        v, vinv, eigs = simultaneous_eigenbasis(stack[self._probes], seed=seed)
+        v, vinv, eigs = simultaneous_eigenbasis(stack[self._probes])
         roots = [poly_roots(extract_q_polynomials(stack[part], v, vinv,
                                                   sum(m[a - 1] for a in I)))
                  for I, part in zip(self.sets, self._members)]
@@ -389,15 +382,11 @@ class SpectralAnalysis:
                 for s, (e, e_roots, e_t) in enumerate(
                     zip(eigs[0].tolist(), energy_from_roots(roots[-2]), e_tbox))]
 
-    def all_records(self, seed: int = 5) -> List[EigenstateRecord]:
+    def all_records(self) -> List[EigenstateRecord]:
         out = []
         for m in self.labels:
-            out.extend(self.sector_records(m, seed=seed))
+            out.extend(self.sector_records(m))
         return out
-
-    def spectrum(self) -> np.ndarray:
-        return np.sort_complex(np.array(
-            [r.energy_direct for r in self.all_records()]))
 
 
 # -- iterative refinement of root systems -------------------------------------------

@@ -147,15 +147,6 @@ class QuantumOperator:
                            np.zeros(0, dtype=complex))
 
     @classmethod
-    def from_dense(cls, mat: np.ndarray) -> "QuantumOperator":
-        mat = np.asarray(mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("expected a square matrix")
-        keys = np.flatnonzero(~(np.abs(mat) <= DROP_TOL))
-        return cls._from_arrays(mat.shape[0], keys,
-                                mat.reshape(-1)[keys].astype(complex))
-
-    @classmethod
     def stack(cls, ops: Sequence["QuantumOperator"]) -> "QuantumOperator":
         """The operators of the stacks ``ops``, in order, as one stack."""
         if len(ops) == 1:
@@ -342,14 +333,7 @@ def _scatter(dim: int, chunks: Iterable[Tuple[np.ndarray, np.ndarray]],
     return QuantumOperator._from_arrays(dim, keys, vals, count)
 
 
-# -- chain embeddings -----------------------------------------------------
-
-
-def permutation_op(n: int) -> QuantumOperator:
-    """The exchange operator ``P`` on ``C^n (x) C^n``: ``P (x (x) y) = y (x) x``."""
-    idx = np.arange(n * n, dtype=np.int64)
-    return QuantumOperator._from_arrays(
-        n * n, idx * (n * n) + (idx % n) * n + idx // n, np.ones(n * n, dtype=complex))
+# -- chain basis ---------------------------------------------------------
 
 
 def basis_states(n: int, length: int) -> Iterator[Tuple[int, ...]]:

@@ -25,18 +25,13 @@ every member reuses it.  The expansion itself runs on plain term dicts
 that the operator classes of :mod:`qlab.oscillator` also call.  The result is
 a polynomial in the spectral parameter with sparse quantum-space
 coefficients, together with a symbolic exponential prefactor
-``exp(i z sigma)``.
-
-Nothing here builds a Fock matrix: the twist's conjugation check
-(:meth:`TwistOperatorD.conjugation_residual`) rescales each monomial by its
-weights in the oscillator algebra.
+``exp(i z sigma)``.  Nothing here builds a Fock matrix.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -44,7 +39,7 @@ import numpy as np
 
 from .glrep import GlRep, diagonal_weight_data, dot_action_orbit, \
     fundamental_rep, trivial_rep, verma_rep
-from .lax import LaxMatrix, ModeFn, canonical_lax
+from .lax import LaxMatrix, canonical_lax
 from .oscillator import CarrierOp, CarrierTerms, Mode, NormalOrderedOp, \
     _carrier_add, _carrier_mul, _carrier_trace, _worst
 from .tensor import QuantumOperator, _accumulate, _product, sector_states, \
@@ -99,48 +94,25 @@ class TwistOperatorD:
     def weighted_trace(self, op: CarrierOp) -> complex:
         return op.weighted_trace(list(self.carrier_weights), self.q, self.plain_modes)
 
-    def conjugation_residual(self, L: LaxMatrix, twist: TwistConfig, z: complex) -> float:
-        """Largest coefficient of ``D L_ab D⁻¹ − e^{i(φ_b − φ_a)} L_ab``, exactly.
-
-        ``D x D⁻¹`` multiplies a monomial ``Π (B†)^j B^k`` of carrier entry
-        ``(r, s)`` by ``w_r / w_s · Π q_m^{j−k}``, with weight 1 on a mode
-        that has none, so no matrix is built.
-        """
-        w = self.carrier_weights
-
-        def deviation(a: int, b: int, entries: CarrierOp) -> float:
-            phase = cmath.exp(1j * (twist.phi(b) - twist.phi(a)))
-            return _worst(
-                abs(c * (w[r] / w[s] * math.prod(self.q.get(m, 1.0) ** (j - k)
-                                                 for m, j, k in key) - phase))
-                for r, row in enumerate(entries.mat) for s, e in enumerate(row)
-                for key, c in e.terms.items())
-
-        return _worst(deviation(a, b, entries) for a, row in enumerate(L.at(z), 1)
-                      for b, entries in enumerate(row, 1))
-
 
 def build_twist_D(n: int, index_set: Sequence[int], rep: GlRep,
-                  twist: TwistConfig, mode_fn: ModeFn | None = None
-                  ) -> TwistOperatorD:
+                  twist: TwistConfig) -> TwistOperatorD:
     """Twist data solving the conjugation condition for the canonical Lax matrix.
 
-    For each outer oscillator pair (a in I, x outside) the mode is weighted by
-    ``e^{-i(phi_a - phi_x)}``; the carrier part weighs the diagonal generators
+    For each outer oscillator pair (a in I, x outside) the mode ``("o", a, x)``
+    is weighted by ``e^{-i(phi_a - phi_x)}``; the carrier part weighs the diagonal generators
     by the phases, which for an oscillator-realized carrier decomposes into a
     constant prefactor plus plain-trace weights on the internal modes.
     """
     I = tuple(sorted(index_set))
     if twist.n != n:
         raise ValueError("twist length does not match n")
-    if mode_fn is None:
-        mode_fn = lambda a, x: ("o", a, x)
     phis = twist.as_dict()
     outside = [x for x in range(1, n + 1) if x not in I]
     q: Dict[Mode, complex] = {}
     for a in I:
         for x in outside:
-            q[mode_fn(a, x)] = _check_weight(
+            q[("o", a, x)] = _check_weight(
                 cmath.exp(-1j * (phis[a] - phis[x])), (a, x))
     if rep.d == 1:
         const, coeffs = diagonal_weight_data(rep, phis)
@@ -216,15 +188,6 @@ class OperatorPolynomial:
         members at them."""
         points = z if isinstance(z, (list, tuple)) else (z,)
         return self.poly_at(z) * [cmath.exp(1j * x * self.sigma) for x in points]
-
-    def derivative(self) -> "OperatorPolynomial":
-        """d/dz of the polynomial part only (prefactor handled by callers)."""
-        if self.degree == 0:
-            return OperatorPolynomial(self.dim, self.sigma,
-                                      [QuantumOperator.zero(self.dim)])
-        return OperatorPolynomial(
-            self.dim, self.sigma,
-            [self.coeffs[k] * float(k) for k in range(1, len(self.coeffs))])
 
 
 # -- the Q / T / X families ----------------------------------------------------
@@ -370,17 +333,11 @@ def _signed_members(n: int, length: int, weight: Sequence[complex],
 
 def _alternating_sum_at(members: Sequence[Tuple[int, OperatorPolynomial]],
                         dim: int, z: complex) -> QuantumOperator:
+    """The signed sum of the ``members`` at one spectral point."""
     out = QuantumOperator.zero(dim)
     for sign, t in members:
         out = out + t.at(z) * float(sign)
     return out
-
-
-def alternating_sum_T(n: int, length: int, weight: Sequence[complex],
-                      twist: TwistConfig, z: complex) -> QuantumOperator:
-    """Signed sum of highest-weight transfer operators at one spectral point."""
-    return _alternating_sum_at(_signed_members(n, length, weight, twist),
-                               n ** length, z)
 
 
 def bgg_eigen_check(n: int, length: int, weight: Sequence[complex],

@@ -399,13 +399,13 @@ def test_trace_suite_domain_is_load_bearing():
     on at least one of them, so widening the range would fail the suite.
     """
     from qlab.cli import TRACE_MAX_POWER, TRACE_WEIGHTS
-    from qlab.oscillator import NormalOrderedOp as Op, extrapolated_trace, weighted_trace
+    from qlab.oscillator import NormalOrderedOp as Op, extrapolated_traces, weighted_trace
     assert TRACE_MAX_POWER == 2
 
     def error(mode, angle, k):
         q = {mode: cmath.exp(1j * angle)}
         x = Op.creator(mode) ** k * Op.annihilator(mode) ** k
-        return abs(weighted_trace(x, q) - extrapolated_trace(x, q))
+        return abs(weighted_trace(x, q) - extrapolated_traces([x], q)[0])
 
     gate = RunConfig().tolerance("trace")
     for mode, angle in TRACE_WEIGHTS:

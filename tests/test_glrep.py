@@ -4,9 +4,23 @@ import pytest
 from qlab.glrep import (
     GlRep, shifted_weights, rho_weight, dot_action_orbit,
     trivial_rep, scalar_rep, fundamental_rep, fuse_generators, verma_rep,
-    gl_relation_residual, highest_weight_residual, diagonal_weight_data,
+    gl_relation_residual, diagonal_weight_data,
 )
-from qlab.oscillator import CarrierOp, NormalOrderedOp as Op
+from qlab.oscillator import CarrierOp, NormalOrderedOp as Op, _worst
+
+
+def highest_weight_residual(rep):
+    """Largest deviation of the Fock vacuum from a highest-weight vector of
+    ``rep.weight``: each ``J_ab`` with ``a`` before ``b`` must kill it, and
+    ``J_aa`` must act on it by ``weight[a]``.  A normal-ordered monomial kills
+    the vacuum iff it holds an annihilator, so only annihilator-free terms
+    deviate, a scalar one of ``J_aa`` by its distance from ``weight[a]``."""
+    assert rep.d == 1, "only oscillator realizations have a Fock vacuum"
+    labels = rep.labels
+    return _worst(abs(c - rep.weight[a]) if a == b and not key else abs(c)
+                  for i, a in enumerate(labels) for b in labels[i:]
+                  for key, c in rep.gen(a, b).mat[0][0].terms.items()
+                  if all(k == 0 for _, _, k in key))
 
 
 def test_shifted_weights():
@@ -206,3 +220,11 @@ def test_a_nan_generator_coefficient_fails_the_fused_relations():
     for a in (2, 3):
         bad = _perturbed(res.fused_rep, (a, a), float("nan"), key=())
         assert np.isnan(highest_weight_residual(bad))
+
+
+def test_fused_and_triangular_carriers_are_highest_weight():
+    from qlab.fusion import factorize_partons, fuse
+    fused = fuse(3, (1,), (2,), scalar_rep(1, 0.0), scalar_rep(2, 0.0), 0.45).fused_rep
+    assert highest_weight_residual(fused) < 1e-13
+    for n, wt in [(2, (0.6, -0.6)), (3, (0.5, -0.2, 0.9))]:
+        assert highest_weight_residual(factorize_partons(n, wt).generator_rep()) < 1e-13

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlab import tensor
-from qlab.tensor import QuantumOperator
+from qlab.tensor import DROP_TOL, QuantumOperator
 from qlab.transfer import TwistConfig, build_Q
 from qlab.relations import (
     QFamily, _operator_det, delta_pair, delta_set, enumerate_hasse, hirota_residual,
@@ -98,6 +98,13 @@ def test_zero_length_chain_collapses_exactly():
 
 # -- determinant forms ------------------------------------------------------------
 
+def from_dense(mat):
+    """The operator of a square dense matrix, its entries in row-major order."""
+    mat = np.asarray(mat)
+    keys = np.flatnonzero(~(np.abs(mat) <= DROP_TOL))
+    return QuantumOperator._from_arrays(len(mat), keys, mat.reshape(-1)[keys].astype(complex))
+
+
 def _naive_det(entries):
     p = len(entries)
     dim = entries[0][0].dim
@@ -118,7 +125,7 @@ def test_operator_det_matches_naive_permutation_sum(p):
     a[rng.random((6, 6)) < 0.5] = 0.0
     powers = [np.eye(6), a, a @ a]
     # polynomials in one matrix commute with each other
-    entries = [[QuantumOperator.from_dense(sum(
+    entries = [[from_dense(sum(
         complex(*rng.normal(size=2)) * m for m in powers)) for _ in range(p)]
         for _ in range(p)]
     assert np.array_equal(_operator_det(entries).to_dense(), _naive_det(entries).to_dense())
@@ -128,7 +135,7 @@ def _random_op(rng, dim):
     """A sparse operator whose entries meet exact cancellations in sums."""
     dense = (rng.integers(-2, 3, (dim, dim)) + 1j * rng.integers(-2, 3, (dim, dim))) / 4
     dense[rng.random((dim, dim)) < 0.5] = 0.0
-    return QuantumOperator.from_dense(dense)
+    return from_dense(dense)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qlab.tensor import QuantumOperator, state_index
+from qlab.tensor import QuantumOperator, sector_states, state_index
 from qlab.transfer import TwistConfig, build_Q, build_T_box
 from qlab.spectral import (
     EigenstateRecord, SpectralAnalysis, _q_value, _residual_vector, _root_ratio,
     _root_ratios, bethe_residuals, build_hamiltonian, energy_from_roots,
     energy_from_tbox_poly, extract_q_polynomials, poly_roots, sector_blocks,
-    sector_indices, sector_labels, simultaneous_eigenbasis, solve_bethe_newton,
+    simultaneous_eigenbasis, solve_bethe_newton,
 )
 
 TW2 = TwistConfig((0.7, -0.7))
@@ -86,19 +86,22 @@ def test_single_site_hamiltonian_vanishes():
 
 # -- sectors ---------------------------------------------------------------------
 
+def _sector_indices(n, length):
+    """The basis indices of each letter-count sector, sectors in sorted order."""
+    return [[state_index(s, n) for s in states]
+            for _, states in sorted(sector_states(n, length).items())]
+
+
 def test_sector_labels_and_dimensions():
-    labels = sector_labels(2, 2)
-    assert labels == [(0, 2), (1, 1), (2, 0)]
-    dims = [len(sector_indices(2, 2, m)) for m in labels]
-    assert dims == [1, 2, 1]
-    assert sorted(len(sector_indices(3, 2, m)) for m in sector_labels(3, 2)) \
-        == [1, 1, 1, 2, 2, 2]
+    assert sorted(sector_states(2, 2)) == [(0, 2), (1, 1), (2, 0)]
+    assert _sector_indices(2, 2) == [[3], [1, 2], [0]]
+    assert sorted(map(len, _sector_indices(3, 2))) == [1, 1, 1, 2, 2, 2]
 
 
 def test_sector_blocks_ignore_entries_between_sectors():
     # (1, 0) couples sectors (2,0) and (1,1); only the diagonal blocks are read
     op = QuantumOperator(4, {(1, 0): 1.0, (1, 2): 2.0, (2, 1): 3.0j, (3, 3): 4.0})
-    sectors = [sector_indices(2, 2, m) for m in sector_labels(2, 2)]
+    sectors = _sector_indices(2, 2)
     other = QuantumOperator(4, {(2, 2): 5.0, (0, 3): 6.0})
     stacks = sector_blocks([op, other], sectors)
     for idx, stack in zip(sectors, stacks):
@@ -137,7 +140,7 @@ def test_simultaneous_eigenbasis_rejects_noncommuting():
 
 def test_extract_q_polynomials_enforces_degree_and_monicity():
     q1 = build_Q(2, 2, (1,), TW2)
-    idx = sector_indices(2, 2, (1, 1))
+    idx = _sector_indices(2, 2)[1]  # sector (1, 1)
     probes, = sector_blocks([build_hamiltonian(2, 2, TW2), q1.at(0.37)], [idx])
     v, vinv, _ = simultaneous_eigenbasis(probes)
     blocks, = sector_blocks(q1.coeffs, [idx])
@@ -311,9 +314,14 @@ def test_three_energies_agree_and_equations_hold(n, L, tw):
         assert r.max_bethe_residual < 1e-8
 
 
+def _spectrum(sa):
+    """The sorted direct energies of every joint eigenstate."""
+    return np.sort_complex(np.array([r.energy_direct for r in sa.all_records()]))
+
+
 def test_spectrum_multiset_is_path_independent():
-    s1 = SpectralAnalysis(3, 2, TW3, path=(1, 2, 3)).spectrum()
-    s2 = SpectralAnalysis(3, 2, TW3, path=(3, 1, 2)).spectrum()
+    s1 = _spectrum(SpectralAnalysis(3, 2, TW3, path=(1, 2, 3)))
+    s2 = _spectrum(SpectralAnalysis(3, 2, TW3, path=(3, 1, 2)))
     assert np.max(np.abs(s1 - s2)) < 1e-10
 
 

@@ -7,14 +7,21 @@ from hypothesis import example, given, settings, strategies as st
 from qlab import tensor
 from qlab.spectral import sector_blocks
 from qlab.tensor import (
-    DROP_TOL, QuantumOperator, permutation_op, basis_states, state_index,
+    DROP_TOL, QuantumOperator, basis_states, state_index,
     occupation,
 )
 from qlab.transfer import OperatorPolynomial
 
 
+def from_dense(mat):
+    """The operator of a square dense matrix, its entries in row-major order."""
+    mat = np.asarray(mat)
+    keys = np.flatnonzero(~(np.abs(mat) <= DROP_TOL))
+    return QuantumOperator._from_arrays(len(mat), keys, mat.reshape(-1)[keys].astype(complex))
+
+
 def random_op(dim, rng):
-    return QuantumOperator.from_dense(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return from_dense(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
 
 
 def unit(dim, row, col):
@@ -43,23 +50,19 @@ def test_add_and_scale():
     assert np.allclose((a - b * 1j).to_dense(), a.to_dense() - 1j * b.to_dense())
 
 
-def test_permutation_op_swaps_factors():
-    n = 3
-    p = permutation_op(n).to_dense()
-    rng = np.random.default_rng(3)
-    x, y = rng.normal(size=n), rng.normal(size=n)
-    assert np.allclose(p @ np.kron(x, y), np.kron(y, x))
-    assert np.allclose(p @ p, np.eye(n * n))
-
-
 def test_permutation_as_sum_of_matrix_units():
     n = 3
     acc = QuantumOperator.zero(n * n)
     for a in range(n):
         for b in range(n):
-            acc = acc + QuantumOperator.from_dense(
+            acc = acc + from_dense(
                 np.kron(unit(n, a, b).to_dense(), unit(n, b, a).to_dense()))
-    assert (acc - permutation_op(n)).norm() < 1e-14
+    # the exchange P (x ⊗ y) = y ⊗ x
+    p = np.zeros((n * n, n * n))
+    for a in range(n):
+        for b in range(n):
+            p[a * n + b, b * n + a] = 1.0
+    assert (acc - from_dense(p)).norm() < 1e-14
 
 
 def test_site_operator_embedding():
@@ -86,8 +89,8 @@ def test_occupation_counts():
 
 def test_comm_norm_zero_for_commuting():
     # the commutators [d1, d2] and [d1, off] as one stack, one norm each
-    d1 = QuantumOperator.from_dense(np.diag([1.0, 2.0, 3.0]))
-    d2 = QuantumOperator.from_dense(np.diag([5.0, -1.0, 0.5]))
+    d1 = from_dense(np.diag([1.0, 2.0, 3.0]))
+    d2 = from_dense(np.diag([5.0, -1.0, 0.5]))
     off = unit(3, 0, 1)
     x, y = QuantumOperator.stack([d1, d1]), QuantumOperator.stack([d2, off])
     norms = ((x @ y) - (y @ x)).norms()
