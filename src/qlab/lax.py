@@ -168,6 +168,12 @@ def rll_residual(L: LaxMatrix) -> float:
     (:func:`~qlab.oscillator._carrier_commutator`), so the residual is exact
     but for the coefficients of modulus at most ``COEFF_TOL`` that each
     product and sum drops.  No Fock space is built and nothing is truncated.
+    A commutator with a central operand is empty without expansion: an entry
+    that is exactly zero or the carrier identity, as every entry of ``A``
+    is, and at ``d = 1`` an entry without a ladder monomial.  The identity
+    against a NaN or infinite coefficient is still expanded, so the NaN
+    reaches the residual, and so is an entry with a NaN on its diagonal,
+    which is no identity.
     """
     n = L.n
     c0 = [[e._terms() for e in row] for row in L.c0]

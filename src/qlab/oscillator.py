@@ -31,7 +31,14 @@ of those only the contracted monomials; the rest of ``xy`` cancels against
 after every product and every sum; a NaN coefficient is kept.  The Wick
 expansion of each pair of monomials is computed once and kept in a table
 shared by every product; the table is emptied whenever it reaches
-``WICK_CAP`` entries, which keeps it below 1 MB.  A similarity transform
+``WICK_CAP`` entries, which keeps it below 1 MB.  An expansion missing from
+it is composed in one merge of the two keys from a per-mode table of
+contraction alternatives, keyed by the four exponents of the mode, which
+never needs emptying.  The creating and annihilating modes of each monomial
+are kept in a table with the same cap, and a central carrier operand
+(:func:`_carrier_commutator`) gives an empty commutator without expansion.
+Each gives the result of the full expansion, bit for bit and in key order.
+A similarity transform
 ``exp(e) x exp(-e)`` is the adjoint series :func:`_adjoint_terms`, which the
 identity checks of :mod:`qlab.fusion` apply entry by entry; it ends because
 ``ad_e`` is nilpotent on the operators they transform.
@@ -198,32 +205,64 @@ def _worst(values: Iterable[float]) -> float:
 _WICK: Dict[Tuple[TermKey, TermKey], List[Tuple[TermKey, float]]] = {}
 WICK_CAP = 1 << 10
 
+#: the alternatives ``(j, k, weight)`` of one contracting mode, by the
+#: exponents ``(j1, a1, j2, a2)`` of ``B†^{j1} B^{a1} B†^{j2} B^{a2}``; the
+#: exponents the package reaches make a few dozen entries, so it has no cap
+_MODE_WICK: Dict[Tuple[int, int, int, int], List[Tuple[int, int, float]]] = {}
+
+
+def _mode_wick(j1: int, a1: int, j2: int, a2: int) -> List[Tuple[int, int, float]]:
+    """The alternatives of ``_MODE_WICK[j1, a1, j2, a2]``, ``min(a1, j2) > 0``,
+    by the number ``i`` of contractions, from 0: ``B^{a1} B†^{j2} = sum_i i!
+    C(a1,i) C(j2,i) B†^{j2-i} B^{a1-i}``."""
+    alts = _MODE_WICK[j1, a1, j2, a2] = [
+        (j1 + j2 - i, a1 + a2 - i, float(math.comb(a1, i) * math.comb(j2, i) * math.factorial(i)))
+        for i in range(min(a1, j2) + 1)]
+    return alts
+
 
 def _wick(k1: TermKey, k2: TermKey) -> List[Tuple[TermKey, float]]:
     """The normal-ordered monomials of ``k1 k2``, both non-scalar, with
     weights, stored in ``_WICK``.
 
-    Per shared mode, ``B^{k} B†^{j} = sum_i i! C(k,i) C(j,i) B†^{j-i} B^{k-i}``.
-    The resulting monomials are expanded mode by mode in ascending mode order;
-    a mode with nothing to contract has the single alternative of weight 1.
+    The two keys are merged in one pass in ascending mode order.  A mode with
+    nothing to contract has the single alternative of weight 1, its exponents
+    summed; a contracting mode has the alternatives of ``_MODE_WICK``, and a
+    monomial's weight is the product of its modes' weights, multiplied in
+    mode order.  The monomials are expanded mode by mode, each contracting
+    mode's alternatives innermost, so the contraction-free monomial comes
+    first.
     """
-    d1 = {m: (j, k) for m, j, k in k1}
-    d2 = {m: (j, k) for m, j, k in k2}
-    partial = [((), 1.0)]
-    for m in sorted(set(d1) | set(d2)):
-        j1, a1 = d1.get(m, (0, 0))
-        j2, a2 = d2.get(m, (0, 0))
-        contract = min(a1, j2)
-        if not contract:
-            part = ((m, j1 + j2, a1 + a2),)
-            partial = [(key + part, w) for key, w in partial]
+    partial: List[Tuple[TermKey, float]] | None = None  # up to the last contracting mode
+    fixed: TermKey = ()  # the parts after it
+    i = j = 0
+    n1, n2 = len(k1), len(k2)
+    while i < n1 or j < n2:
+        if j == n2 or i < n1 and k1[i][0] < k2[j][0]:
+            fixed += (k1[i],)
+            i += 1
             continue
-        alts = []
-        for i in range(contract + 1):
-            j, k = j1 + j2 - i, a1 + a2 - i
-            wi = float(math.comb(a1, i) * math.comb(j2, i) * math.factorial(i))
-            alts.append((((m, j, k),) if j or k else (), wi))
-        partial = [(key + part, w * wi) for key, w in partial for part, wi in alts]
+        if i == n1 or k2[j][0] < k1[i][0]:
+            fixed += (k2[j],)
+            j += 1
+            continue
+        m, j1, a1 = k1[i]
+        _, j2, a2 = k2[j]
+        i += 1
+        j += 1
+        if not (a1 and j2):
+            fixed += ((m, j1 + j2, a1 + a2),)
+            continue
+        tails = [(fixed + ((m, jm, km),) if jm or km else fixed, wm)
+                 for jm, km, wm in (_MODE_WICK.get((j1, a1, j2, a2))
+                                    or _mode_wick(j1, a1, j2, a2))]
+        partial = tails if partial is None else [
+            (key + tail, w * wm) for key, w in partial for tail, wm in tails]
+        fixed = ()
+    if partial is None:
+        partial = [(fixed, 1.0)]
+    elif fixed:
+        partial = [(key + fixed, w) for key, w in partial]
     if len(_WICK) >= WICK_CAP:
         _WICK.clear()
     _WICK[k1, k2] = partial
@@ -251,12 +290,25 @@ def _mul_terms(t1: Dict[TermKey, complex], t2: Dict[TermKey, complex]
     return {key: c for key, c in out.items() if not abs(c) <= COEFF_TOL}
 
 
+#: the creating and the annihilating modes of each monomial that a
+#: commutator has read; emptied, as ``_WICK`` is, whenever it reaches ``WICK_CAP``
+_LADDER: Dict[TermKey, Tuple[FrozenSet[Mode], FrozenSet[Mode]]] = {}
+
+
+def _ladder_sets(key: TermKey) -> Tuple[FrozenSet[Mode], FrozenSet[Mode]]:
+    """The creating and the annihilating modes of ``key``, stored in ``_LADDER``."""
+    if len(_LADDER) >= WICK_CAP:
+        _LADDER.clear()
+    sets = _LADDER[key] = (frozenset(m for m, j, _ in key if j),
+                           frozenset(m for m, _, k in key if k))
+    return sets
+
+
 def _ladder_modes(t: Dict[TermKey, complex]
-                  ) -> List[Tuple[TermKey, complex, FrozenSet[Mode], FrozenSet[Mode]]]:
+                  ) -> List[Tuple[TermKey, complex, Tuple[FrozenSet[Mode], FrozenSet[Mode]]]]:
     """The non-scalar terms of ``t``, each with its creating and its
     annihilating modes."""
-    return [(key, c, frozenset(m for m, j, _ in key if j),
-             frozenset(m for m, _, k in key if k)) for key, c in t.items() if key]
+    return [(key, c, _LADDER.get(key) or _ladder_sets(key)) for key, c in t.items() if key]
 
 
 def _commutator_terms(t1: Dict[TermKey, complex], t2: Dict[TermKey, complex]
@@ -270,12 +322,15 @@ def _commutator_terms(t1: Dict[TermKey, complex], t2: Dict[TermKey, complex]
     contracts in neither order, therefore adds nothing.  Every other pair adds
     ``c1 c2 w`` per further monomial of ``k1 k2`` and subtracts it per further
     monomial of ``k2 k1``.  So a NaN coefficient reaches the result only
-    through a pair that contracts.
+    through a pair that contracts, and an operand without a ladder monomial,
+    which is central, gives no terms: :func:`_carrier_commutator` decides it
+    without calling this.  Each monomial's ladder-mode sets are read from
+    ``_LADDER``.
     """
     out: Dict[TermKey, complex] = {}
     rows = _ladder_modes(t2)
-    for k1, c1, create1, annihilate1 in _ladder_modes(t1):
-        for k2, c2, create2, annihilate2 in rows:
+    for k1, c1, (create1, annihilate1) in _ladder_modes(t1):
+        for k2, c2, (create2, annihilate2) in rows:
             forward = not annihilate1.isdisjoint(create2)
             backward = not annihilate2.isdisjoint(create1)
             if not (forward or backward):
@@ -809,11 +864,44 @@ def _carrier_commutator(a: CarrierTerms, b: CarrierTerms) -> CarrierTerms:
     A one-dimensional carrier is a bare operator, whose commutator
     :func:`_commutator_terms` forms from the contracting monomial pairs
     alone; a wider one is the carrier product ``ab`` plus the negated
-    product ``ba``, entry by entry."""
+    product ``ba``, entry by entry.
+
+    A central operand gives no terms at once, with what the expansion would
+    give: at ``d = 1`` an operand without a ladder monomial, which no pair
+    contracts with; at ``d > 1`` an operand that is exactly zero, of which no
+    product is formed, or exactly the identity while every coefficient of the
+    other is finite, so that ``ab`` and ``ba`` are equal and cancel.  A NaN
+    or an infinite coefficient times the identity's ``1 + 0j`` gives a NaN
+    that the expansion keeps, so such a pair is expanded; a merely
+    scalar-valued matrix is too, since matrix units do not commute.
+    """
     if len(a) == 1:
-        t = _commutator_terms(a[0].get(0, {}), b[0].get(0, {}))
+        x, y = a[0].get(0, {}), b[0].get(0, {})
+        if _scalar_only(x) or _scalar_only(y):
+            return [{}]
+        t = _commutator_terms(x, y)
         return [{0: t} if t else {}]
+    if _central(a, b) or _central(b, a):
+        return [{} for _ in a]
     return _carrier_add(_carrier_mul(a, b), _carrier_neg(_carrier_mul(b, a)))
+
+
+def _scalar_only(t: Dict[TermKey, complex]) -> bool:
+    """Whether ``t`` has no ladder monomial: no terms, or the scalar one alone."""
+    return not t or len(t) == 1 and () in t
+
+
+#: the terms of the unit operator
+_UNIT: Dict[TermKey, complex] = {(): 1.0}
+
+
+def _central(a: CarrierTerms, b: CarrierTerms) -> bool:
+    """Whether ``a`` is exactly zero, or exactly the identity with every
+    coefficient of ``b`` finite (``c - c`` is zero exactly for those)."""
+    if not any(a):
+        return True
+    return (all(row == {i: _UNIT} for i, row in enumerate(a))
+            and all(c - c == 0 for row in b for t in row.values() for c in t.values()))
 
 
 def _carrier_neg(a: CarrierTerms) -> CarrierTerms:

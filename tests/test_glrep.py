@@ -222,6 +222,17 @@ def test_a_nan_generator_coefficient_fails_the_fused_relations():
         assert np.isnan(highest_weight_residual(bad))
 
 
+@pytest.mark.parametrize("ab", [(1, 1), (2, 3)])
+def test_a_nan_on_the_diagonal_of_an_identity_generator_fails_the_relations(ab):
+    # an exactly-identity operand of a wider carrier is central and skips the
+    # expansion; one with a NaN on its diagonal is not, and the NaN is kept
+    rep = fundamental_rep((1, 2, 3))
+    gens = dict(rep.gens)
+    gens[ab] = CarrierOp.identity(3)
+    gens[ab].mat[1][1] = Op.scalar(float("nan"))
+    assert np.isnan(gl_relation_residual(GlRep(rep.labels, rep.d, gens, rep.weight, rep.modes)))
+
+
 def test_fused_and_triangular_carriers_are_highest_weight():
     from qlab.fusion import factorize_partons, fuse
     fused = fuse(3, (1,), (2,), scalar_rep(1, 0.0), scalar_rep(2, 0.0), 0.45).fused_rep

@@ -251,6 +251,22 @@ def test_every_suite_case_reads_zero_and_fails_its_negative_controls(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_nan_on_the_diagonal_of_an_identity_coefficient_reaches_the_residual(n):
+    # c0's diagonal entries of a wider carrier are exactly the identity, whose
+    # commutators are decided without expansion; with a NaN on its diagonal
+    # an entry is no identity, and the NaN must reach the residual
+    for name, L in _suite_cases(n).items():
+        if L.d == 1:
+            continue
+        assert L.c0[0][0].is_identity(), name
+        bad = copy.deepcopy(L)
+        bad.c0[0][0] = CarrierOp.identity(L.d)
+        bad.c0[0][0].mat[L.d - 1][L.d - 1] = Op.scalar(float("nan"))
+        nan = rll_residual(bad)
+        assert nan != nan, name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_unordered_pairs_agree_with_every_ordered_quadruple(n):
     for name, L in _suite_cases(n).items():
         flipped = copy.deepcopy(L)
