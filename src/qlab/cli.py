@@ -241,21 +241,22 @@ def _suite_plucker(cfg: RunConfig, qf: QFamily) -> List[Check]:
 
 def _suite_commuting(cfg: RunConfig, qf: QFamily) -> List[Check]:
     from .oscillator import _worst
-    from .relations import enumerate_hasse
+    from .relations import _residual, enumerate_hasse
     from .spectral import build_hamiltonian
-    from .tensor import QuantumOperator, stack_chunks
+    from .tensor import Blocks, sector_layout
     members = [I for I in enumerate_hasse(cfg.n).nodes if 0 < len(I) < cfg.n]
 
     def worst() -> float:
-        ops = [build_hamiltonian(cfg.n, cfg.length, cfg.twist()),
-               qf.t_box().at(0.29)] + [qf.q(I).at(0.37) for I in members]
-        pairs = [(x, y) for i, x in enumerate(ops) for y in ops[i + 1:]]
-        norms = []
-        for chunk in stack_chunks(pairs, ops[0].dim):
-            x = QuantumOperator.stack([x for x, _ in chunk])
-            y = QuantumOperator.stack([y for _, y in chunk])
-            norms.extend(((x @ y) - (y @ x)).norms().tolist())
-        return _worst(norms)
+        h = sector_layout(cfg.n, cfg.length).blocks(
+            [build_hamiltonian(cfg.n, cfg.length, cfg.twist())])
+        ops = Blocks.join([h, qf.t_at((0.29,))] + [qf.q_at(I, (0.37,)) for I in members])
+
+        def against_later(i: int) -> float:
+            # operator i against every later one, as one run
+            x, y = ops[[i] * (ops.count - 1 - i)], ops[i + 1:]
+            return _residual(x @ y, y @ x)
+
+        return _worst(against_later(i) for i in range(ops.count - 1))
 
     return [("max pairwise commutator (%d ops)" % (2 + len(members)), worst)]
 

@@ -3,6 +3,10 @@
 Everything here is checked at the operator level: members of the family
 commute, so products of evaluated operators are unambiguous, and every
 relation is verified as a matrix identity on the full chain Hilbert space.
+Every member conserves the letter counts, so each identity is formed on the
+dense letter-count sector blocks of :mod:`qlab.tensor`, at all of a check's
+spectral points at once, and its residual is the largest entry modulus of
+the difference of the two sides.
 
 Conventions (all pinned against explicit constructions):
 
@@ -34,9 +38,10 @@ from functools import reduce
 from operator import matmul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .glrep import permutation_sign, shifted_weights
-from . import tensor
-from .tensor import QuantumOperator, stack_chunks, stack_size
+from .tensor import Blocks, sector_layout
 from .transfer import (OperatorPolynomial, TwistConfig, build_Q, build_T_box,
                        build_X_plus)
 
@@ -98,17 +103,20 @@ class QFamily:
     """Cache of the trivial-carrier family members and the defining-carrier
     transfer operator for one chain and twist; each is built on first use.
 
-    Each member's values at a tuple of points, one stack, are cached too,
-    where the stack spans at most ``STACK_SLOTS`` slots: the checks of one
-    suite read the same members at the same points many times.  Callers drop
-    them with :meth:`drop_values` when a suite ends, so that the values of one
-    suite are held at a time."""
+    The relation checks read members as dense sector blocks
+    (:mod:`qlab.tensor`): the first time a check asks for a member's values,
+    its coefficients are read into blocks once, and kept.  Its values at a
+    tuple of points are cached too: the checks of one suite read the same
+    members at the same points many times.  Callers drop them with
+    :meth:`drop_values` when a suite ends, so that the values of one suite
+    are held at a time."""
 
     def __init__(self, n: int, length: int, twist: TwistConfig):
         self.n, self.length, self.twist = n, length, twist
         self._cache: Dict[IndexSet, OperatorPolynomial] = {}
         self._t_box: Optional[OperatorPolynomial] = None
-        self._stacks: Dict[Tuple[IndexSet, Tuple[float, ...]], QuantumOperator] = {}
+        self._coeffs: Dict[object, Blocks] = {}
+        self._values: Dict[Tuple[object, Tuple[float, ...]], Blocks] = {}
 
     def q(self, index_set: Sequence[int]) -> OperatorPolynomial:
         I = tuple(sorted(index_set))
@@ -116,44 +124,61 @@ class QFamily:
             self._cache[I] = build_Q(self.n, self.length, I, self.twist)
         return self._cache[I]
 
-    def q_at(self, index_set: Sequence[int], points: Sequence[float]
-             ) -> QuantumOperator:
-        """The stack of ``Q_I`` at each of ``points``."""
-        key = (tuple(sorted(index_set)), tuple(points))
-        out = self._stacks.get(key)
-        if out is None:
-            out = self.q(key[0]).at(key[1])
-            if len(points) * out.dim ** 2 <= tensor.STACK_SLOTS:
-                self._stacks[key] = out
-        return out
-
-    def drop_values(self) -> None:
-        """Forget the cached values of :meth:`q_at`."""
-        self._stacks.clear()
-
     def t_box(self) -> OperatorPolynomial:
         if self._t_box is None:
             self._t_box = build_T_box(self.n, self.length, self.twist)
         return self._t_box
 
+    def q_at(self, index_set: Sequence[int], points: Sequence[float]) -> Blocks:
+        """The run of ``Q_I`` at each of ``points``."""
+        I = tuple(sorted(index_set))
+        return self._at(I, lambda: self.q(I), points)
 
-Sides = Callable[[List[float]], Tuple[QuantumOperator, QuantumOperator]]
+    def t_at(self, points: Sequence[float]) -> Blocks:
+        """The run of the defining-carrier transfer operator at each of ``points``."""
+        return self._at("T", self.t_box, points)
+
+    def _at(self, key: object, member: Callable[[], OperatorPolynomial],
+            points: Sequence[float]) -> Blocks:
+        points = tuple(points)
+        out = self._values.get((key, points))
+        if out is None:
+            poly = member()
+            coeffs = self._coeffs.get(key)
+            if coeffs is None:
+                coeffs = self._coeffs[key] = \
+                    sector_layout(self.n, self.length).blocks(poly.coeffs)
+            out = self._values[key, points] = coeffs.polynomial_at(poly.sigma, points)
+        return out
+
+    def drop_values(self) -> None:
+        """Forget the cached values of :meth:`q_at` and :meth:`t_at`."""
+        self._values.clear()
 
 
-def _max_residual(sides: Sides, dim: int, length: int) -> float:
-    """Largest ``(lhs - rhs).norm()`` over ``length + 2`` deterministic generic
-    points, where ``lhs, rhs = sides(points)`` are the stacks of both sides at
-    a run of points.  The points are kept inside the unit interval so that
-    degree-L entries stay O(1) and residuals reflect precision; they go to
-    ``sides`` in runs of at most ``stack_size(dim)``."""
+def _member_at(poly: OperatorPolynomial, n: int, length: int,
+               points: Sequence[float]) -> Blocks:
+    """The run of ``poly`` at each of ``points``, read into blocks afresh."""
+    return sector_layout(n, length).blocks(poly.coeffs).polynomial_at(poly.sigma, points)
+
+
+Sides = Callable[[List[float]], Tuple[Blocks, Blocks]]
+
+
+def _residual(lhs: Blocks, rhs: Blocks) -> float:
+    """Largest max-entry norm of ``lhs - rhs`` over the run; a NaN entry
+    makes it NaN."""
+    return float(np.max((lhs - rhs).norms()))
+
+
+def _max_residual(sides: Sides, length: int) -> float:
+    """:func:`_residual` of ``sides(points)``, the runs of both sides at
+    ``length + 2`` deterministic generic points.  The points are kept inside
+    the unit interval so that degree-L entries stay O(1) and residuals
+    reflect precision."""
     count = length + 2
-    z_values = [-0.83 + 1.67 * k / (count - 1) + 0.0137 * (k % 3)
-                for k in range(count)]
-    worst = 0.0
-    for points in stack_chunks(z_values, dim):
-        lhs, rhs = sides(points)
-        worst = (lhs - rhs).norms().max(initial=worst)  # keeps a NaN, unlike max()
-    return float(worst)
+    return _residual(*sides([-0.83 + 1.67 * k / (count - 1) + 0.0137 * (k % 3)
+                             for k in range(count)]))
 
 
 # -- bilinear quadrilateral relation ----------------------------------------------
@@ -171,62 +196,48 @@ def hirota_residual(n: int, length: int, index_set: Sequence[int], a: int,
         raise ValueError("indices must be distinct and outside the set")
     qf = family or QFamily(n, length, twist)
 
-    def sides(zs: List[float]) -> Tuple[QuantumOperator, QuantumOperator]:
+    def sides(zs: List[float]) -> Tuple[Blocks, Blocks]:
         up, down = [z + 0.5 for z in zs], [z - 0.5 for z in zs]
         return ((qf.q_at(I + (a, b), zs) @ qf.q_at(I, zs)) * delta_pair(twist, a, b),
                 qf.q_at(I + (a,), up) @ qf.q_at(I + (b,), down)
                 - qf.q_at(I + (b,), up) @ qf.q_at(I + (a,), down))
 
-    return _max_residual(sides, n ** length, length)
+    return _max_residual(sides, length)
 
 
 # -- determinant forms ------------------------------------------------------------
 
 
-def _operator_det(entries: List[List[QuantumOperator]]) -> QuantumOperator:
+def _operator_det(entries: List[List[Blocks]]) -> Blocks:
     """Determinants of matrices of pairwise-commuting operators: the entries
-    are stacks, and operator ``b`` of the result is the determinant of the
+    are runs, and operator ``b`` of the result is the determinant of the
     operators ``b`` of the entries.
 
     The signed products ``entries[0][s0] @ entries[1][s1] @ ...`` are added
     one at a time over permutations ``s`` in lexicographic order.  A
-    depth-first walk forms each left-associated prefix product once and shares
-    it among the permutations that extend it.  It holds the prefixes in groups
-    of consecutive permutations of one length, each group one stack of at most
-    ``stack_size(dim)`` operators, and forms a group's children together, in
-    groups of the same bound.  With one operator per group, it holds the
-    prefixes a walk of single products holds.
+    depth-first walk forms each left-associated prefix product once and
+    shares it among the permutations that extend it.
     """
     p = len(entries)
-    dim, count = entries[0][0].dim, entries[0][0].count
-    per = max(1, stack_size(dim) // count)
-    out = QuantumOperator.zero(dim, count)
-    # (permutation prefixes, their products as one stack); the root is empty
-    todo: List[Tuple[List[Tuple[int, ...]], Optional[QuantumOperator]]] = [([()], None)]
+    out: Optional[Blocks] = None
+    todo: List[Tuple[Tuple[int, ...], Optional[Blocks]]] = [((), None)]
     while todo:
-        sigs, prefixes = todo.pop()
-        row = len(sigs[0])
+        sig, prefix = todo.pop()
+        row = len(sig)
         if row == p:
-            signed = prefixes * [float(permutation_sign(s)) for s in sigs
-                                 for _ in range(count)]
-            for i in range(len(sigs)):
-                out = out + signed.take(range(i * count, (i + 1) * count))
+            term = prefix * float(permutation_sign(sig))
+            out = term if out is None else out + term
             continue
-        children = [(i, col) for i, sig in enumerate(sigs)
-                    for col in range(p) if col not in sig]
-        for lo in reversed(range(0, len(children), per)):
-            group = children[lo:lo + per]
-            products = QuantumOperator.stack([entries[row][col] for _, col in group])
-            if prefixes is not None:
-                products = prefixes.take([i * count + b for i, _ in group
-                                          for b in range(count)]) @ products
-            todo.append(([sigs[i] + (col,) for i, col in group], products))
+        for col in reversed(range(p)):
+            if col not in sig:
+                entry = entries[row][col]
+                todo.append((sig + (col,), entry if prefix is None else prefix @ entry))
     return out
 
 
 def _q_det(family: QFamily, letters: Sequence[int],
-           point_lists: Sequence[Sequence[float]]) -> QuantumOperator:
-    """The stack of ``det | Q_{a_i}(z_j) |`` over the letters ``a_i``, one for
+           point_lists: Sequence[Sequence[float]]) -> Blocks:
+    """The run of ``det | Q_{a_i}(z_j) |`` over the letters ``a_i``, one for
     each list of points ``z_j`` in ``point_lists``."""
     return _operator_det([[family.q_at((a,), [zs[j] for zs in point_lists])
                            for j in range(len(letters))] for a in letters])
@@ -245,20 +256,19 @@ def q_determinant_residual(n: int, length: int, index_set: Sequence[int],
     return _max_residual(
         lambda zs: (qf.q_at(I, zs) * delta_set(twist, I),
                     _q_det(qf, I, [[z + s for s in shifts] for z in zs])),
-        n ** length, length)
+        length)
 
 
 def t_determinant_residual(n: int, length: int, twist: TwistConfig,
                            family: QFamily | None = None) -> float:
     """Residual of the determinant form of the defining-carrier transfer op."""
     qf = family or QFamily(n, length, twist)
-    tbox = qf.t_box()
     shifts = shifted_weights([1.0] + [0.0] * (n - 1))
     full = tuple(range(1, n + 1))
     return _max_residual(
-        lambda zs: (tbox.at(zs) * delta_set(twist, full),
+        lambda zs: (qf.t_at(zs) * delta_set(twist, full),
                     _q_det(qf, full, [[z + s for s in shifts] for z in zs])),
-        n ** length, length)
+        length)
 
 
 # -- split/merge of highest-weight operators --------------------------------------
@@ -280,10 +290,10 @@ def x_merge_residual(n: int, length: int, set_i: Sequence[int],
     x_u = build_X_plus(n, length, union, merged_weight, twist)
     scale = delta_set(twist, I) * delta_set(twist, J)
     return _max_residual(
-        lambda zs: ((x_i.at([z + shift + p2 / 2 for z in zs])
-                     @ x_j.at([z - p1 / 2 for z in zs])) * scale,
-                    x_u.at(zs) * delta_set(twist, union)),
-        n ** length, length)
+        lambda zs: ((_member_at(x_i, n, length, [z + shift + p2 / 2 for z in zs])
+                     @ _member_at(x_j, n, length, [z - p1 / 2 for z in zs])) * scale,
+                    _member_at(x_u, n, length, zs) * delta_set(twist, union)),
+        length)
 
 
 def x_product_form_residual(n: int, length: int, index_set: Sequence[int],
@@ -295,11 +305,11 @@ def x_product_form_residual(n: int, length: int, index_set: Sequence[int],
     x = build_X_plus(n, length, I, tuple(weight), twist)
     shifts = shifted_weights(weight)
     return _max_residual(
-        lambda zs: (x.at(zs) * delta_set(twist, I),
+        lambda zs: (_member_at(x, n, length, zs) * delta_set(twist, I),
                     reduce(matmul, [qf.q_at((a,), [z + s for z in zs])
                                     for a, s in zip(I, shifts)],
-                           QuantumOperator.identity(n ** length, len(zs)))),
-        n ** length, length)
+                           qf.q_at((), zs))),
+        length)
 
 
 # -- exchange (three-term) relation of determinants --------------------------------
@@ -320,7 +330,7 @@ def plucker_residual(n: int, length: int, chain: Sequence[int], k: int,
             = D_k(z0..z_{k-1}) D_{k-1}(z2..zk)
             + D_{k-1}(z0, z2..z_{k-1}) D_k(z1..zk)
 
-    The three determinants of each size are formed as one stack.
+    The three determinants of each size are formed as one run.
     """
     if k < 2:
         raise ValueError("the relation needs at least two nested levels")
@@ -328,17 +338,7 @@ def plucker_residual(n: int, length: int, chain: Sequence[int], k: int,
         raise ValueError("need k+1 spectral points")
     qf = family or QFamily(n, length, twist)
     z = list(z_points)
-
-    def dets(letters: Sequence[int], point_lists: List[List[float]]
-             ) -> List[QuantumOperator]:
-        out = []
-        for lists in stack_chunks(point_lists, n ** length):
-            stack = _q_det(qf, tuple(sorted(letters)), lists)
-            out.extend(stack.take([b]) for b in range(stack.count))
-        return out
-
-    d_k = dets(chain[:k], [[z[0]] + z[2:], z[:k], z[1:]])
-    d_km1 = dets(chain[:k - 1], [z[1:k], z[2:], [z[0]] + z[2:k]])
-    lhs = d_k[0] @ d_km1[0]
-    rhs = d_k[1] @ d_km1[1] + d_km1[2] @ d_k[2]
-    return (lhs - rhs).norm()
+    d_k = _q_det(qf, tuple(sorted(chain[:k])), [[z[0]] + z[2:], z[:k], z[1:]])
+    d_km1 = _q_det(qf, tuple(sorted(chain[:k - 1])), [z[1:k], z[2:], [z[0]] + z[2:k]])
+    return _residual(d_k[0:1] @ d_km1[0:1],
+                     d_k[1:2] @ d_km1[1:2] + d_km1[2:3] @ d_k[2:3])

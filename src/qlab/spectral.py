@@ -40,7 +40,7 @@ import numpy as np
 
 from .oscillator import _worst
 from .relations import QFamily
-from .tensor import QuantumOperator, _accumulate, basis_states, sector_states, state_index
+from .tensor import QuantumOperator, SectorLayout, _accumulate, basis_states, sector_layout
 from .transfer import TwistConfig
 
 ROOT_COLLISION_TOL = 1e-9
@@ -76,32 +76,25 @@ def build_hamiltonian(n: int, length: int, twist: TwistConfig) -> QuantumOperato
                                                   terms.ravel())))
 
 
-def sector_blocks(ops: Sequence[QuantumOperator], sectors: Sequence[Sequence[int]]
+def sector_blocks(ops: Sequence[QuantumOperator], layout: SectorLayout
                   ) -> List[np.ndarray]:
     """The diagonal blocks ``op[idx, idx]`` of every operator in ``ops``, one
-    stack of shape ``(len(ops), len(idx), len(idx))`` per index list ``idx``
-    in ``sectors``.
+    stack of shape ``(len(ops), len(idx), len(idx))`` per sector ``idx`` of
+    ``layout``, in its order.
 
-    The map from basis index to sector and position is built once; each
-    operator's stored entries are then read in one pass, with no dense copy of
-    the operator.  Entries outside the blocks are ignored.  The index lists
-    must be disjoint.
+    Each operator's stored entries are read in one pass, with no dense copy
+    of the operator.  An entry that couples two sectors raises
+    ``ValueError`` (:meth:`SectorLayout.entries`).
     """
-    dim = ops[0].dim
-    sizes = np.array([len(idx) for idx in sectors], dtype=np.int64)
-    label = np.full(dim, -1, dtype=np.int64)
-    pos = np.zeros(dim, dtype=np.int64)
-    for s, idx in enumerate(sectors):
-        label[idx] = s
-        pos[idx] = np.arange(len(idx))
+    sizes = np.array([len(idx) for idx in layout.sectors], dtype=np.int64)
     # the stacks are row-major views into one buffer, stack s at offset[s]
     offset = np.concatenate(([0], np.cumsum(len(ops) * sizes ** 2)))
     flat = np.zeros(offset[-1], dtype=complex)
     for k, op in enumerate(ops):
-        rows, cols = np.divmod(op.keys, dim)
-        keep = (label[rows] >= 0) & (label[rows] == label[cols])
-        rows, cols, s = rows[keep], cols[keep], label[rows[keep]]
-        flat[offset[s] + (k * sizes[s] + pos[rows]) * sizes[s] + pos[cols]] = op.vals[keep]
+        rows, cols = layout.entries(op)
+        s = layout.sector[rows]
+        flat[offset[s] + (k * sizes[s] + layout.position[rows]) * sizes[s]
+             + layout.position[cols]] = op.vals
     return [flat[offset[s]:offset[s + 1]].reshape(len(ops), size, size)
             for s, size in enumerate(sizes)]
 
@@ -351,9 +344,8 @@ class SpectralAnalysis:
         self.H = build_hamiltonian(n, length, twist)
         # every operator is read once, into one stack of blocks per sector:
         # the probes diagonalized together, then each member's coefficients
-        grouped = sector_states(n, length)
-        self.labels = sorted(grouped)
-        sectors = [[state_index(s, n) for s in grouped[m]] for m in self.labels]
+        layout = sector_layout(n, length)
+        self.labels = layout.labels
         probes = [self.H] + [self.q_polys[I].at(z) for I in self.sets[1:-1]
                              for z in (0.37, -0.81)] + [self.tbox.at(0.29)]
         members = [self.q_polys[I].coeffs for I in self.sets] \
@@ -363,7 +355,7 @@ class SpectralAnalysis:
         # the members' coefficient slices: one per index set, then T_box
         self._members = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         self._stacks = dict(zip(self.labels, sector_blocks(
-            probes + [c for coeffs in members for c in coeffs], sectors)))
+            probes + [c for coeffs in members for c in coeffs], layout)))
 
     def sector_records(self, m: Sequence[int]) -> List[EigenstateRecord]:
         """The records of every joint eigenstate of sector ``m``, each step

@@ -1,56 +1,49 @@
-"""Sparse linear-algebra substrate for small spin chains.
+"""Linear-algebra substrate for small spin chains: sparse operators and dense
+letter-count sector blocks.
 
-An operator on ``(C^n)^{tensor L}`` is stored as two flat arrays in insertion
-order: int64 keys ``row * dim + col`` and complex128 amplitudes.  Each
-operation is a numpy pass that makes the floating-point operations of a loop
-over a ``(row, col) -> value`` dict, in the same order: ``a @ b`` walks the
-entries ``(r, k)`` of ``a`` in stored order and, for each, row ``k`` of ``b``
-in stored order; ``a + b`` adds ``b``'s entries, in its order, to ``a``'s in
-place (``a - b`` is ``a + b * (-1.0)``); ``OperatorPolynomial.poly_at`` adds
-``c_k z^k`` coefficient after coefficient.  Terms on one key are added in that
-sequence starting from ``0.0``, and a new key is stored where first touched.
-Products round as CPython 3.11's complex product (``re = ar*br - ai*bi``,
-``im = ar*bi + ai*br``, no fused multiply-add; a real scalar has imaginary
-part ``0.0``).  Entries of modulus at most ``DROP_TOL`` are dropped; a NaN
+A :class:`QuantumOperator` on ``(C^n)^{tensor L}`` is stored as two flat
+arrays in insertion order: int64 keys ``row * dim + col`` and complex128
+amplitudes.  Each operation is a numpy pass that makes the floating-point
+operations of a loop over a ``(row, col) -> value`` dict, in the same order:
+``a + b`` adds ``b``'s entries, in its order, to ``a``'s in place (``a - b``
+is ``a + b * (-1.0)``); ``OperatorPolynomial.poly_at`` adds ``c_k z^k``
+coefficient after coefficient.  Terms on one key are added in that sequence
+starting from ``0.0``, and a new key is stored where first touched.
+Scalings and the terms ``c_k z^k`` round as CPython 3.11's complex product
+(``re = ar*br - ai*bi``, ``im = ar*bi + ai*br``, no fused multiply-add; a
+real scalar has imaginary part ``0.0``).  Entries of modulus at most ``DROP_TOL`` are dropped; a NaN
 entry is kept.  So two equal operators stored in a different order give
 results that differ at rounding level.  Basis states of the chain are
 enumerated in base ``n`` with site 1 as the most significant digit.
 
-One ``QuantumOperator`` may hold a stack of ``count`` operators of one
-dimension, such as a family member at several spectral points: the
-``(count * dim) x dim`` matrix whose rows ``b * dim .. b * dim + dim - 1``
-hold operator ``b``, with keys ``(b * dim + row) * dim + col``.  A single
-operator (``count = 1``) is stored exactly as above.  Every operation acts on
-each operator of a stack on its own: ``a @ b`` pairs the entry ``(b, r, k)``
-of ``a`` with row ``b * dim + k`` of ``b``, a scalar multiple takes one scalar
-or one per operator, and :meth:`QuantumOperator.norms` gives one norm per
-operator.  Keys of different operators never meet, so each operator of a
-result is stored, and rounded, exactly as the operation on that operator
-alone would store it; the stack only forms one numpy pass where there were
-``count``.
-
 Sums of terms are formed by a scatter that costs O(terms) and sorts nothing
-(:func:`_scatter`): ``np.minimum.at`` records the position of each key's first
-term and ``np.add.at`` adds the terms in array order, both into a module
-workspace of ``count * dim**2`` slots, which each call resets only at the keys
+(:func:`_accumulate`): ``np.minimum.at`` records the position of each key's
+first term and ``np.add.at`` adds the terms in array order, both into a
+module workspace of ``dim**2`` slots, which each call resets only at the keys
 it stored.  The workspace takes 24 bytes per slot (an int64 position and a
-complex128 sum); it is sized for the largest stack used so far and kept.
-Callers cut stacks into runs of at most :func:`stack_size` operators
-(:func:`stack_chunks`), so the workspace never passes
-``max(dim**2, STACK_SLOTS)`` slots: about 0.8 MB while ``dim**2`` is at most
-``STACK_SLOTS``, and 25 MB at ``dim = 1024`` (``n = 4, L = 5``), where every
-stack holds one operator.  So stacks hold more than one operator while
-``dim <= 128``: every chain with ``n = 2``, and ``n = 3`` to ``L = 4`` and
-``n = 4`` to ``L = 3``; at ``(3, 5)``, ``(4, 4)`` and ``(4, 5)`` every pass
-forms one operator.  A product forms its terms in chunks of left
-entries of about ``MATMUL_CHUNK`` terms each and scatters every chunk into the
-same workspace, which bounds its transient arrays without changing any sum.
+complex128 sum), 25 MB at ``dim = 1024`` (``n = 4, L = 5``); it is sized for
+the largest dimension used so far and kept.
+
+Every operator the package forms on a chain conserves the letter counts, so
+the relation checks multiply dense sector blocks instead.
+:func:`sector_layout` gives, once per chain, the letter-count sectors in
+sorted order and the sectors grouped by size.  :meth:`SectorLayout.blocks`
+reads a run of operators into :class:`Blocks`: for each size group, one
+``(count, S, s, s)`` array holding the ``s x s`` blocks of the group's ``S``
+sectors for each of the ``count`` operators.  An entry that couples two
+sectors raises ``ValueError``, so no entry is silently lost.  A family
+member's coefficients read this way give its values at a run of points
+(:meth:`Blocks.polynomial_at`), and every product is one numpy ``@`` per
+group: each ``s x s`` product is one BLAS call, whose sums run in an order of
+BLAS's choosing, so block results differ from sparse ones at rounding level.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import itertools
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -58,35 +51,17 @@ import numpy as np
 DROP_TOL = 1e-14
 #: a largest component at most this far down drops its entry without ``hypot``
 _SURE_DROP = 0.7 * DROP_TOL
-#: products form their terms in chunks of left entries of about this many terms
-MATMUL_CHUNK = 1 << 18
-#: a stack of operators spans at most this many slots ``count * dim**2``,
-#: unless a single operator spans more
-STACK_SLOTS = 1 << 15
-
-
-def stack_size(dim: int) -> int:
-    """The most operators of dimension ``dim`` that one stack holds."""
-    return max(1, STACK_SLOTS // (dim * dim))
-
-
-def stack_chunks(items: Sequence, dim: int) -> List[Sequence]:
-    """``items`` cut into consecutive runs of at most ``stack_size(dim)``."""
-    size = stack_size(dim)
-    return [items[lo:lo + size] for lo in range(0, len(items), size)]
 
 
 class QuantumOperator:
-    """A stack of ``count`` complex ``dim x dim`` matrices: entry keys
-    ``(b * dim + row) * dim + col`` (int64) of operator ``b`` and amplitudes
-    ``vals`` (complex128) in insertion order, which is the order in which
-    products and sums add terms (module docstring)."""
+    """A complex ``dim x dim`` matrix: entry keys ``row * dim + col`` (int64)
+    and amplitudes ``vals`` (complex128) in insertion order, which is the
+    order in which sums add terms (module docstring)."""
 
-    __slots__ = ("dim", "count", "keys", "vals")
+    __slots__ = ("dim", "keys", "vals")
 
     def __init__(self, dim: int, data: Dict[Tuple[int, int], complex] | None = None):
         self.dim = int(dim)
-        self.count = 1
         keys: List[int] = []
         vals: List[complex] = []
         for (r, c), v in (data or {}).items():
@@ -100,8 +75,8 @@ class QuantumOperator:
         self.vals = np.array(vals, dtype=complex)
 
     @classmethod
-    def _from_arrays(cls, dim: int, keys: np.ndarray, vals: np.ndarray,
-                     count: int = 1) -> "QuantumOperator":
+    def _from_arrays(cls, dim: int, keys: np.ndarray, vals: np.ndarray
+                     ) -> "QuantumOperator":
         """The entries ``keys``, ``vals`` whose modulus is not at most ``DROP_TOL``.
 
         The test reads ``m = max(|re|, |im|)`` first.  The modulus lies in
@@ -123,152 +98,57 @@ class QuantumOperator:
                 drop[unsure] = np.hypot(v.real, v.imag) <= DROP_TOL
             keep = ~drop
             keys, vals = keys[keep], vals[keep]
-        return cls._stored(dim, count, keys, vals)
-
-    @classmethod
-    def _stored(cls, dim: int, count: int, keys: np.ndarray, vals: np.ndarray
-                ) -> "QuantumOperator":
-        """The stack of the given entries, every one of which is kept."""
         op = cls.__new__(cls)
-        op.dim, op.count, op.keys, op.vals = dim, count, keys, vals
+        op.dim, op.keys, op.vals = dim, keys, vals
         return op
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def identity(cls, dim: int, count: int = 1) -> "QuantumOperator":
-        diag = np.arange(count * dim, dtype=np.int64) * dim
-        return cls._from_arrays(dim, diag + np.tile(np.arange(dim, dtype=np.int64), count),
-                                np.ones(count * dim, dtype=complex), count)
+    def identity(cls, dim: int) -> "QuantumOperator":
+        return cls._from_arrays(dim, np.arange(dim, dtype=np.int64) * (dim + 1),
+                                np.ones(dim, dtype=complex))
 
     @classmethod
-    def zero(cls, dim: int, count: int = 1) -> "QuantumOperator":
-        return cls._stored(dim, count, np.zeros(0, dtype=np.int64),
-                           np.zeros(0, dtype=complex))
-
-    @classmethod
-    def stack(cls, ops: Sequence["QuantumOperator"]) -> "QuantumOperator":
-        """The operators of the stacks ``ops``, in order, as one stack."""
-        if len(ops) == 1:
-            return ops[0]
-        dim = ops[0].dim
-        if any(op.dim != dim for op in ops):
-            raise ValueError("dimension mismatch")
-        first = np.cumsum([0] + [op.count for op in ops])
-        return cls._stored(dim, int(first[-1]),
-                           np.concatenate([op.keys + int(b) * dim * dim
-                                           for op, b in zip(ops, first)]),
-                           np.concatenate([op.vals for op in ops]))
-
-    def take(self, blocks: Sequence[int]) -> "QuantumOperator":
-        """The stack of operators ``blocks`` of this stack, in that order;
-        an operator may be taken more than once."""
-        blocks = list(blocks)
-        if blocks == list(range(self.count)):
-            return self
-        size = self.dim * self.dim
-        owner = self.keys // size
-        # each operator's entries, in stored order
-        order = np.argsort(owner, kind="stable")
-        sizes = np.bincount(owner, minlength=self.count)
-        start = np.cumsum(sizes) - sizes
-        picked = np.concatenate([order[start[b]:start[b] + sizes[b]] for b in blocks])
-        shift = np.repeat((np.arange(len(blocks)) - blocks) * size, sizes[blocks])
-        return QuantumOperator._stored(self.dim, len(blocks),
-                                       self.keys[picked] + shift, self.vals[picked])
+    def zero(cls, dim: int) -> "QuantumOperator":
+        return cls._from_arrays(dim, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other: "QuantumOperator") -> None:
-        if self.dim != other.dim or self.count != other.count:
-            raise ValueError("dimension or stack size mismatch")
-
     def __add__(self, other: "QuantumOperator") -> "QuantumOperator":
-        self._check(other)
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
         return _accumulate(self.dim, np.concatenate((self.keys, other.keys)),
                            np.concatenate((self.vals, other.vals)),
-                           assigned=len(self.keys), count=self.count)
+                           assigned=len(self.keys))
 
     def __sub__(self, other: "QuantumOperator") -> "QuantumOperator":
         return self + (other * (-1.0))
 
     def __mul__(self, scalar) -> "QuantumOperator":
-        """The stack times one scalar, or operator ``b`` times ``scalar[b]``."""
-        if isinstance(scalar, (list, tuple, np.ndarray)):
-            if len(scalar) != self.count:
-                raise ValueError("need one scalar per operator")
-            # one operator's factor is broadcast, not copied to every entry
-            factor = complex(scalar[0]) if self.count == 1 else \
-                np.array(scalar, dtype=complex)[self.keys // (self.dim * self.dim)]
-        else:
-            factor = complex(scalar)
         return QuantumOperator._from_arrays(self.dim, self.keys,
-                                            _product(self.vals, factor), self.count)
+                                            _product(self.vals, complex(scalar)))
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other: "QuantumOperator") -> "QuantumOperator":
-        self._check(other)
-        dim = self.dim
-        # the right factor's entries grouped by stacked row, stored order
-        # within a row
-        rows, cols = np.divmod(other.keys, dim)
-        by_row = np.argsort(rows, kind="stable")
-        counts = np.bincount(rows, minlength=self.count * dim)
-        row_start = np.cumsum(counts) - counts
-        # left entry (b, r, k) meets the right row b * dim + k; one term per
-        # (left entry, entry of that row); term t of left entry i reads the
-        # right entry by_row[shift[i] + t]
-        left_rows, k = np.divmod(self.keys, dim)
-        k += left_rows - left_rows % dim
-        width = counts[k]
-        end = np.cumsum(width)
-        shift = row_start[k] - (end - width)
-        # chunks of whole left entries, cut where the term count passes a
-        # multiple of MATMUL_CHUNK; they hold the terms in their full order
-        total = int(end[-1]) if len(end) else 0
-        cuts = [0, *np.searchsorted(end, np.arange(MATMUL_CHUNK, total, MATMUL_CHUNK),
-                                    side="right").tolist(), len(end)]
-
-        def chunks():
-            for lo, hi in zip(cuts, cuts[1:]):
-                base = int(end[lo - 1]) if lo else 0
-                left = np.repeat(np.arange(lo, hi), width[lo:hi])
-                right = by_row[np.repeat(shift[lo:hi], width[lo:hi])
-                               + np.arange(base, base + len(left))]
-                yield (left_rows[left] * dim + cols[right],
-                       _product(self.vals[left], other.vals[right]))
-
-        return _scatter(dim, chunks(), count=self.count)
-
     # -- queries -----------------------------------------------------------
 
-    def norms(self) -> np.ndarray:
-        """Largest entry modulus (max norm) of each operator of the stack."""
-        out = np.zeros(self.count)
-        np.maximum.at(out, self.keys // (self.dim * self.dim),
-                      np.hypot(self.vals.real, self.vals.imag))
-        return out
-
     def norm(self) -> float:
-        """Largest entry modulus over the stack (max norm)."""
-        return float(self.norms().max())
+        """Largest entry modulus (max norm); a NaN entry makes it NaN."""
+        return float(np.hypot(self.vals.real, self.vals.imag).max(initial=0.0))
 
     def to_dense(self) -> np.ndarray:
-        """The ``(count * dim) x dim`` matrix of the stack."""
-        out = np.zeros(self.count * self.dim * self.dim, dtype=complex)
+        out = np.zeros(self.dim * self.dim, dtype=complex)
         out[self.keys] = self.vals
-        return out.reshape(self.count * self.dim, self.dim)
+        return out.reshape(self.dim, self.dim)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuantumOperator):
             return NotImplemented
-        return (self.dim, self.count) == (other.dim, other.count) \
-            and (self - other).norm() <= DROP_TOL
+        return self.dim == other.dim and (self - other).norm() <= DROP_TOL
 
     def __repr__(self) -> str:
-        stacked = f", count={self.count}" if self.count > 1 else ""
-        return f"QuantumOperator(dim={self.dim}{stacked}, nnz={len(self.keys)})"
+        return f"QuantumOperator(dim={self.dim}, nnz={len(self.keys)})"
 
 
 def _product(a: np.ndarray, b) -> np.ndarray:
@@ -279,18 +159,6 @@ def _product(a: np.ndarray, b) -> np.ndarray:
     return out
 
 
-def _accumulate(dim: int, keys: np.ndarray, terms: np.ndarray,
-                assigned: int = 0, count: int = 1) -> QuantumOperator:
-    """The stack whose entry at each key is the sum of the ``terms`` there.
-
-    Terms are added in array order, and each key is stored where it is first
-    touched.  A sum starts from ``0.0`` (``d.get(key, 0.0) + v``), or from
-    ``-0.0`` where the key's first term is among the first ``assigned``: that
-    takes the term unchanged, signed zeros included (``d[key] = v``).
-    """
-    return _scatter(dim, [(keys, terms)], assigned, count)
-
-
 #: the scatter workspace, indexed by key: the position of the key's first
 #: term, and its running sum; at rest (``_UNSET`` and ``0.0``) between calls
 _UNSET = np.iinfo(np.int64).max
@@ -298,39 +166,178 @@ _first = np.empty(0, dtype=np.int64)
 _sums = np.empty(0, dtype=complex)
 
 
-def _scatter(dim: int, chunks: Iterable[Tuple[np.ndarray, np.ndarray]],
-             assigned: int = 0, count: int = 1) -> QuantumOperator:
-    """:func:`_accumulate` of the concatenated ``(keys, terms)`` chunks, in
-    O(terms) through the module workspace (module docstring).  The chunks are
-    not joined, so one chunk's arrays are held at a time; the workspace is
-    shared, so calls must not overlap (the package is single-threaded)."""
+def _accumulate(dim: int, keys: np.ndarray, terms: np.ndarray,
+                assigned: int = 0) -> QuantumOperator:
+    """The operator whose entry at each key is the sum of the ``terms`` there.
+
+    Terms are added in array order, and each key is stored where it is first
+    touched.  A sum starts from ``0.0`` (``d.get(key, 0.0) + v``), or from
+    ``-0.0`` where the key's first term is among the first ``assigned``: that
+    takes the term unchanged, signed zeros included (``d[key] = v``).  It runs
+    in O(terms) through the module workspace (module docstring), which is
+    shared, so calls must not overlap (the package is single-threaded).
+    """
     global _first, _sums
-    if len(_first) < count * dim * dim:
-        _first = np.full(count * dim * dim, _UNSET, dtype=np.int64)
-        _sums = np.zeros(count * dim * dim, dtype=complex)
+    if len(_first) < dim * dim:
+        _first = np.full(dim * dim, _UNSET, dtype=np.int64)
+        _sums = np.zeros(dim * dim, dtype=complex)
     first, sums = _first, _sums
-    stored = []
-    offset = 0
     try:
-        for keys, terms in chunks:
-            pos = np.arange(offset, offset + len(keys))
-            np.minimum.at(first, keys, pos)
-            new = np.flatnonzero(first[keys] == pos)
-            fresh = keys[new]
-            if offset < assigned:
-                sums[fresh[:np.searchsorted(new, assigned - offset)]] = complex(-0.0, -0.0)
-            np.add.at(sums, keys, terms)
-            stored.append(fresh)
-            offset += len(keys)
+        pos = np.arange(len(keys))
+        np.minimum.at(first, keys, pos)
+        new = np.flatnonzero(first[keys] == pos)
+        fresh = keys[new]
+        sums[fresh[:np.searchsorted(new, assigned)]] = complex(-0.0, -0.0)
+        np.add.at(sums, keys, terms)
     except BaseException:
         # the touched slots are unknown: start the next call from a new workspace
         _first = _sums = np.empty(0)
         raise
-    keys = np.concatenate(stored) if len(stored) > 1 else stored[0]
-    vals = sums[keys]
-    first[keys] = _UNSET
-    sums[keys] = 0.0
-    return QuantumOperator._from_arrays(dim, keys, vals, count)
+    vals = sums[fresh]
+    first[fresh] = _UNSET
+    sums[fresh] = 0.0
+    return QuantumOperator._from_arrays(dim, fresh, vals)
+
+
+# -- dense letter-count sector blocks --------------------------------------
+
+
+class SectorLayout:
+    """The letter-count sectors of one chain.
+
+    ``labels`` are the letter-count vectors in sorted order and ``sectors``
+    the basis indices of each, in basis order.  ``sector`` and ``position``
+    give each basis index's sector and its place there.  ``groups`` holds,
+    for each sector size in increasing order, the ``(S, s)`` array of the
+    basis indices of its ``S`` sectors, in label order.
+    """
+
+    def __init__(self, n: int, length: int):
+        grouped = sector_states(n, length)
+        self.dim = n ** length
+        self.labels = sorted(grouped)
+        self.sectors = [np.array([state_index(s, n) for s in grouped[m]], dtype=np.int64)
+                        for m in self.labels]
+        self.sector = np.empty(self.dim, dtype=np.int64)
+        self.position = np.empty(self.dim, dtype=np.int64)
+        for k, idx in enumerate(self.sectors):
+            self.sector[idx] = k
+            self.position[idx] = np.arange(len(idx))
+        sizes = sorted({len(idx) for idx in self.sectors})
+        self.groups = [np.array([idx for idx in self.sectors if len(idx) == s])
+                       for s in sizes]
+        # each basis index's group, and the flat offset of its block row
+        # within the group's (S, s, s) array
+        self.group = np.empty(self.dim, dtype=np.int64)
+        self.row_start = np.empty(self.dim, dtype=np.int64)
+        for g, idx in enumerate(self.groups):
+            self.group[idx] = g
+            self.row_start[idx] = np.arange(idx.size).reshape(idx.shape) * idx.shape[1]
+
+    def entries(self, op: QuantumOperator) -> Tuple[np.ndarray, np.ndarray]:
+        """The row and the column of each stored entry of ``op``;
+        ``ValueError`` if an entry couples two sectors."""
+        rows, cols = np.divmod(op.keys, self.dim)
+        if (self.sector[rows] != self.sector[cols]).any():
+            raise ValueError("an operator entry lies outside the letter-count blocks")
+        return rows, cols
+
+    def blocks(self, ops: Sequence[QuantumOperator]) -> "Blocks":
+        """The operators ``ops`` as one run of sector blocks."""
+        arrays = [np.zeros((len(ops), *idx.shape, idx.shape[1]), dtype=complex)
+                  for idx in self.groups]
+        flat = [a.reshape(len(ops), -1) for a in arrays]
+        for k, op in enumerate(ops):
+            rows, cols = self.entries(op)
+            group, at = self.group[rows], self.row_start[rows] + self.position[cols]
+            for g, f in enumerate(flat):
+                mine = group == g
+                f[k, at[mine]] = op.vals[mine]
+        return Blocks(self, arrays)
+
+
+@functools.lru_cache(maxsize=4)
+def sector_layout(n: int, length: int) -> SectorLayout:
+    """The sector layout of the chain, kept for the last four chains."""
+    return SectorLayout(n, length)
+
+
+class Blocks:
+    """A run of ``count`` operators that conserve the letter counts, as one
+    ``(count, S, s, s)`` array per size group of ``layout`` (module docstring).
+
+    Products, sums and differences pair operator ``b`` of one run with
+    operator ``b`` of the other; operands must share the layout and the
+    count."""
+
+    __slots__ = ("layout", "arrays")
+
+    def __init__(self, layout: SectorLayout, arrays: List[np.ndarray]):
+        self.layout, self.arrays = layout, arrays
+
+    @property
+    def count(self) -> int:
+        return self.arrays[0].shape[0]
+
+    @classmethod
+    def join(cls, runs: Sequence["Blocks"]) -> "Blocks":
+        """The operators of ``runs``, in order, as one run."""
+        return cls(runs[0].layout, [np.concatenate(parts)
+                                    for parts in zip(*(r.arrays for r in runs))])
+
+    def __getitem__(self, index) -> "Blocks":
+        """The run of the operators ``index`` picks (a slice or an index list)."""
+        return Blocks(self.layout, [a[index] for a in self.arrays])
+
+    def _pair(self, other: "Blocks", op: Callable) -> "Blocks":
+        if self.layout is not other.layout or self.count != other.count:
+            raise ValueError("layout or operator count mismatch")
+        return Blocks(self.layout, [op(a, b) for a, b in zip(self.arrays, other.arrays)])
+
+    def __matmul__(self, other: "Blocks") -> "Blocks":
+        return self._pair(other, np.matmul)
+
+    def __add__(self, other: "Blocks") -> "Blocks":
+        return self._pair(other, np.add)
+
+    def __sub__(self, other: "Blocks") -> "Blocks":
+        return self._pair(other, np.subtract)
+
+    def __mul__(self, scalar: complex) -> "Blocks":
+        return Blocks(self.layout, [a * scalar for a in self.arrays])
+
+    def polynomial_at(self, sigma: complex, points: Sequence[complex]) -> "Blocks":
+        """Reading the run as the coefficients ``c_0, c_1, ...`` of
+        ``exp(i z sigma) sum_k c_k z^k``, its values at each of ``points``.
+
+        The sum runs coefficient after coefficient and is then scaled by the
+        exponential, as :meth:`qlab.transfer.OperatorPolynomial.at` forms
+        it; the powers of ``z`` and the exponentials are formed in Python
+        complex arithmetic.  All of it is elementwise, so no value depends
+        on BLAS or its threads."""
+        powers = []
+        for z in points:
+            zk, row = 1.0 + 0.0j, []
+            for _ in range(self.count):
+                row.append(zk)
+                zk *= z
+            powers.append(row)
+        powers = np.array(powers, dtype=complex)[:, :, None, None, None]
+        factor = np.array([cmath.exp(1j * z * sigma) for z in points],
+                          dtype=complex)[:, None, None, None]
+        out = []
+        for a in self.arrays:
+            acc = a[0] * powers[:, 0]
+            for k in range(1, self.count):
+                acc += a[k] * powers[:, k]
+            acc *= factor
+            out.append(acc)
+        return Blocks(self.layout, out)
+
+    def norms(self) -> np.ndarray:
+        """Largest entry modulus (max norm) of each operator; a NaN entry
+        makes its operator's norm NaN."""
+        return np.max([np.abs(a).max(axis=(1, 2, 3)) for a in self.arrays], axis=0)
 
 
 # -- chain basis ---------------------------------------------------------

@@ -155,39 +155,20 @@ class OperatorPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def poly_at(self, z: complex | Sequence[complex]) -> QuantumOperator:
+    def poly_at(self, z: complex) -> QuantumOperator:
         """``sum_k c_k z^k``, summed coefficient after coefficient (see
-        ``qlab.tensor``); for a sequence of points, the stack of these sums,
-        one per point, each stored and rounded as at that point alone."""
-        points = z if isinstance(z, (list, tuple)) else (z,)
-        powers = []
-        for x in points:
-            zk = 1.0 + 0.0j
-            row = []
-            for _ in self.coeffs:
-                row.append(zk)
-                zk *= x
-            powers.append(row)
-        powers = np.array(powers, dtype=complex)
-        # each coefficient's terms at every point, coefficient after coefficient
-        count = len(points)
-        offsets = np.arange(count, dtype=np.int64)[:, None] * (self.dim * self.dim)
-        total = count * sum(len(c.keys) for c in self.coeffs)
-        keys = np.empty(total, dtype=np.int64)
-        terms = np.empty(total, dtype=complex)
-        start = 0
-        for k, c in enumerate(self.coeffs):
-            part = slice(start, start + count * len(c.keys))
-            np.add(c.keys, offsets, out=keys[part].reshape(count, len(c.keys)))
-            terms[part] = _product(c.vals, powers[:, k, None]).ravel()
-            start = part.stop
-        return _accumulate(self.dim, keys, terms, count=count)
+        ``qlab.tensor``)."""
+        zk = 1.0 + 0.0j
+        terms = []
+        for c in self.coeffs:
+            terms.append(_product(c.vals, zk))
+            zk *= z
+        return _accumulate(self.dim, np.concatenate([c.keys for c in self.coeffs]),
+                           np.concatenate(terms))
 
-    def at(self, z: complex | Sequence[complex]) -> QuantumOperator:
-        """The member at ``z``; for a sequence of points, the stack of the
-        members at them."""
-        points = z if isinstance(z, (list, tuple)) else (z,)
-        return self.poly_at(z) * [cmath.exp(1j * x * self.sigma) for x in points]
+    def at(self, z: complex) -> QuantumOperator:
+        """The member at ``z``."""
+        return self.poly_at(z) * cmath.exp(1j * z * self.sigma)
 
 
 # -- the Q / T / X families ----------------------------------------------------

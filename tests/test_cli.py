@@ -458,15 +458,15 @@ def test_a_nan_at_the_second_point_fails_the_fusion_blocks(monkeypatch):
 
 def test_a_nan_in_a_later_pair_fails_the_commuting_record(monkeypatch):
     import numpy as np
-    from qlab.tensor import QuantumOperator
-    norms = QuantumOperator.norms
+    from qlab.tensor import Blocks
+    norms = Blocks.norms
 
     def nan_last(self):
         out = np.array(norms(self))
         out[-1] = float("nan")
         return out
 
-    monkeypatch.setattr(QuantumOperator, "norms", nan_last)
+    monkeypatch.setattr(Blocks, "norms", nan_last)
     (record,) = _records("commuting").values()
     _assert_failed_on_nan(record)
 

@@ -1,12 +1,14 @@
 import cmath
+import functools
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlab import tensor
-from qlab.tensor import DROP_TOL, QuantumOperator
+from qlab.glrep import permutation_sign
+from qlab.spectral import SpectralAnalysis
+from qlab.tensor import DROP_TOL, Blocks, QuantumOperator, SectorLayout, sector_layout
 from qlab.transfer import TwistConfig, build_Q
 from qlab.relations import (
     QFamily, _operator_det, delta_pair, delta_set, enumerate_hasse, hirota_residual,
@@ -16,6 +18,10 @@ from qlab.relations import (
 
 TW2 = TwistConfig((0.7, -0.7))
 TW3 = TwistConfig((0.7, -0.4, -0.3))
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=complex).view(np.int64).tolist()
 
 
 # -- scalar prefactors ------------------------------------------------------------
@@ -91,8 +97,10 @@ def test_quadrilateral_rejects_bad_indices():
 
 
 def test_zero_length_chain_collapses_exactly():
+    # every member is the scalar exp(i z sigma), so each residual is one
+    # rounding of a unit-modulus product (4.4e-16 at the second point)
     qf = QFamily(2, 0, TW2)
-    assert hirota_residual(2, 0, (), 1, 2, TW2, family=qf) == 0.0
+    assert hirota_residual(2, 0, (), 1, 2, TW2, family=qf) < 1e-15
     assert q_determinant_residual(2, 0, (1, 2), TW2, family=qf) < 1e-15
 
 
@@ -105,59 +113,77 @@ def from_dense(mat):
     return QuantumOperator._from_arrays(len(mat), keys, mat.reshape(-1)[keys].astype(complex))
 
 
+def dense(run):
+    """The ``(count, dim, dim)`` matrices of a run of sector blocks."""
+    dim = run.layout.dim
+    out = np.zeros((run.count, dim, dim), dtype=complex)
+    for idx, block in zip(run.layout.groups, run.arrays):
+        out[:, idx[:, :, None], idx[:, None, :]] = block
+    return out
+
+
+def _block_diagonal(layout, rng, count):
+    """``count`` random dense matrices that conserve the letter counts of
+    ``layout``'s chain; their entries meet exact cancellations in sums."""
+    out = np.zeros((count, layout.dim, layout.dim), dtype=complex)
+    for idx in layout.sectors:
+        s = len(idx)
+        block = (rng.integers(-2, 3, (count, s, s)) + 1j * rng.integers(-2, 3, (count, s, s))) / 4
+        out[:, idx[:, None], idx[None, :]] = block
+    return out
+
+
+def _runs(layout, matrices):
+    """The dense ``matrices`` as one run of blocks."""
+    return layout.blocks([from_dense(m) for m in matrices])
+
+
 def _naive_det(entries):
+    """The signed products over permutations in lexicographic order, each
+    multiplied left to right and added in turn."""
     p = len(entries)
-    dim = entries[0][0].dim
-    out = QuantumOperator.zero(dim)
+    out = None
     for sig in itertools.permutations(range(p)):
         inv = sum(1 for i in range(p) for j in range(i + 1, p) if sig[i] > sig[j])
-        term = QuantumOperator.identity(dim)
-        for i in range(p):
+        term = entries[0][sig[0]]
+        for i in range(1, p):
             term = term @ entries[i][sig[i]]
-        out = out + term * ((-1) ** inv)
+        term = term * float((-1) ** inv)
+        out = term if out is None else out + term
     return out
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_operator_det_matches_naive_permutation_sum(p):
     rng = np.random.default_rng(p)
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    a[rng.random((6, 6)) < 0.5] = 0.0
-    powers = [np.eye(6), a, a @ a]
+    layout = sector_layout(2, 3)
+    a = _block_diagonal(layout, rng, 1)[0] * (rng.random((8, 8)) < 0.7)
+    powers = [np.eye(8), a, a @ a]
     # polynomials in one matrix commute with each other
-    entries = [[from_dense(sum(
-        complex(*rng.normal(size=2)) * m for m in powers)) for _ in range(p)]
-        for _ in range(p)]
-    assert np.array_equal(_operator_det(entries).to_dense(), _naive_det(entries).to_dense())
-
-
-def _random_op(rng, dim):
-    """A sparse operator whose entries meet exact cancellations in sums."""
-    dense = (rng.integers(-2, 3, (dim, dim)) + 1j * rng.integers(-2, 3, (dim, dim))) / 4
-    dense[rng.random((dim, dim)) < 0.5] = 0.0
-    return from_dense(dense)
+    mats = [[sum(complex(*rng.normal(size=2)) * m for m in powers) for _ in range(p)]
+            for _ in range(p)]
+    entries = [[_runs(layout, [m]) for m in row] for row in mats]
+    got = _operator_det(entries)
+    assert bits(dense(got)) == bits(dense(_naive_det(entries)))
+    want = sum(float(permutation_sign(sig)) * functools.reduce(
+        np.matmul, [mats[i][sig[i]] for i in range(p)])
+        for sig in itertools.permutations(range(p)))
+    assert np.max(np.abs(dense(got)[0] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
-       st.integers(1, 120), st.integers(0, 2 ** 32 - 1))
-def test_stacked_operator_det_matches_each_determinant(p, dim, count, slots, seed):
-    # a small stacking cap cuts the walk's groups and products anywhere,
-    # down to one operator per product
+@given(st.integers(1, 4), st.sampled_from([(2, 1), (2, 3), (3, 2), (4, 1)]),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_stacked_operator_det_matches_each_determinant(p, chain, count, seed):
+    # a run of determinants: each is the determinant of its operators alone
     rng = np.random.default_rng(seed)
-    single = [[[_random_op(rng, dim) for _ in range(p)] for _ in range(p)]
-              for _ in range(count)]
-    want = [_operator_det(entries) for entries in single]
-    stacked = [[QuantumOperator.stack([single[b][i][j] for b in range(count)])
-                for j in range(p)] for i in range(p)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tensor, "STACK_SLOTS", slots)
-        got = _operator_det(stacked)
+    layout = sector_layout(*chain)
+    mats = [[_block_diagonal(layout, rng, count) for _ in range(p)] for _ in range(p)]
+    got = _operator_det([[_runs(layout, m) for m in row] for row in mats])
     assert got.count == count
-    for b, det in enumerate(want):
-        mine = got.keys // dim ** 2 == b
-        assert (got.keys[mine] - b * dim ** 2).tolist() == det.keys.tolist()
-        assert got.vals[mine].view(np.int64).tolist() == det.vals.view(np.int64).tolist()
+    for b in range(count):
+        alone = _operator_det([[_runs(layout, m[b:b + 1]) for m in row] for row in mats])
+        assert bits(dense(got[b:b + 1])) == bits(dense(alone))
 
 
 @pytest.mark.parametrize("I", [(1, 2), (1, 3), (2, 3)])
@@ -246,15 +272,135 @@ def test_family_cache_returns_same_object():
     assert qf.q((2, 1)) is qf.q((1, 2))
 
 
-def test_family_caches_values_within_the_stacking_cap(monkeypatch):
+def test_family_caches_member_blocks_and_values(monkeypatch):
     qf = QFamily(2, 2, TW2)
     points = (0.1, -0.3)
-    stack = qf.q_at((2, 1), points)
-    assert stack is qf.q_at((1, 2), [0.1, -0.3])
-    assert stack.count == 2 and stack == QuantumOperator.stack(
-        [qf.q((1, 2)).at(z) for z in points])
+    run = qf.q_at((2, 1), points)
+    assert run is qf.q_at((1, 2), [0.1, -0.3])
+    want = np.array([qf.q((1, 2)).at(z).to_dense() for z in points])
+    assert run.count == 2
+    assert np.max(np.abs(dense(run) - want)) <= 1e-15 * np.max(np.abs(want))
     qf.drop_values()
-    assert qf.q_at((1, 2), points) is not stack
-    # a stack past the cap is made anew on every call
-    monkeypatch.setattr(tensor, "STACK_SLOTS", 2 * 4 ** 2 - 1)
-    assert qf.q_at((1,), points) is not qf.q_at((1,), points)
+    # the values are formed anew from the blocks read the first time
+    monkeypatch.setattr(SectorLayout, "blocks", lambda *args: pytest.fail("read again"))
+    again = qf.q_at((1, 2), points)
+    assert again is not run and bits(dense(again)) == bits(dense(run))
+
+
+def test_the_spectrum_reads_no_member_blocks(monkeypatch):
+    # the spectrum reads the members through its own sector stacks
+    monkeypatch.setattr(SectorLayout, "blocks", lambda *args: pytest.fail("read"))
+    qf = QFamily(2, 2, TW2)
+    SpectralAnalysis(2, 2, TW2, family=qf).all_records()
+    assert qf.q((1,)) is qf.q((1,))
+
+
+# -- the block sides against dense numpy, and negative controls --------------------
+
+TW4 = TwistConfig((0.9, 0.4, -0.5, -0.8))
+TWISTS = {2: TW2, 3: TW3, 4: TW4}
+
+
+def _dense_det(rows, sign=permutation_sign):
+    """The Leibniz sum of a matrix of commuting dense matrices."""
+    p = len(rows)
+    return sum(float(sign(sig)) * functools.reduce(np.matmul, [rows[i][sig[i]] for i in range(p)])
+               for sig in itertools.permutations(range(p)))
+
+
+@pytest.mark.parametrize("n,L", [(2, 3), (3, 3), (4, 2)])
+def test_block_sides_match_dense_numpy(n, L, monkeypatch):
+    """Both sides of one record of each kind, formed on blocks, against the
+    same expression in numpy on full matrices.  The sides cancel large terms
+    (a determinant, or the difference of two products), so the scale is the
+    expression's magnitude: the same expression with every matrix replaced
+    by its entrywise modulus and every sign by ``+``."""
+    from qlab import relations
+    from qlab.cli import SUITES, RunConfig
+    from qlab.spectral import build_hamiltonian
+    tw = TWISTS[n]
+    qf = QFamily(n, L, tw)
+    zs = [0.31, -0.57]
+    sides = []
+    monkeypatch.setattr(relations, "_max_residual",
+                        lambda f, length: sides.append(f(zs)) or 0.0)
+    monkeypatch.setattr(relations, "_residual",
+                        lambda lhs, rhs: sides.append((lhs, rhs)) or 0.0)
+    hirota_residual(n, L, (), 1, 2, tw, family=qf)
+    q_determinant_residual(n, L, (1, 2), tw, family=qf)
+    t_determinant_residual(n, L, tw, family=qf)
+    chain, z = tuple(range(1, n + 1)), [0.2, 0.7, -0.4, 0.55, -0.15][:n + 1]
+    plucker_residual(n, L, chain, n, z, tw, family=qf)
+    SUITES["commuting"][1](RunConfig(n=n, length=L), qf)[0][1]()
+    full = tuple(range(1, n + 1))
+    shifts = [(n - 1) / 2 + 1] + [(n - 2 * j + 1) / 2 for j in range(2, n + 1)]
+    ops = [build_hamiltonian(n, L, tw), qf.t_box().at(0.29)] \
+        + [qf.q(I).at(0.37) for I in enumerate_hasse(n).nodes if 0 < len(I) < n]
+
+    def expressions(f, sign, scalar):
+        """Every side, with ``f`` applied to each dense operator."""
+        def q(I, x):
+            return f(qf.q(I).at(x).to_dense())
+
+        def det(letters, pts):
+            return _dense_det([[q((a,), x) for x in pts] for a in letters], sign)
+
+        pairs = list(itertools.combinations([f(op.to_dense()) for op in ops], 2))
+        return [
+            [scalar(delta_pair(tw, 1, 2)) * q((1, 2), x) @ q((), x) for x in zs],
+            [q((1,), x + 0.5) @ q((2,), x - 0.5) + sign((1, 0)) * q((2,), x + 0.5)
+             @ q((1,), x - 0.5) for x in zs],
+            [scalar(delta_set(tw, (1, 2))) * q((1, 2), x) for x in zs],
+            [det((1, 2), [x + 0.5, x - 0.5]) for x in zs],
+            [scalar(delta_set(tw, full)) * f(qf.t_box().at(x).to_dense()) for x in zs],
+            [det(full, [x + s for s in shifts]) for x in zs],
+            [det(chain, [z[0]] + z[2:]) @ det(chain[:-1], z[1:n])],
+            [det(chain, z[:n]) @ det(chain[:-1], z[2:])
+             + det(chain[:-1], [z[0]] + z[2:n]) @ det(chain, z[1:])],
+            [x @ y for x, y in pairs],
+            [y @ x for x, y in pairs]]
+
+    want = expressions(lambda m: m, permutation_sign, lambda c: c)
+    scale = expressions(np.abs, lambda sig: 1.0, abs)
+    # the commuting check forms one run per left operator
+    commuting = [Blocks.join(runs) for runs in zip(*sides[4:])]
+    got = [run for pair in sides[:4] for run in pair] + commuting
+    assert len(got) == len(want) == 10
+    for run, w, m in zip(got, want, scale):
+        assert np.max(np.abs(dense(run) - np.array(w))) <= 1e-12 * np.max(m)
+
+
+def _bumped_family(n, L, bump):
+    """The family with one off-diagonal entry ``v`` of ``Q_1``'s ``z^0``
+    coefficient replaced by ``bump(v, largest entry modulus)``; an entry of a
+    one-state sector would commute with every operator."""
+    qf = QFamily(n, L, TWISTS[n])
+    q1 = qf.q((1,))
+    c0 = q1.coeffs[0]
+    rows, cols = np.divmod(c0.keys, c0.dim)
+    at = np.flatnonzero(rows != cols)[0]
+    vals = c0.vals.copy()
+    vals[at] = bump(vals[at], np.max(np.abs(c0.vals)))
+    q1.coeffs[0] = QuantumOperator._from_arrays(c0.dim, c0.keys, vals)
+    return qf
+
+
+@pytest.mark.parametrize("n,L", [(2, 2), (3, 3), (4, 3)])
+def test_a_bumped_member_fails_hirota_determinant_and_commuting(n, L):
+    from qlab.cli import RunConfig, run_verify
+    cfg = RunConfig(n=n, length=L, suites=("hirota", "determinant", "commuting"))
+    watched = ["quadrilateral I=() a=1 b=2", "max pairwise commutator (%d ops)" % (2 ** n)] \
+        + ["pair form I=%s" % (I,) for I in itertools.combinations(range(1, n + 1), 2)
+           if 1 in I]
+
+    def records(bump):
+        doc = run_verify(cfg, family=_bumped_family(n, L, bump))
+        return {r["name"]: r for r in doc["records"]}
+
+    clean = records(lambda v, top: v)
+    raised = records(lambda v, top: v + 1e-8 * top)
+    broken = records(lambda v, top: complex(np.nan, 0.0))
+    for name in watched:
+        assert clean[name]["passed"]
+        assert not raised[name]["passed"] and raised[name]["residual"] >= 1e-10
+        assert not broken[name]["passed"] and np.isnan(broken[name]["residual"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qlab.tensor import QuantumOperator, sector_states, state_index
+from qlab.tensor import QuantumOperator, sector_layout, sector_states, state_index
 from qlab.transfer import TwistConfig, build_Q, build_T_box
 from qlab.spectral import (
     EigenstateRecord, SpectralAnalysis, _q_value, _residual_vector, _root_ratio,
@@ -47,7 +47,8 @@ def test_hamiltonian_commutes_with_family():
                   (build_hamiltonian(2, 2, TW2), build_T_box(2, 2, TW2).at(0.5)),
                   (build_hamiltonian(3, 2, TW3), build_Q(3, 2, (1, 2), TW3).at(0.4)),
                   (build_hamiltonian(3, 2, TW3), build_T_box(3, 2, TW3).at(-0.6))]:
-        assert ((H @ op) - (op @ H)).norm() < 1e-12
+        H, op = H.to_dense(), op.to_dense()
+        assert np.max(np.abs(H @ op - op @ H)) < 1e-12
 
 
 def dict_hamiltonian(n, length, twist):
@@ -98,18 +99,24 @@ def test_sector_labels_and_dimensions():
     assert sorted(map(len, _sector_indices(3, 2))) == [1, 1, 1, 2, 2, 2]
 
 
-def test_sector_blocks_ignore_entries_between_sectors():
-    # (1, 0) couples sectors (2,0) and (1,1); only the diagonal blocks are read
-    op = QuantumOperator(4, {(1, 0): 1.0, (1, 2): 2.0, (2, 1): 3.0j, (3, 3): 4.0})
-    sectors = _sector_indices(2, 2)
-    other = QuantumOperator(4, {(2, 2): 5.0, (0, 3): 6.0})
-    stacks = sector_blocks([op, other], sectors)
-    for idx, stack in zip(sectors, stacks):
-        assert stack.shape == (2, len(idx), len(idx))
+def test_sector_blocks_reject_entries_between_sectors():
+    layout = sector_layout(2, 2)
+    assert [idx.tolist() for idx in layout.sectors] == _sector_indices(2, 2)
+    op = QuantumOperator(4, {(1, 2): 2.0, (2, 1): 3.0j, (3, 3): 4.0})
+    other = QuantumOperator(4, {(2, 2): 5.0, (0, 0): 6.0})
+    stacks = sector_blocks([op, other], layout)
+    for idx, stack in zip(layout.sectors, stacks):
+        assert stack.shape == (2, len(idx), len(idx)) and stack.flags.c_contiguous
         for block, o in zip(stack, (op, other)):
             assert np.array_equal(block, o.to_dense()[np.ix_(idx, idx)])
     assert np.array_equal(stacks[1][0], [[0.0, 2.0], [3.0j, 0.0]])
     assert np.array_equal(stacks[1][1], [[0.0, 0.0], [0.0, 5.0]])
+    # (1, 0) couples sectors (2,0) and (1,1): no block holds it, so it is an error
+    stray = QuantumOperator(4, {(1, 2): 2.0, (1, 0): 1e-3, (3, 3): 4.0})
+    with pytest.raises(ValueError, match="outside the letter-count blocks"):
+        sector_blocks([op, stray], layout)
+    with pytest.raises(ValueError, match="outside the letter-count blocks"):
+        layout.blocks([op, stray])
 
 
 # -- simultaneous diagonalization -------------------------------------------------
@@ -140,10 +147,10 @@ def test_simultaneous_eigenbasis_rejects_noncommuting():
 
 def test_extract_q_polynomials_enforces_degree_and_monicity():
     q1 = build_Q(2, 2, (1,), TW2)
-    idx = _sector_indices(2, 2)[1]  # sector (1, 1)
-    probes, = sector_blocks([build_hamiltonian(2, 2, TW2), q1.at(0.37)], [idx])
+    layout = sector_layout(2, 2)  # its second sector is (1, 1)
+    probes = sector_blocks([build_hamiltonian(2, 2, TW2), q1.at(0.37)], layout)[1]
     v, vinv, _ = simultaneous_eigenbasis(probes)
-    blocks, = sector_blocks(q1.coeffs, [idx])
+    blocks = sector_blocks(q1.coeffs, layout)[1]
     polys = extract_q_polynomials(blocks, v, vinv, expected_degree=1)
     assert polys.shape == (2, 2) and np.all(polys[:, -1] == 1.0)
     # each row is the diagonal of the one-block products, bit for bit

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from qlab import tensor
 from qlab.spectral import sector_blocks
 from qlab.tensor import (
-    DROP_TOL, QuantumOperator, basis_states, state_index,
-    occupation,
+    DROP_TOL, Blocks, QuantumOperator, basis_states, occupation, sector_layout,
+    state_index,
 )
 from qlab.transfer import OperatorPolynomial
 
@@ -37,10 +37,41 @@ def test_identity_and_matrix_unit():
     assert np.allclose(e01.to_dense(), dense)
 
 
+#: chains whose layouts the block tests draw: sector sizes 1 to 6
+CHAINS = [(2, 1), (2, 2), (3, 2), (2, 3), (4, 1), (3, 3)]
+
+
+def dense(run):
+    """The ``(count, dim, dim)`` matrices of a run of sector blocks."""
+    dim = run.layout.dim
+    out = np.zeros((run.count, dim, dim), dtype=complex)
+    for idx, block in zip(run.layout.groups, run.arrays):
+        out[:, idx[:, :, None], idx[:, None, :]] = block
+    return out
+
+
+def block_diagonal(layout, rng, count):
+    """``count`` random dense matrices that conserve the letter counts of
+    ``layout``'s chain, about a third of their block entries zero."""
+    out = np.zeros((count, layout.dim, layout.dim), dtype=complex)
+    for idx in layout.sectors:
+        shape = (count, len(idx), len(idx))
+        block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out[:, idx[:, None], idx[None, :]] = np.where(rng.random(shape) < 0.7, block, 0.0)
+    return out
+
+
+def run_of(layout, matrices):
+    """The dense ``matrices`` as one run of blocks."""
+    return layout.blocks([from_dense(m) for m in matrices])
+
+
 def test_matmul_agrees_with_dense():
     rng = np.random.default_rng(0)
-    a, b = random_op(5, rng), random_op(5, rng)
-    assert np.allclose((a @ b).to_dense(), a.to_dense() @ b.to_dense())
+    layout = sector_layout(3, 3)
+    a, b = block_diagonal(layout, rng, 2), block_diagonal(layout, rng, 2)
+    got = dense(run_of(layout, a) @ run_of(layout, b))
+    assert np.allclose(got, a @ b, rtol=0.0, atol=1e-13)
 
 
 def test_add_and_scale():
@@ -88,11 +119,13 @@ def test_occupation_counts():
 
 
 def test_comm_norm_zero_for_commuting():
-    # the commutators [d1, d2] and [d1, off] as one stack, one norm each
-    d1 = from_dense(np.diag([1.0, 2.0, 3.0]))
-    d2 = from_dense(np.diag([5.0, -1.0, 0.5]))
-    off = unit(3, 0, 1)
-    x, y = QuantumOperator.stack([d1, d1]), QuantumOperator.stack([d2, off])
+    # the commutators [d1, d2] and [d1, off] as one run, one norm each; the
+    # basis states 1 and 2 of (n, L) = (2, 2) form one sector
+    layout = sector_layout(2, 2)
+    d1 = from_dense(np.diag([1.0, 2.0, 3.0, 4.0]))
+    d2 = from_dense(np.diag([5.0, -1.0, 0.5, 2.0]))
+    off = unit(4, 1, 2)
+    x, y = layout.blocks([d1, d1]), layout.blocks([d2, off])
     norms = ((x @ y) - (y @ x)).norms()
     assert norms[0] == 0.0 and norms[1] > 0.5
 
@@ -137,17 +170,6 @@ class DictOperator:
 
     def __mul__(self, scalar):
         return DictOperator(self.dim, {k: v * scalar for k, v in self.data.items()})
-
-    def __matmul__(self, other):
-        by_row = {}
-        for (r, c), v in other.data.items():
-            by_row.setdefault(r, []).append((c, v))
-        data = {}
-        for (r, k), a in self.data.items():
-            for c, b in by_row.get(k, ()):
-                key = (r, c)
-                data[key] = data.get(key, 0.0) + a * b
-        return DictOperator(self.dim, data)
 
     def norm(self):
         return max((abs(v) for v in self.data.values()), default=0.0)
@@ -207,8 +229,8 @@ def operator_pairs(draw, count=2, dims=st.integers(1, 40)):
 
     Each operator's entries are inserted in a random order.  Rows and columns
     come from a pool of at most six indices, and values from a small shared
-    pool, each with a random sign, so that sums and products meet repeated
-    keys and exact cancellations at every dimension."""
+    pool, each with a random sign, so that sums meet repeated keys and exact
+    cancellations at every dimension."""
     dim = draw(dims)
     index = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=6,
                           unique=True))
@@ -224,7 +246,7 @@ def operator_pairs(draw, count=2, dims=st.integers(1, 40)):
 
 
 # a pure-imaginary entry with a -0.0 real part met by a disjoint entry,
-# and products whose only term has a -0.0 imaginary part
+# and scalings whose only term has a -0.0 imaginary part
 _SIGNED_ZEROS = [both(2, {(0, 0): complex(-0.0, 2.0)}),
                  both(2, {(0, 1): complex(-1.0, -0.0), (0, 0): complex(3.0, -0.0)})]
 
@@ -234,19 +256,16 @@ _SIGNED_ZEROS = [both(2, {(0, 0): complex(-0.0, 2.0)}),
 @example(_SIGNED_ZEROS)
 def test_arithmetic_matches_dict_reference(ops):
     (a, ra), (b, rb) = ops
-    assert_bitwise(a @ b, ra @ rb)
-    assert_bitwise(b @ a, rb @ ra)
     assert_bitwise(a + b, ra + rb)
     assert_bitwise(b + a, rb + ra)
     assert_bitwise(a - b, ra - rb)
-    assert_bitwise(a @ b - b @ a, ra @ rb - rb @ ra)
+    assert_bitwise(a - b + b * 0.5, ra - rb + rb * 0.5)
     assert a.norm().hex() == float(ra.norm()).hex()
     assert bits(a.to_dense()) == bits(ra.to_dense())
 
 
 def check_arithmetic(ops):
     (a, ra), (b, rb) = ops
-    assert_bitwise(a @ b, ra @ rb)
     assert_bitwise(a + b, ra + rb)
     assert_bitwise(a - b, ra - rb)
 
@@ -259,27 +278,12 @@ def test_interleaved_dimensions_match_dict_reference(large, small, large_again):
         check_arithmetic(ops)
 
 
-@settings(max_examples=100, deadline=None)
-@given(operator_pairs(), st.integers(1, 8))
-def test_chunked_product_matches_dict_reference(ops, chunk):
-    # products scatter their terms chunk by chunk into one workspace
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tensor, "MATMUL_CHUNK", chunk)
-        check_arithmetic(ops)
-        (a, ra), (b, rb) = ops
-        assert_bitwise(b @ a @ b, rb @ ra @ rb)
-
-
 def test_failed_scatter_leaves_a_usable_workspace():
     a, ra = both(3, {(0, 1): 1.5, (1, 1): -2.0, (2, 0): 0.25j})
-
-    def chunks():  # a product that runs out of memory after its first chunk
-        yield a.keys, a.vals
-        raise MemoryError
-
-    with pytest.raises(MemoryError):
-        tensor._scatter(3, chunks())
-    assert_bitwise(a @ a + a, ra @ ra + ra)
+    # a sum whose terms fail to add after their keys were recorded
+    with pytest.raises(ValueError):
+        tensor._accumulate(3, a.keys, a.vals[:2], assigned=1)
+    assert_bitwise(a + a - a, ra + ra - ra)
 
 
 @settings(max_examples=200, deadline=None)
@@ -303,82 +307,6 @@ def test_poly_at_matches_dict_reference(ops, z):
     assert_bitwise(poly.poly_at(z), dict_poly_at([ref for _, ref in ops], z))
 
 
-# -- stacks: every operator as on its own ----------------------------------------
-
-
-def block(stack, b):
-    """Operator ``b`` of a stack, read from its arrays: its keys, shifted to
-    ``row * dim + col``, and the bits of its values, in stored order."""
-    size = stack.dim ** 2
-    mine = stack.keys // size == b
-    return (stack.keys[mine] - b * size).tolist(), bits(stack.vals[mine])
-
-
-def assert_stack_of(stack, ops):
-    """``stack`` holds ``ops``, each with its keys in its order and its bits."""
-    assert stack.count == len(ops) and all(op.dim == stack.dim for op in ops)
-    assert len(stack.keys) == sum(len(op.keys) for op in ops)
-    for b, op in enumerate(ops):
-        assert block(stack, b) == (op.keys.tolist(), bits(op.vals))
-    assert_at_rest()
-
-
-scalars = st.one_of(st.integers(-3, 3), components, amplitudes)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda c: operator_pairs(count=2 * c)),
-       st.lists(scalars, min_size=5, max_size=5),
-       st.lists(st.integers(0, 3), min_size=1, max_size=5))
-@example(_SIGNED_ZEROS * 2, [-1.0, 2, complex(-0.0, 1.0), 0.5, 1.0], [1, 0, 1])
-def test_stacked_arithmetic_matches_each_operator(ops, factors, picks):
-    ops = [op for op, _ in ops]
-    xs, ys = ops[:len(ops) // 2], ops[len(ops) // 2:]
-    x, y = QuantumOperator.stack(xs), QuantumOperator.stack(ys)
-    assert_stack_of(x, xs)
-    assert_stack_of(x @ y, [a @ b for a, b in zip(xs, ys)])
-    assert_stack_of(x + y, [a + b for a, b in zip(xs, ys)])
-    assert_stack_of(x - y, [a - b for a, b in zip(xs, ys)])
-    # a sum stores each operator's new keys after all of the left stack's
-    # keys, so products and sums of sums read interleaved operators
-    assert_stack_of((x + y) @ (y - x) - x, [(a + b) @ (b - a) - a for a, b in zip(xs, ys)])
-    factors, factor = factors[:len(xs)], factors[-1]
-    assert_stack_of((x + y) * factors, [(a + b) * f for a, b, f in zip(xs, ys, factors)])
-    assert_stack_of(x * factor, [a * factor for a in xs])
-    picks = [b % len(xs) for b in picks]
-    assert_stack_of((x + y).take(picks), [xs[b] + ys[b] for b in picks])
-    assert [v.hex() for v in (x @ y - y @ x).norms().tolist()] == \
-        [(a @ b - b @ a).norm().hex() for a, b in zip(xs, ys)]
-    assert x.norm() == max(a.norm() for a in xs)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 4).flatmap(lambda c: operator_pairs(count=2 * c)), st.integers(1, 8))
-def test_chunked_stacked_product_matches_each_operator(ops, chunk):
-    # a stacked product's chunks of terms may end inside one operator
-    ops = [op for op, _ in ops]
-    xs, ys = ops[:len(ops) // 2], ops[len(ops) // 2:]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tensor, "MATMUL_CHUNK", chunk)
-        got = QuantumOperator.stack(xs) @ QuantumOperator.stack(ys)
-    assert_stack_of(got, [a @ b for a, b in zip(xs, ys)])
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda k: operator_pairs(count=k)),
-       st.sampled_from([0.0, 0.7, -1.1 + 0.2j]), st.data())
-def test_stacked_evaluation_matches_each_point(ops, sigma, data):
-    coeffs = [op for op, _ in ops]
-    poly = OperatorPolynomial(coeffs[0].dim, sigma, coeffs)
-    # a twisted exponential must not overflow: bounded points where it is one
-    point = (st.one_of(components, amplitudes) if sigma == 0.0 else
-             st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)))
-    points = data.draw(st.lists(point, min_size=1, max_size=5))
-    assert_stack_of(poly.poly_at(points), [poly.poly_at(z) for z in points])
-    assert_stack_of(poly.at(points), [poly.at(z) for z in points])
-    assert_stack_of(poly.at(tuple(points)), [poly.at(z) for z in points])
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda k: operator_pairs(count=k)),
        st.one_of(components, amplitudes))
@@ -386,45 +314,97 @@ def test_single_operators_keep_their_keys(ops, z):
     coeffs = [op for op, _ in ops]
     dim = coeffs[0].dim
     single = OperatorPolynomial(dim, 0.0, coeffs).at(z)
-    ref = dict_poly_at([ref for _, ref in ops], z)
-    # one operator is stored as before stacks: keys row * dim + col
-    assert single.count == 1
-    assert_bitwise(single, ref)
-    assert QuantumOperator.stack([single]) is single
-    assert single.take([0]) is single
+    # a member at one point is stored as the dict loop stores it
+    assert_bitwise(single, dict_poly_at([ref for _, ref in ops], z))
     assert QuantumOperator.identity(dim).keys.tolist() == [r * (dim + 1) for r in range(dim)]
-    assert_stack_of(QuantumOperator.identity(dim, 3), [QuantumOperator.identity(dim)] * 3)
-    assert_stack_of(QuantumOperator.zero(dim, 2), [QuantumOperator.zero(dim)] * 2)
+    assert QuantumOperator.zero(dim).keys.tolist() == []
+
+
+# -- runs of sector blocks: every operator as on its own --------------------------
+
+
+def operators_of(run):
+    """Each operator of a run on its own, as a run of one."""
+    return [run[b:b + 1] for b in range(run.count)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CHAINS), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+       amplitudes)
+def test_stacked_arithmetic_matches_each_operator(chain, count, seed, factor):
+    rng = np.random.default_rng(seed)
+    layout = sector_layout(*chain)
+    xs, ys = block_diagonal(layout, rng, count), block_diagonal(layout, rng, count)
+    x, y = run_of(layout, xs), run_of(layout, ys)
+    assert bits(dense(x)) == bits(xs)
+    # each operator of a result is that operator's result alone, bit for bit
+    for got, alone in [(x @ y, lambda a, b: a @ b), (x + y, lambda a, b: a + b),
+                       (x - y, lambda a, b: a - b),
+                       ((x + y) @ (y - x) - x, lambda a, b: (a + b) @ (b - a) - a),
+                       (x * factor, lambda a, b: a * factor)]:
+        assert got.count == count
+        for b, (a1, b1) in enumerate(zip(operators_of(x), operators_of(y))):
+            assert bits(dense(got[b:b + 1])) == bits(dense(alone(a1, b1)))
+    # and the arithmetic is the dense one: elementwise exactly, products to rounding
+    assert bits(dense(x + y)) == bits(xs + ys)
+    assert bits(dense(x - y)) == bits(xs - ys)
+    assert np.allclose(dense(x @ y), xs @ ys, rtol=0.0, atol=1e-13)
+    assert [v.hex() for v in x.norms().tolist()] == \
+        [float(np.max(np.abs(m))).hex() for m in xs]
+    both_runs = Blocks.join([x, y])
+    assert bits(dense(both_runs)) == bits(np.concatenate((xs, ys)))
+    picks = rng.integers(0, 2 * count, 5)
+    assert bits(dense(both_runs[picks])) == bits(np.concatenate((xs, ys))[picks])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CHAINS), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.0, 0.7, -1.1 + 0.2j]),
+       st.lists(st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)),
+                min_size=1, max_size=5))
+def test_stacked_evaluation_matches_each_point(chain, degree, seed, sigma, points):
+    rng = np.random.default_rng(seed)
+    layout = sector_layout(*chain)
+    coeffs = [from_dense(m) for m in block_diagonal(layout, rng, degree)]
+    blocks = layout.blocks(coeffs)
+    run = blocks.polynomial_at(sigma, points)
+    assert run.count == len(points)
+    poly = OperatorPolynomial(layout.dim, sigma, coeffs)
+    for b, z in enumerate(points):
+        # each point as at that point alone, bit for bit, and as the sparse
+        # member there to rounding
+        assert bits(dense(run[b:b + 1])) == bits(dense(blocks.polynomial_at(sigma, [z])))
+        want = poly.at(z).to_dense()
+        assert np.max(np.abs(dense(run)[b] - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
 
 def test_stacks_must_match():
-    a, b = QuantumOperator.identity(2), QuantumOperator.identity(2, 2)
-    for op in (lambda: a + b, lambda: a @ b, lambda: b * [1.0, 2.0, 3.0],
-               lambda: QuantumOperator.stack([a, QuantumOperator.identity(3)])):
+    a, b = QuantumOperator.identity(2), QuantumOperator.identity(3)
+    layout = sector_layout(2, 2)
+    one, two = layout.blocks([QuantumOperator.identity(4)]), \
+        layout.blocks([QuantumOperator.identity(4)] * 2)
+    other = sector_layout(3, 1).blocks([QuantumOperator.identity(3)])
+    for op in (lambda: a + b, lambda: one @ two, lambda: one + two, lambda: one - two,
+               lambda: one @ other):
         with pytest.raises(ValueError):
             op()
 
 
-def test_stack_chunks_bound_the_workspace():
-    assert tensor.stack_size(27) == 44 and tensor.stack_size(64) == 8
-    assert tensor.stack_size(81) == 4 and tensor.stack_size(256) == 1
-    assert [len(c) for c in tensor.stack_chunks(list(range(6)), 81)] == [4, 2]
-    assert tensor.stack_chunks([], 81) == []
-
-
 @settings(max_examples=100, deadline=None)
-@given(operator_pairs(count=2), st.randoms(use_true_random=False))
-def test_sector_blocks_match_dense_reference(ops, rnd):
-    (a, ra), (b, rb) = ops
-    # a random partition of the basis into index lists
-    idx = list(range(a.dim))
-    rnd.shuffle(idx)
-    cuts = sorted(rnd.sample(range(1, a.dim), rnd.randint(0, a.dim - 1)))
-    sectors = [idx[i:j] for i, j in zip([0] + cuts, cuts + [a.dim])]
-    dense = [ra.to_dense(), rb.to_dense()]
-    for stack, sector in zip(sector_blocks([a, b], sectors), sectors):
-        for block, d in zip(stack, dense):
+@given(st.sampled_from(CHAINS), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_sector_blocks_match_dense_reference(chain, count, seed):
+    rng = np.random.default_rng(seed)
+    layout = sector_layout(*chain)
+    matrices = block_diagonal(layout, rng, count)
+    ops = [from_dense(m) for m in matrices]
+    stacks = sector_blocks(ops, layout)
+    assert len(stacks) == len(layout.sectors)
+    for stack, sector in zip(stacks, layout.sectors):
+        assert stack.flags.c_contiguous
+        for block, d in zip(stack, matrices):
             assert bits(block) == bits(d[np.ix_(sector, sector)])
+    # the runs read the same blocks, grouped by size
+    assert bits(dense(layout.blocks(ops))) == bits(matrices)
 
 
 def test_signed_zero_conventions():
@@ -437,10 +417,10 @@ def test_signed_zero_conventions():
     # ... one only in the right operand is 0.0 + v, which clears it
     right = QuantumOperator.zero(2) + other
     assert math.copysign(1.0, right.vals[0].real) == 1.0
-    # the product's only term has imaginary part (-0.0)(1) + (1)(-0.0) = -0.0,
-    # and its sum starts from 0.0 (0.0 + v), so the result carries +0.0
-    prod = (pure @ pure).vals[0]
-    assert prod.real == -1.0 and math.copysign(1.0, prod.imag) == 1.0
+    # a polynomial's only term c_0 * 1 has real part (-0.0)(1) - (1)(0.0) = -0.0,
+    # and its sum starts from 0.0 (0.0 + v), so the value carries +0.0
+    value = OperatorPolynomial(1, 0.0, [pure]).poly_at(1.0).vals[0]
+    assert value.imag == 1.0 and math.copysign(1.0, value.real) == 1.0
 
 
 @settings(max_examples=500, deadline=None)

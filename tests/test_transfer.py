@@ -444,7 +444,9 @@ def test_family_members_commute_pairwise():
            for I in [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]]
     ops.append(build_T_box(3, 2, TW3).at(-0.52))
     ops.append(build_Q(3, 2, (1, 2), TW3).at(-1.1))
-    worst = max(((x @ y) - (y @ x)).norm() for i, x in enumerate(ops) for y in ops[i + 1:])
+    dense = [op.to_dense() for op in ops]
+    worst = max(np.max(np.abs(x @ y - y @ x)) for i, x in enumerate(dense)
+                for y in dense[i + 1:])
     assert worst < 1e-10
 
 
@@ -514,8 +516,8 @@ def test_bgg_detects_a_perturbed_member(n, monkeypatch):
 def test_x_plus_commutes_with_q():
     xp = build_X_plus(3, 2, (1, 2), (0.4, -0.1), TW3_COMPLEX)
     q = build_Q(3, 2, (1, 2), TW3_COMPLEX)
-    x, y = xp.at(0.3), q.at(-0.7)
-    assert ((x @ y) - (y @ x)).norm() < 1e-10
+    x, y = xp.at(0.3).to_dense(), q.at(-0.7).to_dense()
+    assert np.max(np.abs(x @ y - y @ x)) < 1e-10
 
 
 # -- polynomial plumbing ---------------------------------------------------------
