@@ -243,12 +243,11 @@ def _suite_commuting(cfg: RunConfig, qf: QFamily) -> List[Check]:
     from .oscillator import _worst
     from .relations import _residual, enumerate_hasse
     from .spectral import build_hamiltonian
-    from .tensor import Blocks, sector_layout
+    from .tensor import Blocks
     members = [I for I in enumerate_hasse(cfg.n).nodes if 0 < len(I) < cfg.n]
 
     def worst() -> float:
-        h = sector_layout(cfg.n, cfg.length).blocks(
-            [build_hamiltonian(cfg.n, cfg.length, cfg.twist())])
+        h = build_hamiltonian(cfg.n, cfg.length, cfg.twist())
         ops = Blocks.join([h, qf.t_at((0.29,))] + [qf.q_at(I, (0.37,)) for I in members])
 
         def against_later(i: int) -> float:

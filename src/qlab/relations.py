@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .glrep import permutation_sign, shifted_weights
-from .tensor import Blocks, sector_layout
+from .tensor import Blocks
 from .transfer import (OperatorPolynomial, TwistConfig, build_Q, build_T_box,
                        build_X_plus)
 
@@ -103,19 +103,15 @@ class QFamily:
     """Cache of the trivial-carrier family members and the defining-carrier
     transfer operator for one chain and twist; each is built on first use.
 
-    The relation checks read members as dense sector blocks
-    (:mod:`qlab.tensor`): the first time a check asks for a member's values,
-    its coefficients are read into blocks once, and kept.  Its values at a
-    tuple of points are cached too: the checks of one suite read the same
-    members at the same points many times.  Callers drop them with
-    :meth:`drop_values` when a suite ends, so that the values of one suite
-    are held at a time."""
+    A member's values at a tuple of points are cached too: the checks of one
+    suite read the same members at the same points many times.  Callers drop
+    them with :meth:`drop_values` when a suite ends, so that the values of
+    one suite are held at a time."""
 
     def __init__(self, n: int, length: int, twist: TwistConfig):
         self.n, self.length, self.twist = n, length, twist
         self._cache: Dict[IndexSet, OperatorPolynomial] = {}
         self._t_box: Optional[OperatorPolynomial] = None
-        self._coeffs: Dict[object, Blocks] = {}
         self._values: Dict[Tuple[object, Tuple[float, ...]], Blocks] = {}
 
     def q(self, index_set: Sequence[int]) -> OperatorPolynomial:
@@ -143,23 +139,12 @@ class QFamily:
         points = tuple(points)
         out = self._values.get((key, points))
         if out is None:
-            poly = member()
-            coeffs = self._coeffs.get(key)
-            if coeffs is None:
-                coeffs = self._coeffs[key] = \
-                    sector_layout(self.n, self.length).blocks(poly.coeffs)
-            out = self._values[key, points] = coeffs.polynomial_at(poly.sigma, points)
+            out = self._values[key, points] = member().values(points)
         return out
 
     def drop_values(self) -> None:
         """Forget the cached values of :meth:`q_at` and :meth:`t_at`."""
         self._values.clear()
-
-
-def _member_at(poly: OperatorPolynomial, n: int, length: int,
-               points: Sequence[float]) -> Blocks:
-    """The run of ``poly`` at each of ``points``, read into blocks afresh."""
-    return sector_layout(n, length).blocks(poly.coeffs).polynomial_at(poly.sigma, points)
 
 
 Sides = Callable[[List[float]], Tuple[Blocks, Blocks]]
@@ -290,9 +275,9 @@ def x_merge_residual(n: int, length: int, set_i: Sequence[int],
     x_u = build_X_plus(n, length, union, merged_weight, twist)
     scale = delta_set(twist, I) * delta_set(twist, J)
     return _max_residual(
-        lambda zs: ((_member_at(x_i, n, length, [z + shift + p2 / 2 for z in zs])
-                     @ _member_at(x_j, n, length, [z - p1 / 2 for z in zs])) * scale,
-                    _member_at(x_u, n, length, zs) * delta_set(twist, union)),
+        lambda zs: ((x_i.values([z + shift + p2 / 2 for z in zs])
+                     @ x_j.values([z - p1 / 2 for z in zs])) * scale,
+                    x_u.values(zs) * delta_set(twist, union)),
         length)
 
 
@@ -305,7 +290,7 @@ def x_product_form_residual(n: int, length: int, index_set: Sequence[int],
     x = build_X_plus(n, length, I, tuple(weight), twist)
     shifts = shifted_weights(weight)
     return _max_residual(
-        lambda zs: (_member_at(x, n, length, zs) * delta_set(twist, I),
+        lambda zs: (x.values(zs) * delta_set(twist, I),
                     reduce(matmul, [qf.q_at((a,), [z + s for z in zs])
                                     for a, s in zip(I, shifts)],
                            qf.q_at((), zs))),

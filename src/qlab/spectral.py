@@ -11,11 +11,12 @@ defining-representation transfer operator.
 
 Each sector is processed as one batch.  All its states share each level's
 degree, so every step works on stacks, one row per state: the operators'
-blocks are read into one stack per sector; one stacked ``vinv @ probes @ v``
-validates the joint eigenbasis and gives the energies; one stacked matmul per
-member gives its eigenvalue polynomials; one ``eigvals`` per level finds every
-state's roots from companion matrices built as ``np.roots`` builds them; and
-the root equations and both energies are evaluated per sector.
+blocks of the sector are taken into one contiguous stack; one stacked
+``vinv @ probes @ v`` validates the joint eigenbasis and gives the energies;
+one stacked matmul per member gives its eigenvalue polynomials; one
+``eigvals`` per level finds every state's roots from companion matrices built
+as ``np.roots`` builds them; and the root equations and both energies are
+evaluated per sector.
 
 Every result is bit for bit what the one-state-at-a-time computation gives.
 Stacked ``matmul`` and ``eigvals`` round each slice as they round it alone,
@@ -40,22 +41,25 @@ import numpy as np
 
 from .oscillator import _worst
 from .relations import QFamily
-from .tensor import QuantumOperator, SectorLayout, _accumulate, basis_states, sector_layout
+from .tensor import Blocks, basis_states, sector_layout
 from .transfer import TwistConfig
 
 ROOT_COLLISION_TOL = 1e-9
+#: random combinations tried before a joint eigenbasis is given up
+EIGENBASIS_ATTEMPTS = 8
 
 
 # -- Hamiltonian and sectors ----------------------------------------------------
 
 
-def build_hamiltonian(n: int, length: int, twist: TwistConfig) -> QuantumOperator:
+def build_hamiltonian(n: int, length: int, twist: TwistConfig) -> Blocks:
     """Exchange Hamiltonian ``2 sum_l (1 - P_{l,l+1})`` with twisted wrap.
 
     With ``e_ab = |a><b|``, the wrap bond uses
     ``e_ab^{(L+1)} = e^{i(phi_b - phi_a)} e_ab^{(1)}``.  The diagonal ``2L``
     comes first; then, per state in basis order and per bond, the exchange
-    term ``-2 phase`` lands on (exchanged state, state).
+    term ``-2 phase`` lands on (exchanged state, state).  Terms on one entry
+    are added in that order, as a run of one.
     """
     dim = n ** length
     states = np.array(list(basis_states(n, length)), dtype=np.int64).reshape(dim, length)
@@ -70,55 +74,32 @@ def build_hamiltonian(n: int, length: int, twist: TwistConfig) -> QuantumOperato
                       for b in range(n)] for a in range(n)])
     if length:
         terms[:, -1] = wrap[states[:, -1], states[:, 0]]
-    keys = np.concatenate((np.arange(dim, dtype=np.int64) * (dim + 1),
-                           (exchanged * dim + index[:, None]).ravel()))
-    return _accumulate(dim, keys, np.concatenate((np.full(dim, 2.0 * length + 0.0j),
-                                                  terms.ravel())))
-
-
-def sector_blocks(ops: Sequence[QuantumOperator], layout: SectorLayout
-                  ) -> List[np.ndarray]:
-    """The diagonal blocks ``op[idx, idx]`` of every operator in ``ops``, one
-    stack of shape ``(len(ops), len(idx), len(idx))`` per sector ``idx`` of
-    ``layout``, in its order.
-
-    Each operator's stored entries are read in one pass, with no dense copy
-    of the operator.  An entry that couples two sectors raises
-    ``ValueError`` (:meth:`SectorLayout.entries`).
-    """
-    sizes = np.array([len(idx) for idx in layout.sectors], dtype=np.int64)
-    # the stacks are row-major views into one buffer, stack s at offset[s]
-    offset = np.concatenate(([0], np.cumsum(len(ops) * sizes ** 2)))
-    flat = np.zeros(offset[-1], dtype=complex)
-    for k, op in enumerate(ops):
-        rows, cols = layout.entries(op)
-        s = layout.sector[rows]
-        flat[offset[s] + (k * sizes[s] + layout.position[rows]) * sizes[s]
-             + layout.position[cols]] = op.vals
-    return [flat[offset[s]:offset[s + 1]].reshape(len(ops), size, size)
-            for s, size in enumerate(sizes)]
+    rows = np.concatenate((index, exchanged.ravel()))
+    cols = np.concatenate((index, np.repeat(index, length)))
+    terms = np.concatenate((np.full(dim, 2.0 * length + 0.0j), terms.ravel()))
+    return sector_layout(n, length).scatter(rows, cols, terms[None])
 
 
 # -- simultaneous diagonalization ------------------------------------------------
 
 
-def simultaneous_eigenbasis(blocks: np.ndarray, attempts: int = 8
+def simultaneous_eigenbasis(blocks: np.ndarray
                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenbasis ``v`` of a random combination of the stacked ``blocks``
     ``(p, d, d)``, validated against every block; returns ``v``, its inverse
     ``vinv`` and the ``(p, d)`` eigenvalues of the blocks in that basis, the
     diagonals of the one stacked ``vinv @ blocks @ v`` that validated it.
 
-    The combinations are drawn from a generator seeded with 5; a basis is
-    accepted when every off-diagonal entry is at most ``1e-8`` times the
-    block's scale."""
+    At most ``EIGENBASIS_ATTEMPTS`` combinations are drawn, from a generator
+    seeded with 5; a basis is accepted when every off-diagonal entry is at
+    most ``1e-8`` times the block's scale."""
     count, dim = blocks.shape[:2]
     if dim == 0:
         return (np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex),
                 np.zeros((count, 0), dtype=complex))
     rng = np.random.default_rng(5)
     diag = np.arange(dim)
-    for _ in range(attempts):
+    for _ in range(EIGENBASIS_ATTEMPTS):
         coeffs = rng.normal(size=count) + 1j * rng.normal(size=count)
         comb = sum(c * b for c, b in zip(coeffs, blocks))
         _, v = np.linalg.eig(comb)
@@ -341,27 +322,26 @@ class SpectralAnalysis:
         qf = family or QFamily(n, length, twist)
         self.q_polys = {I: qf.q(I) for I in self.sets}
         self.tbox = qf.t_box()
-        self.H = build_hamiltonian(n, length, twist)
-        # every operator is read once, into one stack of blocks per sector:
-        # the probes diagonalized together, then each member's coefficients
-        layout = sector_layout(n, length)
-        self.labels = layout.labels
-        probes = [self.H] + [self.q_polys[I].at(z) for I in self.sets[1:-1]
-                             for z in (0.37, -0.81)] + [self.tbox.at(0.29)]
+        self.labels = sector_layout(n, length).labels
+        # every operator in one run: the probes diagonalized together, then
+        # each member's coefficients
+        probes = [build_hamiltonian(n, length, twist)] \
+            + [self.q_polys[I].values((0.37, -0.81)) for I in self.sets[1:-1]] \
+            + [self.tbox.at(0.29)]
         members = [self.q_polys[I].coeffs for I in self.sets] \
             + [self.tbox.coeffs[:length + 1]]
-        bounds = np.cumsum([len(probes)] + [len(c) for c in members]).tolist()
+        bounds = np.cumsum([sum(p.count for p in probes)]
+                           + [c.count for c in members]).tolist()
         self._probes = slice(0, bounds[0])
         # the members' coefficient slices: one per index set, then T_box
         self._members = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-        self._stacks = dict(zip(self.labels, sector_blocks(
-            probes + [c for coeffs in members for c in coeffs], layout)))
+        self._run = Blocks.join(probes + members)
 
     def sector_records(self, m: Sequence[int]) -> List[EigenstateRecord]:
         """The records of every joint eigenstate of sector ``m``, each step
         taken once for the whole sector on stacked arrays."""
         m = tuple(m)
-        stack = self._stacks[m]
+        stack = self._run.sector(m)
         v, vinv, eigs = simultaneous_eigenbasis(stack[self._probes])
         roots = [poly_roots(extract_q_polynomials(stack[part], v, vinv,
                                                   sum(m[a - 1] for a in I)))

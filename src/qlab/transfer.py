@@ -23,9 +23,10 @@ only on the chain and the twist: they form one plan per chain
 every member reuses it.  The expansion itself runs on plain term dicts
 (:data:`qlab.oscillator.CarrierTerms`), through the products, sums and traces
 that the operator classes of :mod:`qlab.oscillator` also call.  The result is
-a polynomial in the spectral parameter with sparse quantum-space
-coefficients, together with a symbolic exponential prefactor
-``exp(i z sigma)``.  Nothing here builds a Fock matrix.
+a polynomial in the spectral parameter whose coefficients are one run of
+letter-count sector blocks (:class:`qlab.tensor.Blocks`), together with a
+symbolic exponential prefactor ``exp(i z sigma)``.  Nothing here builds a
+Fock matrix.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from .glrep import GlRep, diagonal_weight_data, dot_action_orbit, \
 from .lax import LaxMatrix, canonical_lax
 from .oscillator import CarrierOp, CarrierTerms, Mode, NormalOrderedOp, \
     _carrier_add, _carrier_mul, _carrier_trace, _worst
-from .tensor import QuantumOperator, _accumulate, _product, sector_states, \
-    state_index
+from .tensor import Blocks, _product, sector_layout, sector_states, state_index
 
 #: relative tolerance below which a twist-weight is considered degenerate
 DEGENERACY_TOL = 1e-9
@@ -146,29 +146,22 @@ def build_twist_D(n: int, index_set: Sequence[int], rep: GlRep,
 
 @dataclass
 class OperatorPolynomial:
-    """``exp(i z sigma)`` times a polynomial with quantum-operator coefficients."""
-    dim: int
+    """``exp(i z sigma)`` times the polynomial whose coefficients ``c_0, c_1,
+    ...`` are the run ``coeffs``."""
     sigma: complex
-    coeffs: List[QuantumOperator]
+    coeffs: Blocks
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return self.coeffs.count - 1
 
-    def poly_at(self, z: complex) -> QuantumOperator:
-        """``sum_k c_k z^k``, summed coefficient after coefficient (see
-        ``qlab.tensor``)."""
-        zk = 1.0 + 0.0j
-        terms = []
-        for c in self.coeffs:
-            terms.append(_product(c.vals, zk))
-            zk *= z
-        return _accumulate(self.dim, np.concatenate([c.keys for c in self.coeffs]),
-                           np.concatenate(terms))
+    def values(self, points: Sequence[complex]) -> Blocks:
+        """The run of the member at each of ``points``."""
+        return self.coeffs.polynomial_at(self.sigma, points)
 
-    def at(self, z: complex) -> QuantumOperator:
-        """The member at ``z``."""
-        return self.poly_at(z) * cmath.exp(1j * z * self.sigma)
+    def at(self, z: complex) -> Blocks:
+        """The member at ``z``, as a run of one."""
+        return self.values([z])
 
 
 # -- the Q / T / X families ----------------------------------------------------
@@ -182,14 +175,14 @@ def _orbit_plan(n: int, length: int, phis: Tuple[complex, ...]) -> Tuple:
     pair of each orbit is its representative; each later member, reached by
     moving site L (letters s, t) to site 1 step by step, carries the product
     of the steps' phases ``e^{i(phi_t - phi_s)}``, multiplied from 1.0 in
-    walk order.  An orbit closes early for periodic pairs.  Returns the keys
-    ``row * dim + col`` of the pairs in that order, the letter strings
-    ``(s, t)`` of each orbit's representative, the orbit of each pair, and
-    the positions and phases of the pairs that are not representatives.
+    walk order.  An orbit closes early for periodic pairs.  Returns the rows
+    and the columns of the pairs in that order, the letter strings ``(s, t)``
+    of each orbit's representative, the orbit of each pair, and the
+    positions and phases of the pairs that are not representatives.
     """
     step = [[cmath.exp(1j * (t - s)) for t in phis] for s in phis]
-    dim, top = n ** length, n ** max(length - 1, 0)
-    keys, reps, orbit, moved, phase = [], [], [], [], []
+    top = n ** max(length - 1, 0)
+    rows, cols, reps, orbit, moved, phase = [], [], [], [], [], []
     # orbit and phase of the members met later
     pending: Dict[Tuple[int, int], Tuple[int, complex]] = {}
     for states in sector_states(n, length).values():
@@ -210,17 +203,20 @@ def _orbit_plan(n: int, length: int, phis: Tuple[complex, ...]) -> Tuple:
                         pending[(r, c)] = (o, p)
                 else:
                     o, p = found
-                    moved.append(len(keys))
+                    moved.append(len(rows))
                     phase.append(p)
                 orbit.append(o)
-                keys.append(row * dim + col)
-    return (np.array(keys, dtype=np.int64), reps, np.array(orbit, dtype=np.int64),
-            np.array(moved, dtype=np.int64), np.array(phase, dtype=complex))
+                rows.append(row)
+                cols.append(col)
+    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), reps,
+            np.array(orbit, dtype=np.int64), np.array(moved, dtype=np.int64),
+            np.array(phase, dtype=complex))
 
 
 def _traced_monodromy(n: int, length: int, lax: LaxMatrix, D: TwistOperatorD,
-                      twist: TwistConfig) -> List[QuantumOperator]:
-    """Exact ``z^k`` coefficients of the twisted monodromy trace, k = 0..length.
+                      twist: TwistConfig) -> Blocks:
+    """Exact ``z^k`` coefficients of the twisted monodromy trace, k = 0..length,
+    as one run of sector blocks.
 
     The quantum-space entry for configurations (i_1..i_L), (j_1..j_L) is the
     twisted trace of the site-ordered product of the entries ``L_{i_s j_s}``.
@@ -230,10 +226,8 @@ def _traced_monodromy(n: int, length: int, lax: LaxMatrix, D: TwistOperatorD,
     with the identity.  Only one pair per orbit of :func:`_orbit_plan` is
     expanded: the trace is cyclic and ``D L_{st} = e^{i(phi_t - phi_s)} L_{st}
     D``, so every other member is the representative's value times its phase.
-    Entries are stored in basis order within each sector, so downstream sums
-    run in the same order as a full expansion.
     """
-    keys, reps, orbit, moved, phase = _orbit_plan(n, length, tuple(twist.phis))
+    rows, cols, reps, orbit, moved, phase = _orbit_plan(n, length, tuple(twist.phis))
     # each Lax entry ``z c0 + c1`` as its non-zero (power of z, terms) parts;
     # a part equal to the carrier identity is given as None
     entries = [[[(k, None if c.is_identity() else c._terms())
@@ -258,12 +252,9 @@ def _traced_monodromy(n: int, length: int, lax: LaxMatrix, D: TwistOperatorD,
             graded = nxt
         for k, p in graded.items():
             traced[k, o] = _carrier_trace(p, weights, q, plain, factors)
-    out = []
-    for row in traced:
-        vals = row[orbit]
-        vals[moved] = _product(vals[moved], phase)
-        out.append(QuantumOperator._from_arrays(n ** length, keys, vals))
-    return out
+    vals = traced[:, orbit]
+    vals[:, moved] = _product(vals[:, moved], phase)
+    return sector_layout(n, length).scatter(rows, cols, vals)
 
 
 def build_X(n: int, length: int, index_set: Sequence[int], rep: GlRep,
@@ -271,13 +262,13 @@ def build_X(n: int, length: int, index_set: Sequence[int], rep: GlRep,
     """General hybrid transfer operator for a carrier on an index set."""
     I = tuple(sorted(index_set))
     if not I:
-        return OperatorPolynomial(n ** length, 0.0,
-                                  [QuantumOperator.identity(n ** length)])
+        diag = np.arange(n ** length)
+        return OperatorPolynomial(0.0, sector_layout(n, length).scatter(
+            diag, diag, np.ones((1, diag.size), dtype=complex)))
     lax = canonical_lax(n, I, rep)
     D = build_twist_D(n, I, rep, twist)
     sigma = sum(twist.phi(a) for a in I)
-    return OperatorPolynomial(n ** length, sigma,
-                              _traced_monodromy(n, length, lax, D, twist))
+    return OperatorPolynomial(sigma, _traced_monodromy(n, length, lax, D, twist))
 
 
 def build_Q(n: int, length: int, index_set: Sequence[int],
@@ -313,11 +304,12 @@ def _signed_members(n: int, length: int, weight: Sequence[complex],
 
 
 def _alternating_sum_at(members: Sequence[Tuple[int, OperatorPolynomial]],
-                        dim: int, z: complex) -> QuantumOperator:
+                        z: complex) -> Blocks:
     """The signed sum of the ``members`` at one spectral point."""
-    out = QuantumOperator.zero(dim)
+    out = None
     for sign, t in members:
-        out = out + t.at(z) * float(sign)
+        term = t.at(z) * float(sign)
+        out = term if out is None else out + term
     return out
 
 
@@ -331,7 +323,5 @@ def bgg_eigen_check(n: int, length: int, weight: Sequence[complex],
     """
     t_box = build_T_box(n, length, twist)
     members = _signed_members(n, length, weight, twist)
-    dim = n ** length
-    return _worst(float(np.max(np.abs(_alternating_sum_at(members, dim, z).to_dense()
-                                      - t_box.at(z).to_dense())))
+    return _worst(float((_alternating_sum_at(members, z) - t_box.at(z)).norms()[0])
                   for z in (0.3, -0.6))

@@ -18,7 +18,7 @@ from qlab.oscillator import (NormalOrderedOp as Op, _worst, extrapolated_traces,
 from qlab.relations import (QFamily, enumerate_hasse, hirota_residual,
                             q_determinant_residual, t_determinant_residual)
 from qlab.spectral import SpectralAnalysis, build_hamiltonian
-from qlab.tensor import sector_layout
+from qlab.tensor import Blocks
 from qlab.transfer import TwistConfig, bgg_eigen_check, build_Q, build_T_box
 
 TW = {2: TwistConfig((0.7, -0.7)), 3: TwistConfig((0.7, -0.4, -0.3))}
@@ -134,7 +134,7 @@ def test_criterion_07_commuting_family():
                     ops.append(qf.q(I).at(0.37))
                     ops.append(qf.q(I).at(-0.81))
             # every pair's commutator, on the sector blocks
-            run = sector_layout(n, L).blocks(ops)
+            run = Blocks.join(ops)
             left, right = np.triu_indices(run.count, 1)
             x, y = run[left], run[right]
             worst = max(worst, float(np.max((x @ y - y @ x).norms())))

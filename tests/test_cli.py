@@ -429,8 +429,8 @@ def _assert_failed_on_nan(record):
 
 
 def test_a_nan_at_the_second_point_fails_the_anchor_records(monkeypatch):
-    from qlab.tensor import QuantumOperator
-    to_dense, calls = QuantumOperator.to_dense, []
+    from qlab.tensor import Blocks
+    to_dense, calls = Blocks.to_dense, []
 
     def nan_every_second_call(self):
         out = to_dense(self)
@@ -440,7 +440,7 @@ def test_a_nan_at_the_second_point_fails_the_anchor_records(monkeypatch):
             out[0, 0] = float("nan")
         return out
 
-    monkeypatch.setattr(QuantumOperator, "to_dense", nan_every_second_call)
+    monkeypatch.setattr(Blocks, "to_dense", nan_every_second_call)
     records = _records("anchors")
     assert len(records) == 2 and len(calls) == 4
     for r in records.values():
@@ -489,8 +489,8 @@ def test_a_nan_at_the_second_point_fails_the_bgg_record(monkeypatch):
     from qlab import transfer
     alternating_sum_at = transfer._alternating_sum_at
 
-    def nan_at_second_point(members, dim, z):
-        out = alternating_sum_at(members, dim, z)
+    def nan_at_second_point(members, z):
+        out = alternating_sum_at(members, z)
         return out * float("nan") if z == -0.6 else out
 
     monkeypatch.setattr(transfer, "_alternating_sum_at", nan_at_second_point)

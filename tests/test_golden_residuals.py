@@ -34,7 +34,12 @@ through BLAS, which sums in another order, so every such value moved at
 rounding level (CHANGES.md lists each one).  No pass flag moved at (4,3),
 (3,3) or (2,5); the ``bgg,trace`` and carrier values did not move at all.
 The block products do not depend on the number of BLAS threads, so the same
-values hold with one thread and with several.
+values hold with one thread and with several.  They were regenerated once
+more when the family members came to be built as sector blocks and their
+values came to be formed with CPython's complex product throughout, the
+rounding the sparse members had used: again every relation value could move
+at rounding level, no pass flag moved at (4,3), (3,3) or (2,5), and the
+``bgg,trace`` and carrier values did not move.
 
 A change that reorders a summation moves these residuals at rounding level.
 Such a change must regenerate the file on purpose and record in CHANGES.md

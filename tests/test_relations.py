@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qlab.glrep import permutation_sign
 from qlab.spectral import SpectralAnalysis
-from qlab.tensor import DROP_TOL, Blocks, QuantumOperator, SectorLayout, sector_layout
+from qlab import relations
+from qlab.tensor import Blocks, SectorLayout, sector_layout
 from qlab.transfer import TwistConfig, build_Q
 from qlab.relations import (
     QFamily, _operator_det, delta_pair, delta_set, enumerate_hasse, hirota_residual,
@@ -78,10 +79,9 @@ def test_nan_entry_of_a_member_reaches_the_residual_and_fails_the_record():
     from qlab.cli import RunConfig, run_verify
     qf = QFamily(2, 2, TW2)
     q1 = qf.q((1,))
-    c0 = q1.coeffs[0]
-    entries = {divmod(k, c0.dim): v for k, v in zip(c0.keys.tolist(), c0.vals.tolist())}
-    entries[2, 2] = complex(np.nan, 0.0)
-    q1.coeffs[0] = QuantumOperator(c0.dim, entries)
+    c0 = q1.coeffs[0].to_dense()
+    c0[2, 2] = complex(np.nan, 0.0)
+    q1.coeffs = Blocks.join([_runs(sector_layout(2, 2), [c0]), q1.coeffs[1:]])
     assert np.isnan(hirota_residual(2, 2, (), 1, 2, TW2, family=qf))
     qf.drop_values()
     doc = run_verify(RunConfig(n=2, length=2, suites=("hirota",)), family=qf)
@@ -106,20 +106,9 @@ def test_zero_length_chain_collapses_exactly():
 
 # -- determinant forms ------------------------------------------------------------
 
-def from_dense(mat):
-    """The operator of a square dense matrix, its entries in row-major order."""
-    mat = np.asarray(mat)
-    keys = np.flatnonzero(~(np.abs(mat) <= DROP_TOL))
-    return QuantumOperator._from_arrays(len(mat), keys, mat.reshape(-1)[keys].astype(complex))
-
-
 def dense(run):
     """The ``(count, dim, dim)`` matrices of a run of sector blocks."""
-    dim = run.layout.dim
-    out = np.zeros((run.count, dim, dim), dtype=complex)
-    for idx, block in zip(run.layout.groups, run.arrays):
-        out[:, idx[:, :, None], idx[:, None, :]] = block
-    return out
+    return np.array([run[b].to_dense() for b in range(run.count)])
 
 
 def _block_diagonal(layout, rng, count):
@@ -134,8 +123,11 @@ def _block_diagonal(layout, rng, count):
 
 
 def _runs(layout, matrices):
-    """The dense ``matrices`` as one run of blocks."""
-    return layout.blocks([from_dense(m) for m in matrices])
+    """The dense ``matrices`` as one run of blocks, through the scatter:
+    every place that is not zero in some matrix is an entry."""
+    matrices = np.asarray(matrices, dtype=complex)
+    rows, cols = np.nonzero((matrices != 0).any(axis=0))
+    return layout.scatter(rows, cols, matrices[:, rows, cols])
 
 
 def _naive_det(entries):
@@ -238,7 +230,7 @@ def test_product_form_trivial_weight_singleton_is_q():
     from qlab.transfer import build_X_plus
     x = build_X_plus(3, 1, (2,), (0.0,), TW3)
     q = build_Q(3, 1, (2,), TW3)
-    assert (x.at(0.3) - q.at(0.3)).norm() < 1e-13
+    assert (x.at(0.3) - q.at(0.3)).norms()[0] < 1e-13
 
 
 # -- exchange relation of determinants --------------------------------------------
@@ -281,18 +273,24 @@ def test_family_caches_member_blocks_and_values(monkeypatch):
     assert run.count == 2
     assert np.max(np.abs(dense(run) - want)) <= 1e-15 * np.max(np.abs(want))
     qf.drop_values()
-    # the values are formed anew from the blocks read the first time
-    monkeypatch.setattr(SectorLayout, "blocks", lambda *args: pytest.fail("read again"))
+    # the values are formed anew from the member built the first time
+    monkeypatch.setattr(relations, "build_Q", lambda *args: pytest.fail("built again"))
     again = qf.q_at((1, 2), points)
     assert again is not run and bits(dense(again)) == bits(dense(run))
 
 
 def test_the_spectrum_reads_no_member_blocks(monkeypatch):
-    # the spectrum reads the members through its own sector stacks
-    monkeypatch.setattr(SectorLayout, "blocks", lambda *args: pytest.fail("read"))
+    # the spectrum reads the family's coefficient runs as built: with the
+    # members built, its one scatter forms the Hamiltonian
     qf = QFamily(2, 2, TW2)
+    for I in [(), (1,), (1, 2)]:
+        qf.q(I)
+    qf.t_box()
+    scatter, calls = SectorLayout.scatter, []
+    monkeypatch.setattr(SectorLayout, "scatter",
+                        lambda self, *args: calls.append(1) or scatter(self, *args))
     SpectralAnalysis(2, 2, TW2, family=qf).all_records()
-    assert qf.q((1,)) is qf.q((1,))
+    assert len(calls) == 1
 
 
 # -- the block sides against dense numpy, and negative controls --------------------
@@ -315,7 +313,6 @@ def test_block_sides_match_dense_numpy(n, L, monkeypatch):
     (a determinant, or the difference of two products), so the scale is the
     expression's magnitude: the same expression with every matrix replaced
     by its entrywise modulus and every sign by ``+``."""
-    from qlab import relations
     from qlab.cli import SUITES, RunConfig
     from qlab.spectral import build_hamiltonian
     tw = TWISTS[n]
@@ -376,12 +373,13 @@ def _bumped_family(n, L, bump):
     one-state sector would commute with every operator."""
     qf = QFamily(n, L, TWISTS[n])
     q1 = qf.q((1,))
-    c0 = q1.coeffs[0]
-    rows, cols = np.divmod(c0.keys, c0.dim)
+    c0 = q1.coeffs[0].to_dense()
+    # the first such entry in row-major order
+    rows, cols = np.nonzero(c0)
     at = np.flatnonzero(rows != cols)[0]
-    vals = c0.vals.copy()
-    vals[at] = bump(vals[at], np.max(np.abs(c0.vals)))
-    q1.coeffs[0] = QuantumOperator._from_arrays(c0.dim, c0.keys, vals)
+    r, c = rows[at], cols[at]
+    c0[r, c] = bump(c0[r, c], np.max(np.abs(c0)))
+    q1.coeffs = Blocks.join([_runs(sector_layout(n, L), [c0]), q1.coeffs[1:]])
     return qf
 
 

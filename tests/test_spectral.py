@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qlab.tensor import QuantumOperator, sector_layout, sector_states, state_index
+from qlab.tensor import Blocks, sector_layout, sector_states, state_index
 from qlab.transfer import TwistConfig, build_Q, build_T_box
 from qlab.spectral import (
     EigenstateRecord, SpectralAnalysis, _q_value, _residual_vector, _root_ratio,
     _root_ratios, bethe_residuals, build_hamiltonian, energy_from_roots,
-    energy_from_tbox_poly, extract_q_polynomials, poly_roots, sector_blocks,
-    simultaneous_eigenbasis, solve_bethe_newton,
+    energy_from_tbox_poly, extract_q_polynomials, poly_roots, simultaneous_eigenbasis,
+    solve_bethe_newton,
 )
 
 TW2 = TwistConfig((0.7, -0.7))
@@ -54,7 +54,7 @@ def test_hamiltonian_commutes_with_family():
 def dict_hamiltonian(n, length, twist):
     """The exchange loop over a ``(row, col) -> value`` dict that
     ``build_hamiltonian`` replaced; its arithmetic must be reproduced exactly."""
-    data = {(i, i): 2.0 * length for i in range(n ** length)}
+    data = {(i, i): 2.0 * length + 0.0j for i in range(n ** length)}
     for s in itertools.product(range(n), repeat=length):
         si = state_index(s, n)
         for l in range(length):
@@ -66,7 +66,7 @@ def dict_hamiltonian(n, length, twist):
                 phase = cmath.exp(1j * (twist.phi(s[lp] + 1) - twist.phi(s[l] + 1)))
             key = (state_index(t, n), si)
             data[key] = data.get(key, 0.0) - 2.0 * phase
-    return {k: complex(v) for k, v in data.items() if abs(v) > 1e-14}
+    return data
 
 
 @pytest.mark.parametrize("n,length,twist", [
@@ -74,15 +74,15 @@ def dict_hamiltonian(n, length, twist):
     (4, 2, TwistConfig((0.9, 0.4, -0.5, -0.8)))])
 def test_hamiltonian_matches_dict_loop_bitwise(n, length, twist):
     H = build_hamiltonian(n, length, twist)
-    ref = dict_hamiltonian(n, length, twist)
-    assert [divmod(k, H.dim) for k in H.keys.tolist()] == list(ref)
-    assert H.vals.view(np.int64).tolist() == \
-        np.array(list(ref.values()), dtype=complex).view(np.int64).tolist()
+    want = np.zeros((n ** length, n ** length), dtype=complex)
+    for key, v in dict_hamiltonian(n, length, twist).items():
+        want[key] = v
+    assert H.count == 1 and bits(H.to_dense()) == bits(want)
 
 
 def test_single_site_hamiltonian_vanishes():
     # the wrap bond coincides with the only local bond and cancels it
-    assert build_hamiltonian(2, 1, TW2).norm() == 0.0
+    assert build_hamiltonian(2, 1, TW2).norms().tolist() == [0.0]
 
 
 # -- sectors ---------------------------------------------------------------------
@@ -102,21 +102,22 @@ def test_sector_labels_and_dimensions():
 def test_sector_blocks_reject_entries_between_sectors():
     layout = sector_layout(2, 2)
     assert [idx.tolist() for idx in layout.sectors] == _sector_indices(2, 2)
-    op = QuantumOperator(4, {(1, 2): 2.0, (2, 1): 3.0j, (3, 3): 4.0})
-    other = QuantumOperator(4, {(2, 2): 5.0, (0, 0): 6.0})
-    stacks = sector_blocks([op, other], layout)
-    for idx, stack in zip(layout.sectors, stacks):
+    # two operators through one scatter, each entry given for both
+    rows, cols = np.array([1, 2, 3, 2, 0]), np.array([2, 1, 3, 2, 0])
+    values = np.array([[2.0, 3.0j, 4.0, 0.0, 0.0], [0.0, 0.0, 0.0, 5.0, 6.0]])
+    run = layout.scatter(rows, cols, values)
+    for label, idx in zip(layout.labels, layout.sectors):
+        stack = run.sector(label)
         assert stack.shape == (2, len(idx), len(idx)) and stack.flags.c_contiguous
-        for block, o in zip(stack, (op, other)):
-            assert np.array_equal(block, o.to_dense()[np.ix_(idx, idx)])
-    assert np.array_equal(stacks[1][0], [[0.0, 2.0], [3.0j, 0.0]])
-    assert np.array_equal(stacks[1][1], [[0.0, 0.0], [0.0, 5.0]])
+        for block, v in zip(stack, values):
+            dense = np.zeros((4, 4), dtype=complex)
+            dense[rows, cols] = v
+            assert np.array_equal(block, dense[np.ix_(idx, idx)])
+    assert np.array_equal(run.sector((1, 1))[0], [[0.0, 2.0], [3.0j, 0.0]])
+    assert np.array_equal(run.sector((1, 1))[1], [[0.0, 0.0], [0.0, 5.0]])
     # (1, 0) couples sectors (2,0) and (1,1): no block holds it, so it is an error
-    stray = QuantumOperator(4, {(1, 2): 2.0, (1, 0): 1e-3, (3, 3): 4.0})
     with pytest.raises(ValueError, match="outside the letter-count blocks"):
-        sector_blocks([op, stray], layout)
-    with pytest.raises(ValueError, match="outside the letter-count blocks"):
-        layout.blocks([op, stray])
+        layout.scatter(np.array([1, 1, 3]), np.array([2, 0, 3]), np.array([[2.0, 1e-3, 4.0]]))
 
 
 # -- simultaneous diagonalization -------------------------------------------------
@@ -140,7 +141,7 @@ def test_simultaneous_eigenbasis_rejects_noncommuting():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     b = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(RuntimeError):
-        simultaneous_eigenbasis(np.array([a, b]), attempts=3)
+        simultaneous_eigenbasis(np.array([a, b]))
 
 
 # -- eigenvalue polynomials -------------------------------------------------------
@@ -148,9 +149,9 @@ def test_simultaneous_eigenbasis_rejects_noncommuting():
 def test_extract_q_polynomials_enforces_degree_and_monicity():
     q1 = build_Q(2, 2, (1,), TW2)
     layout = sector_layout(2, 2)  # its second sector is (1, 1)
-    probes = sector_blocks([build_hamiltonian(2, 2, TW2), q1.at(0.37)], layout)[1]
+    probes = Blocks.join([build_hamiltonian(2, 2, TW2), q1.at(0.37)]).sector(layout.labels[1])
     v, vinv, _ = simultaneous_eigenbasis(probes)
-    blocks = sector_blocks(q1.coeffs, layout)[1]
+    blocks = q1.coeffs.sector(layout.labels[1])
     polys = extract_q_polynomials(blocks, v, vinv, expected_degree=1)
     assert polys.shape == (2, 2) and np.all(polys[:, -1] == 1.0)
     # each row is the diagonal of the one-block products, bit for bit

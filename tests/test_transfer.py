@@ -10,6 +10,7 @@ from qlab.glrep import dot_action_orbit, fundamental_rep, trivial_rep, verma_rep
 from qlab.lax import canonical_lax
 from qlab.oscillator import COEFF_TOL, CarrierOp, FockSpace, NormalOrderedOp as Op, \
     _mode_factor, _worst, extrapolated_traces, weighted_trace
+from qlab.tensor import Blocks, sector_layout
 from qlab.transfer import (
     TwistConfig, _alternating_sum_at, _signed_members,
     bgg_eigen_check, build_Q, build_T_box, build_X, build_X_plus, build_twist_D,
@@ -174,7 +175,8 @@ def test_one_site_single_index_q_closed_form():
     pole = g / (1 - g)
     for z in (0.83, -0.4):
         expect = np.diag([z - 0.5 - pole, 1.0])
-        assert np.max(np.abs(q1.poly_at(z).to_dense() - expect)) < 1e-13
+        expect = expect * cmath.exp(1j * z * q1.sigma)
+        assert np.max(np.abs(q1.at(z).to_dense() - expect)) < 1e-13
 
 
 def test_one_site_box_transfer_closed_form():
@@ -188,7 +190,7 @@ def test_one_site_box_transfer_closed_form():
 def test_degree_equals_chain_length():
     tb = build_T_box(2, 3, TW2)
     assert tb.degree == 3
-    assert tb.coeffs[3].norm() > 0.1
+    assert tb.coeffs[3].norms()[0] > 0.1
 
 
 # -- monodromy entry expansion ---------------------------------------------------
@@ -330,7 +332,7 @@ def reference_monodromy(n, length, lax, D, twist):
     dense carrier matrices, one orbit of simultaneous rotation walked per
     member: the build as it stood before it moved to a shared orbit plan and
     the dict-level helpers of ``qlab.oscillator``."""
-    from qlab.tensor import QuantumOperator, sector_states, state_index
+    from qlab.tensor import sector_states, state_index
     entries = [[[(k, None if c.is_identity() else [[e.terms for e in r] for r in c.mat])
                  for k, c in ((0, lax.c1[i][j]), (1, lax.c0[i][j])) if not c.is_zero()]
                 for j in range(lax.n)] for i in range(lax.n)]
@@ -376,9 +378,11 @@ def reference_monodromy(n, length, lax, D, twist):
                 for k, val in traced:
                     keys[k].append(row * dim + col)
                     vals[k].append(val)
-    return [QuantumOperator._from_arrays(dim, np.array(kk, dtype=np.int64),
-                                         np.array(vv, dtype=complex))
-            for kk, vv in zip(keys, vals)]
+    out = np.zeros((length + 1, dim * dim), dtype=complex)
+    for k, (kk, vv) in enumerate(zip(keys, vals)):
+        # each entry starts from 0.0, as the scatter starts it
+        out[k, kk] += vv
+    return out.reshape(length + 1, dim, dim)
 
 
 def family_cases(n):
@@ -399,17 +403,16 @@ def family_cases(n):
     (3, 4, TW3), (4, 3, TW4), (2, 5, TW2),
     (2, 4, TW2), (3, 3, TW3), (2, 4, TW2_COMPLEX), (3, 3, TW3_COMPLEX)])
 def test_build_matches_the_object_reference_bitwise(n, L, twist):
-    # same keys in the same order and the same value bits, coefficient by
-    # coefficient, for every member kind; (2,4) and (3,3) hold short orbits
+    # the same value bits, coefficient by coefficient, for every member
+    # kind; (2,4) and (3,3) hold short orbits
     for I, rep in family_cases(n):
         lax = canonical_lax(n, I, rep)
         D = build_twist_D(n, I, rep, twist)
         got = build_X(n, L, I, rep, twist).coeffs
         want = reference_monodromy(n, L, lax, D, twist)
-        assert len(got) == len(want) == L + 1
-        for g, w in zip(got, want):
-            assert g.keys.tobytes() == w.keys.tobytes()
-            assert g.vals.tobytes() == w.vals.tobytes()
+        assert got.count == len(want) == L + 1
+        for k, w in enumerate(want):
+            assert got[k].to_dense().tobytes() == w.tobytes()
 
 
 def twisted_shift(n, length, twist):
@@ -432,8 +435,8 @@ def test_family_commutes_with_twisted_shift(n, L):
                 build_X_plus(n, L, range(1, n + 1), (1.0,) + (0.0,) * (n - 1), tw)]
     U = twisted_shift(n, L, tw)
     for member in members:
-        for c in member.coeffs:
-            m = c.to_dense()
+        for k in range(member.coeffs.count):
+            m = member.coeffs[k].to_dense()
             assert np.max(np.abs(U @ m - m @ U)) <= 1e-13 * np.max(np.abs(m))
 
 
@@ -448,6 +451,21 @@ def test_family_members_commute_pairwise():
     worst = max(np.max(np.abs(x @ y - y @ x)) for i, x in enumerate(dense)
                 for y in dense[i + 1:])
     assert worst < 1e-10
+
+
+def test_a_member_reads_as_a_dense_matrix():
+    # a member at one point is a (dim, dim) matrix, zero off the sector
+    # blocks and equal to the matrix assembled from its blocks
+    member = build_Q(3, 2, (1,), TW3).at(0.3)
+    got = member.to_dense()
+    assert got.shape == (9, 9) and got.dtype == complex
+    layout = sector_layout(3, 2)
+    want = np.zeros((9, 9), dtype=complex)
+    for label, idx in zip(layout.labels, layout.sectors):
+        want[np.ix_(idx, idx)] = member.sector(label)[0]
+    assert got.tobytes() == want.tobytes()
+    same_sector = layout.sector[:, None] == layout.sector[None, :]
+    assert not got[~same_sector].any() and np.abs(got[same_sector]).max() > 0.1
 
 
 def test_family_conserves_letter_counts():
@@ -476,7 +494,7 @@ def test_sector_eigenvalue_degree():
 def test_x_plus_matches_x_for_dominant_weight_after_alternation():
     # one-site exactness of the alternating resolution without any damping
     z = 0.83
-    alt = _alternating_sum_at(_signed_members(2, 1, (1.0, 0.0), TW2), 2, z).to_dense()
+    alt = _alternating_sum_at(_signed_members(2, 1, (1.0, 0.0), TW2), z).to_dense()
     ref = build_T_box(2, 1, TW2).at(z).to_dense()
     assert np.max(np.abs(alt - ref)) < 1e-12
 
@@ -485,7 +503,7 @@ def test_trivial_weight_alternation_telescopes():
     # weight (0,0): the finite carrier is trivial, so the signed sum must
     # collapse onto the trivial-carrier transfer operator
     z = 0.4
-    alt = _alternating_sum_at(_signed_members(2, 1, (0.0, 0.0), TW2), 2, z).to_dense()
+    alt = _alternating_sum_at(_signed_members(2, 1, (0.0, 0.0), TW2), z).to_dense()
     ref = build_X(2, 1, (1, 2), trivial_rep((1, 2)), TW2).at(z).to_dense()
     assert np.max(np.abs(alt - ref)) < 1e-12
 
@@ -506,7 +524,7 @@ def test_bgg_detects_a_perturbed_member(n, monkeypatch):
     def perturbed(*args):
         members = signed_members(*args)
         poly = members[0][1]
-        poly.coeffs[0] = poly.coeffs[0] * (1 + 1e-4)
+        poly.coeffs = Blocks.join([poly.coeffs[0] * (1 + 1e-4), poly.coeffs[1:]])
         return members
 
     monkeypatch.setattr(transfer, "_signed_members", perturbed)
