@@ -405,42 +405,23 @@ def weighted_trace(x: NormalOrderedOp, q: Mapping[Mode, complex],
     that does not depend on the hash seed.  A mode appearing in ``x`` without
     a weight would be an untwisted (divergent) trace and raises ``ValueError``.
     """
-    return _trace_terms(x.terms, q, plain_modes, {})
+    return _carrier_trace([{0: x.terms}], (1.0,), q, plain_modes, {})
 
 
-def _trace_terms(terms: Dict[TermKey, complex], q: Mapping[Mode, complex],
-                 plain_modes: Sequence[Mode], factors: Dict) -> complex:
-    """:func:`weighted_trace` of ``terms``.  Each key's mode factors, up to the
-    first zero one (an unbalanced mode's), and the partition factors of the
-    plain modes it lacks are read from, or stored in, ``factors``, which must
-    hold keys of these weights only."""
-    for m in plain_modes:
-        if m not in q:
-            raise ValueError(f"plain-trace mode {m!r} has no weight")
-    total = 0.0 + 0.0j
-    for key, c in terms.items():
-        fs = factors.get(key)
-        if fs is None:
-            modes = []
-            for mode, j, k in key:
-                if mode not in q:
-                    raise ValueError(f"mode {mode!r} carries no twist weight; trace diverges")
-                modes.append(_mode_factor(j, k, q[mode], mode in plain_modes))
-                if j != k:
-                    break
-            present = {mode for mode, _, _ in key}
-            fs = factors[key] = (modes, [1.0 / (1.0 - q[m]) for m in plain_modes
-                                         if m not in present])
-        f = c
-        for x in fs[0]:
-            f *= x
-            if f == 0.0:
-                break
-        else:
-            for x in fs[1]:
-                f *= x
-            total += f
-    return total
+def _key_factors(key: TermKey, q: Mapping[Mode, complex],
+                 plain_modes: Sequence[Mode]) -> Tuple:
+    """The mode factors of ``key`` and the partition factors of the plain
+    modes it lacks, or ``()`` where a mode of the key is unbalanced, whose
+    trace is 0.  A mode up to the first unbalanced one without a weight
+    raises ``ValueError``."""
+    for mode, j, k in key:
+        if mode not in q:
+            raise ValueError(f"mode {mode!r} carries no twist weight; trace diverges")
+        if j != k:
+            return ()
+    present = {mode for mode, _, _ in key}
+    return ([_mode_factor(k, k, q[mode], mode in plain_modes) for mode, _, k in key],
+            [1.0 / (1.0 - q[m]) for m in plain_modes if m not in present])
 
 
 # -- truncated, damped numeric traces (independent cross-check path) ---------
@@ -917,6 +898,32 @@ def _carrier_max_coeff(a: CarrierTerms) -> float:
 def _carrier_trace(a: CarrierTerms, carrier_weights: Sequence[complex],
                    q: Mapping[Mode, complex], plain_modes: Sequence[Mode],
                    factors: Dict) -> complex:
-    """:meth:`CarrierOp.weighted_trace` of ``a``, through :func:`_trace_terms`."""
-    return sum(carrier_weights[i] * _trace_terms(row.get(i, {}), q, plain_modes, factors)
-               for i, row in enumerate(a))
+    """:meth:`CarrierOp.weighted_trace` of ``a``.
+
+    A term's trace is its coefficient times its mode factors in key order
+    and then, unless that product is 0, times the partition factors of the
+    plain modes the key lacks.  An entry's trace adds its terms' in key order
+    from 0, and the carrier trace adds the diagonal entries' times their
+    carrier weights from 0.  Each key's factors (:func:`_key_factors`) are
+    read from, or stored in, ``factors``, which must hold keys of these
+    weights only."""
+    for m in plain_modes:
+        if m not in q:
+            raise ValueError(f"plain-trace mode {m!r} has no weight")
+    out = 0
+    for i, row in enumerate(a):
+        total = 0.0 + 0.0j
+        for key, c in row.get(i, {}).items():
+            fs = factors.get(key)
+            if fs is None:
+                fs = factors[key] = _key_factors(key, q, plain_modes)
+            if fs:
+                f = c
+                for x in fs[0]:
+                    f *= x
+                if f:
+                    for x in fs[1]:
+                        f *= x
+                    total += f
+        out += carrier_weights[i] * total
+    return out

@@ -42,8 +42,8 @@ import numpy as np
 
 from .glrep import permutation_sign, shifted_weights
 from .tensor import Blocks
-from .transfer import (OperatorPolynomial, TwistConfig, build_Q, build_T_box,
-                       build_X_plus)
+from .transfer import (OperatorPolynomial, TwistConfig, build_Q, build_Qs,
+                       build_T_box, build_X_plus)
 
 IndexSet = Tuple[int, ...]
 
@@ -119,6 +119,13 @@ class QFamily:
         if I not in self._cache:
             self._cache[I] = build_Q(self.n, self.length, I, self.twist)
         return self._cache[I]
+
+    def build(self, index_sets: Sequence[Sequence[int]]) -> None:
+        """Build each member of ``index_sets`` not built yet, one Wick
+        expansion per size (:func:`qlab.transfer.build_Qs`)."""
+        todo = [I for I in index_sets if tuple(sorted(I)) not in self._cache]
+        if todo:
+            self._cache.update(build_Qs(self.n, self.length, todo, self.twist))
 
     def t_box(self) -> OperatorPolynomial:
         if self._t_box is None:

@@ -43,6 +43,20 @@ def _product(a: np.ndarray, b) -> np.ndarray:
     return out
 
 
+def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a / b`` elementwise, rounded as CPython rounds a complex quotient
+    (Smith's method: the ratio of the smaller to the larger part of ``b``,
+    no fused multiply-add), which numpy's complex ``/`` need not do."""
+    big = np.abs(b.real) >= np.abs(b.imag)
+    x, y = np.where(big, b.real, b.imag), np.where(big, b.imag, b.real)
+    ratio = y / x
+    denom = x + y * ratio
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = np.where(big, a.real + a.imag * ratio, a.real * ratio + a.imag) / denom
+    out.imag = np.where(big, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom
+    return out
+
+
 class SectorLayout:
     """The letter-count sectors of one chain.
 

@@ -27,14 +27,26 @@ a polynomial in the spectral parameter whose coefficients are one run of
 letter-count sector blocks (:class:`qlab.tensor.Blocks`), together with a
 symbolic exponential prefactor ``exp(i z sigma)``.  Nothing here builds a
 Fock matrix.
+
+The trivial-carrier members ``Q_I`` of one size ``p`` share one Wick
+expansion (:func:`build_Qs`).  Sets of one size differ by a relabelling of
+letters: with ``sigma`` sending ``1..p`` to ``I`` in order and the rest to
+the complement in order, ``Q_I``'s entry ``(sigma r, sigma c)`` is the trace
+of the pair ``(r, c)`` of the Lax product of ``1..p`` against ``I``'s twist
+data.  So each orbit representative of the plan is expanded once per size
+and traced once for every set of that size, and each trace lands on the
+orbit of its relabelled pair, divided by that pair's phase.  The set
+``1..p`` keeps the bits of its own expansion; the other sets agree with
+theirs to rounding.  :func:`build_Q` is the one-set case.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +55,7 @@ from .glrep import GlRep, diagonal_weight_data, dot_action_orbit, \
 from .lax import LaxMatrix, canonical_lax
 from .oscillator import CarrierOp, CarrierTerms, Mode, NormalOrderedOp, \
     _carrier_add, _carrier_mul, _carrier_trace, _worst
-from .tensor import Blocks, _product, sector_layout, sector_states, state_index
+from .tensor import Blocks, SectorLayout, _product, _quotient, basis_states, sector_layout
 
 #: relative tolerance below which a twist-weight is considered degenerate
 DEGENERACY_TOL = 1e-9
@@ -167,56 +179,102 @@ class OperatorPolynomial:
 # -- the Q / T / X families ----------------------------------------------------
 
 
+class _OrbitPlan(NamedTuple):
+    """The balanced pairs of one chain and twist, and their rotation orbits
+    (:func:`_orbit_plan`)."""
+    #: the rows and the columns of the pairs, sector by sector in the order
+    #: of the chain's sector layout, row-major within a sector
+    rows: np.ndarray
+    cols: np.ndarray
+    #: the letter strings ``(s, t)`` of each orbit's representative
+    reps: List[Tuple[Tuple[int, ...], Tuple[int, ...]]]
+    #: the position of each orbit's representative among the pairs
+    first: np.ndarray
+    #: the orbit of each pair
+    orbit: np.ndarray
+    #: the positions of the pairs that are not representatives, and each
+    #: pair's phase (1.0 on the representatives)
+    moved: np.ndarray
+    phase: np.ndarray
+    #: where each sector's pairs begin
+    start: np.ndarray
+
+    def position(self, layout: SectorLayout, rows: np.ndarray,
+                 cols: np.ndarray) -> np.ndarray:
+        """The positions of the pairs ``(rows[e], cols[e])``, each inside one
+        sector of ``layout``."""
+        sector = layout.sector[rows]
+        size = np.array([idx.size for idx in layout.sectors])[sector]
+        return self.start[sector] + layout.position[rows] * size + layout.position[cols]
+
+
 @functools.lru_cache(maxsize=4)
-def _orbit_plan(n: int, length: int, phis: Tuple[complex, ...]) -> Tuple:
+def _orbit_plan(n: int, length: int, phis: Tuple[complex, ...]) -> _OrbitPlan:
     """The orbits of simultaneous cyclic rotation among the balanced pairs.
 
-    Pairs are met sector by sector, row-major within a sector.  The first
-    pair of each orbit is its representative; each later member, reached by
-    moving site L (letters s, t) to site 1 step by step, carries the product
-    of the steps' phases ``e^{i(phi_t - phi_s)}``, multiplied from 1.0 in
-    walk order.  An orbit closes early for periodic pairs.  Returns the rows
-    and the columns of the pairs in that order, the letter strings ``(s, t)``
-    of each orbit's representative, the orbit of each pair, and the
-    positions and phases of the pairs that are not representatives.
+    The first pair met of each orbit is its representative; each later
+    member, reached by moving site L (letters s, t) to site 1 step by step,
+    carries the product of the steps' phases ``e^{i(phi_t - phi_s)}``,
+    multiplied from 1.0 in walk order.  An orbit closes early for periodic
+    pairs.  Every orbit lies inside one sector, so the order in which the
+    sectors are met changes the orbits' numbering only.
     """
+    layout = sector_layout(n, length)
+    states = list(basis_states(n, length))
     step = [[cmath.exp(1j * (t - s)) for t in phis] for s in phis]
     top = n ** max(length - 1, 0)
-    rows, cols, reps, orbit, moved, phase = [], [], [], [], [], []
+    rows, cols, reps, first, orbit, phase = [], [], [], [], [], []
     # orbit and phase of the members met later
     pending: Dict[Tuple[int, int], Tuple[int, complex]] = {}
-    for states in sector_states(n, length).values():
-        for istr in states:
-            row = state_index(istr, n)
-            for jstr in states:
-                col = state_index(jstr, n)
+    for sector in layout.sectors:
+        sector = sector.tolist()
+        for row in sector:
+            for col in sector:
                 found = pending.pop((row, col), None)
                 if found is None:
-                    o = len(reps)
-                    reps.append((istr, jstr))
-                    r, c, p = row, col, 1.0
+                    o, p = len(reps), 1.0
+                    reps.append((states[row], states[col]))
+                    first.append(len(rows))
+                    r, c, q = row, col, 1.0
                     while True:
-                        p *= step[r % n][c % n]
+                        q *= step[r % n][c % n]
                         r, c = (r % n) * top + r // n, (c % n) * top + c // n
                         if (r, c) == (row, col):
                             break
-                        pending[(r, c)] = (o, p)
+                        pending[(r, c)] = (o, q)
                 else:
                     o, p = found
-                    moved.append(len(rows))
-                    phase.append(p)
                 orbit.append(o)
+                phase.append(p)
                 rows.append(row)
                 cols.append(col)
-    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), reps,
-            np.array(orbit, dtype=np.int64), np.array(moved, dtype=np.int64),
-            np.array(phase, dtype=complex))
+    first_arr = np.array(first, dtype=np.int64)
+    moved = np.setdiff1d(np.arange(len(rows)), first_arr)
+    start = np.cumsum([0] + [idx.size ** 2 for idx in layout.sectors[:-1]])
+    return _OrbitPlan(np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+                      reps, first_arr, np.array(orbit, dtype=np.int64), moved,
+                      np.array(phase, dtype=complex), start)
 
 
-def _traced_monodromy(n: int, length: int, lax: LaxMatrix, D: TwistOperatorD,
-                      twist: TwistConfig) -> Blocks:
-    """Exact ``z^k`` coefficients of the twisted monodromy trace, k = 0..length,
-    as one run of sector blocks.
+def _relabelled(indices: np.ndarray, sigma: Sequence[int], n: int,
+                length: int) -> np.ndarray:
+    """The basis indices with every letter ``a`` (from 0) replaced by ``sigma[a]``."""
+    weights = n ** np.arange(length - 1, -1, -1)
+    return np.asarray(sigma, dtype=np.int64)[indices[:, None] // weights % n] @ weights
+
+
+#: one member of a shared trace: its trace weights (carrier weights,
+#: per-mode weights and plain-trace modes, with the modes named as those of
+#: the Lax matrix), and the relabelling of letters (from 0) that carries the
+#: Lax matrix's index set to the member's, or None where they coincide
+Member = Tuple[Tuple[Sequence[complex], Dict[Mode, complex], Sequence[Mode]],
+               Optional[Tuple[int, ...]]]
+
+
+def _traced_monodromy(n: int, length: int, lax: LaxMatrix, members: Sequence[Member],
+                      twist: TwistConfig) -> List[Blocks]:
+    """Exact ``z^k`` coefficients, k = 0..length, of the twisted monodromy
+    trace of each of ``members``, each as one run of sector blocks.
 
     The quantum-space entry for configurations (i_1..i_L), (j_1..j_L) is the
     twisted trace of the site-ordered product of the entries ``L_{i_s j_s}``.
@@ -226,18 +284,27 @@ def _traced_monodromy(n: int, length: int, lax: LaxMatrix, D: TwistOperatorD,
     with the identity.  Only one pair per orbit of :func:`_orbit_plan` is
     expanded: the trace is cyclic and ``D L_{st} = e^{i(phi_t - phi_s)} L_{st}
     D``, so every other member is the representative's value times its phase.
+
+    Each pair ``(r, c)`` is expanded once and traced against every member's
+    weights, each member with its own cache of key factors.  A member with
+    relabelling ``sigma`` reads that trace as its entry ``(sigma r, sigma
+    c)``: the representative of that pair's orbit gets the trace divided by
+    the pair's phase.  A division by 1.0 keeps every bit but the sign of a
+    zero, which the scatter's sum from 0.0 drops, and a member without
+    relabelling divides nothing.
     """
-    rows, cols, reps, orbit, moved, phase = _orbit_plan(n, length, tuple(twist.phis))
+    plan = _orbit_plan(n, length, tuple(twist.phis))
+    layout = sector_layout(n, length)
     # each Lax entry ``z c0 + c1`` as its non-zero (power of z, terms) parts;
     # a part equal to the carrier identity is given as None
     entries = [[[(k, None if c.is_identity() else c._terms())
                  for k, c in ((0, lax.c1[i][j]), (1, lax.c0[i][j])) if not c.is_zero()]
                 for j in range(lax.n)] for i in range(lax.n)]
     ident = CarrierOp.identity(lax.d)._terms()
-    weights, q, plain = D.carrier_weights, D.q, D.plain_modes
-    factors: Dict = {}
-    traced = np.zeros((length + 1, len(reps)), dtype=complex)
-    for o, (istr, jstr) in enumerate(reps):
+    factors: List[Dict] = [{} for _ in members]
+    # member m's trace of the z^k coefficient of pair o, at [m][k][o]
+    traced = [[[0j] * len(plan.reps) for _ in range(length + 1)] for _ in members]
+    for o, (istr, jstr) in enumerate(plan.reps):
         first = entries[istr[0]][jstr[0]] if length else [(0, None)]
         graded = {k: ident if c is None else c for k, c in first}
         for i, j in zip(istr[1:], jstr[1:]):
@@ -251,10 +318,19 @@ def _traced_monodromy(n: int, length: int, lax: LaxMatrix, D: TwistOperatorD,
                     nxt[key] = term if key not in nxt else _carrier_add(nxt[key], term)
             graded = nxt
         for k, p in graded.items():
-            traced[k, o] = _carrier_trace(p, weights, q, plain, factors)
-    vals = traced[:, orbit]
-    vals[:, moved] = _product(vals[:, moved], phase)
-    return sector_layout(n, length).scatter(rows, cols, vals)
+            for (weights, _), cache, vals in zip(members, factors, traced):
+                vals[k][o] = _carrier_trace(p, *weights, cache)
+    runs = []
+    for (_, sigma), vals in zip(members, np.array(traced, dtype=complex)):
+        if sigma is not None:
+            at = plan.position(layout,
+                               _relabelled(plan.rows[plan.first], sigma, n, length),
+                               _relabelled(plan.cols[plan.first], sigma, n, length))
+            vals[:, plan.orbit[at]] = _quotient(vals, plan.phase[at])
+        vals = vals[:, plan.orbit]
+        vals[:, plan.moved] = _product(vals[:, plan.moved], plan.phase[plan.moved])
+        runs.append(layout.scatter(plan.rows, plan.cols, vals))
+    return runs
 
 
 def build_X(n: int, length: int, index_set: Sequence[int], rep: GlRep,
@@ -262,20 +338,73 @@ def build_X(n: int, length: int, index_set: Sequence[int], rep: GlRep,
     """General hybrid transfer operator for a carrier on an index set."""
     I = tuple(sorted(index_set))
     if not I:
-        diag = np.arange(n ** length)
-        return OperatorPolynomial(0.0, sector_layout(n, length).scatter(
-            diag, diag, np.ones((1, diag.size), dtype=complex)))
+        return _identity_member(n, length)
     lax = canonical_lax(n, I, rep)
     D = build_twist_D(n, I, rep, twist)
     sigma = sum(twist.phi(a) for a in I)
-    return OperatorPolynomial(sigma, _traced_monodromy(n, length, lax, D, twist))
+    return OperatorPolynomial(sigma, _traced_monodromy(
+        n, length, lax, [((D.carrier_weights, D.q, D.plain_modes), None)], twist)[0])
+
+
+def _identity_member(n: int, length: int) -> OperatorPolynomial:
+    diag = np.arange(n ** length)
+    return OperatorPolynomial(0.0, sector_layout(n, length).scatter(
+        diag, diag, np.ones((1, diag.size), dtype=complex)))
+
+
+def build_Qs(n: int, length: int, index_sets: Sequence[Sequence[int]],
+             twist: TwistConfig) -> Dict[Tuple[int, ...], OperatorPolynomial]:
+    """The trivial-carrier member of each of ``index_sets``, one Wick
+    expansion per size.
+
+    Let ``sigma`` send the letters ``1..p`` to a set ``I`` of size ``p`` in
+    order, and the other letters to the complement of ``I`` in order.  The
+    Lax matrix of ``I`` is that of ``1..p`` with every letter relabelled by
+    ``sigma``, and so is its twist data at the twist: so ``Q_I``'s entry
+    ``(sigma r, sigma c)`` is the trace of the pair ``(r, c)`` of the Lax
+    matrix of ``1..p`` against the twist data of ``I`` with its modes named
+    as those of ``1..p``.  Each size's pairs are expanded once and traced
+    for every set of the size (:func:`_traced_monodromy`); the set ``1..p``
+    itself is built as :func:`build_X` builds it, bit for bit.
+    """
+    sets = sorted({tuple(sorted(I)) for I in index_sets}, key=lambda I: (len(I), I))
+    out = {}
+    for p, group in itertools.groupby(sets, len):
+        group = list(group)
+        if not p:
+            out[()] = _identity_member(n, length)
+            continue
+        first = tuple(range(1, p + 1))
+        members = [_relabelled_weights(n, I, twist) for I in group]
+        runs = _traced_monodromy(n, length, canonical_lax(n, first, trivial_rep(first)),
+                                 members, twist)
+        for I, run in zip(group, runs):
+            out[I] = OperatorPolynomial(sum(twist.phi(a) for a in I), run)
+    return out
+
+
+def _relabelled_weights(n: int, index_set: Tuple[int, ...], twist: TwistConfig) -> Member:
+    """The trace weights of ``index_set``'s trivial-carrier twist data with
+    its modes named as those of ``1..p``, and the relabelling ``sigma``
+    (letters from 0), or None for ``1..p`` itself.  A degenerate weight is
+    reported with the letters of ``index_set``, as :func:`build_twist_D`
+    reports it."""
+    D = build_twist_D(n, index_set, trivial_rep(index_set), twist)
+    sigma = tuple(a - 1 for a in index_set) \
+        + tuple(x - 1 for x in range(1, n + 1) if x not in index_set)
+    if sigma == tuple(range(n)):
+        return (D.carrier_weights, D.q, D.plain_modes), None
+    letter = {a + 1: b + 1 for b, a in enumerate(sigma)}
+    # a trivial carrier has no plain-trace modes; its modes are ("o", a, x)
+    q = {(tag, letter[a], letter[x]): w for (tag, a, x), w in D.q.items()}
+    return (D.carrier_weights, q, D.plain_modes), sigma
 
 
 def build_Q(n: int, length: int, index_set: Sequence[int],
             twist: TwistConfig) -> OperatorPolynomial:
     """Trace over pure oscillator auxiliary content (trivial gl-carrier)."""
     I = tuple(sorted(index_set))
-    return build_X(n, length, I, trivial_rep(I), twist)
+    return build_Qs(n, length, [I], twist)[I]
 
 
 def build_X_plus(n: int, length: int, index_set: Sequence[int],

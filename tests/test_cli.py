@@ -286,16 +286,29 @@ def test_report_leaves_out_the_spectrum_below_two_sites(capsys):
 
 def test_report_builds_each_member_once(monkeypatch, capsys):
     # the verify suites and the spectrum share one family, so each
-    # trivial-carrier chain member and T_box at L is built once
-    from qlab import transfer
-    built = []
-    build_X = transfer.build_X
+    # trivial-carrier chain member and T_box at L is built once, and the
+    # trivial-carrier sets of one size share one expansion
+    from qlab import relations, transfer
+    built, expanded = [], []
+    build_X, build_Qs, traced = transfer.build_X, transfer.build_Qs, transfer._traced_monodromy
 
-    def counting(n, length, index_set, rep, *args, **kwargs):
+    def counting_X(n, length, index_set, rep, *args, **kwargs):
         built.append((length, tuple(index_set), rep.kind))
         return build_X(n, length, index_set, rep, *args, **kwargs)
 
-    monkeypatch.setattr(transfer, "build_X", counting)
+    def counting_Qs(n, length, index_sets, *args, **kwargs):
+        out = build_Qs(n, length, index_sets, *args, **kwargs)
+        built.extend((length, I, "trivial") for I in out)
+        return out
+
+    def counting_traced(n, length, lax, *args, **kwargs):
+        expanded.append((length, lax.index_set, lax.rep.kind))
+        return traced(n, length, lax, *args, **kwargs)
+
+    monkeypatch.setattr(transfer, "build_X", counting_X)
+    monkeypatch.setattr(transfer, "build_Qs", counting_Qs)
+    monkeypatch.setattr(relations, "build_Qs", counting_Qs)
+    monkeypatch.setattr(transfer, "_traced_monodromy", counting_traced)
     assert main(["report", "--n", "3", "--L", "2", "--suite", "anchors,commuting"]) == 0
     capsys.readouterr()
     members = sorted((I, kind) for length, I, kind in built if length == 2)
@@ -303,6 +316,17 @@ def test_report_builds_each_member_once(monkeypatch, capsys):
                               ((3,), "trivial"), ((1, 2), "trivial"),
                               ((1, 3), "trivial"), ((2, 3), "trivial"),
                               ((1, 2, 3), "trivial"), ((1, 2, 3), "fundamental")])
+    assert sorted((I, kind) for length, I, kind in expanded if length == 2) == sorted(
+        [((1,), "trivial"), ((1, 2), "trivial"), ((1, 2, 3), "trivial"),
+         ((1, 2, 3), "fundamental")])
+
+
+@pytest.mark.parametrize("flag", ["--phi=-0.7,0.7", "--phi=-.7,.7"])
+def test_a_twist_that_begins_with_a_minus_sign_is_read(flag, capsys):
+    # argparse reads "-0.7,0.7" after a space as a flag, so --phi's help
+    # asks for the '=' form
+    assert main(["verify", "--n", "2", "--L", "2", "--suite", "anchors", flag]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["phi"] == [-0.7, 0.7]
 
 
 def test_reports_are_deterministic(capsys):

@@ -39,7 +39,14 @@ more when the family members came to be built as sector blocks and their
 values came to be formed with CPython's complex product throughout, the
 rounding the sparse members had used: again every relation value could move
 at rounding level, no pass flag moved at (4,3), (3,3) or (2,5), and the
-``bgg,trace`` and carrier values did not move.
+``bgg,trace`` and carrier values did not move.  They were regenerated once
+more when every ``Q_I`` of one size came to be built from one Wick
+expansion, that of the set ``1..p``: a member of another set now reads each
+entry off another pair of its rotation orbit, relabelled, and divides it by
+that pair's phase, so it moves at rounding level, while the sets ``1..p``
+keep their bits.  Only records that read such a set could move, and 13 of
+them did (CHANGES.md lists each one); no pass flag moved in any case, and the
+anchors, ``bgg,trace`` and carrier values did not move.
 
 A change that reorders a summation moves these residuals at rounding level.
 Such a change must regenerate the file on purpose and record in CHANGES.md

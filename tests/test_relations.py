@@ -273,8 +273,11 @@ def test_family_caches_member_blocks_and_values(monkeypatch):
     assert run.count == 2
     assert np.max(np.abs(dense(run) - want)) <= 1e-15 * np.max(np.abs(want))
     qf.drop_values()
-    # the values are formed anew from the member built the first time
+    # the values are formed anew from the member built the first time, and
+    # a list of sets asks for none that is built already
     monkeypatch.setattr(relations, "build_Q", lambda *args: pytest.fail("built again"))
+    monkeypatch.setattr(relations, "build_Qs", lambda *args: pytest.fail("built again"))
+    qf.build([(2, 1), (1, 2)])
     again = qf.q_at((1, 2), points)
     assert again is not run and bits(dense(again)) == bits(dense(run))
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qlab.tensor import Blocks, basis_states, occupation, sector_layout, state_index
+from qlab.tensor import Blocks, _quotient, basis_states, occupation, sector_layout, \
+    state_index
 from qlab.transfer import OperatorPolynomial
 
 
@@ -279,3 +280,22 @@ def test_signed_zero_conventions():
     pure = Blocks(layout, [np.full((1, 1, 1, 1), complex(-0.0, 1.0))])
     value = OperatorPolynomial(0.0, pure).at(1.0).to_dense()[0, 0]
     assert value.imag == 1.0 and math.copysign(1.0, value.real) == 1.0
+
+
+# magnitudes that keep every step of Smith's method finite and normal
+moderate = st.one_of(st.just(0.0), st.just(-0.0),
+                     st.floats(min_value=1e-100, max_value=1e100),
+                     st.floats(min_value=-1e100, max_value=-1e-100))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(moderate, moderate, moderate, moderate).filter(
+    lambda t: t[2] != 0.0 or t[3] != 0.0), min_size=1, max_size=12))
+@example([(-0.0, 0.0, 1.0, 0.0), (0.0, -0.0, 0.0, -1.0), (1.0, 0.0, 0.6, 0.8)])
+def test_quotient_rounds_as_cpython(parts):
+    # a relabelled family member divides its traces by plan phases; the
+    # quotient is CPython's, signed zeros included, on any host
+    a = np.array([complex(ar, ai) for ar, ai, _, _ in parts])
+    b = np.array([complex(br, bi) for _, _, br, bi in parts])
+    want = np.array([x / y for x, y in zip(a.tolist(), b.tolist())], dtype=complex)
+    assert _quotient(a, b).tobytes() == want.tobytes()

@@ -13,7 +13,7 @@ from qlab.oscillator import COEFF_TOL, CarrierOp, FockSpace, NormalOrderedOp as 
 from qlab.tensor import Blocks, sector_layout
 from qlab.transfer import (
     TwistConfig, _alternating_sum_at, _signed_members,
-    bgg_eigen_check, build_Q, build_T_box, build_X, build_X_plus, build_twist_D,
+    bgg_eigen_check, build_Q, build_Qs, build_T_box, build_X, build_X_plus, build_twist_D,
 )
 
 TW2 = TwistConfig((0.7, -0.7))
@@ -404,15 +404,78 @@ def family_cases(n):
     (2, 4, TW2), (3, 3, TW3), (2, 4, TW2_COMPLEX), (3, 3, TW3_COMPLEX)])
 def test_build_matches_the_object_reference_bitwise(n, L, twist):
     # the same value bits, coefficient by coefficient, for every member
-    # kind; (2,4) and (3,3) hold short orbits
-    for I, rep in family_cases(n):
+    # kind; (2,4) and (3,3) hold short orbits.  The trivial-carrier members
+    # built all at once, one expansion per size, are each the one-set build
+    # of the same function, and match their own expansion: bit for bit for
+    # the first set of each size, and within 4 eps of each coefficient's
+    # largest entry for the others, whose values are read off another pair
+    # of their orbit and divided by its phase
+    cases = family_cases(n)
+    shared = build_Qs(n, L, [I for I, rep in cases if rep.kind == "trivial"], twist)
+    for I, rep in cases:
         lax = canonical_lax(n, I, rep)
         D = build_twist_D(n, I, rep, twist)
-        got = build_X(n, L, I, rep, twist).coeffs
+        own = build_X(n, L, I, rep, twist)
+        got = own.coeffs
         want = reference_monodromy(n, L, lax, D, twist)
         assert got.count == len(want) == L + 1
         for k, w in enumerate(want):
             assert got[k].to_dense().tobytes() == w.tobytes()
+        if rep.kind != "trivial":
+            continue
+        member, alone = shared[I], build_Q(n, L, I, twist)
+        assert member.sigma == alone.sigma == own.sigma
+        for k, w in enumerate(want):
+            dense = member.coeffs[k].to_dense()
+            assert dense.tobytes() == alone.coeffs[k].to_dense().tobytes()
+            if I == tuple(range(1, len(I) + 1)):
+                assert dense.tobytes() == w.tobytes()
+            else:
+                assert np.max(np.abs(dense - w)) <= 4 * np.finfo(float).eps * np.max(np.abs(w))
+
+
+def test_degenerate_twist_is_named_alike_by_the_shared_build():
+    # letters 1 and 3 share a phase; the shared build names them as each
+    # set's one-set build does, not by the letters of the set 1..p it expands
+    tw = TwistConfig((0.5, -1.0, 0.5))
+    sets = [I for r in (1, 2) for I in itertools.combinations((1, 2, 3), r)]
+    with pytest.raises(ValueError, match=r"letters \(1, 3\) coincide"):
+        build_Qs(3, 2, sets, tw)
+    raised = []
+    for I in sets:
+        try:
+            build_X(3, 2, I, trivial_rep(I), tw)
+        except ValueError as exc:
+            raised.append(I)
+            with pytest.raises(ValueError) as shared:
+                build_Qs(3, 2, [I], tw)
+            assert str(shared.value) == str(exc)
+        else:
+            build_Qs(3, 2, [I], tw)
+    assert raised == [(1,), (3,), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("n,L", [(3, 3), (4, 3)])
+def test_a_wrong_relabelling_fails_the_shared_build(n, L, monkeypatch):
+    # negative control: the sets of one size read their entries through the
+    # relabelling sigma; one that swaps its last two letters puts a
+    # relabelled set's values on the wrong pairs, and every quadrilateral
+    # relation reads such a set, since I+a and I+b are not both 1..p
+    from qlab.relations import QFamily, enumerate_hasse, hirota_residual
+    tw = TWISTS[n]
+    hasse = enumerate_hasse(n)
+
+    def residuals():
+        qf = QFamily(n, L, tw)
+        qf.build(hasse.nodes)
+        return [hirota_residual(n, L, I, a, b, tw, family=qf)
+                for I, a, b in hasse.quadrilaterals]
+
+    assert max(residuals()) < 1e-10
+    relabelled = transfer._relabelled
+    monkeypatch.setattr(transfer, "_relabelled", lambda indices, sigma, n, length: relabelled(
+        indices, sigma[:-2] + sigma[:-3:-1], n, length))
+    assert min(residuals()) > 1e-6
 
 
 def twisted_shift(n, length, twist):
