@@ -18,9 +18,6 @@ tolerance and a lister that returns its ``(name, check)`` pairs, where
 ``check()`` returns the residual.  A lister does the work its checks share
 (random draws, fused carriers); :func:`run_verify` alone calls the checks and
 makes the records, and a record's ``seconds`` covers its ``check()`` call.
-The suites that read proper subsets (``hirota``, ``determinant``,
-``plucker``, ``commuting``) build all their sets in one call, one Wick
-expansion per size, in their first check.
 """
 
 from __future__ import annotations
@@ -210,55 +207,30 @@ def _suite_fusion(cfg: RunConfig, qf: QFamily) -> List[Check]:
     return checks
 
 
-def _building(qf: QFamily, index_sets: Sequence[Tuple[int, ...]],
-              checks: List[Check]) -> List[Check]:
-    """``checks``, the first of which builds the members of ``index_sets``
-    in one call (:meth:`QFamily.build`) before its own work, so that its
-    record's ``seconds`` covers the builds."""
-    name, check = checks[0]
-
-    def first() -> float:
-        qf.build(index_sets)
-        return check()
-
-    checks[0] = (name, first)
-    return checks
-
-
 def _suite_hirota(cfg: RunConfig, qf: QFamily) -> List[Check]:
     from .relations import enumerate_hasse, hirota_residual
-    hasse = enumerate_hasse(cfg.n)
-    return _building(qf, hasse.nodes, [
-        ("quadrilateral I=%s a=%d b=%d" % (I, a, b),
-         partial(hirota_residual, cfg.n, cfg.length, I, a, b, cfg.twist(), family=qf))
-        for I, a, b in hasse.quadrilaterals])
+    return [("quadrilateral I=%s a=%d b=%d" % (I, a, b),
+             partial(hirota_residual, qf, I, a, b))
+            for I, a, b in enumerate_hasse(cfg.n).quadrilaterals]
 
 
 def _suite_determinant(cfg: RunConfig, qf: QFamily) -> List[Check]:
     from .relations import q_determinant_residual, t_determinant_residual
-    tw = cfg.twist()
-    pairs = list(itertools.combinations(range(1, cfg.n + 1), 2))
     checks: List[Check] = [
-        ("pair form I=%s" % (I,),
-         partial(q_determinant_residual, cfg.n, cfg.length, I, tw, family=qf))
-        for I in pairs]
-    checks.append(("defining transfer form",
-                   partial(t_determinant_residual, cfg.n, cfg.length, tw,
-                           family=qf)))
-    return _building(qf, [(a,) for a in range(1, cfg.n + 1)] + pairs, checks)
+        ("pair form I=%s" % (I,), partial(q_determinant_residual, qf, I))
+        for I in itertools.combinations(range(1, cfg.n + 1), 2)]
+    checks.append(("defining transfer form", partial(t_determinant_residual, qf)))
+    return checks
 
 
 def _suite_plucker(cfg: RunConfig, qf: QFamily) -> List[Check]:
     from .relations import plucker_residual
     chain = tuple(range(1, cfg.n + 1))
     rng = np.random.default_rng(cfg.seed + 2)
-    # the determinants read the singletons of the chain's letters
-    return _building(qf, [(a,) for a in chain], [
-        ("exchange relation k=%d" % k,
-         partial(plucker_residual, cfg.n, cfg.length, chain, k,
-                 tuple(np.round(rng.uniform(-0.8, 0.8, size=k + 1), 3)),
-                 cfg.twist(), family=qf))
-        for k in range(2, cfg.n + 1)])
+    return [("exchange relation k=%d" % k,
+             partial(plucker_residual, qf, chain, k,
+                     tuple(np.round(rng.uniform(-0.8, 0.8, size=k + 1), 3))))
+            for k in range(2, cfg.n + 1)]
 
 
 def _suite_commuting(cfg: RunConfig, qf: QFamily) -> List[Check]:
@@ -269,7 +241,7 @@ def _suite_commuting(cfg: RunConfig, qf: QFamily) -> List[Check]:
     members = [I for I in enumerate_hasse(cfg.n).nodes if 0 < len(I) < cfg.n]
 
     def worst() -> float:
-        h = build_hamiltonian(cfg.n, cfg.length, cfg.twist())
+        h = build_hamiltonian(qf.n, qf.length, qf.twist)
         ops = Blocks.join([h, qf.t_at((0.29,))] + [qf.q_at(I, (0.37,)) for I in members])
 
         def against_later(i: int) -> float:
@@ -279,8 +251,7 @@ def _suite_commuting(cfg: RunConfig, qf: QFamily) -> List[Check]:
 
         return _worst(against_later(i) for i in range(ops.count - 1))
 
-    return _building(qf, members, [("max pairwise commutator (%d ops)"
-                                    % (2 + len(members)), worst)])
+    return [("max pairwise commutator (%d ops)" % (2 + len(members)), worst)]
 
 
 def _suite_bgg(cfg: RunConfig, qf: QFamily) -> List[Check]:
@@ -393,10 +364,11 @@ def _cstr(x: complex) -> str:
 
 
 def run_spectrum(cfg: RunConfig, family: QFamily | None = None) -> dict:
+    from .relations import QFamily
     from .spectral import SpectralAnalysis
     if cfg.length < 2:
         raise ConfigError("spectrum needs L >= 2")
-    sa = SpectralAnalysis(cfg.n, cfg.length, cfg.twist(), family=family)
+    sa = SpectralAnalysis(family or QFamily(cfg.n, cfg.length, cfg.twist()))
     rows = []
     for r in sa.all_records():
         rows.append({
@@ -411,10 +383,11 @@ def run_spectrum(cfg: RunConfig, family: QFamily | None = None) -> dict:
 
 
 def run_bethe(cfg: RunConfig) -> dict:
+    from .relations import QFamily
     from .spectral import SpectralAnalysis, solve_bethe_newton
     if cfg.length < 2:
         raise ConfigError("bethe needs L >= 2")
-    sa = SpectralAnalysis(cfg.n, cfg.length, cfg.twist())
+    sa = SpectralAnalysis(QFamily(cfg.n, cfg.length, cfg.twist()))
     sigmas = [sa.q_polys[I].sigma for I in sa.sets]
     states = []
     for r in sa.all_records():

@@ -8,6 +8,12 @@ dense letter-count sector blocks of :mod:`qlab.tensor`, at all of a check's
 spectral points at once, and its residual is the largest entry modulus of
 the difference of the two sides.
 
+Every check takes the chain's :class:`QFamily` first and reads ``n``, the
+length and the twist from it.  The family decides what it builds: the first
+value asked of a set builds every set of that size it lacks, in one Wick
+expansion, since each relation suite reads every set of each size it
+touches.
+
 Conventions (all pinned against explicit constructions):
 
 - pair factor ``delta_pair(a, b) = 2i sin((phi_a - phi_b)/2)``; set factor
@@ -103,6 +109,12 @@ class QFamily:
     """Cache of the trivial-carrier family members and the defining-carrier
     transfer operator for one chain and twist; each is built on first use.
 
+    :meth:`q_at`, which the relation checks read, builds on a miss every set
+    of the set's size not held yet, in one :func:`qlab.transfer.build_Qs`
+    call: each check reads every set of each size it touches.  :meth:`q`
+    builds only its own set: the spectrum reads one set per size.  No member
+    held is built again.
+
     A member's values at a tuple of points are cached too: the checks of one
     suite read the same members at the same points many times.  Callers drop
     them with :meth:`drop_values` when a suite ends, so that the values of
@@ -120,13 +132,6 @@ class QFamily:
             self._cache[I] = build_Q(self.n, self.length, I, self.twist)
         return self._cache[I]
 
-    def build(self, index_sets: Sequence[Sequence[int]]) -> None:
-        """Build each member of ``index_sets`` not built yet, one Wick
-        expansion per size (:func:`qlab.transfer.build_Qs`)."""
-        todo = [I for I in index_sets if tuple(sorted(I)) not in self._cache]
-        if todo:
-            self._cache.update(build_Qs(self.n, self.length, todo, self.twist))
-
     def t_box(self) -> OperatorPolynomial:
         if self._t_box is None:
             self._t_box = build_T_box(self.n, self.length, self.twist)
@@ -135,18 +140,22 @@ class QFamily:
     def q_at(self, index_set: Sequence[int], points: Sequence[float]) -> Blocks:
         """The run of ``Q_I`` at each of ``points``."""
         I = tuple(sorted(index_set))
-        return self._at(I, lambda: self.q(I), points)
+        if I not in self._cache:
+            self._cache.update(build_Qs(self.n, self.length, [
+                J for J in itertools.combinations(range(1, self.n + 1), len(I))
+                if J not in self._cache], self.twist))
+        return self._at(I, self._cache[I], points)
 
     def t_at(self, points: Sequence[float]) -> Blocks:
         """The run of the defining-carrier transfer operator at each of ``points``."""
-        return self._at("T", self.t_box, points)
+        return self._at("T", self.t_box(), points)
 
-    def _at(self, key: object, member: Callable[[], OperatorPolynomial],
+    def _at(self, key: object, member: OperatorPolynomial,
             points: Sequence[float]) -> Blocks:
         points = tuple(points)
         out = self._values.get((key, points))
         if out is None:
-            out = self._values[key, points] = member().values(points)
+            out = self._values[key, points] = member.values(points)
         return out
 
     def drop_values(self) -> None:
@@ -176,9 +185,7 @@ def _max_residual(sides: Sides, length: int) -> float:
 # -- bilinear quadrilateral relation ----------------------------------------------
 
 
-def hirota_residual(n: int, length: int, index_set: Sequence[int], a: int,
-                    b: int, twist: TwistConfig, family: QFamily | None = None
-                    ) -> float:
+def hirota_residual(family: QFamily, index_set: Sequence[int], a: int, b: int) -> float:
     """Max-entry residual of the quadrilateral relation at several points.
 
     Antisymmetric under a <-> b; both orders are accepted.
@@ -186,15 +193,15 @@ def hirota_residual(n: int, length: int, index_set: Sequence[int], a: int,
     I = tuple(sorted(index_set))
     if a in I or b in I or a == b:
         raise ValueError("indices must be distinct and outside the set")
-    qf = family or QFamily(n, length, twist)
+    q_at = family.q_at
 
     def sides(zs: List[float]) -> Tuple[Blocks, Blocks]:
         up, down = [z + 0.5 for z in zs], [z - 0.5 for z in zs]
-        return ((qf.q_at(I + (a, b), zs) @ qf.q_at(I, zs)) * delta_pair(twist, a, b),
-                qf.q_at(I + (a,), up) @ qf.q_at(I + (b,), down)
-                - qf.q_at(I + (b,), up) @ qf.q_at(I + (a,), down))
+        return ((q_at(I + (a, b), zs) @ q_at(I, zs)) * delta_pair(family.twist, a, b),
+                q_at(I + (a,), up) @ q_at(I + (b,), down)
+                - q_at(I + (b,), up) @ q_at(I + (a,), down))
 
-    return _max_residual(sides, length)
+    return _max_residual(sides, family.length)
 
 
 # -- determinant forms ------------------------------------------------------------
@@ -235,47 +242,42 @@ def _q_det(family: QFamily, letters: Sequence[int],
                            for j in range(len(letters))] for a in letters])
 
 
-def q_determinant_residual(n: int, length: int, index_set: Sequence[int],
-                           twist: TwistConfig, family: QFamily | None = None
-                           ) -> float:
+def q_determinant_residual(family: QFamily, index_set: Sequence[int]) -> float:
     """Residual of delta_set(I) Q_I(z) = det | Q_{a_i}(z + (p+1)/2 - j) |."""
     I = tuple(sorted(index_set))
     p = len(I)
     if p == 0:
         raise ValueError("the empty set has no determinant form")
-    qf = family or QFamily(n, length, twist)
     shifts = [(p + 1) / 2 - j for j in range(1, p + 1)]
     return _max_residual(
-        lambda zs: (qf.q_at(I, zs) * delta_set(twist, I),
-                    _q_det(qf, I, [[z + s for s in shifts] for z in zs])),
-        length)
+        lambda zs: (family.q_at(I, zs) * delta_set(family.twist, I),
+                    _q_det(family, I, [[z + s for s in shifts] for z in zs])),
+        family.length)
 
 
-def t_determinant_residual(n: int, length: int, twist: TwistConfig,
-                           family: QFamily | None = None) -> float:
+def t_determinant_residual(family: QFamily) -> float:
     """Residual of the determinant form of the defining-carrier transfer op."""
-    qf = family or QFamily(n, length, twist)
-    shifts = shifted_weights([1.0] + [0.0] * (n - 1))
-    full = tuple(range(1, n + 1))
+    shifts = shifted_weights([1.0] + [0.0] * (family.n - 1))
+    full = tuple(range(1, family.n + 1))
     return _max_residual(
-        lambda zs: (qf.t_at(zs) * delta_set(twist, full),
-                    _q_det(qf, full, [[z + s for s in shifts] for z in zs])),
-        length)
+        lambda zs: (family.t_at(zs) * delta_set(family.twist, full),
+                    _q_det(family, full, [[z + s for s in shifts] for z in zs])),
+        family.length)
 
 
 # -- split/merge of highest-weight operators --------------------------------------
 
 
-def x_merge_residual(n: int, length: int, set_i: Sequence[int],
-                     set_j: Sequence[int], weight_i: Sequence[float],
-                     weight_j: Sequence[float], shift: float,
-                     twist: TwistConfig) -> float:
+def x_merge_residual(family: QFamily, set_i: Sequence[int], set_j: Sequence[int],
+                     weight_i: Sequence[float], weight_j: Sequence[float],
+                     shift: float) -> float:
     """Residual of the split of a highest-weight operator into two blocks."""
     I, J = tuple(sorted(set_i)), tuple(sorted(set_j))
     if set(I) & set(J):
         raise ValueError("blocks must be disjoint")
     union = tuple(sorted(I + J))
     p1, p2 = len(I), len(J)
+    n, length, twist = family.n, family.length, family.twist
     x_i = build_X_plus(n, length, I, tuple(weight_i), twist)
     x_j = build_X_plus(n, length, J, tuple(weight_j), twist)
     merged_weight = tuple(w + shift for w in weight_i) + tuple(weight_j)
@@ -288,28 +290,25 @@ def x_merge_residual(n: int, length: int, set_i: Sequence[int],
         length)
 
 
-def x_product_form_residual(n: int, length: int, index_set: Sequence[int],
-                            weight: Sequence[float], twist: TwistConfig,
-                            family: QFamily | None = None) -> float:
+def x_product_form_residual(family: QFamily, index_set: Sequence[int],
+                            weight: Sequence[float]) -> float:
     """Residual of delta(I) X_I(z, W) = prod_i Q_{a_i}(z + w_i + (p-2i+1)/2)."""
     I = tuple(sorted(index_set))
-    qf = family or QFamily(n, length, twist)
-    x = build_X_plus(n, length, I, tuple(weight), twist)
+    x = build_X_plus(family.n, family.length, I, tuple(weight), family.twist)
     shifts = shifted_weights(weight)
     return _max_residual(
-        lambda zs: (x.values(zs) * delta_set(twist, I),
-                    reduce(matmul, [qf.q_at((a,), [z + s for z in zs])
+        lambda zs: (x.values(zs) * delta_set(family.twist, I),
+                    reduce(matmul, [family.q_at((a,), [z + s for z in zs])
                                     for a, s in zip(I, shifts)],
-                           qf.q_at((), zs))),
-        length)
+                           family.q_at((), zs))),
+        family.length)
 
 
 # -- exchange (three-term) relation of determinants --------------------------------
 
 
-def plucker_residual(n: int, length: int, chain: Sequence[int], k: int,
-                     z_points: Sequence[float], twist: TwistConfig,
-                     family: QFamily | None = None) -> float:
+def plucker_residual(family: QFamily, chain: Sequence[int], k: int,
+                     z_points: Sequence[float]) -> float:
     """Three-term exchange relation between determinants over shifted points.
 
     ``chain`` is an ordering of letters; the relation uses the nested sets
@@ -328,9 +327,8 @@ def plucker_residual(n: int, length: int, chain: Sequence[int], k: int,
         raise ValueError("the relation needs at least two nested levels")
     if len(z_points) != k + 1:
         raise ValueError("need k+1 spectral points")
-    qf = family or QFamily(n, length, twist)
     z = list(z_points)
-    d_k = _q_det(qf, tuple(sorted(chain[:k])), [[z[0]] + z[2:], z[:k], z[1:]])
-    d_km1 = _q_det(qf, tuple(sorted(chain[:k - 1])), [z[1:k], z[2:], [z[0]] + z[2:k]])
+    d_k = _q_det(family, tuple(sorted(chain[:k])), [[z[0]] + z[2:], z[:k], z[1:]])
+    d_km1 = _q_det(family, tuple(sorted(chain[:k - 1])), [z[1:k], z[2:], [z[0]] + z[2:k]])
     return _residual(d_k[0:1] @ d_km1[0:1],
                      d_k[1:2] @ d_km1[1:2] + d_km1[2:3] @ d_k[2:3])

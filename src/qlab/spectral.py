@@ -304,24 +304,22 @@ class EigenstateRecord:
 
 
 class SpectralAnalysis:
-    """Joint diagnosis of one chain along one ascending chain of index sets;
-    the members come from ``family``, or from a family built here."""
+    """Joint diagnosis of ``family``'s chain along the ascending chain of
+    index sets that ``path`` orders, by default ``(), (1,), (1, 2), ...``."""
 
-    def __init__(self, n: int, length: int, twist: TwistConfig,
-                 path: Sequence[int] | None = None,
-                 family: QFamily | None = None):
+    def __init__(self, family: QFamily, path: Sequence[int] | None = None):
+        n, length, twist = family.n, family.length, family.twist
         # a one-site chain has no bond: its Hamiltonian is zero, while T_box's
         # log-derivative reads a literal wrap bond, so the energies cannot agree
         if length < 2:
             raise ValueError("spectral analysis needs length >= 2")
-        self.n, self.length, self.twist = n, length, twist
+        self.length = length
         self.path = tuple(path) if path is not None else tuple(range(1, n + 1))
         if sorted(self.path) != list(range(1, n + 1)):
             raise ValueError("path must order all letters")
         self.sets = [tuple(sorted(self.path[:i])) for i in range(n + 1)]
-        qf = family or QFamily(n, length, twist)
-        self.q_polys = {I: qf.q(I) for I in self.sets}
-        self.tbox = qf.t_box()
+        self.q_polys = {I: family.q(I) for I in self.sets}
+        self.tbox = family.t_box()
         self.labels = sector_layout(n, length).labels
         # every operator in one run: the probes diagonalized together, then
         # each member's coefficients

@@ -18,6 +18,13 @@ product rounded as CPython 3.11 rounds it (:func:`_product`), so no value
 depends on BLAS or its threads.  Every product of operators is one numpy
 ``@`` per group: each ``s x s`` product is one BLAS call, whose sums run in
 an order of BLAS's choosing.
+
+Scaling a run (:meth:`Blocks.__mul__`) is numpy's complex ``*``, which may
+fuse a multiply and an add.  The scalars are real or purely imaginary (a
+determinant's sign, the ``delta`` factors at a real twist), so each part of
+each product is one rounded product plus an exact zero, and ``*`` gives the
+bits of :func:`_product`, signed zeros, infinities and NaNs included; only a
+product that underflows to zero may differ in that zero's sign.
 """
 
 from __future__ import annotations

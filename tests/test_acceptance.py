@@ -107,7 +107,7 @@ def test_criterion_05_hirota():
             qf = QFamily(n, L, TW[n])
             for I, a, b in quads:
                 worst = max(worst,
-                            hirota_residual(n, L, I, a, b, TW[n], family=qf))
+                            hirota_residual(qf, I, a, b))
     _report(5, "bilinear quadrilateral relation", worst, 1e-10)
 
 
@@ -117,8 +117,8 @@ def test_criterion_06_determinants():
         qf = QFamily(3, L, TW[3])
         for I in itertools.combinations((1, 2, 3), 2):
             worst = max(worst,
-                        q_determinant_residual(3, L, I, TW[3], family=qf))
-        worst = max(worst, t_determinant_residual(3, L, TW[3], family=qf))
+                        q_determinant_residual(qf, I))
+        worst = max(worst, t_determinant_residual(qf))
     _report(6, "determinant formulas", worst, 1e-10)
 
 
@@ -145,7 +145,7 @@ def test_criterion_08_energy_triple_agreement():
     worst = 0.0
     for n, lengths in ((2, (2, 3, 4)), (3, (2, 3))):
         for L in lengths:
-            for r in SpectralAnalysis(n, L, TW[n]).all_records():
+            for r in SpectralAnalysis(QFamily(n, L, TW[n])).all_records():
                 worst = max(worst,
                             abs(r.energy_direct - r.energy_roots),
                             abs(r.energy_direct - r.energy_tbox))
@@ -154,14 +154,14 @@ def test_criterion_08_energy_triple_agreement():
 
 def test_criterion_09_root_equations():
     worst = _worst(r.max_bethe_residual
-                   for r in SpectralAnalysis(3, 3, TW[3]).all_records())
+                   for r in SpectralAnalysis(QFamily(3, 3, TW[3])).all_records())
     _report(9, "nested root equations (n=3, L=3)", worst, 1e-8)
 
 
 def test_criterion_10_path_equivalence():
     s1, s2 = (np.sort_complex(np.array([r.energy_direct for r in sa.all_records()]))
-              for sa in (SpectralAnalysis(3, 3, TW[3], path=(1, 2, 3)),
-                         SpectralAnalysis(3, 3, TW[3], path=(2, 3, 1))))
+              for sa in (SpectralAnalysis(QFamily(3, 3, TW[3]), path=(1, 2, 3)),
+                         SpectralAnalysis(QFamily(3, 3, TW[3]), path=(2, 3, 1))))
     worst = float(np.max(np.abs(s1 - s2)))
     _report(10, "spectrum path independence", worst, 1e-8)
 

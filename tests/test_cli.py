@@ -10,6 +10,7 @@ import pytest
 
 import qlab
 from qlab.cli import ConfigError, RunConfig, main, run_hasse
+from qlab.relations import enumerate_hasse
 
 
 # -- configuration ----------------------------------------------------------------
@@ -319,6 +320,19 @@ def test_report_builds_each_member_once(monkeypatch, capsys):
     assert sorted((I, kind) for length, I, kind in expanded if length == 2) == sorted(
         [((1,), "trivial"), ((1, 2), "trivial"), ((1, 2, 3), "trivial"),
          ((1, 2, 3), "fundamental")])
+    # the relation suites read every set of each size they touch: the family
+    # builds each size in one expansion the first time a suite asks for it
+    built.clear()
+    expanded.clear()
+    assert main(["verify", "--n", "4", "--L", "3",
+                 "--suite", "hirota,determinant,plucker,commuting"]) == 0
+    capsys.readouterr()
+    assert sorted(built) == sorted([(3, I, "trivial") for I in enumerate_hasse(4).nodes]
+                                   + [(3, (1, 2, 3, 4), "fundamental")])
+    assert sorted(expanded) == sorted([(3, (1,), "trivial"), (3, (1, 2), "trivial"),
+                                       (3, (1, 2, 3), "trivial"),
+                                       (3, (1, 2, 3, 4), "trivial"),
+                                       (3, (1, 2, 3, 4), "fundamental")])
 
 
 @pytest.mark.parametrize("flag", ["--phi=-0.7,0.7", "--phi=-.7,.7"])

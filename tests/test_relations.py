@@ -67,12 +67,12 @@ def test_hasse_guards_size():
 def test_quadrilateral_relation_all_faces(n, tw, L):
     qf = QFamily(n, L, tw)
     for I, a, b in enumerate_hasse(n).quadrilaterals:
-        assert hirota_residual(n, L, I, a, b, tw, family=qf) < 1e-10
+        assert hirota_residual(qf, I, a, b) < 1e-10
 
 
 def test_quadrilateral_relation_antisymmetric_in_ab():
     qf = QFamily(2, 2, TW2)
-    assert hirota_residual(2, 2, (), 2, 1, TW2, family=qf) < 1e-10
+    assert hirota_residual(qf, (), 2, 1) < 1e-10
 
 
 def test_nan_entry_of_a_member_reaches_the_residual_and_fails_the_record():
@@ -82,7 +82,7 @@ def test_nan_entry_of_a_member_reaches_the_residual_and_fails_the_record():
     c0 = q1.coeffs[0].to_dense()
     c0[2, 2] = complex(np.nan, 0.0)
     q1.coeffs = Blocks.join([_runs(sector_layout(2, 2), [c0]), q1.coeffs[1:]])
-    assert np.isnan(hirota_residual(2, 2, (), 1, 2, TW2, family=qf))
+    assert np.isnan(hirota_residual(qf, (), 1, 2))
     qf.drop_values()
     doc = run_verify(RunConfig(n=2, length=2, suites=("hirota",)), family=qf)
     assert [r["passed"] for r in doc["records"]] == [False]
@@ -91,17 +91,17 @@ def test_nan_entry_of_a_member_reaches_the_residual_and_fails_the_record():
 
 def test_quadrilateral_rejects_bad_indices():
     with pytest.raises(ValueError):
-        hirota_residual(3, 1, (1,), 1, 2, TW3)
+        hirota_residual(QFamily(3, 1, TW3), (1,), 1, 2)
     with pytest.raises(ValueError):
-        hirota_residual(3, 1, (), 2, 2, TW3)
+        hirota_residual(QFamily(3, 1, TW3), (), 2, 2)
 
 
 def test_zero_length_chain_collapses_exactly():
     # every member is the scalar exp(i z sigma), so each residual is one
     # rounding of a unit-modulus product (4.4e-16 at the second point)
     qf = QFamily(2, 0, TW2)
-    assert hirota_residual(2, 0, (), 1, 2, TW2, family=qf) < 1e-15
-    assert q_determinant_residual(2, 0, (1, 2), TW2, family=qf) < 1e-15
+    assert hirota_residual(qf, (), 1, 2) < 1e-15
+    assert q_determinant_residual(qf, (1, 2)) < 1e-15
 
 
 # -- determinant forms ------------------------------------------------------------
@@ -181,48 +181,48 @@ def test_stacked_operator_det_matches_each_determinant(p, chain, count, seed):
 @pytest.mark.parametrize("I", [(1, 2), (1, 3), (2, 3)])
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_pair_determinant_form(I, L):
-    assert q_determinant_residual(3, L, I, TW3) < 1e-10
+    assert q_determinant_residual(QFamily(3, L, TW3), I) < 1e-10
 
 
 def test_full_set_determinant_form():
-    assert q_determinant_residual(3, 2, (1, 2, 3), TW3) < 1e-10
+    assert q_determinant_residual(QFamily(3, 2, TW3), (1, 2, 3)) < 1e-10
 
 
 def test_determinant_form_rejects_empty_set():
     with pytest.raises(ValueError):
-        q_determinant_residual(3, 1, (), TW3)
+        q_determinant_residual(QFamily(3, 1, TW3), ())
 
 
 @pytest.mark.parametrize("n,tw,L", [(2, TW2, 1), (2, TW2, 3), (3, TW3, 2)])
 def test_transfer_determinant_form(n, tw, L):
-    assert t_determinant_residual(n, L, tw) < 1e-10
+    assert t_determinant_residual(QFamily(n, L, tw)) < 1e-10
 
 
 # -- split/merge and product form -------------------------------------------------
 
 def test_merge_two_singletons():
-    assert x_merge_residual(3, 1, (1,), (2,), (0.4,), (-0.3,), 0.9, TW3) < 1e-11
+    assert x_merge_residual(QFamily(3, 1, TW3), (1,), (2,), (0.4,), (-0.3,), 0.9) < 1e-11
 
 
 def test_merge_singleton_with_pair():
-    r = x_merge_residual(3, 2, (1,), (2, 3), (0.4,), (-0.3, 0.2), 0.9, TW3)
+    r = x_merge_residual(QFamily(3, 2, TW3), (1,), (2, 3), (0.4,), (-0.3, 0.2), 0.9)
     assert r < 1e-11
 
 
 def test_merge_rejects_overlap():
     with pytest.raises(ValueError):
-        x_merge_residual(3, 1, (1, 2), (2,), (0.1, 0.2), (0.3,), 0.5, TW3)
+        x_merge_residual(QFamily(3, 1, TW3), (1, 2), (2,), (0.1, 0.2), (0.3,), 0.5)
 
 
 def test_merge_zero_shift_still_holds():
-    assert x_merge_residual(2, 1, (1,), (2,), (0.25,), (-0.15,), 0.0, TW2) < 1e-11
+    assert x_merge_residual(QFamily(2, 1, TW2), (1,), (2,), (0.25,), (-0.15,), 0.0) < 1e-11
 
 
 @pytest.mark.parametrize("I,w", [((1, 2), (0.4, -0.3)),
                                  ((1, 2, 3), (0.4, -0.3, 0.6))])
 @pytest.mark.parametrize("L", [1, 2])
 def test_product_form(I, w, L):
-    assert x_product_form_residual(3, L, I, w, TW3) < 1e-11
+    assert x_product_form_residual(QFamily(3, L, TW3), I, w) < 1e-11
 
 
 def test_product_form_trivial_weight_singleton_is_q():
@@ -236,25 +236,25 @@ def test_product_form_trivial_weight_singleton_is_q():
 # -- exchange relation of determinants --------------------------------------------
 
 def test_exchange_relation_two_levels():
-    r = plucker_residual(2, 2, (1, 2), 2, (0.2, 0.7, -0.4), TW2)
+    r = plucker_residual(QFamily(2, 2, TW2), (1, 2), 2, (0.2, 0.7, -0.4))
     assert r < 1e-10
 
 
 def test_exchange_relation_three_levels():
-    r = plucker_residual(3, 2, (1, 2, 3), 3, (0.2, 0.7, -0.4, 1.1), TW3)
+    r = plucker_residual(QFamily(3, 2, TW3), (1, 2, 3), 3, (0.2, 0.7, -0.4, 1.1))
     assert r < 1e-10
 
 
 def test_exchange_relation_alternate_chain_order():
-    r = plucker_residual(3, 1, (3, 1, 2), 2, (0.15, -0.55, 0.95), TW3)
+    r = plucker_residual(QFamily(3, 1, TW3), (3, 1, 2), 2, (0.15, -0.55, 0.95))
     assert r < 1e-10
 
 
 def test_exchange_relation_input_guards():
     with pytest.raises(ValueError):
-        plucker_residual(3, 1, (1, 2, 3), 1, (0.1, 0.2), TW3)
+        plucker_residual(QFamily(3, 1, TW3), (1, 2, 3), 1, (0.1, 0.2))
     with pytest.raises(ValueError):
-        plucker_residual(3, 1, (1, 2, 3), 2, (0.1, 0.2), TW3)
+        plucker_residual(QFamily(3, 1, TW3), (1, 2, 3), 2, (0.1, 0.2))
 
 
 # -- cache behavior ---------------------------------------------------------------
@@ -274,12 +274,37 @@ def test_family_caches_member_blocks_and_values(monkeypatch):
     assert np.max(np.abs(dense(run) - want)) <= 1e-15 * np.max(np.abs(want))
     qf.drop_values()
     # the values are formed anew from the member built the first time, and
-    # a list of sets asks for none that is built already
+    # a member held is built again neither by q nor by q_at
     monkeypatch.setattr(relations, "build_Q", lambda *args: pytest.fail("built again"))
     monkeypatch.setattr(relations, "build_Qs", lambda *args: pytest.fail("built again"))
-    qf.build([(2, 1), (1, 2)])
+    qf.q((2, 1))
     again = qf.q_at((1, 2), points)
     assert again is not run and bits(dense(again)) == bits(dense(run))
+
+
+def test_q_at_builds_its_size_at_once_and_q_builds_its_own_set(monkeypatch):
+    # the relation checks read every set of each size they touch, so a miss
+    # of q_at builds the size's missing sets in one call; the spectrum reads
+    # one set per size, so q builds its own set alone
+    qf = QFamily(3, 2, TW3)
+    calls = []
+    build_Qs = relations.build_Qs
+    monkeypatch.setattr(relations, "build_Qs", lambda n, length, sets, twist: (
+        calls.append(sorted(sets)) or build_Qs(n, length, sets, twist)))
+    monkeypatch.setattr(relations, "build_Q", lambda n, length, I, twist: (
+        calls.append([I]) or build_Q(n, length, I, twist)))
+    qf.q_at((2,), (0.1,))
+    assert calls == [[(1,), (2,), (3,)]]
+    qf.q((1, 2))
+    assert calls[1:] == [[(1, 2)]]
+    qf.q_at((2, 3), (0.1,))
+    assert calls[2:] == [[(1, 3), (2, 3)]]
+    qf.q_at((3,), (0.2,))
+    qf.q((1,))
+    assert len(calls) == 3
+    # a member built with its size has the bits it has built alone
+    for I in [(1,), (3,), (1, 3), (2, 3)]:
+        assert bits(dense(qf.q(I).coeffs)) == bits(dense(build_Q(3, 2, I, TW3).coeffs))
 
 
 def test_the_spectrum_reads_no_member_blocks(monkeypatch):
@@ -292,7 +317,7 @@ def test_the_spectrum_reads_no_member_blocks(monkeypatch):
     scatter, calls = SectorLayout.scatter, []
     monkeypatch.setattr(SectorLayout, "scatter",
                         lambda self, *args: calls.append(1) or scatter(self, *args))
-    SpectralAnalysis(2, 2, TW2, family=qf).all_records()
+    SpectralAnalysis(qf).all_records()
     assert len(calls) == 1
 
 
@@ -326,11 +351,11 @@ def test_block_sides_match_dense_numpy(n, L, monkeypatch):
                         lambda f, length: sides.append(f(zs)) or 0.0)
     monkeypatch.setattr(relations, "_residual",
                         lambda lhs, rhs: sides.append((lhs, rhs)) or 0.0)
-    hirota_residual(n, L, (), 1, 2, tw, family=qf)
-    q_determinant_residual(n, L, (1, 2), tw, family=qf)
-    t_determinant_residual(n, L, tw, family=qf)
+    hirota_residual(qf, (), 1, 2)
+    q_determinant_residual(qf, (1, 2))
+    t_determinant_residual(qf)
     chain, z = tuple(range(1, n + 1)), [0.2, 0.7, -0.4, 0.55, -0.15][:n + 1]
-    plucker_residual(n, L, chain, n, z, tw, family=qf)
+    plucker_residual(qf, chain, n, z)
     SUITES["commuting"][1](RunConfig(n=n, length=L), qf)[0][1]()
     full = tuple(range(1, n + 1))
     shifts = [(n - 1) / 2 + 1] + [(n - 2 * j + 1) / 2 for j in range(2, n + 1)]

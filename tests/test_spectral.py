@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qlab.relations import QFamily
 from qlab.tensor import Blocks, sector_layout, sector_states, state_index
 from qlab.transfer import TwistConfig, build_Q, build_T_box
 from qlab.spectral import (
@@ -314,7 +315,7 @@ def test_batched_energies_match_per_state_formulas_bitwise(rows, k, seed):
     (2, 2, TW2), (2, 3, TW2), (2, 4, TW2), (3, 2, TW3), (3, 3, TW3),
 ])
 def test_three_energies_agree_and_equations_hold(n, L, tw):
-    recs = SpectralAnalysis(n, L, tw).all_records()
+    recs = SpectralAnalysis(QFamily(n, L, tw)).all_records()
     assert len(recs) == n ** L
     for r in recs:
         assert abs(r.energy_direct - r.energy_roots) < 1e-8
@@ -328,27 +329,27 @@ def _spectrum(sa):
 
 
 def test_spectrum_multiset_is_path_independent():
-    s1 = _spectrum(SpectralAnalysis(3, 2, TW3, path=(1, 2, 3)))
-    s2 = _spectrum(SpectralAnalysis(3, 2, TW3, path=(3, 1, 2)))
+    s1 = _spectrum(SpectralAnalysis(QFamily(3, 2, TW3), path=(1, 2, 3)))
+    s2 = _spectrum(SpectralAnalysis(QFamily(3, 2, TW3), path=(3, 1, 2)))
     assert np.max(np.abs(s1 - s2)) < 1e-10
 
 
 def test_path_changes_intermediate_index_sets():
-    sa = SpectralAnalysis(3, 2, TW3, path=(2, 3, 1))
+    sa = SpectralAnalysis(QFamily(3, 2, TW3), path=(2, 3, 1))
     assert sa.sets == [(), (2,), (2, 3), (1, 2, 3)]
     with pytest.raises(ValueError, match="path"):
-        SpectralAnalysis(3, 2, TW3, path=(1, 2))
+        SpectralAnalysis(QFamily(3, 2, TW3), path=(1, 2))
 
 
 @pytest.mark.parametrize("n,tw", [(2, TW2), (3, TW3)])
 def test_one_site_chain_is_rejected(n, tw):
     # a one-site chain has no bond, and its three energies would disagree
     with pytest.raises(ValueError, match="length >= 2"):
-        SpectralAnalysis(n, 1, tw)
+        SpectralAnalysis(QFamily(n, 1, tw))
 
 
 def test_newton_recovers_perturbed_roots():
-    sa = SpectralAnalysis(2, 3, TW2)
+    sa = SpectralAnalysis(QFamily(2, 3, TW2))
     recs = sa.sector_records((2, 1))
     sigmas = [sa.q_polys[I].sigma for I in sa.sets]
     r = recs[0]

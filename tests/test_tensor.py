@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qlab.tensor import Blocks, _quotient, basis_states, occupation, sector_layout, \
-    state_index
+from qlab.tensor import Blocks, _product, _quotient, basis_states, occupation, \
+    sector_layout, state_index
 from qlab.transfer import OperatorPolynomial
 
 
@@ -299,3 +299,37 @@ def test_quotient_rounds_as_cpython(parts):
     b = np.array([complex(br, bi) for _, _, br, bi in parts])
     want = np.array([x / y for x, y in zip(a.tolist(), b.tolist())], dtype=complex)
     assert _quotient(a, b).tobytes() == want.tobytes()
+
+
+#: parts whose products do not underflow: signed zeros, units, and moduli
+#: 1e-20 .. 1e20
+normal_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.builds(lambda m, e: m * 10.0 ** e,
+              st.floats(1.0, 10.0) | st.floats(-10.0, -1.0), st.integers(-20, 19)))
+#: the scalars that scale runs in the commands: a real float (a determinant's
+#: sign), or a complex number with a zero real or imaginary part (a delta)
+axis_scalars = st.one_of(
+    normal_parts,
+    st.builds(complex, normal_parts, st.sampled_from([0.0, -0.0])),
+    st.builds(complex, st.sampled_from([0.0, -0.0]), normal_parts))
+entry_parts = st.one_of(normal_parts, st.sampled_from([math.inf, -math.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(complex, entry_parts, entry_parts), min_size=1, max_size=12),
+       axis_scalars)
+@example([complex(-0.0, 0.0), complex(0.0, -0.0), complex(math.inf, -0.0),
+          complex(-1.0, -math.inf)], -1.0)
+@example([complex(-0.0, -0.0), complex(2.5, math.inf), complex(0.0, 1.0)],
+         complex(-0.0, 0.7))
+def test_a_real_or_imaginary_scale_rounds_as_cpython(entries, scalar):
+    # Blocks.__mul__ is numpy's complex *, which may fuse a multiply and an
+    # add; with one part of the scalar zero, each part of a product is one
+    # rounded product and one exact zero, so it rounds as _product, signed
+    # zeros, infinities and NaNs included (a product that underflows to zero
+    # may differ in the sign of that zero)
+    run = Blocks(sector_layout(1, 1), [np.array(entries).reshape(-1, 1, 1, 1)])
+    with np.errstate(invalid="ignore"):
+        got, want = (run * scalar).arrays[0], _product(run.arrays[0], scalar)
+    assert got.tobytes() == want.tobytes()

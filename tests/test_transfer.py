@@ -467,8 +467,7 @@ def test_a_wrong_relabelling_fails_the_shared_build(n, L, monkeypatch):
 
     def residuals():
         qf = QFamily(n, L, tw)
-        qf.build(hasse.nodes)
-        return [hirota_residual(n, L, I, a, b, tw, family=qf)
+        return [hirota_residual(qf, I, a, b)
                 for I, a, b in hasse.quadrilaterals]
 
     assert max(residuals()) < 1e-10
