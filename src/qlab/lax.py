@@ -57,13 +57,6 @@ class LaxMatrix:
         return [[self.c0[i][j].scale(z) + self.c1[i][j] for j in range(self.n)]
                 for i in range(self.n)]
 
-    def modes(self) -> Tuple[Mode, ...]:
-        out = set()
-        for row in self.c0 + self.c1:
-            for e in row:
-                out |= e.modes()
-        return tuple(sorted(out))
-
 
 # -- constructors ---------------------------------------------------------------
 

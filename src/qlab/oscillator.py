@@ -43,19 +43,18 @@ A similarity transform
 identity checks of :mod:`qlab.fusion` apply entry by entry; it ends because
 ``ad_e`` is nilpotent on the operators they transform.
 
-The truncated Fock matrices (:func:`fock_matrix`, :meth:`CarrierOp.to_matrix`)
-are ``scipy.sparse`` matrices.  No check of the package builds them: the
-tests use them as an independent representation of the Wick product, and
-as the truncated route that cross-checks the identity checks.  scipy is
-imported inside those functions, so a process that never builds one never
-loads it.
+The truncated Fock matrices (:func:`fock_matrix`, of an operator or of a
+carrier operator) are ``scipy.sparse`` matrices.  No check of the package
+builds them: the tests use them as an independent representation of the
+Wick product, and as the truncated route that cross-checks the identity
+checks.  scipy is imported inside that function, so a process that never
+builds one never loads it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Sequence,
                     Set, Tuple)
 
@@ -115,13 +114,6 @@ class NormalOrderedOp:
     def max_coeff(self) -> float:
         return _worst(abs(c) for c in self.terms.values())
 
-    def modes(self) -> FrozenSet[Mode]:
-        out = set()
-        for key in self.terms:
-            for mode, _, _ in key:
-                out.add(mode)
-        return frozenset(out)
-
     def degree(self) -> int:
         """Largest total ladder-operator count in any single term."""
         return _degree(self.terms)
@@ -149,9 +141,6 @@ class NormalOrderedOp:
     def __sub__(self, other):
         return self + (-_coerce(other))
 
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return NormalOrderedOp({k: c * other for k, c in self.terms.items()})
@@ -171,9 +160,6 @@ class NormalOrderedOp:
         for _ in range(k):
             out = out * self
         return out
-
-    def __repr__(self) -> str:
-        return f"NormalOrderedOp({len(self.terms)} terms)"
 
 
 def _coerce(x) -> NormalOrderedOp:
@@ -427,20 +413,14 @@ def _key_factors(key: TermKey, q: Mapping[Mode, complex],
 # -- truncated, damped numeric traces (independent cross-check path) ---------
 
 
-def damped_numeric_trace(x: NormalOrderedOp, q: Mapping[Mode, complex],
-                         n_max: int, eta: float = 0.0) -> complex:
-    """Normalized trace by direct truncated summation with weights ``q e^{-eta}``.
-
-    This is the convergent-series route: for ``|q e^{-eta}| < 1`` it tends to
-    the closed-form :func:`weighted_trace` as ``eta -> 0+`` and
-    ``n_max -> infinity``.  It shares no code with the closed form.
-    """
-    return _damped_traces([x], q, [n_max], eta)[0]
-
-
 def _damped_traces(xs: Sequence[NormalOrderedOp], q: Mapping[Mode, complex],
                    depths: Sequence[int], eta: float) -> List[complex]:
-    """:func:`damped_numeric_trace` of each ``xs[i]`` at truncation ``depths[i]``.
+    """The normalized trace of each ``xs[i]`` by direct summation over the
+    occupations up to ``depths[i]`` of each mode, with weights ``q e^{-eta}``.
+
+    This is the convergent-series route: for ``|q e^{-eta}| < 1`` it tends to
+    the closed-form :func:`weighted_trace` as ``eta -> 0+`` and the depth
+    grows.  It shares no code with the closed form.
 
     Each factor ``<(B†)^k B^k>`` of a mode at one depth is computed once.  A
     mode's weights ``(q e^{-eta})^m`` are formed once, up to the deepest
@@ -564,22 +544,6 @@ def automorphism_image(x: NormalOrderedOp) -> NormalOrderedOp:
 # -- truncated Fock spaces and matrices ---------------------------------------
 
 
-@dataclass(frozen=True)
-class FockTruncation:
-    """Total-excitation cutoff with a boundary guard.
-
-    States with total occupation ``<= n_max`` span the truncated space; matrix
-    identities built from operators of total ladder degree ``<= buffer`` are
-    exact on the sub-basis with occupation ``<= n_max - buffer``.
-    """
-    n_max: int
-    buffer: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.buffer < self.n_max:
-            raise ValueError("require 0 <= buffer < n_max")
-
-
 class FockSpace:
     """Occupation-number basis over a fixed mode list, capped in total excitation.
 
@@ -620,16 +584,6 @@ class FockSpace:
     def states(self) -> List[Tuple[int, ...]]:
         """The basis as occupation tuples, in index order (built on each access)."""
         return list(map(tuple, self.occ.tolist()))
-
-    def buffered_indices(self, buffer: int) -> np.ndarray:
-        """Indices of states guaranteed exact under products of degree <= buffer.
-
-        Raises ``ValueError`` unless ``0 <= buffer < n_max``: a larger buffer
-        leaves at most the vacuum, over which a residual checks next to
-        nothing, and a negative one guarantees nothing.
-        """
-        FockTruncation(self.n_max, buffer)
-        return self.up_to(self.n_max - buffer)
 
     def up_to(self, excitation: int) -> np.ndarray:
         """Ascending indices of the states of total excitation at most
@@ -769,11 +723,6 @@ class CarrierOp:
             raise ValueError("carrier dimension mismatch")
         return CarrierOp._of(_carrier_mul(self._terms(), other._terms()))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
-        return NotImplemented
-
     def is_zero(self, tol: float = COEFF_TOL) -> bool:
         return all(self.mat[i][j].is_zero(tol) for i in range(self.d) for j in range(self.d))
 
@@ -784,29 +733,6 @@ class CarrierOp:
 
     def max_coeff(self) -> float:
         return _worst(e.max_coeff() for row in self.mat for e in row)
-
-    def modes(self) -> FrozenSet[Mode]:
-        out = set()
-        for row in self.mat:
-            for e in row:
-                out |= e.modes()
-        return frozenset(out)
-
-    def weighted_trace(self, carrier_weights: Sequence[complex],
-                       q: Mapping[Mode, complex],
-                       plain_modes: Sequence[Mode] = ()) -> complex:
-        """Trace against diag(carrier_weights) ⊗ per-mode occupation weights."""
-        if len(carrier_weights) != self.d:
-            raise ValueError("carrier weight length mismatch")
-        return _carrier_trace(self._terms(), carrier_weights, q, plain_modes, {})
-
-    def to_matrix(self, space: FockSpace) -> sp.csr_matrix:
-        """:func:`fock_matrix` of this carrier operator: dense carrier index
-        (slow-running) ⊗ Fock basis (fast-running), built in one pass."""
-        return fock_matrix(self, space)
-
-    def __repr__(self) -> str:
-        return f"CarrierOp(d={self.d})"
 
 
 #: a carrier operator's non-empty entries as term dicts, one dict per row
@@ -898,7 +824,8 @@ def _carrier_max_coeff(a: CarrierTerms) -> float:
 def _carrier_trace(a: CarrierTerms, carrier_weights: Sequence[complex],
                    q: Mapping[Mode, complex], plain_modes: Sequence[Mode],
                    factors: Dict) -> complex:
-    """:meth:`CarrierOp.weighted_trace` of ``a``.
+    """The trace of ``a`` against diag(``carrier_weights``) ⊗ the per-mode
+    weights ``q``, the ``plain_modes`` by the plain rule (:func:`weighted_trace`).
 
     A term's trace is its coefficient times its mode factors in key order
     and then, unless that product is 0, times the partition factors of the

@@ -27,7 +27,11 @@ vectorized and the exponent ``(1j * z) * sigma`` is formed as an array, which
 is exact (it multiplies by ``i`` and by a real); ``cmath.exp``, the quotients
 and ``abs`` then run on Python scalars.  Newton refinement stays per state on
 the scalar kernel :func:`_root_ratio`, which the tests also take as the
-reference for the batched one.
+reference for the batched one.  numpy's complex ``*`` and ``abs`` also round
+by the SIMD loop it dispatches, so the random combination of the probes and
+the squares of the roots are formed by :func:`qlab.tensor._product`, and
+Newton reduces its residual with CPython's ``abs``, as :func:`bethe_residuals`
+does.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 
 from .oscillator import _worst
 from .relations import QFamily
-from .tensor import Blocks, basis_states, sector_layout
+from .tensor import Blocks, _product, basis_states, sector_layout
 from .transfer import TwistConfig
 
 ROOT_COLLISION_TOL = 1e-9
@@ -101,7 +105,7 @@ def simultaneous_eigenbasis(blocks: np.ndarray
     diag = np.arange(dim)
     for _ in range(EIGENBASIS_ATTEMPTS):
         coeffs = rng.normal(size=count) + 1j * rng.normal(size=count)
-        comb = sum(c * b for c, b in zip(coeffs, blocks))
+        comb = _product(blocks, coeffs[:, None, None]).sum(axis=0)
         _, v = np.linalg.eig(comb)
         vinv = np.linalg.inv(v)
         m = vinv @ blocks @ v
@@ -257,7 +261,7 @@ def energy_from_roots(top_roots: np.ndarray) -> List[complex]:
     if np.any(np.minimum(np.abs(top_roots - 0.5), np.abs(top_roots + 0.5)) < 1e-12):
         raise ValueError("root at +-1/2 makes the energy singular")
     return [2.0 * complex(e)
-            for e in np.sum(1.0 / (0.25 - top_roots ** 2), axis=-1).tolist()]
+            for e in np.sum(1.0 / (0.25 - _product(top_roots, top_roots)), axis=-1).tolist()]
 
 
 def _polyval_rows(coeffs: np.ndarray, z: float) -> np.ndarray:
@@ -305,19 +309,18 @@ class EigenstateRecord:
 
 class SpectralAnalysis:
     """Joint diagnosis of ``family``'s chain along the ascending chain of
-    index sets that ``path`` orders, by default ``(), (1,), (1, 2), ...``."""
+    index sets ``(), (1,), (1, 2), ...``.  The chain that adds the letters in
+    another order ``sigma`` is this one at the relabelled twist
+    ``(phi_sigma(1), ..., phi_sigma(n))``."""
 
-    def __init__(self, family: QFamily, path: Sequence[int] | None = None):
+    def __init__(self, family: QFamily):
         n, length, twist = family.n, family.length, family.twist
         # a one-site chain has no bond: its Hamiltonian is zero, while T_box's
         # log-derivative reads a literal wrap bond, so the energies cannot agree
         if length < 2:
             raise ValueError("spectral analysis needs length >= 2")
         self.length = length
-        self.path = tuple(path) if path is not None else tuple(range(1, n + 1))
-        if sorted(self.path) != list(range(1, n + 1)):
-            raise ValueError("path must order all letters")
-        self.sets = [tuple(sorted(self.path[:i])) for i in range(n + 1)]
+        self.sets = [tuple(range(1, i + 1)) for i in range(n + 1)]
         self.q_polys = {I: family.q(I) for I in self.sets}
         self.tbox = family.t_box()
         self.labels = sector_layout(n, length).labels
@@ -405,7 +408,7 @@ def solve_bethe_newton(level_roots: List[np.ndarray],
             f = _residual_vector(full(unpack(x)), level_sigmas)
         except OverflowError:
             return None, math.inf
-        return f, (float(np.max(np.abs(f))) if f.size else 0.0)
+        return f, _worst(abs(v) for v in f.tolist())
 
     def jacobian(x, f, h=1e-7):
         J = np.zeros((len(f), len(x)), dtype=complex)

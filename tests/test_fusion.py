@@ -129,7 +129,7 @@ def test_fused_product_linear_coefficient_rank():
     lin = m1 - m0
     # degree check: the quadratic term must be absent
     mhalf = lax_at(fr.L1, 0.5 + fr.z1) * lax_at(fr.L2, 0.5 + fr.z2)
-    interp = m0 + 0.5 * lin
+    interp = m0 + lin * 0.5
     assert (mhalf - interp).max_coeff() < 1e-12
     scal = np.array([[lin.mat[i][j].scalar_part() for j in range(3)] for i in range(3)])
     assert np.linalg.matrix_rank(scal, tol=1e-9) == 2
@@ -353,11 +353,12 @@ def _fock_residual(lhs, rhs, n_max, buffer):
     formed; ``S`` raises excitation, so those rows read no other rows.
     """
     sides = [lhs, rhs]
-    modes = set().union(*(f.modes() for factors, _ in sides for f in factors),
-                        *(e.modes() for _, exps in sides for e in exps))
-    space = FockSpace(sorted(modes), n_max)
+    entries = [e for factors, exps in sides
+               for e in [x for f in factors for row in f.mat for x in row] + list(exps)]
+    space = FockSpace(sorted({m for e in entries for key in e.terms for m, _, _ in key}),
+                      n_max)
     d = lhs[0][0].d
-    idx = space.buffered_indices(buffer)
+    idx = space.up_to(n_max - buffer)
 
     def series(start, e, sign, rows):
         """``start · exp(±e)`` (rows) or ``exp(±e) · start`` (columns), densely."""
@@ -376,7 +377,7 @@ def _fock_residual(lhs, rhs, n_max, buffer):
         for e in exps:
             s_rows = series(s_rows, e, 1.0, rows=True)
             s_inv_cols = series(s_inv_cols, e, -1.0, rows=False)
-        m = functools.reduce(operator.matmul, [f.to_matrix(space) for f in factors])
+        m = functools.reduce(operator.matmul, [fock_matrix(f, space) for f in factors])
         eye = sp.identity(d, format="csr")
         return sp.kron(eye, s_rows) @ m @ sp.kron(eye, s_inv_cols)
 

@@ -36,7 +36,7 @@ def test_eval_fundamental_is_shift_plus_permutation():
     L = eval_lax(fundamental_rep(range(1, n + 1)))
     space = FockSpace([], 4)
     z = 0.37 - 0.2j
-    blocks = [[e.to_matrix(space) for e in row] for row in L.at(z)]
+    blocks = [[fock_matrix(e, space) for e in row] for row in L.at(z)]
     dense = sp.bmat(blocks, format="csr").toarray()
     expect = z * np.eye(n * n) + _permutation(n)
     assert np.allclose(dense, expect)
@@ -210,12 +210,13 @@ def _truncated_rll(L, room, points):
     ``L_ij(u) L_kl(v)``.
     """
     n, d = L.n, L.d
-    creators = max((sum(j for _, j, _ in key) for cm in (L.c0, L.c1) for row in cm
-                    for e in row for r in e.mat for op in r for key in op.terms), default=0)
-    space = FockSpace(sorted(set(L.modes()) | set(L.rep.modes)), 2 * creators + room)
+    keys = [key for cm in (L.c0, L.c1) for row in cm for e in row
+            for r in e.mat for op in r for key in op.terms]
+    creators = max((sum(j for _, j, _ in key) for key in keys), default=0)
+    space = FockSpace(sorted({m for key in keys for m, _, _ in key} | set(L.rep.modes)),
+                      2 * creators + room)
     w = d * space.dim
-    cols = (np.arange(d)[:, None] * space.dim
-            + space.buffered_indices(2 * creators)).ravel()
+    cols = (np.arange(d)[:, None] * space.dim + space.up_to(room)).ravel()
 
     def blocks(coeff):
         big = CarrierOp(n * d, [[coeff[i][j].mat[x][y] for j in range(n) for y in range(d)]

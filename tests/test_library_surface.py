@@ -1,41 +1,94 @@
-"""The library's surface, read from the source with ``ast`` alone.
+"""The library's surface: what the source declares against what the commands run.
 
-Two rules keep ``src/qlab`` from growing code that nothing runs:
+Three rules keep ``src/qlab`` from growing code that nothing runs:
 
 - no module of the package or of the tests imports a name it never reads;
-- every public top-level function and class of the package, and every
-  public method, is referenced somewhere in the package outside its own
-  definition.  A definition that only the tests reach belongs in the tests.
+- every class of the package is referenced somewhere in the package outside
+  its own definition (names are matched by spelling);
+- every function of the package, methods and nested functions included, is
+  entered when the commands of :data:`TRAFFIC` run, unless
+  :data:`RUN_BY_NO_COMMAND` lists it with its reason.  A definition that
+  only the tests reach belongs in the tests.
 
-Names are matched by spelling: a ``Name`` or an attribute ``.name`` anywhere
-in the package counts as a reference to every definition of that name.
+The traffic is traced with ``sys.setprofile`` in a fresh interpreter that
+imports ``qlab`` only after the profiler is set, so that the import-time
+calls are seen and no table the package fills once (the per-mode Wick
+table, the orbit plans) hides a function behind an earlier test.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "qlab").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
-#: public definitions that the package itself does not reach, each with its reason
-UNREACHED_ALLOWED = {
-    # a check of the paper's product form that a verify suite is to run (ROADMAP item 11)
-    "relations.x_product_form_residual",
-    # a check of the paper's split/merge relation, likewise for item 11
-    "relations.x_merge_residual",
-    # the iterated fusion of single-index factors, likewise for item 11
-    "fusion.iterated_parton_fusion",
-    # the damped numeric trace: the independent route the closed-form traces are checked on
-    "oscillator.damped_numeric_trace",
-    # the benchmark builds the number operator's Fock matrix from it
-    "oscillator.NormalOrderedOp.number",
-    # the truncated Fock cross-check route of the tests (ROADMAP item 9)
-    "oscillator.FockSpace.buffered_indices",
-    # the truncated Fock cross-check route of the tests (ROADMAP item 9)
-    "oscillator.CarrierOp.to_matrix",
+#: the commands whose calls must enter every function of the package;
+#: ``{out}`` and ``{config}`` name files of the test's temporary directory
+TRAFFIC = (
+    ("verify", "--n", "3", "--L", "2", "--phi=0.7,-0.4,-0.3"),
+    ("verify", "--n", "2", "--L", "2", "--format", "csv", "--out", "{out}"),
+    ("spectrum", "--n", "2", "--L", "3", "--format", "csv"),
+    # Newton steps on some of these states, so its Jacobian runs
+    ("bethe", "--n", "2", "--L", "5"),
+    ("hasse", "--n", "2"),
+    ("report", "--config", "{config}"),
+)
+#: the configuration file of the ``report`` command above
+REPORT_CONFIG = {"n": 2, "L": 2, "phi": [0.7, -0.7], "suite": ["anchors", "trace"]}
+
+#: functions no command enters, each with its reason
+RUN_BY_NO_COMMAND = {
+    # checks of the paper's factorization hierarchy that a verify suite is to
+    # run (ROADMAP item 11)
+    "relations.x_merge_residual": "the split/merge relation, for item 11",
+    "relations.x_product_form_residual": "the product form, for item 11",
+    "fusion.iterated_parton_fusion": "the iterated single-index fusion, for item 11",
+    "fusion.IteratedFusion.s_exponents": "read by the iterated fusion's check, item 11",
+    "fusion.IteratedFusion.lhs_factors": "read by the iterated fusion's check, item 11",
+    "fusion.IteratedFusion.core": "read by the iterated fusion's check, item 11",
+    # the truncated Fock route, which the benchmark's checks and the tests
+    # take as an independent representation (ROADMAP item 9)
+    "oscillator.fock_matrix": "the benchmark builds Fock matrices, also with rep '-'",
+    "oscillator.FockSpace.__init__": "the benchmark builds Fock spaces",
+    "oscillator.FockSpace.states": "the benchmark reads the basis",
+    "oscillator.FockSpace.up_to": "fock_matrix reads the reachable states",
+    "oscillator.automorphism_image": "fock_matrix builds the second representation",
+    "oscillator.NormalOrderedOp.number": "the benchmark builds the number operator",
 }
+
+#: run by the child interpreter: argv is the traffic as JSON and the path of
+#: the report it writes, the exit status of each command and every
+#: ``(module, first line)`` of a package function it entered
+_CHILD = """
+import contextlib, io, json, sys
+traffic, report = json.loads(sys.argv[1]), sys.argv[2]
+entered = set()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.endswith(".py"):
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith("qlab."):
+            entered.add((module[5:], code.co_firstlineno))
+
+sys.setprofile(profile)
+import qlab.cli
+statuses = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in traffic:
+        statuses.append(qlab.cli.main(argv))
+sys.setprofile(None)
+with open(report, "w") as fh:
+    json.dump({"statuses": statuses, "entered": sorted(entered)}, fh)
+"""
 
 
 def _parse(path):
@@ -68,31 +121,50 @@ def _read_names(tree):
     return names
 
 
-def _public_definitions(path, tree):
-    """``(qualified name, node)`` of each public top-level function and class
-    and of each public method."""
-    module = path.stem
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield "%s.%s" % (module, node.name), node
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield "%s.%s.%s" % (module, node.name, item.name), item
-
-
 def _references(tree):
     """How often ``tree`` reads each name, as a name or as an attribute."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-def _unreached():
-    trees = {path: _parse(path) for path in PACKAGE}
-    total = sum(map(_references, trees.values()), Counter())
-    return sorted(qualified for path, tree in trees.items()
-                  for qualified, node in _public_definitions(path, tree)
-                  if total[node.name] == _references(node)[node.name])
+def _functions(body, prefix):
+    """``(qualified name, first line)`` of every function under ``body``,
+    methods and nested functions included; a decorated function starts at
+    its first decorator, as its code object does."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = "%s.%s" % (prefix, node.name)
+            if isinstance(node, ast.FunctionDef):
+                first = node.decorator_list[0] if node.decorator_list else node
+                yield name, first.lineno
+            yield from _functions(node.body, name)
+        elif hasattr(node, "body"):  # an if, a try, a with ...
+            for block in ("body", "orelse", "handlers", "finalbody"):
+                yield from _functions(getattr(node, block, []), prefix)
+
+
+def _package_functions():
+    """``{qualified name: (module, first line)}`` of every package function."""
+    return {name: (path.stem, line) for path in PACKAGE
+            for name, line in _functions(_parse(path).body, path.stem)}
+
+
+@pytest.fixture(scope="module")
+def entered(tmp_path_factory):
+    """The ``(module, first line)`` of every package function the traffic enters."""
+    tmp = tmp_path_factory.mktemp("traffic")
+    config = tmp / "report.json"
+    config.write_text(json.dumps(REPORT_CONFIG), encoding="utf-8")
+    traffic = [[arg.format(out=tmp / "verify.csv", config=config) for arg in argv]
+               for argv in TRAFFIC]
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    report = tmp / "entered.json"
+    subprocess.run([sys.executable, "-c", _CHILD, json.dumps(traffic), str(report)],
+                   env=env, check=True, timeout=300)
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert doc["statuses"] == [0] * len(TRAFFIC)
+    return {tuple(key) for key in doc["entered"]}
 
 
 def test_no_module_imports_a_name_it_never_reads():
@@ -105,12 +177,26 @@ def test_no_module_imports_a_name_it_never_reads():
     assert not unused, "imported but never read: " + ", ".join(unused)
 
 
-def test_every_public_definition_is_reached_from_the_package():
-    extra = [q for q in _unreached() if q not in UNREACHED_ALLOWED]
-    assert not extra, "reached from no module of the package: " + ", ".join(extra)
+def test_every_class_is_referenced_from_the_package():
+    trees = {path: _parse(path) for path in PACKAGE}
+    total = sum(map(_references, trees.values()), Counter())
+    unreferenced = ["%s.%s" % (path.stem, node.name)
+                    for path, tree in trees.items() for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef)
+                    and total[node.name] == _references(node)[node.name]]
+    assert not unreferenced, "referenced from no module of the package: " \
+        + ", ".join(unreferenced)
 
 
-def test_every_allowed_definition_is_still_unreached():
-    # a name that is gone, or that the package now reaches, leaves the list
-    stale = UNREACHED_ALLOWED - set(_unreached())
-    assert not stale, sorted(stale)
+def test_every_function_is_entered_by_a_command(entered):
+    missed = sorted(name for name, key in _package_functions().items()
+                    if key not in entered and name not in RUN_BY_NO_COMMAND)
+    assert not missed, "entered by no command: " + ", ".join(missed)
+
+
+def test_every_allowed_definition_is_still_unreached(entered):
+    # a name that is gone, or that a command now enters, leaves the list
+    functions = _package_functions()
+    stale = sorted(name for name in RUN_BY_NO_COMMAND
+                   if name not in functions or functions[name] in entered)
+    assert not stale, stale
