@@ -8,10 +8,14 @@ Commands:
 - ``qlab hasse``    subset-lattice dump (nodes, edges, quadrilaterals, chains)
 - ``qlab report``   verify + spectrum + hasse in one JSON document
 
-Configuration may come from a JSON file holding one object whose keys are
-the flag names (``--config file.json``); an unknown key is an error, and
-explicit flags override file values.  Exit codes: 0 all-pass, 1
-identity/tolerance failure, 2 usage or configuration error.
+The commands form one table, :data:`COMMANDS`, and the settings another,
+:data:`CONFIG_KEYS`: each key is both a flag (``--n``) and a key of a JSON
+config file (``--config file.json``, one object; an unknown key is an
+error, and explicit flags override file values).  A flag's string and a
+file's value pass through the same conversion, so ``"n": 3.9`` in a file is
+refused exactly as ``--n 3.9`` is.  Exit codes: 0 all-pass, 1
+identity/tolerance failure, 2 usage or configuration error, with one
+``error:`` line that names the setting.
 
 The identity checks form one table, :data:`SUITES`: each suite has a default
 tolerance and a lister that returns its ``(name, check)`` pairs, where
@@ -34,7 +38,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 def _apply_thread_cap() -> None:
@@ -54,9 +58,16 @@ _apply_thread_cap()
 
 import numpy as np  # noqa: E402
 
-if TYPE_CHECKING:
-    from .oscillator import NormalOrderedOp
-    from .relations import QFamily
+from .fusion import factorize_partons, fuse  # noqa: E402
+from .glrep import (fundamental_rep, gl_relation_residual, scalar_rep,  # noqa: E402
+                    trivial_rep, verma_rep)
+from .lax import canonical_lax, eval_lax, partonic_lax, rll_residual  # noqa: E402
+from .oscillator import NormalOrderedOp, _worst, extrapolated_traces, weighted_trace  # noqa: E402
+from .relations import (QFamily, _residual, enumerate_hasse, hirota_residual,  # noqa: E402
+                        plucker_residual, q_determinant_residual, t_determinant_residual)
+from .spectral import SpectralAnalysis, build_hamiltonian, solve_bethe_newton  # noqa: E402
+from .tensor import Blocks  # noqa: E402
+from .transfer import TwistConfig, _check_weight, bgg_eigen_check  # noqa: E402
 
 DEFAULT_PHIS: Dict[int, Tuple[float, ...]] = {
     2: (0.7, -0.7),
@@ -117,7 +128,6 @@ class RunConfig:
             print("warning: twist angles sum to %g; renormalizing to zero sum"
                   % total, file=sys.stderr)
             self.phis = tuple(p - total / self.n for p in self.phis)
-        from .transfer import _check_weight
         for a, b in itertools.combinations(range(self.n), 2):
             try:
                 _check_weight(cmath.exp(-1j * (self.phis[a] - self.phis[b])),
@@ -128,8 +138,7 @@ class RunConfig:
     def tolerance(self, suite: str) -> float:
         return self.tol if self.tol is not None else SUITES[suite][0]
 
-    def twist(self):
-        from .transfer import TwistConfig
+    def twist(self) -> TwistConfig:
         return TwistConfig(self.phis)
 
 
@@ -140,7 +149,6 @@ Check = Tuple[str, Callable[[], float]]
 
 
 def _suite_anchors(cfg: RunConfig, qf: QFamily) -> List[Check]:
-    from .oscillator import _worst
     eye = np.eye(cfg.n ** cfg.length)
 
     def anchor(I: Tuple[int, ...], ref: Callable) -> Callable[[], float]:
@@ -153,8 +161,6 @@ def _suite_anchors(cfg: RunConfig, qf: QFamily) -> List[Check]:
 
 
 def _suite_rll(cfg: RunConfig, qf: QFamily) -> List[Check]:
-    from .glrep import fundamental_rep, trivial_rep, verma_rep
-    from .lax import canonical_lax, eval_lax, partonic_lax, rll_residual
     labels = tuple(range(1, cfg.n + 1))
     cases = [("defining evaluation", eval_lax(fundamental_rep(labels)))]
     wt = tuple(0.3 - 0.17 * a for a in range(cfg.n))
@@ -172,8 +178,6 @@ def _suite_rll(cfg: RunConfig, qf: QFamily) -> List[Check]:
 
 
 def _suite_factorization(cfg: RunConfig, qf: QFamily) -> List[Check]:
-    from .fusion import factorize_partons
-    from .glrep import gl_relation_residual
     rng = np.random.default_rng(cfg.seed + 1)
     wt = tuple(complex(rng.normal(), rng.normal()) for _ in range(cfg.n))
     fac = factorize_partons(cfg.n, wt)
@@ -186,9 +190,6 @@ def _suite_factorization(cfg: RunConfig, qf: QFamily) -> List[Check]:
 
 
 def _suite_fusion(cfg: RunConfig, qf: QFamily) -> List[Check]:
-    from .fusion import fuse
-    from .glrep import gl_relation_residual, scalar_rep, verma_rep
-    from .oscillator import _worst
     specs = [((1,), (2,), scalar_rep(1, 0.23), scalar_rep(2, -0.41), 0.6)]
     if cfg.n >= 3:
         specs.append(((1,), (2, 3), scalar_rep(1, 0.23),
@@ -204,14 +205,12 @@ def _suite_fusion(cfg: RunConfig, qf: QFamily) -> List[Check]:
 
 
 def _suite_hirota(cfg: RunConfig, qf: QFamily) -> List[Check]:
-    from .relations import enumerate_hasse, hirota_residual
     return [("quadrilateral I=%s a=%d b=%d" % (I, a, b),
              partial(hirota_residual, qf, I, a, b))
             for I, a, b in enumerate_hasse(cfg.n).quadrilaterals]
 
 
 def _suite_determinant(cfg: RunConfig, qf: QFamily) -> List[Check]:
-    from .relations import q_determinant_residual, t_determinant_residual
     checks: List[Check] = [
         ("pair form I=%s" % (I,), partial(q_determinant_residual, qf, I))
         for I in itertools.combinations(range(1, cfg.n + 1), 2)]
@@ -220,7 +219,6 @@ def _suite_determinant(cfg: RunConfig, qf: QFamily) -> List[Check]:
 
 
 def _suite_plucker(cfg: RunConfig, qf: QFamily) -> List[Check]:
-    from .relations import plucker_residual
     chain = tuple(range(1, cfg.n + 1))
     rng = np.random.default_rng(cfg.seed + 2)
     return [("exchange relation k=%d" % k,
@@ -230,10 +228,6 @@ def _suite_plucker(cfg: RunConfig, qf: QFamily) -> List[Check]:
 
 
 def _suite_commuting(cfg: RunConfig, qf: QFamily) -> List[Check]:
-    from .oscillator import _worst
-    from .relations import _residual, enumerate_hasse
-    from .spectral import build_hamiltonian
-    from .tensor import Blocks
     members = [I for I in enumerate_hasse(cfg.n).nodes if 0 < len(I) < cfg.n]
 
     def worst() -> float:
@@ -252,7 +246,6 @@ def _suite_commuting(cfg: RunConfig, qf: QFamily) -> List[Check]:
 
 def _suite_bgg(cfg: RunConfig, qf: QFamily) -> List[Check]:
     """``T_box`` against the signed highest-weight sum at the run's twist, ``L <= 2``."""
-    from .transfer import bgg_eigen_check
     weight = (1.0,) + (0.0,) * (cfg.n - 1)
     length = min(cfg.length, 2) or 1
     return [("signed resolution, weight %s, L=%d" % (weight, length),
@@ -268,14 +261,13 @@ TRACE_MAX_POWER = 2
 def _trace_draws(seed: int) -> List[NormalOrderedOp]:
     """The ``trace`` suite's 50 random operators: a complex scalar times
     ``(B†)^k B^k`` on each mode of ``TRACE_WEIGHTS``, ``k <= TRACE_MAX_POWER``."""
-    from .oscillator import NormalOrderedOp as Op
     rng = np.random.default_rng(seed + 3)
     draws = []
     for _ in range(50):
-        x = Op.scalar(complex(rng.normal(), rng.normal()))
+        x = NormalOrderedOp.scalar(complex(rng.normal(), rng.normal()))
         for m, _angle in TRACE_WEIGHTS:
             k = int(rng.integers(0, TRACE_MAX_POWER + 1))
-            x = x * (Op.creator(m) ** k) * (Op.annihilator(m) ** k)
+            x = x * (NormalOrderedOp.creator(m) ** k) * (NormalOrderedOp.annihilator(m) ** k)
         draws.append(x)
     return draws
 
@@ -288,7 +280,6 @@ def _suite_trace(cfg: RunConfig, qf: QFamily) -> List[Check]:
     there, the default schedule of :func:`qlab.oscillator.extrapolated_traces`
     errs by up to 1.3e-8 at k=2 but by 6.3e-6 at k=3, over the 1e-6 gate.
     """
-    from .oscillator import _worst, extrapolated_traces, weighted_trace
     qs = {m: cmath.exp(1j * a) for m, a in TRACE_WEIGHTS}
 
     def worst() -> float:
@@ -316,7 +307,6 @@ SUITES: Dict[str, Tuple[float, Callable[[RunConfig, QFamily], List[Check]]]] = {
 
 
 def run_verify(cfg: RunConfig, family: QFamily | None = None) -> dict:
-    from .relations import QFamily
     # one family per run: every suite reads the same lazily built members
     qf = family or QFamily(cfg.n, cfg.length, cfg.twist())
     records = []
@@ -352,16 +342,7 @@ def _cnum(x: complex) -> object:
     return {"re": x.real, "im": x.imag}
 
 
-def _cstr(x: complex) -> str:
-    x = complex(x)
-    if abs(x.imag) < 1e-12:
-        return "%.12g" % x.real
-    return "%.12g%+.12gj" % (x.real, x.imag)
-
-
 def run_spectrum(cfg: RunConfig, family: QFamily | None = None) -> dict:
-    from .relations import QFamily
-    from .spectral import SpectralAnalysis
     if cfg.length < 2:
         raise ConfigError("spectrum needs L >= 2")
     sa = SpectralAnalysis(family or QFamily(cfg.n, cfg.length, cfg.twist()))
@@ -379,8 +360,6 @@ def run_spectrum(cfg: RunConfig, family: QFamily | None = None) -> dict:
 
 
 def run_bethe(cfg: RunConfig) -> dict:
-    from .relations import QFamily
-    from .spectral import SpectralAnalysis, solve_bethe_newton
     if cfg.length < 2:
         raise ConfigError("bethe needs L >= 2")
     sa = SpectralAnalysis(QFamily(cfg.n, cfg.length, cfg.twist()))
@@ -392,7 +371,7 @@ def run_bethe(cfg: RunConfig) -> dict:
             "sector": list(r.sector),
             "state_index": r.state,
             "levels": [{"index_set": list(I),
-                        "roots": [_cstr(z) for z in roots]}
+                        "roots": [_csv_num(_cnum(z)) for z in roots]}
                        for I, roots in zip(sa.sets, r.level_roots)],
             "max_residual": r.max_bethe_residual,
             "refined_max_residual": res,
@@ -403,7 +382,6 @@ def run_bethe(cfg: RunConfig) -> dict:
 
 
 def run_hasse(cfg: RunConfig) -> dict:
-    from .relations import enumerate_hasse
     h = enumerate_hasse(cfg.n)
     return {
         "command": "hasse",
@@ -419,7 +397,6 @@ def run_hasse(cfg: RunConfig) -> dict:
 
 
 def run_report(cfg: RunConfig) -> dict:
-    from .relations import QFamily
     # the verify suites and the spectrum read the same members
     qf = QFamily(cfg.n, cfg.length, cfg.twist())
     verify = run_verify(cfg, qf)
@@ -440,7 +417,7 @@ def run_report(cfg: RunConfig) -> dict:
 
 def _config_dict(cfg: RunConfig) -> dict:
     """The run's settings under their config-file keys, the output ones left out."""
-    return {k: getattr(cfg, f) for k, (f, _) in CONFIG_KEYS.items()
+    return {k: getattr(cfg, f) for k, (f, _, _) in CONFIG_KEYS.items()
             if k not in ("out", "format")}
 
 
@@ -476,52 +453,69 @@ def _csv_num(x: object) -> str:
     return "%.12g" % x
 
 
+def _integer(raw: object) -> int:
+    """An int, or a string that holds one; a bool or a float is refused."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+        raise TypeError(raw)
+    return int(raw)
+
+
+def _number(raw: object) -> float:
+    if isinstance(raw, bool):
+        raise TypeError(raw)
+    return float(raw)
+
+
+def _numbers(raw: object) -> Tuple[float, ...]:
+    return tuple(_number(x) for x in (raw.split(",") if isinstance(raw, str) else raw))
+
+
+def _names(raw: object) -> Tuple[str, ...]:
+    names = tuple(raw.split(",")) if isinstance(raw, str) else tuple(raw)
+    if not all(isinstance(x, str) for x in names):
+        raise TypeError(raw)
+    return names
+
+
+#: each setting, which is both a flag and a config-file key: its ``RunConfig``
+#: field, the conversion of a flag's string or a file's value, and what the
+#: value must be; a key left out keeps the field's default
+CONFIG_KEYS: Dict[str, Tuple[str, Callable[[object], object], str]] = {
+    "n": ("n", _integer, "an integer from 2 to 4"),
+    "L": ("length", _integer, "an integer from 0 to 5"),
+    "phi": ("phis", _numbers, "one twist angle per letter, comma-separated, as --phi=-0.7,0.7"),
+    "nmax": ("n_max", _integer, "an integer above buffer (read by no check)"),
+    "buffer": ("buffer", _integer, "an integer from 0 to nmax - 1 (read by no check)"),
+    "tol": ("tol", _number, "a positive number, the tolerance of every suite"),
+    "seed": ("seed", _integer, "a non-negative integer, the seed of verify's draws"),
+    "suite": ("suites", _names, "comma-separated suite names"),
+    "out": ("out", str, "an output path (default stdout)"),
+    "format": ("fmt", str, "json or csv"),
+}
+
+#: each command and its help; ``main`` runs the module's ``run_<command>``,
+#: looked up when it runs, so that a wrapped or replaced runner is the one called
+COMMANDS: Dict[str, str] = {
+    "verify": "run identity-verification suites",
+    "spectrum": "per-sector spectral table",
+    "bethe": "root systems and equation residuals",
+    "hasse": "subset-lattice dump",
+    "report": "combined verification report",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qlab",
         description="Finite-matrix laboratory for twisted chains: construct "
                     "the commuting operator family and verify its relations.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, doc in [("verify", "run identity-verification suites"),
-                      ("spectrum", "per-sector spectral table"),
-                      ("bethe", "root systems and equation residuals"),
-                      ("hasse", "subset-lattice dump"),
-                      ("report", "combined verification report")]:
+    for name, doc in COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="JSON config file (flat keys)")
-        p.add_argument("--n", type=int)
-        p.add_argument("--L", type=int)
-        p.add_argument("--phi", help="comma-separated twist angles; join a list "
-                       "that begins with a minus sign with '=', as in --phi=-0.7,0.7")
-        p.add_argument("--nmax", type=int)
-        p.add_argument("--buffer", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--suite", help="comma-separated suite names")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=["json", "csv"])
+        for key, (_, _, what) in CONFIG_KEYS.items():
+            p.add_argument("--" + key, help=what)
     return ap
-
-
-def _floats(raw: object) -> Tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in (raw.split(",") if isinstance(raw, str) else raw))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("phi must be a comma-separated number list") from exc
-
-
-def _names(raw: object) -> Tuple[str, ...]:
-    return tuple(raw.split(",")) if isinstance(raw, str) else tuple(raw)
-
-
-#: each config-file key, which is also a flag: its ``RunConfig`` field and the
-#: conversion of its value; a key left out keeps the field's default
-CONFIG_KEYS: Dict[str, Tuple[str, Callable[[object], object]]] = {
-    "n": ("n", int), "L": ("length", int), "phi": ("phis", _floats),
-    "nmax": ("n_max", int), "buffer": ("buffer", int), "tol": ("tol", float),
-    "seed": ("seed", int), "suite": ("suites", _names), "out": ("out", str),
-    "format": ("fmt", str),
-}
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -540,23 +534,22 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                               % (unknown[0], ", ".join(CONFIG_KEYS)))
     values.update((k, getattr(args, k)) for k in CONFIG_KEYS
                   if getattr(args, k) is not None)
-    try:
-        return RunConfig(**{field_name: convert(values[k])
-                            for k, (field_name, convert) in CONFIG_KEYS.items()
-                            if values.get(k) is not None})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    fields = {}
+    for key, (name, convert, what) in CONFIG_KEYS.items():
+        if values.get(key) is not None:
+            try:
+                fields[name] = convert(values[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError("%s must be %s (got %r)"
+                                  % (key, what, values[key])) from exc
+    return RunConfig(**fields)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        runner = {"verify": run_verify, "spectrum": run_spectrum,
-                  "bethe": run_bethe, "hasse": run_hasse,
-                  "report": run_report}[args.command]
-        doc = runner(cfg)
+        doc = globals()["run_" + args.command](cfg)
         text = _emit(doc, cfg)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -143,10 +143,6 @@ def _mode2_default(a: int, x: int) -> Mode:
 @dataclass
 class FusionResult:
     """Everything produced by fusing L_I (shift z1) with L_J (shift z2)."""
-    n: int
-    I: Tuple[int, ...]
-    J: Tuple[int, ...]
-    lam: complex
     z1: complex
     z2: complex
     L1: LaxMatrix
@@ -202,8 +198,7 @@ def fuse(n: int, I: Sequence[int], J: Sequence[int], rep1: GlRep, rep2: GlRep,
             G.mat[a - 1][bd - 1] = -NormalOrderedOp.annihilator(mode2_fn(bd, a))
     s1 = build_S1(I, J, mode1_fn, mode2_fn)
     s2 = build_S2(n, I, J, mode1_fn, mode2_fn)
-    return FusionResult(n, I, J, lam, lam + p2 / 2.0, -p1 / 2.0,
-                        L1, L2, L_fused, fused_rep, G, s1, s2)
+    return FusionResult(lam + p2 / 2.0, -p1 / 2.0, L1, L2, L_fused, fused_rep, G, s1, s2)
 
 
 # -- iterated fusion of single-index factors ---------------------------------------
@@ -356,10 +351,6 @@ class PartonFactorization:
             out = out + inner * _cr(a, b)
         return out
 
-    def all_modes(self) -> List[Mode]:
-        return sorted(parton_mode(a, x) for a in range(1, self.n + 1)
-                      for x in range(1, self.n + 1) if x != a)
-
     def s_exponents(self) -> List[NormalOrderedOp]:
         return [self.s_exponent(a) for a in range(self.n, 0, -1)]
 
@@ -387,8 +378,7 @@ class PartonFactorization:
                     raise ValueError("z-coefficient is not the identity")
                 gens[(j + 1, i + 1)] = CarrierOp.from_scalar_op(m0.mat[i][j])
         return GlRep(tuple(range(1, n + 1)), 1, gens,
-                     {a: self.weight[a - 1] for a in range(1, n + 1)},
-                     tuple(self.all_modes()), "triangular")
+                     {a: self.weight[a - 1] for a in range(1, n + 1)}, "triangular")
 
 
 def factorize_partons(n: int, weight: Sequence[complex]) -> PartonFactorization:

@@ -32,13 +32,12 @@ class GlRep:
     ``labels``;  ``weight[a]`` is the eigenvalue of ``J_aa`` on the highest
     weight vector (for finite matrix reps, the weight of the defining module).
     ``d`` is the finite carrier dimension (1 for pure oscillator
-    realizations); ``modes`` lists the internal ladder modes.
+    realizations).
     """
     labels: Tuple[int, ...]
     d: int
     gens: Dict[Tuple[int, int], CarrierOp]
     weight: Dict[int, complex]
-    modes: Tuple[Mode, ...] = ()
     kind: str = "generic"
 
     @property
@@ -106,13 +105,13 @@ def trivial_rep(labels: Sequence[int]) -> GlRep:
     labels = tuple(labels)
     zero = CarrierOp(1)
     gens = {(a, b): zero for a in labels for b in labels}
-    return GlRep(labels, 1, gens, {a: 0.0 for a in labels}, (), "trivial")
+    return GlRep(labels, 1, gens, {a: 0.0 for a in labels}, "trivial")
 
 
 def scalar_rep(label: int, value: complex) -> GlRep:
     """gl(1) acting by the scalar ``value``."""
     gens = {(label, label): CarrierOp.from_scalar_op(NormalOrderedOp.scalar(value))}
-    return GlRep((label,), 1, gens, {label: complex(value)}, (), "scalar")
+    return GlRep((label,), 1, gens, {label: complex(value)}, "scalar")
 
 
 def fundamental_rep(labels: Sequence[int]) -> GlRep:
@@ -122,7 +121,7 @@ def fundamental_rep(labels: Sequence[int]) -> GlRep:
     pos = {a: i for i, a in enumerate(labels)}
     gens = {(a, b): CarrierOp.matrix_unit(p, pos[a], pos[b]) for a in labels for b in labels}
     weight = {a: (1.0 if a == labels[0] else 0.0) for a in labels}
-    return GlRep(labels, p, gens, weight, (), "fundamental")
+    return GlRep(labels, p, gens, weight, "fundamental")
 
 
 # -- the rank-raising generator map -------------------------------------------
@@ -191,10 +190,8 @@ def fuse_generators(rep1: GlRep, rep2: GlRep, lam: complex,
     labels = tuple(sorted(I + J))
     weight = {a: rep1.weight[a] + lam for a in I}
     weight.update({a: rep2.weight[a] for a in J})
-    modes = tuple(sorted(set(rep1.modes) | set(rep2.modes) | set(pair_modes.values())))
-    return GlRep(labels, 1,
-                 {k: CarrierOp.from_scalar_op(v) for k, v in gens.items()},
-                 weight, modes, "oscillator")
+    return GlRep(labels, 1, {k: CarrierOp.from_scalar_op(v) for k, v in gens.items()},
+                 weight, "oscillator")
 
 
 def verma_rep(weight: Sequence[complex], labels: Sequence[int] | None = None,

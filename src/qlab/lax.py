@@ -22,7 +22,7 @@ decided in the oscillator algebra, with no Fock space and no truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 from .glrep import GlRep, trivial_rep
 from .oscillator import (CarrierOp, Mode, NormalOrderedOp, _carrier_add,
@@ -40,11 +40,10 @@ def _default_mode_fn(a: int, x: int) -> Mode:
 class LaxMatrix:
     """``L(z) = z * c0 + c1`` with CarrierOp-valued coefficient matrices.
 
-    ``index_set`` lists the diagonal positions carrying ``z``: ``c0`` is
-    diagonal with identities exactly there.
+    ``c0`` is diagonal, with identities exactly at the positions of the
+    carrier's labels.
     """
     n: int
-    index_set: Tuple[int, ...]
     rep: GlRep
     c0: List[List[CarrierOp]]
     c1: List[List[CarrierOp]]
@@ -108,7 +107,7 @@ def canonical_lax(n: int, index_set: Sequence[int], rep: GlRep,
                     -NormalOrderedOp.annihilator(mode_fn(b, a)), d)
             elif a == b:
                 c1[i][j] = ident
-    return LaxMatrix(n, I, rep, c0, c1)
+    return LaxMatrix(n, rep, c0, c1)
 
 
 def eval_lax(rep: GlRep) -> LaxMatrix:

@@ -379,19 +379,13 @@ def _mode_factor(j: int, k: int, q: complex, plain: bool) -> complex:
     return val
 
 
-def weighted_trace(x: NormalOrderedOp, q: Mapping[Mode, complex],
-                   plain_modes: Sequence[Mode] = ()) -> complex:
-    """Exact trace of ``x`` against per-mode weights ``q_m^{N_m}``.
-
-    Modes in ``plain_modes`` use the plain (un-normalized) geometric trace and
-    contribute their partition factor ``1/(1-q)`` even when absent from a
-    monomial; all other weighted modes use the normalized ratio rule, under
-    which an absent mode contributes 1.  The partition factors are multiplied
-    in the order of ``plain_modes``, so pass an ordered sequence for a result
-    that does not depend on the hash seed.  A mode appearing in ``x`` without
-    a weight would be an untwisted (divergent) trace and raises ``ValueError``.
+def weighted_trace(x: NormalOrderedOp, q: Mapping[Mode, complex]) -> complex:
+    """Exact trace of ``x`` against per-mode weights ``q_m^{N_m}``, by the
+    normalized ratio rule, under which a mode absent from a monomial
+    contributes 1.  A mode appearing in ``x`` without a weight would be an
+    untwisted (divergent) trace and raises ``ValueError``.
     """
-    return _carrier_trace([{0: x.terms}], (1.0,), q, plain_modes, {})
+    return _carrier_trace([{0: x.terms}], (1.0,), q, (), {})
 
 
 def _key_factors(key: TermKey, q: Mapping[Mode, complex],
@@ -476,9 +470,8 @@ def _geometric_weights(qm: complex, occ: np.ndarray) -> np.ndarray:
     return np.exp(w, out=w)
 
 
-def _rational_extrapolate(xs: Sequence[float], ys: Sequence[complex],
-                          x0: float = 0.0) -> complex:
-    """Bulirsch-Stoer rational extrapolation of samples to ``x0``."""
+def _rational_extrapolate(xs: Sequence[float], ys: Sequence[complex]) -> complex:
+    """Bulirsch-Stoer rational extrapolation of samples to ``x = 0``."""
     n = len(xs)
     prev: List[complex] = [0.0] * n
     cur: List[complex] = list(ys)
@@ -487,7 +480,7 @@ def _rational_extrapolate(xs: Sequence[float], ys: Sequence[complex],
         for i in range(n - k):
             diff = cur[i + 1] - cur[i]
             inner = cur[i + 1] - prev[i + 1]
-            factor = (xs[i] - x0) / (xs[i + k] - x0)
+            factor = xs[i] / xs[i + k]
             if inner == 0:
                 nxt.append(cur[i + 1])
                 continue
@@ -518,7 +511,7 @@ def extrapolated_traces(xs: Sequence[NormalOrderedOp], q: Mapping[Mode, complex]
     degs = [max(x.degree(), 2) for x in xs]
     samples = [_damped_traces(xs, q, [int((40 + 14 * deg) / eta) for deg in degs], eta)
                for eta in etas]
-    return [_rational_extrapolate(etas, list(vals), 0.0) for vals in zip(*samples)]
+    return [_rational_extrapolate(etas, list(vals)) for vals in zip(*samples)]
 
 
 # -- automorphism between the two number-basis representations ----------------
@@ -686,10 +679,9 @@ class CarrierOp:
         return out
 
     @classmethod
-    def matrix_unit(cls, d: int, i: int, j: int,
-                    x: NormalOrderedOp | complex = 1.0) -> "CarrierOp":
+    def matrix_unit(cls, d: int, i: int, j: int) -> "CarrierOp":
         out = cls(d)
-        out.mat[i][j] = _coerce(x)
+        out.mat[i][j] = NormalOrderedOp.scalar(1.0)
         return out
 
     @classmethod
@@ -723,8 +715,8 @@ class CarrierOp:
             raise ValueError("carrier dimension mismatch")
         return CarrierOp._of(_carrier_mul(self._terms(), other._terms()))
 
-    def is_zero(self, tol: float = COEFF_TOL) -> bool:
-        return all(self.mat[i][j].is_zero(tol) for i in range(self.d) for j in range(self.d))
+    def is_zero(self) -> bool:
+        return all(self.mat[i][j].is_zero() for i in range(self.d) for j in range(self.d))
 
     def is_identity(self) -> bool:
         """Exactly the identity: unit scalars on the diagonal, nothing else."""
@@ -825,7 +817,14 @@ def _carrier_trace(a: CarrierTerms, carrier_weights: Sequence[complex],
                    q: Mapping[Mode, complex], plain_modes: Sequence[Mode],
                    factors: Dict) -> complex:
     """The trace of ``a`` against diag(``carrier_weights``) ⊗ the per-mode
-    weights ``q``, the ``plain_modes`` by the plain rule (:func:`weighted_trace`).
+    weights ``q``.
+
+    The ``plain_modes`` take the plain (un-normalized) geometric trace and
+    contribute their partition factor ``1/(1-q)`` even when absent from a
+    monomial; every other weighted mode takes the normalized ratio rule
+    (:func:`weighted_trace`).  The partition factors are multiplied in the
+    order of ``plain_modes``, so pass an ordered sequence for a result that
+    does not depend on the hash seed.
 
     A term's trace is its coefficient times its mode factors in key order
     and then, unless that product is 0, times the partition factors of the

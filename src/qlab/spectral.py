@@ -373,19 +373,18 @@ def _residual_vector(level_roots: List[np.ndarray],
     return np.array(vals, dtype=complex)
 
 
-def solve_bethe_newton(level_roots: List[np.ndarray],
-                       level_sigmas: Sequence[complex],
-                       max_iter: int = 40, tol: float = 1e-12
+def solve_bethe_newton(level_roots: List[np.ndarray], level_sigmas: Sequence[complex]
                        ) -> Tuple[List[np.ndarray], float, int]:
     """Newton refinement of the interior-level roots (outer levels held fixed).
 
-    Returns (refined roots, their max |residual|, iterations used).  The
+    Returns (refined roots, their max |residual|, iterations used).  At most
+    40 steps are taken, and none once the max |residual| is below 1e-12.  The
     roots are the iterate with the smallest max |residual|, the start
     included: near a singular Jacobian the steps can carry a converged start
     far away.  An iterate whose residual is not finite, or overflows the
     exponential factor, ends the refinement; a start that is not finite is
-    returned with its residual.  The Jacobian is numerical; a singular
-    Jacobian raises.
+    returned with its residual.  The Jacobian is a forward difference of step
+    1e-7; a singular Jacobian raises.
     """
     interior = [np.array(r, dtype=complex) for r in level_roots[1:-1]]
     shapes = [len(r) for r in interior]
@@ -410,23 +409,23 @@ def solve_bethe_newton(level_roots: List[np.ndarray],
             return None, math.inf
         return f, _worst(abs(v) for v in f.tolist())
 
-    def jacobian(x, f, h=1e-7):
+    def jacobian(x, f):
         J = np.zeros((len(f), len(x)), dtype=complex)
         for j in range(len(x)):
             xp = x.copy()
-            xp[j] += h
+            xp[j] += 1e-7
             fp, _ = residual(xp)
             if fp is None:
                 return None
-            J[:, j] = (fp - f) / h
+            J[:, j] = (fp - f) / 1e-7
         return J
 
     x = pack(interior)
     f, res = residual(x)
     best_x, best_res = x, res
     it = 0
-    for it in range(1, max_iter + 1):
-        if res < tol or not math.isfinite(res):
+    for it in range(1, 41):
+        if res < 1e-12 or not math.isfinite(res):
             break
         J = jacobian(x, f)
         if J is None:

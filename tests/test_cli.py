@@ -163,6 +163,30 @@ def test_bad_config_file_exits_two_with_one_line_error(tmp_path, content, messag
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("config, flags, key", [
+    ({"n": 3.9}, [], "n"),
+    ({"L": 2.7}, [], "L"),
+    ({"seed": True}, [], "seed"),
+    ({"tol": True}, [], "tol"),
+    (None, ["--n", "abc"], "n"),
+])
+def test_a_value_that_does_not_convert_exits_two_naming_its_key(tmp_path, config, flags,
+                                                                 key, capsys):
+    # flags and file values pass through one conversion; the four files once
+    # ran as n=3, L=2, seed=1 and tol=1.0 and exited 0
+    argv = ["verify", "--suite", "anchors"] + flags
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: %s must be " % key)
+    assert "Traceback" not in err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 2, "L": 1, "suite": "hirota"}))
@@ -305,7 +329,7 @@ def test_report_builds_each_member_once(monkeypatch, capsys):
         return out
 
     def counting_traced(n, length, lax, *args, **kwargs):
-        expanded.append((length, lax.index_set, lax.rep.kind))
+        expanded.append((length, tuple(sorted(lax.rep.labels)), lax.rep.kind))
         return traced(n, length, lax, *args, **kwargs)
 
     monkeypatch.setattr(transfer, "build_X", counting_X)
@@ -512,15 +536,15 @@ def test_a_nan_in_a_later_pair_fails_the_commuting_record(monkeypatch):
 
 
 def test_a_nan_in_a_later_draw_fails_the_trace_record(monkeypatch):
-    from qlab import oscillator
-    traces = oscillator.extrapolated_traces
+    from qlab import cli
+    traces = cli.extrapolated_traces
 
     def nan_second(xs, q):
         out = traces(xs, q)
         out[1] = complex("nan")
         return out
 
-    monkeypatch.setattr(oscillator, "extrapolated_traces", nan_second)
+    monkeypatch.setattr(cli, "extrapolated_traces", nan_second)
     (record,) = _records("trace").values()
     _assert_failed_on_nan(record)
 

@@ -163,7 +163,7 @@ def _perturbed(rep, ab, delta, key=None):
         key = next(k for k in terms if k)
     terms[key] = terms.get(key, 0.0) + delta
     gens[ab] = CarrierOp.from_scalar_op(Op(terms))
-    return GlRep(rep.labels, rep.d, gens, rep.weight, rep.modes)
+    return GlRep(rep.labels, rep.d, gens, rep.weight)
 
 
 def test_relation_residual_matches_the_full_product_reference_bitwise():
@@ -174,11 +174,11 @@ def test_relation_residual_matches_the_full_product_reference_bitwise():
     # a perturbed realization, so that the residuals are not all exact zeros
     rep = verma_rep((0.7, -0.35 + 0.1j, 1.2), tag="w")
     gens = dict(rep.gens)
-    mode = rep.modes[0]
+    mode = ("w", 1, 2)  # the ladder mode of the label pair (1, 2)
     gens[(1, 2)] = gens[(1, 2)] + CarrierOp.from_scalar_op(
         (0.3141 - 0.271j) * Op.creator(mode) * Op.number(mode))
     gens[(3, 1)] = gens[(3, 1)] + CarrierOp.from_scalar_op(0.577j * Op.number(mode))
-    reps.append(GlRep(rep.labels, rep.d, gens, rep.weight, rep.modes))
+    reps.append(GlRep(rep.labels, rep.d, gens, rep.weight))
     got = [gl_relation_residual(rep) for rep in reps]
     assert got == [_relation_residual_reference(rep) for rep in reps]
     assert got[-1] > 0.0
@@ -230,7 +230,7 @@ def test_a_nan_on_the_diagonal_of_an_identity_generator_fails_the_relations(ab):
     gens = dict(rep.gens)
     gens[ab] = CarrierOp.identity(3)
     gens[ab].mat[1][1] = Op.scalar(float("nan"))
-    assert np.isnan(gl_relation_residual(GlRep(rep.labels, rep.d, gens, rep.weight, rep.modes)))
+    assert np.isnan(gl_relation_residual(GlRep(rep.labels, rep.d, gens, rep.weight)))
 
 
 def test_fused_and_triangular_carriers_are_highest_weight():

@@ -8,7 +8,13 @@ Three rules keep ``src/qlab`` from growing code that nothing runs:
 - every function of the package, methods and nested functions included, is
   entered when the commands of :data:`TRAFFIC` run, unless
   :data:`RUN_BY_NO_COMMAND` lists it with its reason.  A definition that
-  only the tests reach belongs in the tests.
+  only the tests reach belongs in the tests;
+- every parameter with a default, of a function the traffic enters, is given
+  a value other than its default by some call of the traffic, unless
+  :data:`SET_BY_NO_COMMAND` lists it with its reason.  An option that only
+  the tests set belongs in the tests, and one that nothing sets is a
+  constant.  Dataclass ``__init__``s are left out: they are compiled from a
+  string, and their fields are the program's input.
 
 The traffic is traced with ``sys.setprofile`` in a fresh interpreter that
 imports ``qlab`` only after the profiler is set, so that the import-time
@@ -64,20 +70,57 @@ RUN_BY_NO_COMMAND = {
     "oscillator.NormalOrderedOp.number": "the benchmark builds the number operator",
 }
 
-#: run by the child interpreter: argv is the traffic as JSON and the path of
-#: the report it writes, the exit status of each command and every
-#: ``(module, first line)`` of a package function it entered
+#: parameters with a default that no call of the traffic sets, each with its reason
+SET_BY_NO_COMMAND = {
+    "fusion.fuse.mode1_fn": "the iterated single-index fusion sets it, for item 11",
+    "fusion.fuse.mode2_fn": "the iterated single-index fusion sets it, for item 11",
+    "oscillator.CarrierOp.from_scalar_op.d":
+        "above 1 only for a finite carrier on a proper subset, for item 4",
+    "glrep.verma_rep.tag": "the commands pass the default; the tests name other modes",
+}
+
+#: run by the child interpreter: argv is the traffic as JSON, the
+#: ``(module, first line)`` of each package function with defaults as JSON,
+#: and the path of the report it writes: the exit status of each command,
+#: every ``(module, first line)`` of a package function it entered, and every
+#: ``(module, first line, parameter)`` that a call gave a value other than its
+#: default (a value equal to the default does not count)
 _CHILD = """
-import contextlib, io, json, sys
-traffic, report = json.loads(sys.argv[1]), sys.argv[2]
-entered = set()
+import contextlib, gc, io, json, sys, types
+traffic, report = json.loads(sys.argv[1]), sys.argv[3]
+with_defaults = {tuple(key) for key in json.loads(sys.argv[2])}
+entered, set_params = set(), set()
+unset = {}  # code -> {parameter: default} of the defaults no call has set yet
+
+def defaults(code):
+    fn = next(f for f in gc.get_referrers(code)
+              if isinstance(f, types.FunctionType) and f.__code__ is code)
+    names = code.co_varnames[:code.co_argcount]
+    out = dict(zip(names[len(names) - len(fn.__defaults__ or ()):], fn.__defaults__ or ()))
+    out.update(fn.__kwdefaults__ or {})
+    return out
+
+def same(a, b):
+    try:
+        return a is b or bool(a == b)
+    except Exception:
+        return False
 
 def profile(frame, event, arg):
     code = frame.f_code
     if event == "call" and code.co_filename.endswith(".py"):
         module = frame.f_globals.get("__name__", "")
         if module.startswith("qlab."):
-            entered.add((module[5:], code.co_firstlineno))
+            key = (module[5:], code.co_firstlineno)
+            entered.add(key)
+            if key in with_defaults:
+                pending = unset.get(code)
+                if pending is None:
+                    pending = unset[code] = defaults(code)
+                for name, default in list(pending.items()):
+                    if not same(frame.f_locals[name], default):
+                        set_params.add(key + (name,))
+                        del pending[name]
 
 sys.setprofile(profile)
 import qlab.cli
@@ -87,7 +130,8 @@ with contextlib.redirect_stdout(io.StringIO()):
         statuses.append(qlab.cli.main(argv))
 sys.setprofile(None)
 with open(report, "w") as fh:
-    json.dump({"statuses": statuses, "entered": sorted(entered)}, fh)
+    json.dump({"statuses": statuses, "entered": sorted(entered),
+               "set": sorted(set_params)}, fh)
 """
 
 
@@ -128,15 +172,15 @@ def _references(tree):
 
 
 def _functions(body, prefix):
-    """``(qualified name, first line)`` of every function under ``body``,
-    methods and nested functions included; a decorated function starts at
-    its first decorator, as its code object does."""
+    """``(qualified name, first line, node)`` of every function under
+    ``body``, methods and nested functions included; a decorated function
+    starts at its first decorator, as its code object does."""
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             name = "%s.%s" % (prefix, node.name)
             if isinstance(node, ast.FunctionDef):
                 first = node.decorator_list[0] if node.decorator_list else node
-                yield name, first.lineno
+                yield name, first.lineno, node
             yield from _functions(node.body, name)
         elif hasattr(node, "body"):  # an if, a try, a with ...
             for block in ("body", "orelse", "handlers", "finalbody"):
@@ -146,12 +190,27 @@ def _functions(body, prefix):
 def _package_functions():
     """``{qualified name: (module, first line)}`` of every package function."""
     return {name: (path.stem, line) for path in PACKAGE
-            for name, line in _functions(_parse(path).body, path.stem)}
+            for name, line, _ in _functions(_parse(path).body, path.stem)}
+
+
+def _package_options():
+    """``{qualified name.parameter: (module, first line, parameter)}`` of every
+    parameter with a default of a package function."""
+    out = {}
+    for path in PACKAGE:
+        for name, line, node in _functions(_parse(path).body, path.stem):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            params = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            out.update(("%s.%s" % (name, a.arg), (path.stem, line, a.arg)) for a in params)
+    return out
 
 
 @pytest.fixture(scope="module")
-def entered(tmp_path_factory):
-    """The ``(module, first line)`` of every package function the traffic enters."""
+def traced(tmp_path_factory):
+    """The ``(module, first line)`` of every package function the traffic
+    enters, and the ``(module, first line, parameter)`` of every default it sets."""
     tmp = tmp_path_factory.mktemp("traffic")
     config = tmp / "report.json"
     config.write_text(json.dumps(REPORT_CONFIG), encoding="utf-8")
@@ -159,12 +218,22 @@ def entered(tmp_path_factory):
                for argv in TRAFFIC]
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    report = tmp / "entered.json"
-    subprocess.run([sys.executable, "-c", _CHILD, json.dumps(traffic), str(report)],
+    report = tmp / "traced.json"
+    with_defaults = sorted({key[:2] for key in _package_options().values()})
+    subprocess.run([sys.executable, "-c", _CHILD, json.dumps(traffic),
+                    json.dumps(with_defaults), str(report)],
                    env=env, check=True, timeout=300)
     doc = json.loads(report.read_text(encoding="utf-8"))
     assert doc["statuses"] == [0] * len(TRAFFIC)
-    return {tuple(key) for key in doc["entered"]}
+    return {tuple(key) for key in doc["entered"]}, {tuple(key) for key in doc["set"]}
+
+
+def _unset_options(traced):
+    """Each parameter with a default, of a function the traffic enters, that
+    no call of the traffic sets."""
+    entered, set_params = traced
+    return sorted(name for name, key in _package_options().items()
+                  if key[:2] in entered and key not in set_params)
 
 
 def test_no_module_imports_a_name_it_never_reads():
@@ -188,15 +257,29 @@ def test_every_class_is_referenced_from_the_package():
         + ", ".join(unreferenced)
 
 
-def test_every_function_is_entered_by_a_command(entered):
+def test_every_function_is_entered_by_a_command(traced):
+    entered, _ = traced
     missed = sorted(name for name, key in _package_functions().items()
                     if key not in entered and name not in RUN_BY_NO_COMMAND)
     assert not missed, "entered by no command: " + ", ".join(missed)
 
 
-def test_every_allowed_definition_is_still_unreached(entered):
+def test_every_allowed_definition_is_still_unreached(traced):
     # a name that is gone, or that a command now enters, leaves the list
+    entered, _ = traced
     functions = _package_functions()
     stale = sorted(name for name in RUN_BY_NO_COMMAND
                    if name not in functions or functions[name] in entered)
+    assert not stale, stale
+
+
+def test_every_option_is_set_by_a_command(traced):
+    missed = [name for name in _unset_options(traced) if name not in SET_BY_NO_COMMAND]
+    assert not missed, "set by no command: " + ", ".join(missed)
+
+
+def test_every_allowed_option_is_still_unset(traced):
+    # a parameter that is gone, or that a command now sets, leaves the list
+    unset = _unset_options(traced)
+    stale = sorted(name for name in SET_BY_NO_COMMAND if name not in unset)
     assert not stale, stale

@@ -113,18 +113,23 @@ def test_missing_weight_raises():
         weighted_trace(Op.number(M1), {})
 
 
+def _plain_trace(x, q):
+    """The trace of ``x`` with every mode of ``q`` by the plain rule."""
+    return _carrier_trace([{0: x.terms}], (1.0,), q, tuple(q), {})
+
+
 def test_plain_trace_partition_factor():
     q = 0.25
     # Tr q^N = 1/(1-q); Tr q^N N = q/(1-q)^2
-    assert abs(weighted_trace(Op.scalar(1.0), {M1: q}, frozenset([M1])) - 1 / (1 - q)) < 1e-14
-    assert abs(weighted_trace(Op.number(M1), {M1: q}, frozenset([M1])) - q / (1 - q) ** 2) < 1e-14
+    assert abs(_plain_trace(Op.scalar(1.0), {M1: q}) - 1 / (1 - q)) < 1e-14
+    assert abs(_plain_trace(Op.number(M1), {M1: q}) - q / (1 - q) ** 2) < 1e-14
 
 
 def test_plain_trace_against_direct_sum():
     q = 0.4 * np.exp(0.7j)
     x = bd() * bd() * b() * b()
     direct = sum((q ** m) * m * (m - 1) for m in range(400))
-    assert abs(weighted_trace(x, {M1: q}, frozenset([M1])) - direct) < 1e-12
+    assert abs(_plain_trace(x, {M1: q}) - direct) < 1e-12
 
 
 def test_trace_cyclicity_twisted():
@@ -493,7 +498,8 @@ def test_carrier_matmul_and_trace():
 
 def test_carrier_to_matrix_blocks():
     space = FockSpace([M1], 2)
-    x = CarrierOp.matrix_unit(2, 0, 1, bd())
+    x = CarrierOp(2)
+    x.mat[0][1] = bd()
     m = fock_matrix(x, space).toarray()
     assert m.shape == (6, 6)
     assert np.allclose(m[:3, 3:], fock_matrix(bd(), space).toarray())
@@ -525,7 +531,7 @@ def _reference_extrapolated_trace(x, q):
                 f *= np.sum(w * diag) / np.sum(w)
             total += f
         vals.append(total)
-    return _rational_extrapolate(etas, vals, 0.0)
+    return _rational_extrapolate(etas, vals)
 
 
 def _hex(z):

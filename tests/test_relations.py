@@ -341,7 +341,7 @@ def test_block_sides_match_dense_numpy(n, L, monkeypatch):
     (a determinant, or the difference of two products), so the scale is the
     expression's magnitude: the same expression with every matrix replaced
     by its entrywise modulus and every sign by ``+``."""
-    from qlab.cli import SUITES, RunConfig
+    from qlab import cli
     from qlab.spectral import build_hamiltonian
     tw = TWISTS[n]
     qf = QFamily(n, L, tw)
@@ -349,14 +349,15 @@ def test_block_sides_match_dense_numpy(n, L, monkeypatch):
     sides = []
     monkeypatch.setattr(relations, "_max_residual",
                         lambda f, length: sides.append(f(zs)) or 0.0)
-    monkeypatch.setattr(relations, "_residual",
-                        lambda lhs, rhs: sides.append((lhs, rhs)) or 0.0)
+    for module in (relations, cli):  # the commuting suite forms its own sides
+        monkeypatch.setattr(module, "_residual",
+                            lambda lhs, rhs: sides.append((lhs, rhs)) or 0.0)
     hirota_residual(qf, (), 1, 2)
     q_determinant_residual(qf, (1, 2))
     t_determinant_residual(qf)
     chain, z = tuple(range(1, n + 1)), [0.2, 0.7, -0.4, 0.55, -0.15][:n + 1]
     plucker_residual(qf, chain, n, z)
-    SUITES["commuting"][1](RunConfig(n=n, length=L), qf)[0][1]()
+    cli.SUITES["commuting"][1](cli.RunConfig(n=n, length=L), qf)[0][1]()
     full = tuple(range(1, n + 1))
     shifts = [(n - 1) / 2 + 1] + [(n - 2 * j + 1) / 2 for j in range(2, n + 1)]
     ops = [build_hamiltonian(n, L, tw), qf.t_box().at(0.29)] \
