@@ -11,7 +11,9 @@ Commands:
 The commands form one table, :data:`COMMANDS`, and the settings another,
 :data:`CONFIG_KEYS`: each key is both a flag (``--n``) and a key of a JSON
 config file (``--config file.json``, one object; an unknown key is an
-error, and explicit flags override file values).  A flag's string and a
+error, and explicit flags override file values).  Every command takes every
+setting, so the parser is flat: the command is its one positional argument,
+checked against :data:`COMMANDS`, and each flag is declared once.  A flag's string and a
 file's value pass through the same conversion, so ``"n": 3.9`` in a file is
 refused exactly as ``--n 3.9`` is.  Exit codes: 0 all-pass, 1
 identity/tolerance failure, 2 usage or configuration error, with one
@@ -65,7 +67,8 @@ from .lax import canonical_lax, eval_lax, partonic_lax, rll_residual  # noqa: E4
 from .oscillator import NormalOrderedOp, _worst, extrapolated_traces, weighted_trace  # noqa: E402
 from .relations import (QFamily, _residual, enumerate_hasse, hirota_residual,  # noqa: E402
                         plucker_residual, q_determinant_residual, t_determinant_residual)
-from .spectral import SpectralAnalysis, build_hamiltonian, solve_bethe_newton  # noqa: E402
+from .spectral import (NEWTON_TARGET, SpectralAnalysis, build_hamiltonian,  # noqa: E402
+                       solve_bethe_newton)
 from .tensor import Blocks  # noqa: E402
 from .transfer import TwistConfig, _check_weight, bgg_eigen_check  # noqa: E402
 
@@ -366,7 +369,11 @@ def run_bethe(cfg: RunConfig) -> dict:
     sigmas = [sa.q_polys[I].sigma for I in sa.sets]
     states = []
     for r in sa.all_records():
-        refined, res, iters = solve_bethe_newton(r.level_roots, sigmas)
+        # a start already at the target is what Newton would return at once,
+        # with this residual to the last bit
+        res, iters = r.max_bethe_residual, 1
+        if not res < NEWTON_TARGET:
+            _, res, iters = solve_bethe_newton(r.level_roots, sigmas)
         states.append({
             "sector": list(r.sector),
             "state_index": r.state,
@@ -470,6 +477,12 @@ def _numbers(raw: object) -> Tuple[float, ...]:
     return tuple(_number(x) for x in (raw.split(",") if isinstance(raw, str) else raw))
 
 
+def _string(raw: object) -> str:
+    if not isinstance(raw, str):
+        raise TypeError(raw)
+    return raw
+
+
 def _names(raw: object) -> Tuple[str, ...]:
     names = tuple(raw.split(",")) if isinstance(raw, str) else tuple(raw)
     if not all(isinstance(x, str) for x in names):
@@ -489,8 +502,8 @@ CONFIG_KEYS: Dict[str, Tuple[str, Callable[[object], object], str]] = {
     "tol": ("tol", _number, "a positive number, the tolerance of every suite"),
     "seed": ("seed", _integer, "a non-negative integer, the seed of verify's draws"),
     "suite": ("suites", _names, "comma-separated suite names"),
-    "out": ("out", str, "an output path (default stdout)"),
-    "format": ("fmt", str, "json or csv"),
+    "out": ("out", _string, "an output path (default stdout)"),
+    "format": ("fmt", _string, "json or csv"),
 }
 
 #: each command and its help; ``main`` runs the module's ``run_<command>``,
@@ -507,14 +520,15 @@ COMMANDS: Dict[str, str] = {
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qlab",
-        description="Finite-matrix laboratory for twisted chains: construct "
-                    "the commuting operator family and verify its relations.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, doc in COMMANDS.items():
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--config", help="JSON config file (flat keys)")
-        for key, (_, _, what) in CONFIG_KEYS.items():
-            p.add_argument("--" + key, help=what)
+        description="Finite-matrix laboratory for twisted chains: construct the\n"
+                    "commuting operator family and verify its relations.",
+        epilog="commands:\n" + "".join("  %-10s %s\n" % item for item in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("command", choices=COMMANDS, metavar="command",
+                    help="one of the commands below")
+    ap.add_argument("--config", help="JSON config file (flat keys)")
+    for key, (_, _, what) in CONFIG_KEYS.items():
+        ap.add_argument("--" + key, help=what)
     return ap
 
 

@@ -9,16 +9,20 @@ its roots feed the nested root equations, and three independent energies are
 compared: direct diagonalization, the root sum, and the log-derivative of the
 defining-representation transfer operator.
 
-Each sector is processed as one batch.  All its states share each level's
-degree, so every step works on stacks, one row per state: the operators'
-blocks of the sector are taken into one contiguous stack; one stacked
-``vinv @ probes @ v`` validates the joint eigenbasis and gives the energies;
-one stacked matmul per member gives its eigenvalue polynomials; one
-``eigvals`` per level finds every state's roots from companion matrices built
-as ``np.roots`` builds them; and the root equations and both energies are
-evaluated per sector.
+The sectors are processed one size group at a time, as the sector layout
+stores them (:class:`qlab.tensor.SectorLayout`).  All states of a sector
+share each level's degree, so every step works on stacks, one row per state:
+the operators' blocks of the group's sectors are taken into one contiguous
+``(S, count, s, s)`` stack; one stacked ``vinv @ probes @ v`` validates
+every sector's joint eigenbasis and gives the energies, each sector taking
+the random draws it would take alone; one stacked matmul per member gives
+its eigenvalue polynomials; the rows of the group's sectors are grouped by
+degree, and one ``eigvals`` per degree and level finds their roots from
+companion matrices built as ``np.roots`` builds them.  The root equations
+and the root energy are evaluated per sector.
 
-Every result is bit for bit what the one-state-at-a-time computation gives.
+Every result is bit for bit what the one-sector-at-a-time and the
+one-state-at-a-time computations give.
 Stacked ``matmul`` and ``eigvals`` round each slice as they round it alone,
 and ``np.prod`` over the last axis rounds as the Python product from 1.  But
 numpy's elementwise complex ``*``, ``/``, ``abs`` and ``exp`` round unlike
@@ -39,7 +43,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +55,8 @@ from .transfer import TwistConfig
 ROOT_COLLISION_TOL = 1e-9
 #: random combinations tried before a joint eigenbasis is given up
 EIGENBASIS_ATTEMPTS = 8
+#: the max |residual| at which Newton refinement of a root system stops
+NEWTON_TARGET = 1e-12
 
 
 # -- Hamiltonian and sectors ----------------------------------------------------
@@ -89,31 +95,39 @@ def build_hamiltonian(n: int, length: int, twist: TwistConfig) -> Blocks:
 
 def simultaneous_eigenbasis(blocks: np.ndarray
                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenbasis ``v`` of a random combination of the stacked ``blocks``
-    ``(p, d, d)``, validated against every block; returns ``v``, its inverse
-    ``vinv`` and the ``(p, d)`` eigenvalues of the blocks in that basis, the
-    diagonals of the one stacked ``vinv @ blocks @ v`` that validated it.
+    """Eigenbasis ``v`` of a random combination of each sector's stacked
+    blocks, from ``blocks`` ``(S, p, d, d)``, validated against every block
+    of the sector; returns ``v`` and its inverse ``vinv``, each ``(S, d,
+    d)``, and the ``(S, p, d)`` eigenvalues of the blocks in that basis, the
+    diagonals of the stacked ``vinv @ blocks @ v`` that validated it.
 
     At most ``EIGENBASIS_ATTEMPTS`` combinations are drawn, from a generator
-    seeded with 5; a basis is accepted when every off-diagonal entry is at
-    most ``1e-8`` times the block's scale."""
-    count, dim = blocks.shape[:2]
-    if dim == 0:
-        return (np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex),
-                np.zeros((count, 0), dtype=complex))
+    seeded with 5; a sector's basis is accepted when every off-diagonal entry
+    is at most ``1e-8`` times the block's scale.  Every sector takes the
+    first draw, and the sectors it fails take the next one together: each
+    sees the draws it would see alone."""
+    sectors, count, dim = blocks.shape[:3]
+    v = np.empty((sectors, dim, dim), dtype=complex)
+    vinv = np.empty_like(v)
+    eigs = np.empty((sectors, count, dim), dtype=complex)
     rng = np.random.default_rng(5)
     diag = np.arange(dim)
+    pending = np.arange(sectors)
     for _ in range(EIGENBASIS_ATTEMPTS):
         coeffs = rng.normal(size=count) + 1j * rng.normal(size=count)
-        comb = _product(blocks, coeffs[:, None, None]).sum(axis=0)
-        _, v = np.linalg.eig(comb)
-        vinv = np.linalg.inv(v)
-        m = vinv @ blocks @ v
-        eigs = m[:, diag, diag]
+        part = blocks[pending]
+        comb = _product(part, coeffs[:, None, None]).sum(axis=1)
+        _, basis = np.linalg.eig(comb)
+        inverse = np.linalg.inv(basis)
+        m = inverse[:, None] @ part @ basis[:, None]
         size = np.abs(m)
-        scale = np.fmax(1.0, size.max(axis=(1, 2)))
-        size[:, diag, diag] = 0.0
-        if not (size.max(axis=(1, 2)) > 1e-8 * scale).any():
+        scale = np.fmax(1.0, size.max(axis=(2, 3)))
+        size[:, :, diag, diag] = 0.0
+        ok = ~(size.max(axis=(2, 3)) > 1e-8 * scale).any(axis=1)
+        done = pending[ok]
+        v[done], vinv[done], eigs[done] = basis[ok], inverse[ok], m[ok][:, :, diag, diag]
+        pending = pending[~ok]
+        if not pending.size:
             return v, vinv, eigs
     raise RuntimeError("no common eigenbasis found; twist may be degenerate")
 
@@ -123,32 +137,39 @@ def simultaneous_eigenbasis(blocks: np.ndarray
 
 def extract_q_polynomials_loose(blocks: np.ndarray, v: np.ndarray,
                                 vinv: np.ndarray) -> np.ndarray:
-    """Eigenvalue polynomials of an operator polynomial, one row per joint
-    eigenstate, lowest power first, from the stacked sector blocks of its
-    coefficients and the sector's joint eigenbasis ``v`` with inverse
-    ``vinv``; no degree or monic constraint."""
-    return np.diagonal(vinv @ blocks @ v, axis1=1, axis2=2).T
+    """Eigenvalue polynomials of an operator polynomial, ``(S, d, c)``: one
+    row per joint eigenstate of each sector, lowest power first, from the
+    ``(S, c, d, d)`` sector blocks of its ``c`` coefficients and each
+    sector's joint eigenbasis ``v`` with inverse ``vinv``
+    (:func:`simultaneous_eigenbasis`); no degree or monic constraint."""
+    return np.diagonal(vinv[:, None] @ blocks @ v[:, None], axis1=2, axis2=3).transpose(0, 2, 1)
 
 
 def extract_q_polynomials(blocks: np.ndarray, v: np.ndarray, vinv: np.ndarray,
-                          expected_degree: int) -> np.ndarray:
-    """Monic eigenvalue polynomials of a family member, one row per joint
-    eigenstate.
+                          degrees: Sequence[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Monic eigenvalue polynomials of a family member, grouped by degree.
 
-    Takes the arguments of :func:`extract_q_polynomials_loose`.  Returns
-    coefficient rows ``[c_0, ..., c_deg]`` after stripping the exponential
-    prefactor; checks, to within ``1e-8``, that coefficients above the
-    expected degree vanish and that the leading coefficient is 1, which it
-    then sets exactly.
+    Takes the arguments of :func:`extract_q_polynomials_loose` and each
+    sector's expected degree.  Returns, for each degree in increasing order,
+    the indices of its sectors and their ``(t, d, degree + 1)`` coefficient
+    rows ``[c_0, ..., c_deg]`` after stripping the exponential prefactor;
+    checks, to within ``1e-8``, that coefficients above the expected degree
+    vanish and that the leading coefficient is 1, which it then sets exactly.
     """
     polys = extract_q_polynomials_loose(blocks, v, vinv)
-    if (np.abs(polys[:, expected_degree + 1:]).max(axis=1, initial=0.0) > 1e-8).any():
-        raise ValueError("eigenvalue polynomial exceeds the sector degree")
-    polys = polys[:, :expected_degree + 1].copy()
-    if (np.abs(polys[:, -1] - 1.0) > 1e-8).any():
-        raise ValueError("eigenvalue polynomial is not monic")
-    polys[:, -1] = 1.0
-    return polys
+    degrees = np.asarray(degrees)
+    out = []
+    for degree in sorted(set(degrees.tolist())):
+        take = np.flatnonzero(degrees == degree)
+        rows = polys[take]
+        if (np.abs(rows[..., degree + 1:]).max(axis=-1, initial=0.0) > 1e-8).any():
+            raise ValueError("eigenvalue polynomial exceeds the sector degree")
+        rows = rows[..., :degree + 1].copy()
+        if (np.abs(rows[..., -1] - 1.0) > 1e-8).any():
+            raise ValueError("eigenvalue polynomial is not monic")
+        rows[..., -1] = 1.0
+        out.append((take, rows))
+    return out
 
 
 def poly_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -338,27 +359,47 @@ class SpectralAnalysis:
         self._members = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         self._run = Blocks.join(probes + members)
 
-    def sector_records(self, m: Sequence[int]) -> List[EigenstateRecord]:
-        """The records of every joint eigenstate of sector ``m``, each step
-        taken once for the whole sector on stacked arrays."""
-        m = tuple(m)
-        stack = self._run.sector(m)
-        v, vinv, eigs = simultaneous_eigenbasis(stack[self._probes])
-        roots = [poly_roots(extract_q_polynomials(stack[part], v, vinv,
-                                                  sum(m[a - 1] for a in I)))
-                 for I, part in zip(self.sets, self._members)]
-        bethe = bethe_residuals(roots, [self.q_polys[I].sigma for I in self.sets])
-        e_tbox = energy_from_tbox_poly(
-            extract_q_polynomials_loose(stack[self._members[-1]], v, vinv), self.length)
-        return [EigenstateRecord(m, s, e, [r[s] for r in roots], [b[s] for b in bethe],
-                                 e_roots, e_t)
-                for s, (e, e_roots, e_t) in enumerate(
-                    zip(eigs[0].tolist(), energy_from_roots(roots[-2]), e_tbox))]
-
     def all_records(self) -> List[EigenstateRecord]:
-        out = []
-        for m in self.labels:
-            out.extend(self.sector_records(m))
+        """The records of every joint eigenstate, sector by sector in label
+        order."""
+        layout = self._run.layout
+        found = {}
+        for g in range(len(layout.groups)):
+            found.update(self._group_records(g))
+        return [r for m in self.labels for r in found[m]]
+
+    def _group_records(self, g: int) -> Dict[Tuple[int, ...], List[EigenstateRecord]]:
+        """The records of every joint eigenstate of the sectors of size group
+        ``g``, by sector label, each step but the root equations and the root
+        energy taken once for the whole group on stacked arrays."""
+        layout = self._run.layout
+        labels = [layout.labels[layout.sector[idx[0]]] for idx in layout.groups[g]]
+        stack = self._run.group_stack(g)
+        v, vinv, eigs = simultaneous_eigenbasis(stack[:, self._probes])
+        # roots[level][sector]
+        roots = []
+        for I, part in zip(self.sets, self._members):
+            level = [None] * len(labels)
+            for take, polys in extract_q_polynomials(
+                    stack[:, part], v, vinv, [sum(m[a - 1] for a in I) for m in labels]):
+                found = poly_roots(polys.reshape(-1, polys.shape[-1]))
+                for i, rows, r in zip(take, polys, found.reshape(*polys.shape[:2], -1)):
+                    # a sector whose every root is zero gets them as floats,
+                    # as poly_roots gives them for the sector alone
+                    level[i] = r if rows[:, :-1].any() or not r.shape[1] else np.zeros(r.shape)
+            roots.append(level)
+        e_tbox = energy_from_tbox_poly(extract_q_polynomials_loose(
+            stack[:, self._members[-1]], v, vinv).reshape(-1, self.length + 1), self.length)
+        sigmas = [self.q_polys[I].sigma for I in self.sets]
+        size, out = stack.shape[2], {}
+        for i, m in enumerate(labels):
+            levels = [level[i] for level in roots]
+            bethe = bethe_residuals(levels, sigmas)
+            out[m] = [EigenstateRecord(m, s, e, [r[s] for r in levels], [b[s] for b in bethe],
+                                       e_roots, e_t)
+                      for s, (e, e_roots, e_t) in enumerate(
+                          zip(eigs[i, 0].tolist(), energy_from_roots(levels[-2]),
+                              e_tbox[i * size:(i + 1) * size]))]
         return out
 
 
@@ -378,13 +419,14 @@ def solve_bethe_newton(level_roots: List[np.ndarray], level_sigmas: Sequence[com
     """Newton refinement of the interior-level roots (outer levels held fixed).
 
     Returns (refined roots, their max |residual|, iterations used).  At most
-    40 steps are taken, and none once the max |residual| is below 1e-12.  The
-    roots are the iterate with the smallest max |residual|, the start
-    included: near a singular Jacobian the steps can carry a converged start
-    far away.  An iterate whose residual is not finite, or overflows the
-    exponential factor, ends the refinement; a start that is not finite is
-    returned with its residual.  The Jacobian is a forward difference of step
-    1e-7; a singular Jacobian raises.
+    40 steps are taken, and none once the max |residual| is below
+    ``NEWTON_TARGET``, so a start already below it is returned with 1
+    iteration.  The roots are the iterate with the smallest max |residual|,
+    the start included: near a singular Jacobian the steps can carry a
+    converged start far away.  An iterate whose residual is not finite, or
+    overflows the exponential factor, ends the refinement; a start that is
+    not finite is returned with its residual.  The Jacobian is a forward
+    difference of step 1e-7; a singular Jacobian raises.
     """
     interior = [np.array(r, dtype=complex) for r in level_roots[1:-1]]
     shapes = [len(r) for r in interior]
@@ -425,7 +467,7 @@ def solve_bethe_newton(level_roots: List[np.ndarray], level_sigmas: Sequence[com
     best_x, best_res = x, res
     it = 0
     for it in range(1, 41):
-        if res < 1e-12 or not math.isfinite(res):
+        if res < NEWTON_TARGET or not math.isfinite(res):
             break
         J = jacobian(x, f)
         if J is None:

@@ -225,11 +225,10 @@ class Blocks:
         makes its operator's norm NaN."""
         return np.max([np.abs(a).max(axis=(1, 2, 3)) for a in self.arrays], axis=0)
 
-    def sector(self, label: Tuple[int, ...]) -> np.ndarray:
-        """The ``(count, s, s)`` blocks of the sector ``label``, as one
-        contiguous stack."""
-        g, i = self.layout.slot[label]
-        return np.ascontiguousarray(self.arrays[g][:, i])
+    def group_stack(self, g: int) -> np.ndarray:
+        """The ``(S, count, s, s)`` blocks of the sectors of size group
+        ``g``: each sector's blocks as one contiguous stack."""
+        return np.ascontiguousarray(self.arrays[g].swapaxes(0, 1))
 
     def to_dense(self) -> np.ndarray:
         """The ``(dim, dim)`` matrix of a run of one operator, zero off the

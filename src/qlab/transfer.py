@@ -54,7 +54,7 @@ from .glrep import GlRep, diagonal_weight_data, dot_action_orbit, \
     fundamental_rep, trivial_rep, verma_rep
 from .lax import LaxMatrix, canonical_lax
 from .oscillator import CarrierOp, CarrierTerms, Mode, NormalOrderedOp, \
-    _carrier_add, _carrier_mul, _carrier_trace, _worst
+    _add_terms, _carrier_add, _carrier_mul, _carrier_trace, _mul_terms, _worst
 from .tensor import Blocks, SectorLayout, _product, _quotient, basis_states, sector_layout
 
 #: relative tolerance below which a twist-weight is considered degenerate
@@ -267,31 +267,60 @@ def _traced_monodromy(n: int, length: int, lax: LaxMatrix, members: Sequence[Mem
 
     The quantum-space entry for configurations (i_1..i_L), (j_1..j_L) is the
     twisted trace of the site-ordered product of the entries ``L_{i_s j_s}``.
-    The product is kept as carrier-operator terms (:data:`CarrierTerms`)
-    indexed by the power of ``z``; a site multiplies each by ``c1`` (same
-    power) and ``c0`` (next power), skipping parts that are zero and products
-    with the identity.  Only one pair per orbit of :func:`_orbit_plan` is
-    expanded: the trace is cyclic and ``D L_{st} = e^{i(phi_t - phi_s)} L_{st}
-    D``, so every other member is the representative's value times its phase.
+    Only one pair per orbit of :func:`_orbit_plan` is formed: the trace is
+    cyclic and ``D L_{st} = e^{i(phi_t - phi_s)} L_{st} D``, so every other
+    member is the representative's value times its phase.  A Lax matrix
+    without a ladder monomial has its pairs traced as stacked matrix products
+    (:func:`_mode_free_traces`); any other has them expanded in the
+    oscillator algebra (:func:`_expanded_traces`).
 
-    Each pair ``(r, c)`` is expanded once and traced against every member's
-    weights, each member with its own cache of key factors.  A member with
-    relabelling ``sigma`` reads that trace as its entry ``(sigma r, sigma
-    c)``: the representative of that pair's orbit gets the trace divided by
-    the pair's phase.  A division by 1.0 keeps every bit but the sign of a
-    zero, which the scatter's sum from 0.0 drops, and a member without
-    relabelling divides nothing.
+    A member with relabelling ``sigma`` reads the trace of the pair ``(r,
+    c)`` as its entry ``(sigma r, sigma c)``: the representative of that
+    pair's orbit gets the trace divided by the pair's phase.  A division by
+    1.0 keeps every bit but the sign of a zero, which the scatter's sum from
+    0.0 drops, and a member without relabelling divides nothing.
     """
     plan = _orbit_plan(n, length, tuple(twist.phis))
     layout = sector_layout(n, length)
+    dense = _mode_free_entries(lax)
+    traced = (_expanded_traces(length, lax, members, plan) if dense is None
+              else _mode_free_traces(length, dense, members, plan))
+    runs = []
+    for (_, sigma), vals in zip(members, traced):
+        if sigma is not None:
+            at = plan.position(layout,
+                               _relabelled(plan.rows[plan.first], sigma, n, length),
+                               _relabelled(plan.cols[plan.first], sigma, n, length))
+            vals[:, plan.orbit[at]] = _quotient(vals, plan.phase[at])
+        vals = vals[:, plan.orbit]
+        vals[:, plan.moved] = _product(vals[:, plan.moved], plan.phase[plan.moved])
+        runs.append(layout.scatter(plan.rows, plan.cols, vals))
+    return runs
+
+
+def _expanded_traces(length: int, lax: LaxMatrix, members: Sequence[Member],
+                     plan: _OrbitPlan) -> np.ndarray:
+    """Each member's trace of the ``z^k`` coefficient of each orbit
+    representative, at ``[member, k, orbit]``, by expansion in the
+    oscillator algebra.
+
+    The product is kept as carrier-operator terms (:data:`CarrierTerms`), or
+    as the bare terms of the one entry of a one-dimensional carrier, indexed
+    by the power of ``z``; a site multiplies each by ``c1`` (same power) and
+    ``c0`` (next power), skipping parts that are zero and products with the
+    identity.  Each pair is expanded once and traced against every member's
+    weights, each member with its own cache of key factors.
+    """
+    bare = lax.d == 1
+    mul, add = (_mul_terms, _add_terms) if bare else (_carrier_mul, _carrier_add)
+    terms = (lambda c: c.mat[0][0].terms) if bare else CarrierOp._terms
     # each Lax entry ``z c0 + c1`` as its non-zero (power of z, terms) parts;
     # a part equal to the carrier identity is given as None
-    entries = [[[(k, None if c.is_identity() else c._terms())
+    entries = [[[(k, None if c.is_identity() else terms(c))
                  for k, c in ((0, lax.c1[i][j]), (1, lax.c0[i][j])) if not c.is_zero()]
                 for j in range(lax.n)] for i in range(lax.n)]
-    ident = CarrierOp.identity(lax.d)._terms()
+    ident = terms(CarrierOp.identity(lax.d))
     factors: List[Dict] = [{} for _ in members]
-    # member m's trace of the z^k coefficient of pair o, at [m][k][o]
     traced = [[[0j] * len(plan.reps) for _ in range(length + 1)] for _ in members]
     for o, (istr, jstr) in enumerate(plan.reps):
         first = entries[istr[0]][jstr[0]] if length else [(0, None)]
@@ -302,24 +331,72 @@ def _traced_monodromy(n: int, length: int, lax: LaxMatrix, members: Sequence[Mem
             nxt: Dict[int, CarrierTerms] = {}
             for k, p in graded.items():
                 for shift, c in entries[i][j]:
-                    term = p if c is None else _carrier_mul(p, c)
+                    term = p if c is None else mul(p, c)
                     key = k + shift
-                    nxt[key] = term if key not in nxt else _carrier_add(nxt[key], term)
+                    nxt[key] = term if key not in nxt else add(nxt[key], term)
             graded = nxt
         for k, p in graded.items():
+            p = [{0: p}] if bare else p
             for (weights, _), cache, vals in zip(members, factors, traced):
                 vals[k][o] = _carrier_trace(p, *weights, cache)
-    runs = []
-    for (_, sigma), vals in zip(members, np.array(traced, dtype=complex)):
-        if sigma is not None:
-            at = plan.position(layout,
-                               _relabelled(plan.rows[plan.first], sigma, n, length),
-                               _relabelled(plan.cols[plan.first], sigma, n, length))
-            vals[:, plan.orbit[at]] = _quotient(vals, plan.phase[at])
-        vals = vals[:, plan.orbit]
-        vals[:, plan.moved] = _product(vals[:, plan.moved], plan.phase[plan.moved])
-        runs.append(layout.scatter(plan.rows, plan.cols, vals))
-    return runs
+    return np.array(traced, dtype=complex)
+
+
+def _mode_free_entries(lax: LaxMatrix) -> Optional[np.ndarray]:
+    """The Lax matrix as a real ``(2, n, n, d, d)`` array, the ``c1`` parts
+    (power 0 of ``z``) first, where no entry holds a ladder monomial; None
+    where one does.
+
+    Every coefficient must be an integer: the products of such matrices are
+    exact in any order of summation.  Any other raises ``ValueError``, as a
+    rounded coefficient would make the members depend on that order."""
+    d = lax.d
+    terms = [((k, i, j, a, b), key, complex(coeff))
+             for k, part in enumerate((lax.c1, lax.c0)) for i, row in enumerate(part)
+             for j, c in enumerate(row) for a, b in itertools.product(range(d), repeat=2)
+             for key, coeff in c.mat[a][b].terms.items()]
+    if any(key for _, key, _ in terms):
+        return None
+    out = np.zeros((2, lax.n, lax.n, d, d))
+    for at, _, coeff in terms:
+        if coeff.imag or not coeff.real.is_integer():
+            raise ValueError("mode-free Lax coefficient %r is not an integer" % (coeff,))
+        out[at] = coeff.real
+    return out
+
+
+def _mode_free_traces(length: int, dense: np.ndarray, members: Sequence[Member],
+                      plan: _OrbitPlan) -> np.ndarray:
+    """:func:`_expanded_traces` for a Lax matrix without ladder monomials,
+    given by :func:`_mode_free_entries`.
+
+    The ``z``-graded product of every orbit representative is one
+    ``(R, L + 1, d, d)`` stack, multiplied site by site by the stacked
+    entries of that site, the ``c0`` part one power of ``z`` up.  Every
+    entry is an integer, and so is every product: each path count is exact
+    whatever order BLAS sums in.  A member's trace adds the diagonal counts
+    times its carrier weights, each rounded as CPython rounds the complex
+    product, in carrier order; the members of such a Lax matrix have no
+    plain-trace modes, which live in the carrier's generators.
+    """
+    d = dense.shape[-1]
+    count = len(plan.reps)
+    strings = np.array([s + t for s, t in plan.reps], dtype=np.int64).reshape(
+        count, 2, length)
+    acc = np.zeros((count, length + 1, d, d))
+    acc[:, 0] = np.eye(d)
+    for site in range(length):
+        sites = dense[:, strings[:, 0, site], strings[:, 1, site]]
+        flat = acc.reshape(count, (length + 1) * d, d)
+        nxt = (flat @ sites[0]).reshape(acc.shape)
+        nxt[:, 1:] += (flat @ sites[1]).reshape(acc.shape)[:, :-1]
+        acc = nxt
+    diag = acc[:, :, np.arange(d), np.arange(d)].transpose(1, 0, 2).astype(complex)
+    traced = np.zeros((len(members), length + 1, count), dtype=complex)
+    for vals, (weights, _) in zip(traced, members):
+        for i, w in enumerate(weights.carrier_weights):
+            vals += _product(diag[..., i], w)
+    return traced
 
 
 def build_X(n: int, length: int, index_set: Sequence[int], rep: GlRep,

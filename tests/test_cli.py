@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qlab
-from qlab.cli import ConfigError, RunConfig, main, run_hasse
+from qlab.cli import COMMANDS, ConfigError, RunConfig, main, run_hasse
 from qlab.relations import enumerate_hasse
 
 
@@ -169,11 +169,15 @@ def test_bad_config_file_exits_two_with_one_line_error(tmp_path, content, messag
     ({"seed": True}, [], "seed"),
     ({"tol": True}, [], "tol"),
     (None, ["--n", "abc"], "n"),
+    ({"out": ["x"], "n": 2, "L": 1, "suite": "anchors"}, [], "out"),
+    ({"format": 1}, [], "format"),
 ])
-def test_a_value_that_does_not_convert_exits_two_naming_its_key(tmp_path, config, flags,
-                                                                 key, capsys):
+def test_a_value_that_does_not_convert_exits_two_naming_its_key(tmp_path, monkeypatch,
+                                                                 config, flags, key, capsys):
     # flags and file values pass through one conversion; the four files once
-    # ran as n=3, L=2, seed=1 and tol=1.0 and exited 0
+    # ran as n=3, L=2, seed=1 and tol=1.0 and exited 0, and the "out" file
+    # wrote its report to a file named "['x']"
+    monkeypatch.chdir(tmp_path)
     argv = ["verify", "--suite", "anchors"] + flags
     if config is not None:
         cfg = tmp_path / "cfg.json"
@@ -185,6 +189,26 @@ def test_a_value_that_does_not_convert_exits_two_naming_its_key(tmp_path, config
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error: %s must be " % key)
     assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if config else [])
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: qlab")
+    for name, doc in COMMANDS.items():
+        assert any(line.split() == [name] + doc.split() for line in out.splitlines())
+
+
+def test_an_unknown_command_exits_two_with_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verfy", "--n", "2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: qlab")
+    assert "invalid choice: 'verfy'" in err
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -252,6 +276,8 @@ SPECTRAL_STDOUT_SHA256 = {
     ("spectrum", 4, 3): "d88c4fb8d0db37833fe0e7ba613b1497e35a9ea8c25c94040bd99e75a686dc32",
     ("spectrum", 2, 5): "4cfbf9b178c7f812497a468958f116c59b2af53733bbc5c4f847bff89879f3b4",
     ("bethe", 3, 4): "ac1e3af0a93c917e9ea9c280f6f596bdda79959edea819ea37f59c91e1428b0c",
+    # the largest size groups of the spectral path
+    ("spectrum", 4, 4): "2188ed29116c52bd981cd823de52fbc7208e4eb1affae7253fc807a1c1eaecc9",
 }
 
 

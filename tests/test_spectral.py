@@ -9,12 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 from qlab.relations import QFamily
 from qlab.tensor import Blocks, sector_layout, sector_states, state_index
 from qlab.transfer import TwistConfig, build_Q, build_T_box
+from qlab import spectral
 from qlab.spectral import (
-    EigenstateRecord, SpectralAnalysis, _q_value, _root_ratio,
+    EIGENBASIS_ATTEMPTS, EigenstateRecord, SpectralAnalysis, _q_value, _root_ratio,
     _root_ratios, bethe_residuals, build_hamiltonian, energy_from_roots,
-    energy_from_tbox_poly, extract_q_polynomials, poly_roots, simultaneous_eigenbasis,
-    solve_bethe_newton,
+    energy_from_tbox_poly, extract_q_polynomials, extract_q_polynomials_loose, poly_roots,
+    simultaneous_eigenbasis, solve_bethe_newton,
 )
+from qlab.tensor import _product
 
 TW2 = TwistConfig((0.7, -0.7))
 TW3 = TwistConfig((0.7, -0.4, -0.3))
@@ -23,6 +25,12 @@ TW3 = TwistConfig((0.7, -0.4, -0.3))
 def bits(a):
     """The bit patterns of a complex scalar or array."""
     return np.ascontiguousarray(np.atleast_1d(a), dtype=complex).view(np.int64).tolist()
+
+
+def sector_of(run, label):
+    """The ``(count, s, s)`` blocks of one sector of a run."""
+    g, i = run.layout.slot[label]
+    return run.group_stack(g)[i]
 
 
 # -- Hamiltonian ------------------------------------------------------------------
@@ -108,14 +116,14 @@ def test_sector_blocks_reject_entries_between_sectors():
     values = np.array([[2.0, 3.0j, 4.0, 0.0, 0.0], [0.0, 0.0, 0.0, 5.0, 6.0]])
     run = layout.scatter(rows, cols, values)
     for label, idx in zip(layout.labels, layout.sectors):
-        stack = run.sector(label)
+        stack = sector_of(run, label)
         assert stack.shape == (2, len(idx), len(idx)) and stack.flags.c_contiguous
         for block, v in zip(stack, values):
             dense = np.zeros((4, 4), dtype=complex)
             dense[rows, cols] = v
             assert np.array_equal(block, dense[np.ix_(idx, idx)])
-    assert np.array_equal(run.sector((1, 1))[0], [[0.0, 2.0], [3.0j, 0.0]])
-    assert np.array_equal(run.sector((1, 1))[1], [[0.0, 0.0], [0.0, 5.0]])
+    assert np.array_equal(sector_of(run, (1, 1))[0], [[0.0, 2.0], [3.0j, 0.0]])
+    assert np.array_equal(sector_of(run, (1, 1))[1], [[0.0, 0.0], [0.0, 5.0]])
     # (1, 0) couples sectors (2,0) and (1,1): no block holds it, so it is an error
     with pytest.raises(ValueError, match="outside the letter-count blocks"):
         layout.scatter(np.array([1, 1, 3]), np.array([2, 0, 3]), np.array([[2.0, 1e-3, 4.0]]))
@@ -123,16 +131,83 @@ def test_sector_blocks_reject_entries_between_sectors():
 
 # -- simultaneous diagonalization -------------------------------------------------
 
+def reference_eigenbasis(blocks):
+    """The per-sector eigenbasis that the group path replaced, on one
+    sector's ``(p, d, d)`` blocks; the group path must give its bits."""
+    count, dim = blocks.shape[:2]
+    rng = np.random.default_rng(5)
+    diag = np.arange(dim)
+    for _ in range(EIGENBASIS_ATTEMPTS):
+        coeffs = rng.normal(size=count) + 1j * rng.normal(size=count)
+        comb = _product(blocks, coeffs[:, None, None]).sum(axis=0)
+        _, v = np.linalg.eig(comb)
+        vinv = np.linalg.inv(v)
+        m = vinv @ blocks @ v
+        eigs = m[:, diag, diag]
+        size = np.abs(m)
+        scale = np.fmax(1.0, size.max(axis=(1, 2)))
+        size[:, diag, diag] = 0.0
+        if not (size.max(axis=(1, 2)) > 1e-8 * scale).any():
+            return v, vinv, eigs
+    raise RuntimeError("no common eigenbasis found")
+
+
+def reference_polys(blocks, v, vinv, degree=None):
+    """One sector's eigenvalue polynomials as the per-sector path formed
+    them, checked and made monic when ``degree`` is given."""
+    polys = np.diagonal(vinv @ blocks @ v, axis1=1, axis2=2).T
+    if degree is None:
+        return polys
+    if (np.abs(polys[:, degree + 1:]).max(axis=1, initial=0.0) > 1e-8).any():
+        raise ValueError("eigenvalue polynomial exceeds the sector degree")
+    polys = polys[:, :degree + 1].copy()
+    if (np.abs(polys[:, -1] - 1.0) > 1e-8).any():
+        raise ValueError("eigenvalue polynomial is not monic")
+    polys[:, -1] = 1.0
+    return polys
+
+
+def reference_sector_records(sa, m):
+    """The records of sector ``m`` as the per-sector pipeline made them."""
+    stack = np.ascontiguousarray(sector_of(sa._run, m))
+    v, vinv, eigs = reference_eigenbasis(stack[sa._probes])
+    roots = [poly_roots(reference_polys(stack[part], v, vinv, sum(m[a - 1] for a in I)))
+             for I, part in zip(sa.sets, sa._members)]
+    bethe = bethe_residuals(roots, [sa.q_polys[I].sigma for I in sa.sets])
+    e_tbox = energy_from_tbox_poly(reference_polys(stack[sa._members[-1]], v, vinv),
+                                   sa.length)
+    return [EigenstateRecord(m, s, e, [r[s] for r in roots], [b[s] for b in bethe],
+                             e_roots, e_t)
+            for s, (e, e_roots, e_t) in enumerate(
+                zip(eigs[0].tolist(), energy_from_roots(roots[-2]), e_tbox))]
+
+
+@pytest.mark.parametrize("n,length", [(n, length) for n in (2, 3, 4) for length in (2, 3, 4)])
+def test_group_records_match_the_per_sector_pipeline_bitwise(n, length):
+    sa = SpectralAnalysis(QFamily(n, length, TwistConfig(
+        {2: (0.7, -0.7), 3: (0.7, -0.4, -0.3), 4: (0.9, 0.4, -0.5, -0.8)}[n])))
+    got = sa.all_records()
+    want = [r for m in sa.labels for r in reference_sector_records(sa, m)]
+    assert len(got) == len(want) == n ** length
+    for g, w in zip(got, want):
+        assert (g.sector, g.state) == (w.sector, w.state)
+        assert bits([g.energy_direct, g.energy_roots, g.energy_tbox]) == \
+            bits([w.energy_direct, w.energy_roots, w.energy_tbox])
+        assert [r.dtype for r in g.level_roots] == [r.dtype for r in w.level_roots]
+        assert all(bits(a) == bits(b) for a, b in zip(g.level_roots, w.level_roots))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(g.bethe, w.bethe))
+
+
 def test_simultaneous_eigenbasis_on_commuting_pair():
     rng = np.random.default_rng(0)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     d1 = np.diag(rng.normal(size=4))
     d2 = np.diag(rng.normal(size=4))
     a, b = g @ d1 @ np.linalg.inv(g), g @ d2 @ np.linalg.inv(g)
-    v, vinv, eigs = simultaneous_eigenbasis(np.array([a, b]))
+    v, vinv, eigs = simultaneous_eigenbasis(np.array([[a, b]]))
     assert np.array_equal(vinv, np.linalg.inv(v))
-    for block, eig in zip((a, b), eigs):
-        m = vinv @ block @ v
+    for block, eig in zip((a, b), eigs[0]):
+        m = vinv[0] @ block @ v[0]
         assert np.max(np.abs(m - np.diag(np.diag(m)))) < 1e-8
         # the eigenvalues are those of the one-block product, bit for bit
         assert bits(np.diag(m)) == bits(eig)
@@ -142,27 +217,62 @@ def test_simultaneous_eigenbasis_rejects_noncommuting():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     b = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(RuntimeError):
-        simultaneous_eigenbasis(np.array([a, b]))
+        simultaneous_eigenbasis(np.array([[a, b]]))
+
+
+def test_a_sector_whose_first_draw_fails_retries_alone(monkeypatch):
+    # the second sector's pair is chosen so that the first random
+    # combination c_a A + c_b B has one doubly degenerate eigenvalue: its
+    # eigenvectors then need not diagonalize A and B, and the sector takes
+    # the next draw, as it would alone; the first sector passes at once
+    first = np.random.default_rng(5)
+    c_a, c_b = first.normal(size=2) + 1j * first.normal(size=2)
+    rng = np.random.default_rng(1)
+    g1, g2 = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+
+    def pair(g, da, db):
+        return [g @ np.diag(d) @ np.linalg.inv(g) for d in (da, db)]
+
+    blocks = np.array([pair(g1, [0.3, -1.2], [0.8, 0.1]),
+                       pair(g2, [-c_b / c_a, 0.0], [1.0, 0.0])])
+    got = simultaneous_eigenbasis(blocks)
+    for k in range(2):
+        want = reference_eigenbasis(blocks[k])
+        assert all(bits(x[k]) == bits(y) for x, y in zip(got, want))
+    # with one draw only, the first sector still passes and the second fails
+    monkeypatch.setattr(spectral, "EIGENBASIS_ATTEMPTS", 1)
+    simultaneous_eigenbasis(blocks[:1])
+    with pytest.raises(RuntimeError):
+        simultaneous_eigenbasis(blocks)
 
 
 # -- eigenvalue polynomials -------------------------------------------------------
 
 def test_extract_q_polynomials_enforces_degree_and_monicity():
+    # the one-state sectors (0, 2) and (2, 0) form one size group, in which
+    # Q_1 has degree 0 and 2
     q1 = build_Q(2, 2, (1,), TW2)
-    layout = sector_layout(2, 2)  # its second sector is (1, 1)
-    probes = Blocks.join([build_hamiltonian(2, 2, TW2), q1.at(0.37)]).sector(layout.labels[1])
+    layout = sector_layout(2, 2)
+    g, i = layout.slot[(0, 2)]
+    assert layout.slot[(2, 0)] == (g, i + 1)
+    probes = Blocks.join([build_hamiltonian(2, 2, TW2), q1.at(0.37)]).group_stack(g)
     v, vinv, _ = simultaneous_eigenbasis(probes)
-    blocks = q1.coeffs.sector(layout.labels[1])
-    polys = extract_q_polynomials(blocks, v, vinv, expected_degree=1)
-    assert polys.shape == (2, 2) and np.all(polys[:, -1] == 1.0)
-    # each row is the diagonal of the one-block products, bit for bit
-    for s, row in enumerate(polys):
-        want = [(vinv @ b @ v)[s, s] for b in blocks[:len(row) - 1]]
-        assert bits(row[:-1]) == bits(want)
+    blocks = q1.coeffs.group_stack(g)
+    got = extract_q_polynomials(blocks, v, vinv, [0, 2])
+    assert [take.tolist() for take, _ in got] == [[0], [1]]
+    assert [polys.shape for _, polys in got] == [(1, 1, 1), (1, 1, 3)]
+    for take, polys in got:
+        assert np.all(polys[..., -1] == 1.0)
+        # each row is the diagonal of the one-block products, bit for bit
+        k = take[0]
+        want = reference_polys(blocks[k], v[k], vinv[k], polys.shape[-1] - 1)
+        assert bits(polys[0]) == bits(want)
+    assert extract_q_polynomials_loose(blocks, v, vinv).shape == (2, 1, 3)
+    # the group raises when one of its sectors fails
     with pytest.raises(ValueError, match="degree"):
-        extract_q_polynomials(blocks, v, vinv, expected_degree=0)
+        extract_q_polynomials(blocks, v, vinv, [0, 1])
     with pytest.raises(ValueError, match="monic"):
-        extract_q_polynomials(2.0 * blocks, v, vinv, expected_degree=1)
+        extract_q_polynomials(2.0 * blocks, v, vinv, [0, 2])
 
 
 def test_poly_roots_matches_numpy_factoring():
@@ -349,7 +459,7 @@ def test_one_site_chain_is_rejected(n, tw):
 
 def test_newton_recovers_perturbed_roots():
     sa = SpectralAnalysis(QFamily(2, 3, TW2))
-    recs = sa.sector_records((2, 1))
+    recs = [r for r in sa.all_records() if r.sector == (2, 1)]
     sigmas = [sa.q_polys[I].sigma for I in sa.sets]
     r = recs[0]
     perturbed = [np.array(x, dtype=complex) for x in r.level_roots]

@@ -261,9 +261,11 @@ def test_sector_blocks_match_dense_reference(chain, count, seed):
     run = run_of(layout, matrices)
     assert sorted(layout.slot) == layout.labels
     for label, sector in zip(layout.labels, layout.sectors):
-        stack = run.sector(label)
+        g, i = layout.slot[label]
+        groups = run.group_stack(g)
+        assert groups.flags.c_contiguous
+        stack = groups[i]
         assert stack.shape == (count, len(sector), len(sector))
-        assert stack.flags.c_contiguous
         for block, d in zip(stack, matrices):
             assert bits(block) == bits(d[np.ix_(sector, sector)])
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qlab import transfer
-from qlab.glrep import dot_action_orbit, fundamental_rep, trivial_rep, verma_rep
+from qlab.glrep import GlRep, dot_action_orbit, fundamental_rep, trivial_rep, verma_rep
 from qlab.lax import canonical_lax
 from qlab.oscillator import COEFF_TOL, CarrierOp, FockSpace, NormalOrderedOp as Op, \
     _carrier_trace, _mode_factor, _worst, extrapolated_traces, fock_matrix, weighted_trace
@@ -437,6 +437,31 @@ def test_build_matches_the_object_reference_bitwise(n, L, twist):
                 assert np.max(np.abs(dense - w)) <= 4 * np.finfo(float).eps * np.max(np.abs(w))
 
 
+def scalar_carrier(labels, value):
+    """gl(p) acting by ``value`` on a one-dimensional carrier: on the full
+    set its Lax matrix holds no ladder monomial."""
+    gens = {(a, b): CarrierOp.from_scalar_op(Op.scalar(value) if a == b else Op.zero())
+            for a in labels for b in labels}
+    return GlRep(tuple(labels), 1, gens, {a: value for a in labels}, "scalar")
+
+
+@pytest.mark.parametrize("n,L,twist", [(2, 4, TW2), (3, 3, TW3), (3, 2, TW3_COMPLEX)])
+def test_mode_free_build_takes_integers_and_refuses_the_rest(n, L, twist):
+    # the mode-free build is exact only because every coefficient is an
+    # integer: integers of either sign build the reference's bits, and any
+    # other coefficient is refused rather than rounded
+    full = tuple(range(1, n + 1))
+    for value in (2.0, -1.0):
+        rep = scalar_carrier(full, value)
+        want = reference_monodromy(n, L, canonical_lax(n, full, rep),
+                                   build_twist_D(n, full, rep, twist), twist)
+        got = build_X(n, L, full, rep, twist).coeffs
+        assert all(got[k].to_dense().tobytes() == w.tobytes() for k, w in enumerate(want))
+    for value in (0.5, 1.0 + 1e-15, 2.0 + 1.0j, math.nan):
+        with pytest.raises(ValueError, match="not an integer"):
+            build_X(n, L, full, scalar_carrier(full, value), twist)
+
+
 def test_degenerate_twist_is_named_alike_by_the_shared_build():
     # letters 1 and 3 share a phase; the shared build names them as each
     # set's one-set build does, not by the letters of the set 1..p it expands
@@ -527,7 +552,8 @@ def test_a_member_reads_as_a_dense_matrix():
     layout = sector_layout(3, 2)
     want = np.zeros((9, 9), dtype=complex)
     for label, idx in zip(layout.labels, layout.sectors):
-        want[np.ix_(idx, idx)] = member.sector(label)[0]
+        g, i = layout.slot[label]
+        want[np.ix_(idx, idx)] = member.group_stack(g)[i, 0]
     assert got.tobytes() == want.tobytes()
     same_sector = layout.sector[:, None] == layout.sector[None, :]
     assert not got[~same_sector].any() and np.abs(got[same_sector]).max() > 0.1
